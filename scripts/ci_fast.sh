@@ -4,7 +4,7 @@
 #
 #   scripts/ci_fast.sh            # from the repo root
 #
-# Six stages, all minutes-not-hours:
+# Seven stages, all minutes-not-hours:
 #   1. `pytest -m "not slow"` over tests/ — every correctness, contract,
 #      determinism, and durability test (the `slow` marker only exists on
 #      long benchmark measurements, so nothing tier-1 is skipped);
@@ -25,7 +25,12 @@
 #   6. `vector_smoke.py` — the 4x macro under the scalar fast path vs the
 #      REPRO_VECTOR numpy kernel: cross-domain workload counts within
 #      tolerance and vector run-to-run determinism. Exits 0 with a notice
-#      when numpy ([vector] extra) is not installed.
+#      when numpy ([vector] extra) is not installed;
+#   7. `perfbench/run.py --self-test` (~6s) — every benchmark workload at
+#      its smallest scale, untraced and traced. The tracer patches engine
+#      callables by name (Row/Schema derivations, TaskManager._finalize_outcome,
+#      combine_corpus), so a rename that breaks `--trace 1` fails here even
+#      though no unit test notices.
 #
 # The heavyweight lane stays `scripts/profile_hotpath.py --check` plus
 # `pytest benchmarks -q`.
@@ -60,3 +65,4 @@ EOF
 python -m pytest benchmarks/bench_scenarios.py -q
 python scripts/profile_hotpath.py --check-store --check-repeats "${CI_STORE_REPEATS:-3}"
 python scripts/vector_smoke.py
+python perfbench/run.py --self-test

@@ -9,11 +9,14 @@ deterministically by sorted representation so results are reproducible.
 from __future__ import annotations
 
 from collections import Counter
+from operator import attrgetter
 from typing import Mapping, Sequence
 
 from repro.combine.base import Combiner
 from repro.errors import CombinerError
 from repro.hits.hit import Vote, count_vote_values
+
+_vote_value = attrgetter("value")
 
 
 class MajorityVote(Combiner):
@@ -26,6 +29,10 @@ class MajorityVote(Combiner):
     def _majority(qid: str, votes: Sequence[Vote]) -> object:
         if not votes:
             raise CombinerError(f"no votes for question {qid!r}")
+        values = list(map(_vote_value, votes))
+        first = values[0]
+        if values.count(first) == len(values):
+            return first  # unanimous: nothing to tally
         counts = count_vote_values(votes)
         best_count = max(counts.values())
         winners = [value for value, count in counts.items() if count == best_count]

@@ -9,6 +9,7 @@ stats) through one query execution.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
@@ -22,6 +23,25 @@ from repro.relational.catalog import Catalog
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.plan import PlanNode
+
+_MINIMUMS: dict[str, int] = {
+    "assignments": 1,
+    "filter_batch_size": 1,
+    "generative_batch_size": 1,
+    "naive_batch_size": 1,
+    "grid_rows": 1,
+    "grid_cols": 1,
+    "compare_group_size": 2,
+    "compare_batch_groups": 1,
+    "rate_batch_size": 1,
+    "limit_pick_batch_size": 2,
+    "pipeline_chunk_size": 1,
+    "pipeline_queue_chunks": 1,
+    "adaptive_min_pilot": 1,
+    "max_reposts": 0,
+}
+"""Smallest accepted value of each count-valued :class:`ExecutionConfig`
+field; construction raises :class:`PlanError` naming the field otherwise."""
 
 
 @dataclass(frozen=True)
@@ -182,20 +202,19 @@ class ExecutionConfig:
             raise PlanError(f"unknown sort method {self.sort_method!r}")
         if self.hybrid_strategy not in ("random", "confidence", "window"):
             raise PlanError(f"unknown hybrid strategy {self.hybrid_strategy!r}")
-        if self.assignments < 1:
-            raise PlanError("assignments must be >= 1")
-        if self.pipeline_chunk_size < 1:
-            raise PlanError("pipeline_chunk_size must be >= 1")
-        if self.pipeline_queue_chunks < 1:
-            raise PlanError("pipeline_queue_chunks must be >= 1")
-        if self.limit_pick_batch_size < 2:
-            raise PlanError("limit_pick_batch_size must be >= 2")
+        for name, minimum in _MINIMUMS.items():
+            value = getattr(self, name)
+            # ``not >=`` also rejects NaN.
+            if not isinstance(value, numbers.Real) or not value >= minimum:
+                raise PlanError(f"{name} must be >= {minimum}, got {value!r}")
+        if self.max_budget is not None and not (
+            isinstance(self.max_budget, numbers.Real) and self.max_budget >= 0
+        ):
+            raise PlanError(
+                f"max_budget must be None or >= 0, got {self.max_budget!r}"
+            )
         if not 0.0 < self.adaptive_pilot_fraction <= 1.0:
             raise PlanError("adaptive_pilot_fraction must be in (0, 1]")
-        if self.adaptive_min_pilot < 1:
-            raise PlanError("adaptive_min_pilot must be >= 1")
-        if self.max_reposts < 0:
-            raise PlanError("max_reposts must be >= 0")
         if self.backoff_base <= 0:
             raise PlanError("backoff_base must be > 0")
         if not 0.0 < self.degrade_quorum <= 1.0:

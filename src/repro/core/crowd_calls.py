@@ -19,7 +19,6 @@ from repro.errors import ExecutionError, PlanError
 from repro.hits.hit import (
     FilterPayload,
     FilterQuestion,
-    GenerativeFieldSpec,
     GenerativePayload,
     GenerativeQuestion,
     Payload,
@@ -117,19 +116,10 @@ def generative_payload_for(
     task: GenerativeTask, item_ref: str, prompt_html: str = ""
 ) -> GenerativePayload:
     """A single-question generative payload for one item."""
-    specs = tuple(
-        GenerativeFieldSpec(
-            name=f.name,
-            kind=f.response.kind,
-            options=f.options,
-            normalizer=f.normalizer,
-        )
-        for f in task.fields
-    )
     return GenerativePayload(
         task_name=task.name,
         questions=(GenerativeQuestion(item=item_ref, prompt_html=prompt_html),),
-        fields=specs,
+        fields=task.field_specs,
     )
 
 
@@ -322,11 +312,13 @@ def _combine_generative(
         corpora[name] = {}
         for gen_field in task.fields:
             normalizer = get_normalizer(gen_field.normalizer)
+            categorical = gen_field.is_categorical
             field_corpus: dict[str, list[Vote]] = {}
+            item_of: dict[str, str] = {}
             for item in task_items[name]:
                 qid = generative_qid(name, item, gen_field.name)
                 votes = outcome.votes.get(qid, [])
-                if gen_field.is_categorical:
+                if categorical:
                     normalized = list(votes)
                 else:
                     normalized = [
@@ -334,13 +326,13 @@ def _combine_generative(
                         for v in votes
                     ]
                 field_corpus[qid] = normalized
+                item_of[qid] = item
             combiner = ctx.combiner_for(gen_field.combiner)
             decisions = combine_corpus(
                 combiner, {q: v for q, v in field_corpus.items() if v}
             )
             for qid, value in decisions.items():
-                item = qid.rsplit(":", 1)[0].rsplit(":gen:", 1)[1]
-                results[name].setdefault(item, {})[gen_field.name] = value
+                results[name].setdefault(item_of[qid], {})[gen_field.name] = value
             corpora[name].update(field_corpus)
     return results, outcome, corpora
 
@@ -471,9 +463,11 @@ def run_predicate_calls(
         elif role == ROLE_GENERATIVE:
             refs = generative_items.setdefault(call.name, [])
             generative_calls[call.name] = call
+            seen = set(refs)
             for row in rows:
                 ref = call_item_ref(call, row, env)
-                if ref not in refs:
+                if ref not in seen:
+                    seen.add(ref)
                     refs.append(ref)
         else:
             raise PlanError(

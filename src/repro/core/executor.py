@@ -198,24 +198,22 @@ def project_rows(node: ProjectNode, rows: list[Row], ctx: QueryContext) -> list[
         stats.assignments += bindings.outcome.assignment_count
         stats.signals.update(bindings.signals)
 
-    from repro.relational.rows import Row as RowClass
-    from repro.relational.schema import Column, ColumnType, Schema
-
-    names = [item.output_name for item in node.items]
-    schema = Schema([Column(name, ColumnType.ANY) for name in names])
+    schema = node.output_schema
     env = ctx.catalog.functions()
+    crowd_items = [
+        bindings is not None
+        and any(not ctx.catalog.has_function(call.name) for call in item.expr.udf_calls())
+        for item in node.items
+    ]
     out: list[Row] = []
     for row in rows:
         values = {}
-        for item, name in zip(node.items, names):
-            if bindings is not None and any(
-                not ctx.catalog.has_function(call.name)
-                for call in item.expr.udf_calls()
-            ):
+        for item, name, crowd in zip(node.items, schema.names, crowd_items):
+            if crowd:
                 values[name] = evaluate_with_crowd(item.expr, row, bindings, ctx)
             else:
                 values[name] = _evaluate_plain(item.expr, row, env)
-        out.append(RowClass(schema, values))
+        out.append(Row(schema, values))
     stats.rows_out += len(out)
     return out
 

@@ -13,6 +13,7 @@ left and right linear scans overlap in virtual time (§2.6).
 
 from __future__ import annotations
 
+from operator import attrgetter, truth
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from repro.combine.base import combine_corpus
@@ -49,11 +50,17 @@ from repro.relational.expressions import (
     feature_equal,
 )
 from repro.relational.rows import Row
+from repro.relational.schema import Schema
 from repro.tasks.registry import ROLE_GENERATIVE, ROLE_JOIN, task_role
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.tasks.equijoin import EquiJoinTask
     from repro.tasks.generative import GenerativeTask
+
+_EMPTY_ROW = Row(Schema([]), {})
+"""The row a substituted unary POSSIBLY predicate evaluates against."""
+
+_vote_value = attrgetter("value")
 
 
 class _PossiblyClauses:
@@ -275,15 +282,24 @@ def _run_feature_extraction(
     stats.hits += left_outcome.hit_count + right_outcome.hit_count
     stats.assignments += left_outcome.assignment_count + right_outcome.assignment_count
 
-    # Unary predicates prune one side before the cross product forms.
+    # Unary predicates prune one side before the cross product forms. Many
+    # refs share a feature value, so the predicate runs once per value.
     for expr, side, call in clauses.unary:
         task = ctx.catalog.task(call.name)
         results = left_results if side == "left" else right_results
         refs = left_refs if side == "left" else right_refs
+        call_results = results.get(call.name, {})
+        verdicts: dict[object, bool] = {}
         kept = []
         for ref in refs:
-            value = _field_value(task, call, results.get(call.name, {}).get(ref, {}))
-            if value is UNKNOWN or _evaluate_unary(expr, call, value):
+            value = _field_value(task, call, call_results.get(ref, {}))
+            if value is UNKNOWN:
+                kept.append(ref)
+                continue
+            verdict = verdicts.get(value)
+            if verdict is None:
+                verdict = verdicts[value] = _evaluate_unary(expr, call, value)
+            if verdict:
                 kept.append(ref)
         if side == "left":
             left_refs = kept
@@ -341,11 +357,7 @@ def _evaluate_unary(expr: Expression, call: UDFCall, value: object) -> bool:
             )
         return node
 
-    substituted = substitute(expr)
-    from repro.relational.schema import Schema
-
-    empty_row = Row(Schema([]), {})
-    return bool(substituted.evaluate(empty_row, {}))
+    return bool(substitute(expr).evaluate(_EMPTY_ROW, {}))
 
 
 def _choose_grid_orientation(
@@ -492,10 +504,10 @@ def _run_join_interface(
         from repro.core.cost_model import join_key
 
         ctx.adapt.book.observe(join_key(task.name), len(candidates), len(matches))
-    agreements = [
-        max(sum(1 for v in vs if v.value), sum(1 for v in vs if not v.value)) / len(vs)
-        for vs in corpus.values()
-    ]
+    agreements = []
+    for vs in corpus.values():
+        yes = sum(map(truth, map(_vote_value, vs)))
+        agreements.append(max(yes, len(vs) - yes) / len(vs))
     if agreements:
         stats.signals["mean_pair_agreement"] = sum(agreements) / len(agreements)
     stats.signals["matches"] = float(len(matches))

@@ -16,10 +16,12 @@ Plans are passive trees; the executor interprets them. Node kinds:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import ClassVar, Iterator
 
 from repro.language.ast import OrderItem, SelectItem
 from repro.relational.expressions import Expression, UDFCall
+from repro.relational.schema import Column, ColumnType, Schema
 
 
 @dataclass
@@ -166,6 +168,14 @@ class ProjectNode(PlanNode):
 
     items: tuple[SelectItem, ...] = ()
     star: bool = False
+
+    @cached_property
+    def output_schema(self) -> Schema:
+        """The select list's all-``any`` output schema, built once per plan
+        and shared by every chunk the projection streams."""
+        return Schema(
+            [Column(item.output_name, ColumnType.ANY) for item in self.items]
+        )
 
     def label(self) -> str:
         if self.star:

@@ -41,11 +41,12 @@ from repro.errors import (
     TransientMarketplaceError,
 )
 from repro.hits.cache import HITCache, payload_cache_key
-from repro.util import fastpath
 from repro.hits.compiler import HITCompiler, merge_payloads
 from repro.hits.hit import HIT, Assignment, Payload, Vote
 from repro.hits.pricing import CostLedger
 from repro.hits.resilience import ResilienceState
+
+_new_tuple = tuple.__new__
 
 
 class CrowdPlatform(Protocol):
@@ -474,22 +475,24 @@ class TaskManager:
                             state.summary.note_degraded(label)
 
         outcome.finish_time = finish_time
-        if fastpath.enabled():
-            votes = outcome.votes
-            get_bucket = votes.get
-            for assignment in outcome.assignments:
-                worker_id = assignment.worker_id
-                for qid, value in assignment.answers.items():
-                    bucket = get_bucket(qid)
-                    if bucket is None:
-                        bucket = votes[qid] = []
-                    bucket.append(Vote(worker_id, value))
-        else:
-            for assignment in outcome.assignments:
-                for qid, value in assignment.answers.items():
-                    outcome.votes.setdefault(qid, []).append(
-                        Vote(worker_id=assignment.worker_id, value=value)
-                    )
+        # Votes are immutable, so an assignment's yes/no answers share one
+        # Vote each; tuple.__new__ skips the NamedTuple's Python-level __new__.
+        votes = outcome.votes
+        get_bucket = votes.get
+        for assignment in outcome.assignments:
+            worker_id = assignment.worker_id
+            yes = _new_tuple(Vote, (worker_id, True))
+            no = _new_tuple(Vote, (worker_id, False))
+            for qid, value in assignment.answers.items():
+                bucket = get_bucket(qid)
+                if bucket is None:
+                    bucket = votes[qid] = []
+                if value is True:
+                    bucket.append(yes)
+                elif value is False:
+                    bucket.append(no)
+                else:
+                    bucket.append(_new_tuple(Vote, (worker_id, value)))
         if strict and outcome.uncompleted_hit_ids:
             if state is None:
                 raise HITUncompletedError(

@@ -1,11 +1,21 @@
-"""Immutable rows bound to a schema."""
+"""Immutable rows bound to a schema.
+
+Rows are validated where they enter the engine and trusted inside it. The
+public constructor ``Row(schema, mapping)`` checks every value against the
+schema; it is what table ingest (:meth:`Table.insert`, :meth:`Table.from_tsv`)
+and the select-list projection use. The derivations operators apply to
+already-valid rows — :meth:`Row.prefixed`, :meth:`Row.merged`,
+:meth:`Row.extended` and :meth:`Row.project` — cannot produce an invalid row,
+so they reuse or concatenate the source value tuple under the source
+schema's cached derived schema without validating again.
+"""
 
 from __future__ import annotations
 
 from typing import Iterator, Mapping
 
 from repro.errors import SchemaError
-from repro.relational.schema import Schema
+from repro.relational.schema import Column, ColumnType, Schema
 
 
 class Row(Mapping[str, object]):
@@ -23,6 +33,18 @@ class Row(Mapping[str, object]):
         self._schema = schema
         self._values = tuple(values[name] for name in schema.names)
 
+    @classmethod
+    def _trusted(cls, schema: Schema, values: tuple) -> "Row":
+        """A row over ``values`` already known to conform to ``schema``.
+
+        The one constructor that skips validation; only derivations of
+        validated rows may call it.
+        """
+        row = object.__new__(cls)
+        row._schema = schema
+        row._values = values
+        return row
+
     @property
     def schema(self) -> Schema:
         """The schema this row conforms to."""
@@ -30,6 +52,9 @@ class Row(Mapping[str, object]):
 
     def __getitem__(self, name: str) -> object:
         return self._values[self._schema.index_of(name)]
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._schema
 
     def __iter__(self) -> Iterator[str]:
         return iter(self._schema.names)
@@ -67,32 +92,24 @@ class Row(Mapping[str, object]):
     def project(self, names: list[str]) -> "Row":
         """Row restricted to the given columns (new schema)."""
         schema = self._schema.project(names)
-        return Row(schema, {name: self[name] for name in names})
+        return Row._trusted(schema, tuple(self[name] for name in schema.names))
 
     def prefixed(self, prefix: str) -> "Row":
         """Row with columns renamed to ``prefix.name`` (alias binding)."""
-        schema = self._schema.prefixed(prefix)
-        values = {
-            f"{prefix}.{name}": value
-            for name, value in zip(self._schema.names, self._values)
-        }
-        return Row(schema, values)
+        return Row._trusted(self._schema.prefixed(prefix), self._values)
 
     def merged(self, other: "Row") -> "Row":
         """Row with this row's columns followed by ``other``'s (join output)."""
-        overlap = set(self._schema.names) & set(other.schema.names)
-        if overlap:
-            raise SchemaError(f"cannot merge rows sharing columns {sorted(overlap)}")
-        schema = self._schema.concat(other.schema)
-        values = self.as_dict()
-        values.update(other.as_dict())
-        return Row(schema, values)
+        try:
+            schema = self._schema.concat(other._schema)
+        except SchemaError:
+            overlap = set(self._schema.names) & set(other._schema.names)
+            raise SchemaError(
+                f"cannot merge rows sharing columns {sorted(overlap)}"
+            ) from None
+        return Row._trusted(schema, self._values + other._values)
 
     def extended(self, name: str, value: object) -> "Row":
         """Row with one extra ``any``-typed column appended."""
-        from repro.relational.schema import Column, ColumnType
-
         schema = self._schema.extended(Column(name, ColumnType.ANY))
-        values = self.as_dict()
-        values[name] = value
-        return Row(schema, values)
+        return Row._trusted(schema, self._values + (value,))

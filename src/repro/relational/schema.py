@@ -4,13 +4,17 @@ A :class:`Schema` is an ordered collection of named, typed columns. Schemas
 validate rows on insert (catching simulator bugs early) and support the
 derivations the planner needs: projection, renaming with an alias prefix, and
 concatenation for join outputs.
+
+Schemas are immutable, so each one caches the schemas derived from it: an
+operator deriving rows one at a time (alias binding, join output) builds its
+output schema once, and every derived row shares that one object.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Hashable, Iterable, Iterator
 
 from repro.errors import SchemaError
 
@@ -65,11 +69,14 @@ class Schema:
 
     def __init__(self, columns: Iterable[Column]) -> None:
         self.columns: tuple[Column, ...] = tuple(columns)
-        names = [column.name for column in self.columns]
-        duplicates = {name for name in names if names.count(name) > 1}
-        if duplicates:
+        names = tuple(column.name for column in self.columns)
+        self._index = {name: i for i, name in enumerate(names)}
+        if len(self._index) != len(names):
+            duplicates = {name for name in names if names.count(name) > 1}
             raise SchemaError(f"duplicate column names: {sorted(duplicates)}")
-        self._index = {column.name: i for i, column in enumerate(self.columns)}
+        self._names = names
+        self._hash: int | None = None
+        self._derived: dict[Hashable, Schema] = {}
 
     @classmethod
     def of(cls, *specs: str) -> "Schema":
@@ -96,7 +103,7 @@ class Schema:
     @property
     def names(self) -> tuple[str, ...]:
         """Column names in declaration order."""
-        return tuple(column.name for column in self.columns)
+        return self._names
 
     def __len__(self) -> int:
         return len(self.columns)
@@ -111,7 +118,9 @@ class Schema:
         return isinstance(other, Schema) and self.columns == other.columns
 
     def __hash__(self) -> int:
-        return hash(self.columns)
+        if self._hash is None:
+            self._hash = hash(self.columns)
+        return self._hash
 
     def __repr__(self) -> str:
         cols = ", ".join(f"{c.name} {c.type.value}" for c in self.columns)
@@ -119,21 +128,33 @@ class Schema:
 
     def column(self, name: str) -> Column:
         """The column with the given name; raises :class:`SchemaError`."""
-        try:
-            return self.columns[self._index[name]]
-        except KeyError as exc:
-            raise SchemaError(
-                f"no column {name!r}; have {list(self.names)}"
-            ) from exc
+        return self.columns[self.index_of(name)]
 
     def index_of(self, name: str) -> int:
-        """Position of the named column."""
-        self.column(name)
-        return self._index[name]
+        """Position of the named column; raises :class:`SchemaError`."""
+        try:
+            return self._index[name]
+        except KeyError as exc:
+            raise SchemaError(
+                f"no column {name!r}; have {list(self._names)}"
+            ) from exc
+
+    def _derive(self, key: Hashable, build: Callable[[], "Schema"]) -> "Schema":
+        """The cached derived schema under ``key``, built on first use.
+
+        A derivation that raises caches nothing, so it raises on every call.
+        """
+        derived = self._derived.get(key)
+        if derived is None:
+            derived = self._derived[key] = build()
+        return derived
 
     def project(self, names: Iterable[str]) -> "Schema":
         """Schema containing only the given columns, in the given order."""
-        return Schema([self.column(name) for name in names])
+        names = tuple(names)
+        return self._derive(
+            ("project", names), lambda: Schema([self.column(name) for name in names])
+        )
 
     def prefixed(self, prefix: str) -> "Schema":
         """Schema with every column renamed to ``prefix.name``.
@@ -141,22 +162,29 @@ class Schema:
         Used when binding a table under an alias so join outputs keep both
         sides' columns addressable (``c.img``, ``p.img``).
         """
-        return Schema(
-            [column.renamed(f"{prefix}.{column.name}") for column in self.columns]
+        return self._derive(
+            ("prefixed", prefix),
+            lambda: Schema(
+                [column.renamed(f"{prefix}.{column.name}") for column in self.columns]
+            ),
         )
 
     def concat(self, other: "Schema") -> "Schema":
         """Schema with this schema's columns followed by ``other``'s."""
-        return Schema([*self.columns, *other.columns])
+        return self._derive(
+            ("concat", other), lambda: Schema([*self.columns, *other.columns])
+        )
 
     def extended(self, column: Column) -> "Schema":
         """Schema with one extra column appended."""
-        return Schema([*self.columns, column])
+        return self._derive(
+            ("extended", column), lambda: Schema([*self.columns, column])
+        )
 
     def validate(self, values: dict[str, object]) -> None:
         """Check that ``values`` binds exactly this schema's columns with
         type-conforming values; raises :class:`SchemaError` otherwise."""
-        missing = [name for name in self.names if name not in values]
+        missing = [name for name in self._names if name not in values]
         if missing:
             raise SchemaError(f"row missing columns {missing}")
         extra = [name for name in values if name not in self._index]

@@ -85,6 +85,8 @@ def resolve_item_ref(value: object) -> str:
     then the first column — matching how the paper's prompts always end up
     displaying the tuple's image.
     """
+    if type(value) is str:
+        return value
     if isinstance(value, Mapping):
         for key in ("img", "url", "id"):
             if key in value:

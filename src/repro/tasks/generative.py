@@ -10,9 +10,11 @@ feature extraction (§2.4).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Mapping
 
 from repro.errors import TaskError
+from repro.hits.hit import GenerativeFieldSpec
 from repro.language.ast import ResponseSpec
 from repro.language.templates import PromptTemplate
 from repro.tasks.base import Task, TaskType, _string_property, _template_property
@@ -77,6 +79,20 @@ class GenerativeTask(Task):
                 "a single field was expected"
             )
         return self.fields[0]
+
+    @cached_property
+    def field_specs(self) -> tuple[GenerativeFieldSpec, ...]:
+        """The fields as payload descriptors, built once and shared by
+        every payload of this task."""
+        return tuple(
+            GenerativeFieldSpec(
+                name=f.name,
+                kind=f.response.kind,
+                options=f.options,
+                normalizer=f.normalizer,
+            )
+            for f in self.fields
+        )
 
     def field(self, name: str) -> GenerativeField:
         """Look up a field by name."""

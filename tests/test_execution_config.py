@@ -1,0 +1,56 @@
+"""ExecutionConfig rejects out-of-range knobs at construction.
+
+Each bad value used to crash deep in the stack (``ZeroDivisionError`` in
+batching or the cost model), fail only at execute time or at the first
+post, or be accepted silently; now construction raises a ``PlanError``
+naming the field.
+"""
+
+import math
+
+import pytest
+
+from repro.core.context import ExecutionConfig
+from repro.errors import PlanError
+from repro.joins.batching import JoinInterface
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("grid_rows", 0),
+        ("grid_cols", 0),
+        ("generative_batch_size", 0),
+        ("rate_batch_size", 0),
+        ("naive_batch_size", 0),
+        ("filter_batch_size", 0),
+        ("limit_pick_batch_size", 1),
+        ("compare_batch_groups", 0),
+        ("compare_group_size", 1),
+        ("assignments", 0),
+        ("grid_rows", math.nan),
+        ("max_budget", -5.0),
+        ("max_budget", math.nan),
+    ],
+)
+def test_bad_value_rejected_at_construction(field, value):
+    with pytest.raises(PlanError, match=field):
+        ExecutionConfig(join_interface=JoinInterface.NAIVE, **{field: value})
+    with pytest.raises(PlanError, match=field):
+        ExecutionConfig().with_overrides(**{field: value})
+
+
+def test_boundary_values_accepted():
+    config = ExecutionConfig(
+        grid_rows=1,
+        grid_cols=1,
+        generative_batch_size=1,
+        rate_batch_size=1,
+        naive_batch_size=1,
+        filter_batch_size=1,
+        compare_batch_groups=1,
+        compare_group_size=2,
+        max_budget=0,
+    )
+    assert config.max_budget == 0
+    assert ExecutionConfig(max_budget=None).max_budget is None

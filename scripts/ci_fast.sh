@@ -4,7 +4,7 @@
 #
 #   scripts/ci_fast.sh            # from the repo root
 #
-# Seven stages, all minutes-not-hours:
+# Eight stages, all minutes-not-hours:
 #   1. `pytest -m "not slow"` over tests/ — every correctness, contract,
 #      determinism, and durability test (the `slow` marker only exists on
 #      long benchmark measurements, so nothing tier-1 is skipped);
@@ -30,7 +30,14 @@
 #      its smallest scale, untraced and traced. The tracer patches engine
 #      callables by name (Row/Schema derivations, TaskManager._finalize_outcome,
 #      combine_corpus), so a rename that breaks `--trace 1` fails here even
-#      though no unit test notices.
+#      though no unit test notices;
+#   8. `perfbench/run.py --workload t5_vector --seed 0 --seconds 0` (~22s on
+#      2 cores) — each seed-0 input of the 64x optimized Table-5 plan once
+#      under REPRO_VECTOR=1, checked against the row digests and economics
+#      pinned in perfbench/expected.json. Catches vector-kernel drift that
+#      only shows at scale (many rounds, large exclusion sets, repeated
+#      generative templates), which the 1x vector golden trace cannot.
+#      Skipped with a notice when numpy ([vector] extra) is not installed.
 #
 # The heavyweight lane stays `scripts/profile_hotpath.py --check` plus
 # `pytest benchmarks -q`.
@@ -66,3 +73,8 @@ python -m pytest benchmarks/bench_scenarios.py -q
 python scripts/profile_hotpath.py --check-store --check-repeats "${CI_STORE_REPEATS:-3}"
 python scripts/vector_smoke.py
 python perfbench/run.py --self-test
+if python -c "from repro.util.vector import available; raise SystemExit(not available())"; then
+    python perfbench/run.py --workload t5_vector --seed 0 --seconds 0
+else
+    echo "stage 8 skipped: numpy ([vector] extra) not installed"
+fi

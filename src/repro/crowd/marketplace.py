@@ -144,71 +144,6 @@ class HITGroupTicket:
     were injected (no plan, zero rates, or ``REPRO_RESILIENCE=0``)."""
 
 
-class _FenwickSlots:
-    """Index-stable pending-slot table with O(log n) k-th-alive selection.
-
-    The reference dispatch loop keeps pending slots in a plain list and
-    removes with ``list.pop(index)`` — O(n) per acceptance. Because ``pop``
-    preserves the relative order of the survivors, the live list is always
-    "the original shuffled slots, minus the removed ones, in original
-    order"; so selecting index ``k`` from the live list is exactly selecting
-    the k-th alive slot of the original order. A Fenwick tree over alive
-    flags does that selection (and removal) in O(log n) without shifting
-    anything, keeping the randint -> slot mapping bit-identical.
-    """
-
-    __slots__ = ("_slots", "_alive", "_tree", "_size", "_count")
-
-    def __init__(self, slots: list) -> None:
-        n = len(slots)
-        self._slots = slots
-        self._alive = [True] * n
-        size = 1
-        while size < n:
-            size <<= 1
-        self._size = size
-        tree = [0] * (size + 1)
-        for i in range(1, size + 1):
-            if i <= n:
-                tree[i] += 1
-            parent = i + (i & -i)
-            if parent <= size:
-                tree[parent] += tree[i]
-        self._tree = tree
-        self._count = n
-
-    def __len__(self) -> int:
-        return self._count
-
-    def select(self, k: int) -> int:
-        """Original-order position of the k-th (0-based) alive slot."""
-        tree = self._tree
-        size = self._size
-        pos = 0
-        remaining = k + 1
-        mask = size
-        while mask:
-            probe = pos + mask
-            if probe <= size and tree[probe] < remaining:
-                remaining -= tree[probe]
-                pos = probe
-            mask >>= 1
-        return pos
-
-    def remove(self, pos: int) -> None:
-        self._alive[pos] = False
-        self._count -= 1
-        tree = self._tree
-        size = self._size
-        i = pos + 1
-        while i <= size:
-            tree[i] -= 1
-            i += i & -i
-
-    def alive_slots(self) -> list:
-        return [slot for slot, alive in zip(self._slots, self._alive) if alive]
-
-
 class SimulatedMarketplace:
     """A deterministic MTurk stand-in satisfying the platform protocol."""
 
@@ -623,12 +558,13 @@ class SimulatedMarketplace:
     ) -> tuple[list[Assignment], float, set[str]]:
         """Stream-preserving fast dispatch.
 
-        Identical draw-for-draw to :meth:`_dispatch_reference`; the wins are
-        structural: pickup rates come from a precomputed table, slot
-        selection/removal goes through the Fenwick table instead of
-        ``list.pop``, per-HIT constants (unit count, effort, exclusion set)
-        are resolved once, and the per-draw wrapper methods are bypassed in
-        favour of the same underlying ``random.Random`` stream.
+        Identical draw-for-draw to :meth:`_dispatch_reference`, and it
+        selects and removes slots the same way (index into the shuffled
+        list, ``list.pop`` on acceptance); the wins are structural: pickup
+        rates come from a precomputed table, per-HIT constants (unit count,
+        effort, exclusion set) are resolved once, and the per-draw wrapper
+        methods are bypassed in favour of the same underlying
+        ``random.Random`` stream.
         """
         total = len(pending)
         completed: list[Assignment] = []
@@ -639,7 +575,6 @@ class SimulatedMarketplace:
         work_overhead = latency_config.work_overhead_seconds
         work_sigma = latency_config.work_time_sigma
         rates = self.latency.pickup_rate_table(total, self.time_of_day, trial_factor)
-        slots = _FenwickSlots(pending)
         raw = rng.raw
         raw_random = raw.random
         # randint(0, n-1) routes through randrange(n); calling randrange
@@ -647,8 +582,7 @@ class SimulatedMarketplace:
         raw_randrange = raw.randrange
         raw_expovariate = raw.expovariate
         raw_lognormvariate = raw.lognormvariate
-        select = slots.select
-        remove = slots.remove
+        pop = pending.pop
         pick_fast = self.pool._pick_candidate_fast
         truth = self.truth
         stats = self.stats
@@ -671,8 +605,8 @@ class SimulatedMarketplace:
                 break
             if consecutive_refusals >= max_refusals:
                 break
-            pos = select(raw_randrange(alive))
-            hit, sequence = pending[pos]
+            index = raw_randrange(alive)
+            hit, sequence = pending[index]
             considerations += 1
             hit_id = hit.hit_id
             taken_by = workers_on_hit[hit_id]
@@ -696,7 +630,7 @@ class SimulatedMarketplace:
                 refusals += 1
                 continue
             consecutive_refusals = 0
-            remove(pos)
+            pop(index)
             alive -= 1
             worker_id = worker.worker_id
             taken_by.add(worker_id)
@@ -723,7 +657,7 @@ class SimulatedMarketplace:
         self._assignment_counter = counter
         stats.considerations += considerations
         stats.refusals += refusals
-        incomplete = {slot[0].hit_id for slot in slots.alive_slots()}
+        incomplete = {hit.hit_id for hit, _ in pending}
         return completed, now, incomplete
 
 

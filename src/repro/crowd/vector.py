@@ -41,9 +41,10 @@ Each round considers a chunk of lanes against the alive slots:
 
 Scalar tail
 -----------
-Per-assignment *effects* stay scalar: ``Assignment`` construction, stats
-bookkeeping, and the fault overlay (which runs after dispatch on the
-returned assignment list, so it composes with this kernel unchanged).
+Per-assignment *records* stay Python objects: ``Assignment`` tuples and
+answer dicts are built once per round from the round's arrays, stats are
+folded in once per group, and the fault overlay runs after dispatch on the
+returned assignment list, so it composes with this kernel unchanged.
 Answer synthesis is vectorized per payload kind where the behaviour model
 allows it; HITs carrying payload kinds without a vector planner (free-text
 generative fields, pick-best, out-of-tree kinds) fall back to the exact
@@ -54,6 +55,7 @@ worker) triple.
 
 from __future__ import annotations
 
+from itertools import islice, repeat
 from typing import Sequence
 
 from repro.crowd.behavior import (
@@ -82,6 +84,8 @@ from repro.relational.expressions import UNKNOWN
 from repro.tasks.registry import DispatchTable
 from repro.util import vector as vector_toggle
 from repro.util.rng import RandomSource, child_seed_from_material
+
+_new_tuple = tuple.__new__
 
 ROUND_TARGET_FRACTION = 0.10
 """Aimed-for accepted fraction of the alive slots per batched round.
@@ -236,26 +240,37 @@ class _KindPlan:
 
     def expand(self, np, win_hits):
         """(lane_of_row, row) index arrays for a batch of accepted lanes."""
-        counts = self._count_arr[win_hits]
-        total = int(counts.sum())
-        if total == 0:
-            return None, None
-        lane_of_row = np.repeat(np.arange(win_hits.size), counts)
-        offsets = np.repeat(np.cumsum(counts) - counts, counts)
-        within = np.arange(total) - offsets
-        rows = np.repeat(self.starts[win_hits], counts) + within
-        return lane_of_row, rows
+        return _lane_rows(np, self.starts[win_hits], self._count_arr[win_hits])
 
     def emit(self, kernel, lanes) -> None:
         raise NotImplementedError
 
 
+def _lane_rows(np, starts, counts):
+    """(lane_of_row, row) for lanes owning ``counts[i]`` consecutive plan
+    rows from ``starts[i]``, laid out lane by lane; ``(None, None)`` when
+    the lanes own no rows."""
+    total = int(counts.sum())
+    if total == 0:
+        return None, None
+    lane_of_row = np.repeat(np.arange(counts.size), counts)
+    offsets = np.repeat(np.cumsum(counts) - counts, counts)
+    rows = np.repeat(starts, counts) + (np.arange(total) - offsets)
+    return lane_of_row, rows
+
+
 def _store_rows(lanes, lane_of_row, qids, values) -> None:
-    """Scatter one kind's flattened (lane, qid, value) rows into the per-lane
-    answer dicts. ``values`` must already hold plain Python objects."""
-    dicts = lanes.dicts
-    for lane, qid, value in zip(lane_of_row.tolist(), qids.tolist(), values.tolist()):
-        dicts[lane][qid] = value
+    """Write one kind's flattened (lane, qid, value) rows into the per-lane
+    answer dicts. ``values`` must already hold plain Python objects.
+
+    Each lane's rows must be contiguous and the lanes ascending (the layout
+    :func:`_lane_rows` produces), so one ``dict.update`` per lane over its
+    slice of the (qid, value) pairs inserts the answers in row order, as
+    row-by-row assignment would."""
+    counts = lanes._np.bincount(lane_of_row, minlength=len(lanes.dicts)).tolist()
+    pairs = zip(qids.tolist(), values.tolist())
+    for answers, count in zip(lanes.dicts, counts):
+        answers.update(islice(pairs, count))
 
 
 class _BinaryPlan(_KindPlan):
@@ -547,14 +562,11 @@ class _ComparePlan(_KindPlan):
         # Map pair rows to per-lane flat positions in `perceived`.
         item_counts = self._count_arr[win_hits]
         lane_base = np.cumsum(item_counts) - item_counts
-        pair_counts = self.pair_count_arr[win_hits]
-        total_pairs = int(pair_counts.sum())
-        if total_pairs == 0:
+        lane_of_pair, pair_rows = _lane_rows(
+            np, self.pair_start_arr[win_hits], self.pair_count_arr[win_hits]
+        )
+        if pair_rows is None:
             return
-        lane_of_pair = np.repeat(np.arange(win_hits.size), pair_counts)
-        offsets = np.repeat(np.cumsum(pair_counts) - pair_counts, pair_counts)
-        within = np.arange(total_pairs) - offsets
-        pair_rows = np.repeat(self.pair_start_arr[win_hits], pair_counts) + within
         hit_item_start = self.starts[win_hits[lane_of_pair]]
         base = lane_base[lane_of_pair]
         flat_i = self.pair_i_arr[pair_rows] - hit_item_start + base
@@ -575,8 +587,10 @@ class _GenerativePlan(_KindPlan):
 
     def __init__(self, n_hits: int) -> None:
         super().__init__(n_hits)
-        self.rows: list[tuple] = []  # (qid, labels, weights, options, has_unknown)
+        self.rows: list[tuple] = []  # (qid, feature truth, item, options)
         self.qid_arr = None
+        self.template_arr = None
+        # Per-template tables, indexed through template_arr.
         self.lab_pad = None
         self.cum_pad = None
         self.total_arr = None
@@ -614,70 +628,65 @@ class _GenerativePlan(_KindPlan):
         self.counts[hit_index] += len(payload.questions) * len(payload.fields)
 
     def finalize_with_hits(self, np, hits, row_hit_index) -> None:
-        """Build padded distribution tables (needs each row's hit for the
-        ``combined`` flag)."""
+        """Build the padded distribution and option tables (needs each row's
+        hit for the ``combined`` flag) once per template.
+
+        A template is one distinct (answer distribution, options) pair. Rows
+        whose distributions and options compare equal draw from identical
+        tables, so they share one table row; ``template_arr`` maps each plan
+        row onto its template."""
         super().finalize(np)
-        n = len(self.rows)
-        qids = []
-        labels_per_row = []
-        cums_per_row = []
-        totals = []
-        unknown_idx = []
-        options_per_row = []
-        first_opts = []
-        has_unknown = []
-        for (qid, feature, item, options), hit_index in zip(self.rows, row_hit_index):
-            combined = hits[hit_index].combined_generative
-            distribution = feature.answer_distribution(item, combined)
-            labels = list(distribution.keys())
-            weights = [distribution[label] for label in labels]
-            cums = []
-            running = 0.0
-            for weight in weights:
-                running += weight
-                cums.append(running)
-            qids.append(qid)
-            labels_per_row.append(labels)
-            cums_per_row.append(cums)
-            totals.append(running)
-            uidx = -1
-            for position, label in enumerate(labels):
-                if label is UNKNOWN:
-                    uidx = position
-                    break
-            unknown_idx.append(uidx)
-            options_per_row.append(list(options))
-            first_opts.append(options[0] if options else "spam")
-            has_unknown.append(
-                any(option is UNKNOWN for option in options)
+        templates: dict[tuple, int] = {}
+        row_template = []
+        for (_, feature, item, options), hit_index in zip(self.rows, row_hit_index):
+            distribution = feature.answer_distribution(
+                item, hits[hit_index].combined_generative
             )
-        self.qid_arr = np.array(qids, dtype=object)
-        lmax = max(1, max((len(labels) for labels in labels_per_row), default=1))
-        omax = max(1, max((len(options) for options in options_per_row), default=1))
+            key = (tuple(distribution), tuple(distribution.values()), options)
+            row_template.append(templates.setdefault(key, len(templates)))
+        self.qid_arr = np.array([row[0] for row in self.rows], dtype=object)
+        self.template_arr = np.asarray(row_template, dtype=np.int64)
+        self.rows = []
+        n = len(templates)
+        lmax = max(1, max((len(labels) for labels, _, _ in templates), default=1))
+        omax = max(1, max((len(options) for _, _, options in templates), default=1))
         lab_pad = np.empty((n, lmax), dtype=object)
         cum_pad = np.full((n, lmax), np.inf, dtype=float)
         opt_pad = np.empty((n, omax), dtype=object)
-        for row in range(n):
-            labels = labels_per_row[row]
-            for position, label in enumerate(labels):
-                lab_pad[row, position] = label
-                cum_pad[row, position] = cums_per_row[row][position]
-            for position, option in enumerate(options_per_row[row]):
-                opt_pad[row, position] = option
+        totals = []
+        unknown_idx = []
+        for index, (labels, weights, options) in enumerate(templates):
+            running = 0.0
+            uidx = -1
+            for position, (label, weight) in enumerate(zip(labels, weights)):
+                running += weight
+                lab_pad[index, position] = label
+                cum_pad[index, position] = running
+                if uidx < 0 and label is UNKNOWN:
+                    uidx = position
+            totals.append(running)
+            unknown_idx.append(uidx)
+            for position, option in enumerate(options):
+                opt_pad[index, position] = option
         self.lab_pad = lab_pad
         self.cum_pad = cum_pad
         self.total_arr = np.asarray(totals, dtype=float)
         self.n_dist_arr = np.array(
-            [len(labels) for labels in labels_per_row], dtype=np.int64
+            [len(labels) for labels, _, _ in templates], dtype=np.int64
         )
         self.unknown_idx_arr = np.asarray(unknown_idx, dtype=np.int64)
         self.opt_pad = opt_pad
         self.n_opt_arr = np.array(
-            [len(options) for options in options_per_row], dtype=np.int64
+            [len(options) for _, _, options in templates], dtype=np.int64
         )
-        self.first_opt_arr = np.array(first_opts, dtype=object)
-        self.has_unknown_arr = np.asarray(has_unknown, dtype=bool)
-        self.rows = []
+        self.first_opt_arr = np.array(
+            [options[0] if options else "spam" for _, _, options in templates],
+            dtype=object,
+        )
+        self.has_unknown_arr = np.array(
+            [any(option is UNKNOWN for option in options) for _, _, options in templates],
+            dtype=bool,
+        )
 
     def emit(self, kernel, lanes) -> None:
         np = kernel.np
@@ -690,23 +699,24 @@ class _GenerativePlan(_KindPlan):
         u_option = gen.random(n)
         u_dist = gen.random(n)
         u_unknown = gen.random(n)
-        n_opt = self.n_opt_arr[rows]
+        template = self.template_arr[rows]
+        n_opt = self.n_opt_arr[template]
         has_options = n_opt > 0
         option_idx = np.minimum(
             (u_option * np.maximum(n_opt, 1)).astype(np.int64), np.maximum(n_opt - 1, 0)
         )
-        option_ans = self.opt_pad[rows, option_idx]
+        option_ans = self.opt_pad[template, option_idx]
         # Honest distribution draw (inverse CDF over the confusion kernel).
-        point = u_dist * self.total_arr[rows]
-        dist_idx = (self.cum_pad[rows] <= point[:, None]).sum(axis=1)
-        dist_idx = np.minimum(dist_idx, self.n_dist_arr[rows] - 1)
-        ans = self.lab_pad[rows, dist_idx]
+        point = u_dist * self.total_arr[template]
+        dist_idx = (self.cum_pad[template] <= point[:, None]).sum(axis=1)
+        dist_idx = np.minimum(dist_idx, self.n_dist_arr[template] - 1)
+        ans = self.lab_pad[template, dist_idx]
         # Honest uncertainty: small chance of UNKNOWN when it is offered and
         # was not already drawn (careless draws skip this, like the scalar
         # early return).
         unknown_mask = (
-            self.has_unknown_arr[rows]
-            & (dist_idx != self.unknown_idx_arr[rows])
+            self.has_unknown_arr[template]
+            & (dist_idx != self.unknown_idx_arr[template])
             & (u_unknown < UNKNOWN_RATE)
         )
         careless = (
@@ -720,9 +730,9 @@ class _GenerativePlan(_KindPlan):
         spam = lanes.is_spammer[lane_of_row]
         if spam.any():
             style = lanes.style[lane_of_row]
-            spam_ans = np.where(has_options, option_ans, self.first_opt_arr[rows])
+            spam_ans = np.where(has_options, option_ans, self.first_opt_arr[template])
             spam_ans = np.where(
-                style == _STYLE_FIRST, self.first_opt_arr[rows], spam_ans
+                style == _STYLE_FIRST, self.first_opt_arr[template], spam_ans
             )
             ans = np.where(spam, spam_ans, ans)
         _store_rows(lanes, lane_of_row, self.qid_arr[rows], ans)
@@ -775,16 +785,16 @@ class _GroupKernel:
         self.market = market
         self.truth = market.truth
         self.hits = list(hits)
+        self.hit_ids = [hit.hit_id for hit in self.hits]
         n_hits = len(self.hits)
-        slot_hit: list[int] = []
-        slot_seq: list[int] = []
-        for index, hit in enumerate(self.hits):
-            for sequence in range(hit.assignments_requested):
-                slot_hit.append(index)
-                slot_seq.append(sequence)
-        self.slot_hit = np.asarray(slot_hit, dtype=np.int64)
-        self.slot_seq = slot_seq
-        self.n_slots = len(slot_hit)
+        requested = np.array(
+            [hit.assignments_requested for hit in self.hits], dtype=np.int64
+        )
+        self.slot_hit = np.repeat(np.arange(n_hits, dtype=np.int64), requested)
+        self.n_slots = int(self.slot_hit.size)
+        first_slot = np.cumsum(requested) - requested
+        self.open_slots = requested
+        self.slot_seq = (np.arange(self.n_slots) - first_slot[self.slot_hit]).tolist()
         self.hit_units = np.array([hit.unit_count for hit in self.hits], dtype=np.int64)
         self.hit_effort = np.array(
             [hit.effort_seconds for hit in self.hits], dtype=float
@@ -996,8 +1006,7 @@ class _GroupKernel:
                 worker_id = self.worker_ids[position]
                 record[worker_id] = record.get(worker_id, 0) + int(counts[position])
         incomplete = {
-            self.hits[index].hit_id
-            for index in np.unique(self.slot_hit[alive]).tolist()
+            self.hit_ids[index] for index in np.unique(self.slot_hit[alive]).tolist()
         }
         return completed, float(now), incomplete
 
@@ -1107,41 +1116,62 @@ class _GroupKernel:
             if not win_slots.size:
                 return counter, win_slots
         self.excluded[win_hits, widx] = True
-        k = win_slots.size
-        # Recompute the eligible-worker sums exactly for the touched hits:
-        # incremental subtraction would accumulate float drift and could
-        # leave a phantom positive acceptance mass on fully-served HITs.
-        for hit_index in np.unique(win_hits).tolist():
-            table = self.class_tables[int(self.hit_class[hit_index])]
-            eligible = ~self.excluded[hit_index]
-            self.hit_sum_w[hit_index] = float(table[0][eligible].sum())
-            self.hit_sum_wa[hit_index] = float(table[1][eligible].sum())
+        filled = np.bincount(win_hits, minlength=self.open_slots.size)
+        self.open_slots -= filled
+        # A HIT with no open slot is never drawn again, so its masses are
+        # never read again either.
+        self._refresh_masses(np.flatnonzero((filled > 0) & (self.open_slots > 0)))
         nominal = np.maximum(
             0.5, self.hit_effort[win_hits] * self.worker_arrays["speed"][widx]
         )
-        work = work_overhead + nominal * gen.lognormal(0.0, work_sigma, k)
+        work = work_overhead + nominal * gen.lognormal(0.0, work_sigma, win_slots.size)
         submit_times = accept_times + work
         answers = self._build_answers(win_slots, win_hits, widx)
-        np.add.at(self.worker_counts, widx, 1)
-        accept_list = accept_times.tolist()
-        submit_list = submit_times.tolist()
-        hit_list = win_hits.tolist()
-        widx_list = widx.tolist()
-        hits = self.hits
-        worker_ids = self.worker_ids
-        for lane in range(k):
-            counter += 1
-            completed.append(
-                Assignment(
-                    assignment_id=f"asn-{counter:06d}",
-                    hit_id=hits[hit_list[lane]].hit_id,
-                    worker_id=worker_ids[widx_list[lane]],
-                    answers=answers[lane],
-                    accept_time=accept_list[lane],
-                    submit_time=submit_list[lane],
-                )
-            )
+        self.worker_counts += np.bincount(widx, minlength=self.worker_counts.size)
+        first = counter + 1
+        counter += win_slots.size
+        # tuple.__new__ skips the NamedTuple's Python-level __new__.
+        completed += map(
+            _new_tuple,
+            repeat(Assignment),
+            zip(
+                [f"asn-{number:06d}" for number in range(first, counter + 1)],
+                map(self.hit_ids.__getitem__, win_hits.tolist()),
+                map(self.worker_ids.__getitem__, widx.tolist()),
+                answers,
+                accept_times.tolist(),
+                submit_times.tolist(),
+            ),
+        )
         return counter, win_slots
+
+    def _refresh_masses(self, touched) -> None:
+        """Recompute the touched HITs' eligible-worker masses exactly.
+
+        Incremental subtraction would accumulate float drift and could leave
+        a phantom positive acceptance mass on fully-served HITs. HITs are
+        bucketed by (acceptance class, eligible count), so each bucket's
+        eligible weights gather into one rectangular array whose rows numpy
+        sums pairwise in the same order as the 1-D ``w[eligible].sum()``.
+        """
+        np = self.np
+        eligible = ~self.excluded[touched]
+        width = eligible.shape[1] + 1
+        keys = self.hit_class[touched] * width + np.count_nonzero(eligible, axis=1)
+        order = np.argsort(keys, kind="stable")
+        keys, touched, eligible = keys[order], touched[order], eligible[order]
+        starts = np.flatnonzero(np.diff(keys, prepend=-1)).tolist()
+        for start, end in zip(starts, [*starts[1:], keys.size]):
+            class_id, count = divmod(int(keys[start]), width)
+            mask = eligible[start:end]
+            hits = touched[start:end]
+            for sums, weights in zip(
+                (self.hit_sum_w, self.hit_sum_wa), self.class_tables[class_id][:2]
+            ):
+                # Boolean indexing keeps row-major order: row i holds HIT
+                # i's eligible weights in worker order.
+                rows = np.broadcast_to(weights, mask.shape)[mask]
+                sums[hits] = rows.reshape(end - start, count).sum(axis=1)
 
     def _build_answers(self, win_slots, win_hits, widx):
         np = self.np

@@ -129,13 +129,19 @@ class BatchOutcome:
         return [stamps[min(last, int(p * len(stamps)))] for p in probs]
 
     def merge(self, other: "BatchOutcome") -> None:
-        """Fold another round's results into this one (serial phases)."""
+        """Fold another round's results into this one (serial phases).
+
+        An outcome with no HITs posted nothing, so its ``post_time`` marks
+        no posting: it takes the merged round's ``post_time``, and a round
+        without HITs leaves a posted outcome's ``post_time`` alone."""
+        if not self.hits:
+            self.post_time = other.post_time
+        elif other.hits:
+            self.post_time = min(self.post_time, other.post_time)
         self.hits.extend(other.hits)
         self.assignments.extend(other.assignments)
         for qid, votes in other.votes.items():
             self.votes.setdefault(qid, []).extend(votes)
-        if not self.hits or other.post_time < self.post_time:
-            self.post_time = min(self.post_time, other.post_time)
         self.finish_time = max(self.finish_time, other.finish_time)
         self.uncompleted_hit_ids.extend(other.uncompleted_hit_ids)
 

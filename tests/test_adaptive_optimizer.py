@@ -97,6 +97,20 @@ def _run_misordered(config: ExecutionConfig | None = None, seed: int = 0):
     return engine, engine.execute(MISORDERED_QUERY)
 
 
+@pytest.mark.parametrize("adaptive", [False, True])
+def test_operator_elapsed_within_query_elapsed(adaptive):
+    """Operators report how long their own crowd work took, never the
+    absolute virtual clock: the second query starts with the clock far
+    from zero, and no operator may outlast the query containing it."""
+    with adapt.forced(adaptive):
+        engine = build_engine(seed=0)
+        for _ in range(2):
+            result = engine.execute(MISORDERED_QUERY)
+            assert result.elapsed_seconds > 0
+            for stats in result.node_stats.values():
+                assert stats.elapsed_seconds <= result.elapsed_seconds + 1e-6
+
+
 # ---------------------------------------------------------------------------
 # Row identity + economy on the misordered workload
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Golden-trace regression: the fast path must not move a single vote.
 
 The perf overhaul (memoized seed derivation, cumulative-weight sampling,
-Fenwick slot table, lazy HTML, hoisted behaviour loops) promises to be
+precomputed pickup rates, lazy HTML, hoisted behaviour loops) promises to be
 *stream-preserving*: for a fixed seed, the emitted per-qid vote stream, the
 virtual clock, and the cost-ledger totals are bit-identical to the seed
 implementation. This module enforces that promise two ways:

@@ -112,3 +112,21 @@ def test_outcome_merge():
     a.merge(b)
     assert len(a.votes["q"]) == 2
     assert a.finish_time == 9.0
+
+
+def test_outcome_merge_into_fresh_outcome_keeps_round_timing(manager):
+    """A fresh outcome has no HITs, so its default post_time marks no
+    posting: merging a round into it must not stretch the elapsed time back
+    to virtual time zero."""
+    from repro.hits.manager import BatchOutcome
+
+    manager.platform.advance_clock(1000.0)
+    outcome = manager.run_units(filter_units(4), batch_size=2, assignments=5, label="f")
+    assert outcome.post_time == 1000.0
+    total = BatchOutcome()
+    total.merge(outcome)
+    assert total.post_time == outcome.post_time
+    assert total.elapsed_seconds == outcome.elapsed_seconds
+    # A round that posted nothing leaves a posted outcome's timing alone.
+    total.merge(BatchOutcome())
+    assert (total.post_time, total.finish_time) == (outcome.post_time, outcome.finish_time)

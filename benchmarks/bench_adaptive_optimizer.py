@@ -13,7 +13,8 @@ so the comparison isolates planner economics from worker noise. Static
 numbers come from ``REPRO_ADAPT=0`` (the paper's query-order cascade);
 adaptive numbers from the default toggle-on path. Both executors are
 exercised: the reduction must hold under the pipelined scheduler and the
-depth-first interpreter alike.
+depth-first interpreter (the same marketplace behind
+:class:`~repro.experiments.harness.BlockingPlatform`) alike.
 
 Results land in ``benchmarks/BENCH_adaptive.json``; the acceptance floor
 (1.2×) and the measured replan/round counts are recorded alongside so the
@@ -31,9 +32,9 @@ import pytest
 from repro.experiments.adaptive_workload import (
     MISORDERED_QUERY,
     run_misordered,
+    run_misordered_depth_first,
 )
 from repro.util import adapt
-from repro.util import pipeline
 
 RESULTS_PATH = Path(__file__).parent / "BENCH_adaptive.json"
 
@@ -42,8 +43,11 @@ SEEDS = (0, 1, 2)
 
 
 def _measure(seed: int, adaptive: bool, pipelined: bool) -> dict:
-    with adapt.forced(adaptive), pipeline.forced(pipelined):
-        engine, result = run_misordered(seed=seed)
+    with adapt.forced(adaptive):
+        if pipelined:
+            _, result = run_misordered(seed=seed)
+        else:
+            result = run_misordered_depth_first(seed=seed)
     return {
         "hits": result.hit_count,
         "assignments": result.assignment_count,

@@ -4,8 +4,9 @@ The §2.6 claim: running operators concurrently with async queues lets HIT
 batches from different operators overlap on the marketplace, cutting
 end-to-end latency without changing what the crowd is asked. This benchmark
 runs the Table 5 movie workload (both headline plans) at 1x/4x/16x dataset
-scale under the pipelined executor and the depth-first interpreter and
-records, per scale:
+scale under the pipelined executor and the depth-first interpreter (the
+same marketplace behind :class:`~repro.experiments.harness.BlockingPlatform`)
+and records, per scale:
 
 * **virtual latency** — the simulated marketplace clock at completion, the
   number a requester actually waits on; the pipelined executor must beat
@@ -35,8 +36,8 @@ from repro.crowd import SimulatedMarketplace
 from repro.crowd.latency import LatencyConfig, LatencyModel
 from repro.datasets.movie import movie_dataset
 from repro.experiments.end_to_end import QUERY_NO_FILTER, QUERY_WITH_FILTER
+from repro.experiments.harness import BlockingPlatform
 from repro.joins.batching import JoinInterface
-from repro.util import pipeline
 
 # The whole module rides on one >30s measurement fixture
 # (test_pipeline_cuts_virtual_latency_at_16x et al.); the registered
@@ -76,13 +77,14 @@ def _variant_config(variant: str) -> tuple[ExecutionConfig, str]:
     )
 
 
-def _run_variant(scale: int, variant: str, seed: int = 0) -> dict:
+def _run_variant(scale: int, variant: str, pipelined: bool, seed: int = 0) -> dict:
     """One Table 5 plan end to end; returns counts and the virtual clock."""
     data = movie_dataset(seed=seed, scale=scale)
     latency = LatencyModel(LatencyConfig(deadline_hours=8.0 * scale))
     market = SimulatedMarketplace(data.truth, seed=seed, latency=latency)
     config, query = _variant_config(variant)
-    engine = Qurk(platform=market, config=config)
+    platform = market if pipelined else BlockingPlatform(market)
+    engine = Qurk(platform=platform, config=config)
     engine.register_table(data.actors)
     engine.register_table(data.scenes)
     engine.define(data.task_dsl)
@@ -99,14 +101,13 @@ def _run_variant(scale: int, variant: str, seed: int = 0) -> dict:
 def measure_scale(scale: int, repeats: int = 2) -> dict:
     """Both plans, both executors, at one dataset scale."""
     row: dict[str, dict] = {}
-    for mode, label in ((True, "pipelined"), (False, "depth_first")):
-        with pipeline.forced(mode):
-            best_wall = float("inf")
-            for _ in range(repeats):
-                start = time.perf_counter()
-                unopt = _run_variant(scale, "unoptimized")
-                opt = _run_variant(scale, "optimized")
-                best_wall = min(best_wall, time.perf_counter() - start)
+    for pipelined, label in ((True, "pipelined"), (False, "depth_first")):
+        best_wall = float("inf")
+        for _ in range(repeats):
+            start = time.perf_counter()
+            unopt = _run_variant(scale, "unoptimized", pipelined)
+            opt = _run_variant(scale, "optimized", pipelined)
+            best_wall = min(best_wall, time.perf_counter() - start)
         row[label] = {
             "wall_seconds": round(best_wall, 3),
             "virtual_seconds": {
@@ -154,8 +155,8 @@ def results() -> dict:
     payload = {
         "benchmark": "pipeline",
         "modes": {
-            "pipelined": "event-driven executor (default; REPRO_PIPELINE=1)",
-            "depth_first": "depth-first interpreter (REPRO_PIPELINE=0)",
+            "pipelined": "event-driven executor (any overlap-capable platform)",
+            "depth_first": "depth-first interpreter (marketplace behind BlockingPlatform)",
         },
         "wall_clock_overhead_limit": WALL_CLOCK_OVERHEAD_LIMIT,
         "macro": macro,

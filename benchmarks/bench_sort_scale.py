@@ -1,24 +1,25 @@
 """PERF — the scale-out sort engine's end-to-end evidence.
 
-Two claims, both measured against the retained reference implementations
-(``REPRO_SORTSCALE=0``) on the scalable squares workload
+Two claims on the scalable squares workload
 (``repro.experiments.sort_workload``):
 
-1. **graph_order wall-clock.** Building the comparison graph, breaking its
+1. **graph_order growth.** Building the comparison graph, breaking its
    planted cycles, and topologically sorting N ∈ {40, 200, 1000} squares
-   must be ≥5x faster at N=1000 under the scale path (indexed adjacency,
-   incremental per-component SCC recomputation, heap-based Kahn) than
-   under the reference (full Tarjan + all-edge victim scans per sweep,
-   re-sorting ready queue). The produced orders — and the removed-edge
-   *sets* — are asserted bit-identical between modes at every N.
+   must scale gently: CPU time at N=1000 divided by CPU time at N=200 (a
+   5x item step, ~5.2x more voted pairs) must stay at or below
+   ``MAX_GROWTH_1000_OVER_200`` = 10. Incremental per-component SCC
+   recomputation, per-component victim scans, and a heap-based Kahn sort
+   recorded 6.2x; the retired full-Tarjan sweep recorded 24.8x (frozen
+   under ``retired_reference`` in ``BENCH_sort.json``). Equivalence to the
+   textbook algorithms is pinned by ``tests/test_sort_scale.py``.
 2. **LIMIT tournament HIT reduction.** ``ORDER BY rank(...) DESC LIMIT 5``
    on the steep-latent squares setup must spend materially fewer crowd
    HITs through the successive best-of-batch tournament path than the full
-   C(N, 2) Compare coverage, at N ≥ 200, while returning the identical
-   leading rows.
+   C(N, 2) Compare coverage (``limit_sort_tournament=False``), at N ≥ 200,
+   while returning the identical leading rows.
 
 Results land in ``benchmarks/BENCH_sort.json``; ``scripts/profile_hotpath.py
---check`` guards the recorded graph_order ratio against regression.
+--check`` guards the recorded growth ratio against regression.
 """
 
 from __future__ import annotations
@@ -39,11 +40,10 @@ from repro.experiments.sort_workload import (
     limit_sort_setup,
 )
 from repro.sorting.graph import ComparisonGraph, break_cycles, graph_order
-from repro.util import sortscale
 
 RESULTS_PATH = Path(__file__).parent / "BENCH_sort.json"
 
-REQUIRED_SPEEDUP_AT_1000 = 5.0
+MAX_GROWTH_1000_OVER_200 = 10.0
 LIMIT_N = 200
 LIMIT_K = 5
 LIMIT_QUERY = (
@@ -71,51 +71,28 @@ def _best_of(thunk, repeats: int) -> float:
     return best
 
 
-def measure_graph_order(n: int, seed: int = 0, repeats: int = 2) -> dict:
+def measure_graph_order(n: int, seed: int = 0, repeats: int = 3) -> dict:
     items, corpus = comparison_corpus(n, seed=seed)
-    orders: dict[bool, list[str]] = {}
-    removed: dict[bool, frozenset] = {}
-    timings: dict[bool, float] = {}
-    # Interleave modes so neither systematically runs on a warmer cache.
-    for attempt in range(max(1, repeats)):
-        for flag in (False, True):
-            with sortscale.forced(flag):
-                timings[flag] = min(
-                    timings.get(flag, float("inf")),
-                    _best_of(lambda: graph_order(items, corpus), 1),
-                )
-    for flag in (False, True):
-        with sortscale.forced(flag):
-            orders[flag] = graph_order(items, corpus)
-            graph = ComparisonGraph.from_votes(items, corpus)
-            removed[flag] = frozenset(break_cycles(graph))
-    assert orders[True] == orders[False], f"orders diverged at n={n}"
-    assert removed[True] == removed[False], f"removed-edge sets diverged at n={n}"
-    speedup = (
-        timings[False] / timings[True] if timings[True] > 0 else float("inf")
-    )
+    seconds = _best_of(lambda: graph_order(items, corpus), repeats)
+    removed = break_cycles(ComparisonGraph.from_votes(items, corpus))
     return {
         "items": n,
         "pairs": len(corpus),
-        "edges_removed": len(removed[True]),
-        "reference_seconds": round(timings[False], 4),
-        "scale_seconds": round(timings[True], 4),
-        "wall_speedup": round(speedup, 2),
-        "orders_identical": True,
-        "removed_edge_sets_identical": True,
+        "edges_removed": len(removed),
+        "seconds": round(seconds, 5),
     }
 
 
-def run_limit_query(flag: bool, n: int, seed: int = 0) -> dict:
+def run_limit_query(tournament: bool, n: int, seed: int = 0) -> dict:
     data = limit_sort_setup(n, seed=seed)
     market = SimulatedMarketplace(data.truth, seed=seed)
-    engine = Qurk(platform=market, config=ExecutionConfig(sort_method="compare"))
+    config = ExecutionConfig(sort_method="compare", limit_sort_tournament=tournament)
+    engine = Qurk(platform=market, config=config)
     engine.register_table(data.table)
     engine.define(data.task_dsl)
-    with sortscale.forced(flag):
-        start = time.perf_counter()
-        result = engine.execute(LIMIT_QUERY)
-        wall = time.perf_counter() - start
+    start = time.perf_counter()
+    result = engine.execute(LIMIT_QUERY)
+    wall = time.perf_counter() - start
     return {
         "hits": result.hit_count,
         "assignments": result.assignment_count,
@@ -150,15 +127,13 @@ def results() -> dict:
     graph_rows = {
         str(40 * scale): measure_graph_order(40 * scale) for scale in SCALES
     }
+    growth = graph_rows["1000"]["seconds"] / graph_rows["200"]["seconds"]
     payload = {
         "benchmark": "sort_scale",
         "workload": "repro.experiments.sort_workload (planted-cycle squares corpora)",
-        "modes": {
-            "reference": "REPRO_SORTSCALE=0 — full Tarjan per sweep, list-scan graph",
-            "scale": "REPRO_SORTSCALE=1 — indexed adjacency, incremental SCCs, heap topo",
-        },
-        "required_speedup_at_1000": REQUIRED_SPEEDUP_AT_1000,
+        "max_growth_1000_over_200": MAX_GROWTH_1000_OVER_200,
         "graph_order": graph_rows,
+        "growth_1000_over_200": round(growth, 2),
         "limit_path": {str(LIMIT_N): measure_limit_path(LIMIT_N)},
     }
     existing = {}
@@ -169,17 +144,15 @@ def results() -> dict:
     return payload
 
 
-def test_graph_order_speedup_at_1000(results):
+def test_graph_order_growth_at_1000(results):
     print()
     print(json.dumps(results["graph_order"], indent=1))
-    row = results["graph_order"]["1000"]
-    assert row["wall_speedup"] >= REQUIRED_SPEEDUP_AT_1000, row
+    growth = results["growth_1000_over_200"]
+    assert growth <= MAX_GROWTH_1000_OVER_200, results["graph_order"]
 
 
-def test_graph_order_identical_at_every_scale(results):
+def test_graph_order_breaks_cycles_at_every_scale(results):
     for n, row in results["graph_order"].items():
-        assert row["orders_identical"], n
-        assert row["removed_edge_sets_identical"], n
         assert row["edges_removed"] > 0, n  # the workload actually plants cycles
 
 
@@ -196,8 +169,5 @@ def test_limit_path_cuts_hits(results):
 
 def test_results_recorded(results):
     recorded = json.loads(RESULTS_PATH.read_text())
-    assert (
-        recorded["graph_order"]["1000"]["wall_speedup"]
-        >= REQUIRED_SPEEDUP_AT_1000
-    )
+    assert recorded["growth_1000_over_200"] <= MAX_GROWTH_1000_OVER_200
     assert recorded["limit_path"][str(LIMIT_N)]["rows_identical"]

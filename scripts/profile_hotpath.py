@@ -17,9 +17,11 @@ is blown:
 2. the pipelined executor's wall-clock on the macro workload exceeds the
    depth-first interpreter's by more than 5% — the scheduler's queue and
    bookkeeping machinery started taxing the path it is supposed to merely
-   re-time. Both modes run the same macro in-process (best of
-   ``--check-repeats``) and the measurement is appended to
-   ``benchmarks/BENCH_pipeline.json`` under ``ci_check``;
+   re-time. Both executors run the same macro in-process (best of
+   ``--check-repeats``), the depth-first one on the same marketplace behind
+   :class:`~repro.experiments.harness.BlockingPlatform`, and the
+   measurement is appended to ``benchmarks/BENCH_pipeline.json`` under
+   ``ci_check``;
 3. the 8-query session's wall-clock throughput regresses more than 5%
    against the ratio recorded in ``benchmarks/BENCH_session.json`` — the
    session loop's round-robin bookkeeping started costing real time over
@@ -33,13 +35,14 @@ is blown:
    taxing queries it has nothing to adapt. Same interleaved best-of
    measurement; the result is appended to ``benchmarks/BENCH_adaptive.json``
    under ``ci_check``;
-5. the scale-out sort path's graph_order wall-clock regresses more than 5%
-   against the speedup ratio recorded in ``benchmarks/BENCH_sort.json``
-   (written by ``benchmarks/bench_sort_scale.py``) — the indexed graph /
-   incremental-SCC machinery stopped paying for itself on the planted-cycle
-   workload. Ratios (scale vs. ``REPRO_SORTSCALE=0``, same process) keep
-   the guard machine-independent; the measurement is appended to
-   ``BENCH_sort.json`` under ``ci_check``;
+5. graph_order's growth from 200 to 1000 planted-cycle items (CPU time at
+   N=1000 over CPU time at N=200) exceeds the ratio recorded in
+   ``benchmarks/BENCH_sort.json`` (written by
+   ``benchmarks/bench_sort_scale.py``) by more than 5% — the indexed graph
+   / incremental-SCC machinery started scaling worse. A growth ratio of
+   the same code at two sizes keeps the guard machine-independent without
+   a second implementation to compare against; the measurement is appended
+   to ``BENCH_sort.json`` under ``ci_check``;
 6. the resilience layer's fault-free macro wall-clock exceeds the
    ``REPRO_RESILIENCE=0`` baseline's by more than 5% — the retry/repost
    machinery is gated off entirely on marketplaces without a fault plan,
@@ -55,7 +58,7 @@ is blown:
    ``repro.experiments.store_workload.measure_cold_warm`` smoke (best-of
    CPU, GC paused, fresh store file per repeat) and appended to
    ``BENCH_store.json`` under ``ci_check``;
-8. the ``REPRO_VECTOR`` kernel's wall-clock ratio against the scalar fast
+8. the ``REPRO_VECTOR`` kernel's wall-clock ratio against the scalar
    path on the 4x macro regresses more than 5% over the ratio recorded in
    ``benchmarks/BENCH_perf_hotpath.json`` (``vector_macro.scale_4x.ratio``,
    written by ``benchmarks/bench_perf_hotpath.py``) — the numpy batch
@@ -85,24 +88,23 @@ from repro.crowd import SimulatedMarketplace
 from repro.crowd.latency import LatencyConfig, LatencyModel
 from repro.datasets.movie import movie_dataset
 from repro.experiments.end_to_end import QUERY_WITH_FILTER
+from repro.experiments.harness import BlockingPlatform
 from repro.hits.cache import TaskCache
 from repro.joins.batching import JoinInterface
 from repro.util import adapt
-from repro.util import pipeline
 from repro.util import resilience
-from repro.util import sortscale
 
 CHECK_TOP_N = 5
 FORBIDDEN_IN_TOP = ("child_seed", "payload_cache_key")
 PIPELINE_OVERHEAD_LIMIT = 1.05
 SESSION_REGRESSION_LIMIT = 1.05
 ADAPTIVE_OVERHEAD_LIMIT = 1.05
-SORT_SCALE_REGRESSION_LIMIT = 1.05
+SORT_GROWTH_REGRESSION_LIMIT = 1.05
 RESILIENCE_OVERHEAD_LIMIT = 1.05
 STORE_WARM_REGRESSION_LIMIT = 1.05
 VECTOR_RATIO_REGRESSION_LIMIT = 1.05
 SESSION_QUERY_COUNT = 8
-SORT_SCALE_CHECK_ITEMS = 200
+SORT_GROWTH_CHECK_ITEMS = (200, 1000)
 VECTOR_CHECK_SCALE = 4
 BENCH_PIPELINE_PATH = Path(__file__).parent.parent / "benchmarks" / "BENCH_pipeline.json"
 BENCH_SESSION_PATH = Path(__file__).parent.parent / "benchmarks" / "BENCH_session.json"
@@ -117,9 +119,11 @@ BENCH_PERF_PATH = (
 )
 
 
-def run_workload(scale: int = 1, seed: int = 0) -> None:
+def run_workload(scale: int = 1, seed: int = 0, blocking: bool = False) -> None:
     """The profiled workload: the optimized Table 5 query, with a task
-    cache configured so the cache-key path is exercised too."""
+    cache configured so the cache-key path is exercised too. ``blocking``
+    hides the marketplace behind :class:`BlockingPlatform`, so the
+    depth-first interpreter runs it instead of the pipelined executor."""
     data = movie_dataset(seed=seed, scale=scale)
     latency = LatencyModel(LatencyConfig(deadline_hours=8.0 * scale))
     market = SimulatedMarketplace(data.truth, seed=seed, latency=latency)
@@ -133,7 +137,8 @@ def run_workload(scale: int = 1, seed: int = 0) -> None:
         compare_group_size=5,
         rate_batch_size=5,
     )
-    engine = Qurk(platform=market, config=config, cache=TaskCache())
+    platform = BlockingPlatform(market) if blocking else market
+    engine = Qurk(platform=platform, config=config, cache=TaskCache())
     engine.register_table(data.actors)
     engine.register_table(data.scenes)
     engine.define(data.task_dsl)
@@ -189,28 +194,25 @@ def _append_ci_check(path: Path, report: dict) -> None:
         print(f"warning: could not record ci_check results: {exc}", file=sys.stderr)
 
 
-def _toggle_overhead_report(
-    toggle, labels: tuple[str, str], scale: int, seed: int, repeats: int, limit: float
+def _overhead_report(
+    run_mode, labels: tuple[str, str], scale: int, seed: int, repeats: int, limit: float
 ) -> dict:
-    """Macro workload timed with a toggle off (baseline) vs. on.
+    """Macro workload timed in a baseline mode vs. a treatment mode.
 
-    ``labels`` is ``(baseline, treatment)``; ``wall_overhead`` is
-    treatment / baseline best-of CPU time. A scale floor keeps the
-    dispatch work being compared well above timer resolution.
+    ``run_mode(treatment, scale)`` runs the macro once, in the baseline
+    mode when ``treatment`` is False. ``labels`` is ``(baseline,
+    treatment)``; ``wall_overhead`` is treatment / baseline best-of CPU
+    time. A scale floor keeps the dispatch work being compared well above
+    timer resolution.
     """
     scale = max(scale, 4)
     run_workload(scale=scale, seed=seed)  # untimed warm-up
     baseline, treatment = labels
-
-    def macro_under(flag: bool):
-        def thunk() -> None:
-            with toggle.forced(flag):
-                run_workload(scale=scale, seed=seed)
-
-        return thunk
-
     timings = _interleaved_best_of(
-        [(baseline, macro_under(False)), (treatment, macro_under(True))],
+        [
+            (baseline, lambda: run_mode(False, scale)),
+            (treatment, lambda: run_mode(True, scale)),
+        ],
         repeats,
     )
     overhead = (
@@ -226,15 +228,27 @@ def _toggle_overhead_report(
     }
 
 
-def check_pipeline_overhead(scale: int, seed: int, repeats: int) -> dict:
-    """Run the macro workload in both pipeline modes; measure the ratio.
+def _with_toggle(toggle, seed: int):
+    """A ``run_mode`` for :func:`_overhead_report`: the macro with a toggle
+    forced off (baseline) or on (treatment)."""
 
-    The depth-first path is the baseline the tentpole refactor must not
-    regress: ``wall_overhead`` is pipelined / depth-first best-of CPU
-    time, and values above ``PIPELINE_OVERHEAD_LIMIT`` fail CI.
+    def run_mode(flag: bool, scale: int) -> None:
+        with toggle.forced(flag):
+            run_workload(scale=scale, seed=seed)
+
+    return run_mode
+
+
+def check_pipeline_overhead(scale: int, seed: int, repeats: int) -> dict:
+    """Run the macro workload under both executors; measure the ratio.
+
+    The depth-first interpreter (on a blocking view of the same
+    marketplace) is the baseline: ``wall_overhead`` is pipelined /
+    depth-first best-of CPU time, and values above
+    ``PIPELINE_OVERHEAD_LIMIT`` fail CI.
     """
-    report = _toggle_overhead_report(
-        pipeline,
+    report = _overhead_report(
+        lambda pipelined, size: run_workload(scale=size, seed=seed, blocking=not pipelined),
         ("depth_first", "pipelined"),
         scale,
         seed,
@@ -254,8 +268,8 @@ def check_adaptive_overhead(scale: int, seed: int, repeats: int) -> dict:
     lookups) on a workload it leaves untouched. Values above
     ``ADAPTIVE_OVERHEAD_LIMIT`` fail CI.
     """
-    report = _toggle_overhead_report(
-        adapt,
+    report = _overhead_report(
+        _with_toggle(adapt, seed),
         ("static", "adaptive"),
         scale,
         seed,
@@ -275,8 +289,8 @@ def check_resilience_overhead(scale: int, seed: int, repeats: int) -> dict:
     fault-plan walk per query). Values above ``RESILIENCE_OVERHEAD_LIMIT``
     fail CI.
     """
-    report = _toggle_overhead_report(
-        resilience,
+    report = _overhead_report(
+        _with_toggle(resilience, seed),
         ("resilience_off", "resilience_on"),
         scale,
         seed,
@@ -363,15 +377,15 @@ def check_session_throughput(seed: int, repeats: int) -> dict | None:
     return report
 
 
-def check_sort_scale(seed: int, repeats: int) -> dict | None:
-    """Measure graph_order's scale/reference wall ratio vs. the recording.
+def check_sort_growth(seed: int, repeats: int) -> dict | None:
+    """Measure graph_order's 200 → 1000 item growth vs. the recording.
 
-    Runs the planted-cycle sort workload at ``SORT_SCALE_CHECK_ITEMS``
-    items under both ``REPRO_SORTSCALE`` modes in-process (interleaved
-    best-of CPU time, GC paused) and compares the scale/reference ratio
-    against the one implied by ``BENCH_sort.json``'s recorded speedup; CI
-    fails when the fresh ratio exceeds the recorded one by more than
-    ``SORT_SCALE_REGRESSION_LIMIT``. Returns None (with a warning) when no
+    Runs the planted-cycle sort workload at both sizes in
+    ``SORT_GROWTH_CHECK_ITEMS`` in-process (interleaved best-of CPU time,
+    GC paused) and compares the large/small time ratio against
+    ``growth_1000_over_200`` in ``BENCH_sort.json``; CI fails when the
+    fresh ratio exceeds the recorded one by more than
+    ``SORT_GROWTH_REGRESSION_LIMIT``. Returns None (with a warning) when no
     baseline has been recorded.
     """
     from repro.experiments.sort_workload import comparison_corpus
@@ -381,50 +395,43 @@ def check_sort_scale(seed: int, repeats: int) -> dict | None:
         print(
             "warning: benchmarks/BENCH_sort.json missing — run "
             "`pytest benchmarks/bench_sort_scale.py` to record the sort "
-            "baseline; skipping the sort-scale check.",
+            "baseline; skipping the sort growth check.",
             file=sys.stderr,
         )
         return None
     recorded = json.loads(BENCH_SORT_PATH.read_text())
-    try:
-        recorded_speedup = recorded["graph_order"][str(SORT_SCALE_CHECK_ITEMS)][
-            "wall_speedup"
-        ]
-    except KeyError:
+    baseline = recorded.get("growth_1000_over_200")
+    if baseline is None:
         print(
-            f"warning: BENCH_sort.json has no {SORT_SCALE_CHECK_ITEMS}-item "
-            "graph_order speedup — re-run the sort benchmark; skipping the "
-            "check.",
+            "warning: BENCH_sort.json has no growth_1000_over_200 — re-run "
+            "the sort benchmark; skipping the check.",
             file=sys.stderr,
         )
         return None
 
-    items, corpus = comparison_corpus(SORT_SCALE_CHECK_ITEMS, seed=seed)
-    graph_order(items, corpus)  # untimed warm-up
+    small, large = SORT_GROWTH_CHECK_ITEMS
+    corpora = {n: comparison_corpus(n, seed=seed) for n in (small, large)}
+    for items, corpus in corpora.values():
+        graph_order(items, corpus)  # untimed warm-up
 
-    def mode(flag: bool):
-        def thunk() -> None:
-            with sortscale.forced(flag):
-                graph_order(items, corpus)
-
-        return thunk
+    def size(n: int):
+        items, corpus = corpora[n]
+        return lambda: graph_order(items, corpus)
 
     timings = _interleaved_best_of(
-        [("reference", mode(False)), ("scale", mode(True))], repeats
+        [(str(small), size(small)), (str(large), size(large))], repeats
     )
-    ratio = (
-        timings["scale"] / timings["reference"]
-        if timings["reference"] > 0
-        else 0.0
+    growth = (
+        timings[str(large)] / timings[str(small)] if timings[str(small)] > 0 else 0.0
     )
     report = {
-        "items": SORT_SCALE_CHECK_ITEMS,
+        "items": [small, large],
         "repeats": repeats,
-        "reference_seconds": round(timings["reference"], 4),
-        "scale_seconds": round(timings["scale"], 4),
-        "wall_ratio": round(ratio, 4),
-        "recorded_wall_ratio": round(1.0 / max(recorded_speedup, 1e-9), 4),
-        "limit": SORT_SCALE_REGRESSION_LIMIT,
+        f"seconds_{small}": round(timings[str(small)], 5),
+        f"seconds_{large}": round(timings[str(large)], 5),
+        "growth": round(growth, 3),
+        "recorded_growth": baseline,
+        "limit": SORT_GROWTH_REGRESSION_LIMIT,
     }
     _append_ci_check(BENCH_SORT_PATH, report)
     return report
@@ -477,7 +484,7 @@ def check_store_warm_path(seed: int, repeats: int) -> dict | None:
 def check_vector_ratio(seed: int, repeats: int) -> dict | None:
     """Measure the vector/fast macro wall ratio vs. the recording.
 
-    Runs the 4x macro workload with the scalar fast path and with
+    Runs the 4x macro workload with the scalar path and with
     ``REPRO_VECTOR`` forced on (interleaved best-of CPU time, GC paused)
     and compares the vector/fast ratio against the one recorded in
     ``BENCH_perf_hotpath.json`` (``vector_macro.scale_4x.ratio``); CI fails
@@ -698,26 +705,24 @@ def main() -> int:
             f"{resilience_report['wall_overhead']:.3f}x the disabled baseline "
             f"(limit {RESILIENCE_OVERHEAD_LIMIT}x)"
         )
-        sort_report = check_sort_scale(args.seed, args.check_repeats)
+        sort_report = check_sort_growth(args.seed, args.check_repeats)
         if sort_report is not None:
-            allowed = (
-                sort_report["recorded_wall_ratio"] * SORT_SCALE_REGRESSION_LIMIT
-            )
-            if sort_report["wall_ratio"] > allowed:
+            allowed = sort_report["recorded_growth"] * SORT_GROWTH_REGRESSION_LIMIT
+            if sort_report["growth"] > allowed:
                 print(
-                    "CHECK FAILED: scale-out graph_order wall-clock is "
-                    f"{sort_report['wall_ratio']:.3f}x the reference path, "
-                    f"above the recorded {sort_report['recorded_wall_ratio']:.3f}x "
-                    f"+ {SORT_SCALE_REGRESSION_LIMIT - 1:.0%} headroom: "
+                    "CHECK FAILED: graph_order grows "
+                    f"{sort_report['growth']:.3f}x from 200 to 1000 items, "
+                    f"above the recorded {sort_report['recorded_growth']:.3f}x "
+                    f"+ {SORT_GROWTH_REGRESSION_LIMIT - 1:.0%} headroom: "
                     f"{sort_report}",
                     file=sys.stderr,
                 )
                 return 1
             print(
-                "check ok: scale-out graph_order wall-clock is "
-                f"{sort_report['wall_ratio']:.3f}x the reference path "
-                f"(recorded {sort_report['recorded_wall_ratio']:.3f}x, "
-                f"headroom {SORT_SCALE_REGRESSION_LIMIT - 1:.0%})"
+                "check ok: graph_order grows "
+                f"{sort_report['growth']:.3f}x from 200 to 1000 items "
+                f"(recorded {sort_report['recorded_growth']:.3f}x, "
+                f"headroom {SORT_GROWTH_REGRESSION_LIMIT - 1:.0%})"
             )
         session_report = check_session_throughput(args.seed, args.check_repeats)
         if session_report is not None:
@@ -751,7 +756,7 @@ def main() -> int:
             if vector_report["wall_ratio"] > allowed:
                 print(
                     "CHECK FAILED: vector dispatch wall-clock is "
-                    f"{vector_report['wall_ratio']:.3f}x the scalar fast "
+                    f"{vector_report['wall_ratio']:.3f}x the scalar "
                     f"path, above the recorded "
                     f"{vector_report['recorded_wall_ratio']:.3f}x + "
                     f"{VECTOR_RATIO_REGRESSION_LIMIT - 1:.0%} headroom: "
@@ -761,7 +766,7 @@ def main() -> int:
                 return 1
             print(
                 "check ok: vector dispatch wall-clock is "
-                f"{vector_report['wall_ratio']:.3f}x the scalar fast path "
+                f"{vector_report['wall_ratio']:.3f}x the scalar path "
                 f"(recorded {vector_report['recorded_wall_ratio']:.3f}x, "
                 f"headroom {VECTOR_RATIO_REGRESSION_LIMIT - 1:.0%})"
             )

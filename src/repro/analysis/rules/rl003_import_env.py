@@ -40,7 +40,7 @@ class ImportTimeEnvCaptureRule(Rule):
                     node,
                     "module-level environment capture without a "
                     "refresh_from_env() hook; the value is frozen at import "
-                    "time (see repro.util.fastpath for the pattern)",
+                    "time (see repro.util.adapt for the pattern)",
                 )
 
     @staticmethod

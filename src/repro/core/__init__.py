@@ -3,9 +3,10 @@
 The public entry point is :class:`~repro.core.engine.Qurk`: register tables,
 define tasks in the TASK DSL, and execute SELECT queries whose filters,
 joins, and sorts run on a crowd platform. Execution is handled by the
-event-driven pipelined scheduler (:mod:`repro.core.scheduler`, default) or
-the depth-first interpreter (:mod:`repro.core.executor`,
-``REPRO_PIPELINE=0``) — identical results, different latency. Plans pass
+event-driven pipelined scheduler (:mod:`repro.core.scheduler`) on platforms
+that support overlapping HIT groups, or by the depth-first interpreter
+(:mod:`repro.core.executor`) on blocking platforms — identical results,
+different latency. Plans pass
 the static rewriter plus, by default, the cost-based adaptive re-optimizer
 (:mod:`repro.core.adaptive`, ``REPRO_ADAPT=0`` to disable); see
 docs/ARCHITECTURE.md.

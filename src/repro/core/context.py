@@ -34,6 +34,9 @@ _MINIMUMS: dict[str, int] = {
     "compare_group_size": 2,
     "compare_batch_groups": 1,
     "rate_batch_size": 1,
+    "rate_anchor_count": 0,
+    "hybrid_stride": 1,
+    "hybrid_iterations": 0,
     "limit_pick_batch_size": 2,
     "pipeline_chunk_size": 1,
     "pipeline_queue_chunks": 1,
@@ -103,16 +106,13 @@ class ExecutionConfig:
     hybrid_iterations: int = 30
     """Comparison HITs the hybrid sort may spend."""
 
-    limit_sort_tournament: bool | None = None
-    """Force the ``ORDER BY rank(...) LIMIT k`` tournament path on/off for
-    this query; None defers to the ``REPRO_SORTSCALE`` toggle
-    (:mod:`repro.util.sortscale`). When active (and the sort method is
-    'compare', the ORDER BY has no plain prefix, and k is below the item
-    count), the sort extracts the leading k items with successive
-    best-of-batch tournaments (§2.3's MAX/MIN interface) instead of full
-    C(N, 2) pair coverage — O(N·k/b) HITs instead of O(N²). Unlike the
-    toggle's other (stream-preserving) fast paths, this one deliberately
-    changes the HIT stream, so the two modes poll different crowds: the
+    limit_sort_tournament: bool = True
+    """Answer ``ORDER BY rank(...) LIMIT k`` with tournaments. When on (and
+    the sort method is 'compare', the ORDER BY has no plain prefix, and k
+    is below the item count), the sort extracts the leading k items with
+    successive best-of-batch tournaments (§2.3's MAX/MIN interface)
+    instead of full C(N, 2) pair coverage — O(N·k/b) HITs instead of
+    O(N²). The two settings ask the crowd different questions: the
     leading rows come back identical whenever the crowd's judgements
     among the leaders are consistent (high-margin comparisons), while for
     genuinely ambiguous leaders the tournament can disagree with the full
@@ -134,12 +134,6 @@ class ExecutionConfig:
 
     seed: int = 0
     """Seed for engine-side sampling (covering groups, anchors, windows)."""
-
-    pipeline: bool | None = None
-    """Force the pipelined executor on/off for this query; None defers to
-    the ``REPRO_PIPELINE`` toggle (:mod:`repro.util.pipeline`). Either way
-    the pipelined executor also requires a platform with the multi-client
-    ``submit_hit_group``/``harvest`` API, falling back to depth-first."""
 
     pipeline_chunk_size: int = 64
     """Rows per chunk flowing through the pipelined executor's queues."""
@@ -202,6 +196,11 @@ class ExecutionConfig:
             raise PlanError(f"unknown sort method {self.sort_method!r}")
         if self.hybrid_strategy not in ("random", "confidence", "window"):
             raise PlanError(f"unknown hybrid strategy {self.hybrid_strategy!r}")
+        if not isinstance(self.limit_sort_tournament, bool):
+            raise PlanError(
+                "limit_sort_tournament must be True or False, got "
+                f"{self.limit_sort_tournament!r}"
+            )
         for name, minimum in _MINIMUMS.items():
             value = getattr(self, name)
             # ``not >=`` also rejects NaN.
@@ -215,12 +214,15 @@ class ExecutionConfig:
             )
         if not 0.0 < self.adaptive_pilot_fraction <= 1.0:
             raise PlanError("adaptive_pilot_fraction must be in (0, 1]")
-        if self.backoff_base <= 0:
-            raise PlanError("backoff_base must be > 0")
+        # ``not x > 0`` also rejects NaN.
+        if not self.backoff_base > 0:
+            raise PlanError(f"backoff_base must be > 0, got {self.backoff_base!r}")
         if not 0.0 < self.degrade_quorum <= 1.0:
             raise PlanError("degrade_quorum must be in (0, 1]")
-        if self.retry_deadline is not None and self.retry_deadline <= 0:
-            raise PlanError("retry_deadline must be > 0 when set")
+        if self.retry_deadline is not None and not self.retry_deadline > 0:
+            raise PlanError(
+                f"retry_deadline must be > 0 when set, got {self.retry_deadline!r}"
+            )
 
     def with_overrides(self, **kwargs) -> "ExecutionConfig":
         """A copy with some fields replaced (experiment sweeps)."""

@@ -39,10 +39,7 @@ from repro.sorting.topk import pick_extreme_order
 from repro.tasks.base import task_from_definition
 from repro.tasks.registry import ROLE_RANK, task_role
 from repro.util import adapt as adapt_toggle
-from repro.util import fastpath
-from repro.util import pipeline as pipeline_toggle
 from repro.util import resilience as resilience_toggle
-from repro.util import sortscale as sortscale_toggle
 from repro.util import store as store_toggle
 from repro.util import vector as vector_toggle
 
@@ -257,10 +254,7 @@ class Qurk:
     ) -> None:
         # Honour REPRO_* environment changes made after import (the
         # toggles' import-time capture used to swallow them silently).
-        pipeline_toggle.refresh_from_env()
-        fastpath.refresh_from_env()
         adapt_toggle.refresh_from_env()
-        sortscale_toggle.refresh_from_env()
         resilience_toggle.refresh_from_env()
         store_toggle.refresh_from_env()
         vector_toggle.refresh_from_env()

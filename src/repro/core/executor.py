@@ -1,23 +1,24 @@
 """Plan execution: the depth-first interpreter and the operator bodies.
 
-Two executors share the operator implementations in this module:
+Two executors share the operator implementations in this module, and the
+platform picks between them:
 
-* the **depth-first interpreter** (:func:`run_plan_depth_first`) walks the
-  plan tree recursively and materialises every operator boundary — simple,
-  serial, and the reference for the determinism contract;
 * the **pipelined executor** (:mod:`repro.core.scheduler`) runs each
   operator as a stepping task with bounded input queues over the
   marketplace's virtual clock, the paper's §2.6 event-driven design, so
   crowd operators from different pipeline stages have HIT batches
-  outstanding over overlapping virtual intervals.
+  outstanding over overlapping virtual intervals. It needs the platform's
+  multi-client ``submit_hit_group``/``harvest`` API;
+* the **depth-first interpreter** (:func:`run_plan_depth_first`) walks the
+  plan tree recursively and materialises every operator boundary. It
+  serves blocking platforms, which only offer ``post_hit_group``.
 
-:func:`run_plan` picks between them: the pipelined executor when the
-``REPRO_PIPELINE`` toggle (or ``ExecutionConfig.pipeline``) allows it *and*
-the platform exposes the multi-client submit/harvest API; the depth-first
-interpreter otherwise. For a fixed seed both produce identical rows, costs,
-and vote streams — pipelining preserves the depth-first posting order and
-overlaps only virtual time — so the choice is observable solely through
-latency and EXPLAIN telemetry (``tests/test_scheduler.py`` enforces this).
+For a fixed seed both produce identical rows, costs, and vote streams —
+pipelining preserves the depth-first posting order and overlaps only
+virtual time — so the choice is observable solely through latency and
+EXPLAIN telemetry (``tests/test_scheduler.py`` enforces this, running the
+depth-first leg through
+:class:`~repro.experiments.harness.BlockingPlatform`).
 
 Crowd operators still materialise their own *inputs* under both executors:
 HIT batching (merging, §2.6) spans an operator's whole tuple set, so a
@@ -48,19 +49,15 @@ from repro.hits.manager import platform_supports_overlap
 from repro.tasks.registry import DispatchTable
 from repro.relational.expressions import UDFCall
 from repro.relational.rows import Row
-from repro.util import pipeline as pipeline_toggle
 
 
 def run_plan(node: PlanNode, ctx: QueryContext) -> list[Row]:
     """Execute a plan tree; returns the output rows.
 
-    Dispatches to the pipelined executor when enabled and supported (see
+    Runs the pipelined executor when the platform supports overlap (see
     the module docstring), else interprets depth-first.
     """
-    enabled = ctx.config.pipeline
-    if enabled is None:
-        enabled = pipeline_toggle.enabled()
-    if enabled and platform_supports_overlap(ctx.manager.platform):
+    if platform_supports_overlap(ctx.manager.platform):
         from repro.core.scheduler import run_plan_pipelined
 
         return run_plan_pipelined(node, ctx)
@@ -83,7 +80,7 @@ def register_node_executor(kind: str, handler=None, *, replace: bool = False):
 
 
 def run_plan_depth_first(node: PlanNode, ctx: QueryContext) -> list[Row]:
-    """The reference interpreter: recurse, materialise, apply."""
+    """The blocking-platform interpreter: recurse, materialise, apply."""
     run = NODE_EXECUTORS.lookup(node.kind)
     if run is None:
         raise ExecutionError(f"no executor for plan node {type(node).__name__}")

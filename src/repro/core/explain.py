@@ -132,7 +132,7 @@ def render_explain(
     When ``marketplace_stats`` is provided (the simulated marketplace's
     aggregate counters), a footer reports the consideration/refusal
     economics — most importantly ``considerations_per_assignment``, the
-    refusal-loop overhead the dispatch fast path targets. When
+    refusal-loop overhead of dispatch. When
     ``pipeline_summary`` is provided (the query ran pipelined), a second
     footer reports the overlap economics and each node carries its
     pipeline column. When ``adaptive_summary`` is provided (the adaptive

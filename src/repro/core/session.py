@@ -85,10 +85,7 @@ from repro.language.ast import SelectQuery
 from repro.relational.catalog import Catalog
 from repro.relational.table import Table
 from repro.util import adapt as adapt_toggle
-from repro.util import fastpath
-from repro.util import pipeline as pipeline_toggle
 from repro.util import resilience as resilience_toggle
-from repro.util import sortscale as sortscale_toggle
 from repro.util import store as store_toggle
 from repro.util import vector as vector_toggle
 
@@ -289,11 +286,9 @@ class EngineSession:
     one-shot: build a new one for another batch.
 
     Concurrency needs the platform's multi-client
-    ``submit_hit_group``/``harvest`` API and the pipelined executor; a
-    blocking-only platform (or ``REPRO_PIPELINE=0``) falls back to serial
-    execution, and a per-query ``ExecutionConfig(pipeline=False)`` makes
-    just that query run depth-first — atomically on its first round-robin
-    turn — while its siblings still overlap.
+    ``submit_hit_group``/``harvest`` API, which the pipelined executor
+    drives; a blocking-only platform falls back to serial execution on the
+    depth-first interpreter.
     """
 
     def __init__(
@@ -306,10 +301,7 @@ class EngineSession:
     ) -> None:
         # Honour REPRO_* environment changes made after import (the
         # toggles' import-time capture used to swallow them silently).
-        pipeline_toggle.refresh_from_env()
-        fastpath.refresh_from_env()
         adapt_toggle.refresh_from_env()
-        sortscale_toggle.refresh_from_env()
         resilience_toggle.refresh_from_env()
         store_toggle.refresh_from_env()
         vector_toggle.refresh_from_env()
@@ -384,12 +376,8 @@ class EngineSession:
         self._ran = True
         overlap = platform_supports_overlap(self.platform)
         multi = len(self.queries) > 1
-        # With no pipelinable query (REPRO_PIPELINE=0, or every query
-        # configured pipeline=False) there is nothing to interleave —
-        # report the serial execution that actually happens.
-        can_pipeline = overlap and any(self._pipelined(h) for h in self.queries)
         stats = SessionStats(
-            mode="concurrent" if concurrent and multi and can_pipeline else "serial",
+            mode="concurrent" if concurrent and multi and overlap else "serial",
             queries=len(self.queries),
             epoch=self.platform.clock_seconds,
         )
@@ -462,12 +450,6 @@ class EngineSession:
 
         return log
 
-    def _pipelined(self, handle: SessionQuery) -> bool:
-        flag = handle.config.pipeline
-        if flag is None:
-            flag = pipeline_toggle.enabled()
-        return bool(flag)
-
     def _plan(self, handle: SessionQuery) -> PlanNode:
         parsed = parse_single_select(handle.query, handle.catalog)
         plan = optimize(
@@ -515,9 +497,8 @@ class EngineSession:
                 handle.error = exc
                 continue
             assert handle.ctx is not None
-            if self._pipelined(handle):
-                handle._sched = PipelineScheduler(handle.plan, handle.ctx)
-                handle._sched.prepare()
+            handle._sched = PipelineScheduler(handle.plan, handle.ctx)
+            handle._sched.prepare()
             live.append(handle)
 
         while live:
@@ -529,8 +510,7 @@ class EngineSession:
                     if handle.result is not None or handle.error is not None:
                         live.remove(handle)
                 except Exception as exc:
-                    if handle._sched is not None:
-                        handle._sched.settle()
+                    handle._sched.settle()
                     if not self._absorb_failure(handle, exc):
                         handle.error = exc
                     live.remove(handle)
@@ -541,13 +521,8 @@ class EngineSession:
 
     def _turn(self, handle: SessionQuery) -> bool:
         """One round-robin turn; returns whether the query progressed."""
-        assert handle.ctx is not None and handle.plan is not None
         sched = handle._sched
-        if sched is None:
-            # Depth-first query (pipeline=False): atomic on its first turn.
-            rows = run_plan(handle.plan, handle.ctx)
-            self._finalize(handle, rows)
-            return True
+        assert sched is not None
         progressed = sched.step_once()
         if sched.done:
             self._finalize(handle, sched.finish())

@@ -17,9 +17,9 @@ ways a real crowd marketplace misbehaves:
 Determinism
 -----------
 Faults are applied as a post-processing overlay over a group's dispatched
-assignments, *never* inside the dispatch loops themselves — the reference,
-fast, and vectorized (``REPRO_VECTOR``) dispatch implementations stay
-byte-for-byte untouched. The overlay consumes only the dispatcher's
+assignments, *never* inside the dispatch loops themselves — the scalar and
+vectorized (``REPRO_VECTOR``) dispatch implementations stay byte-for-byte
+untouched. The overlay consumes only the dispatcher's
 returned ``(completed, now, incomplete)`` triple, so it composes with any
 registered dispatcher unchanged. All fault draws come from a dedicated
 child stream derived from the group's own stream seed

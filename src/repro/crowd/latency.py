@@ -22,7 +22,6 @@ import enum
 import math
 from dataclasses import dataclass
 
-from repro.crowd.worker import WorkerProfile
 from repro.util.rng import RandomSource
 
 
@@ -73,7 +72,13 @@ class LatencyConfig:
 
 
 class LatencyModel:
-    """Computes pick-up gaps and work durations for the marketplace."""
+    """Pick-up rates and latency constants for the marketplace.
+
+    The marketplace's dispatch loop draws the gaps between worker
+    considerations from :meth:`pickup_rate_table` and each assignment's work
+    time from ``work_overhead_seconds`` plus a log-normal
+    (σ = ``work_time_sigma``) around the worker's effort × speed.
+    """
 
     def __init__(self, config: LatencyConfig | None = None) -> None:
         self.config = config or LatencyConfig()
@@ -111,18 +116,6 @@ class LatencyModel:
         if remaining / total <= self.config.straggler_fraction:
             rate *= self.config.straggler_slowdown
         return rate * trial_factor
-
-    def next_consideration_gap(
-        self,
-        rng: RandomSource,
-        remaining: int,
-        total: int,
-        time_of_day: TimeOfDay,
-        trial_factor: float = 1.0,
-    ) -> float:
-        """Seconds until the next worker considers the group."""
-        rate = self.pickup_rate(remaining, total, time_of_day, trial_factor)
-        return rng.exponential(rate)
 
     def pickup_rate_table(
         self, total: int, time_of_day: TimeOfDay, trial_factor: float
@@ -179,13 +172,3 @@ class LatencyModel:
             self._base_rate_tables.clear()
         table = self._base_rate_tables[key] = tuple(rates)
         return table
-
-    def work_seconds(
-        self, worker: WorkerProfile, effort_seconds: float, rng: RandomSource
-    ) -> float:
-        """How long this worker actually spends on a HIT of given effort."""
-        nominal = max(0.5, effort_seconds * worker.speed)
-        return (
-            self.config.work_overhead_seconds
-            + nominal * rng.lognormal(0.0, self.config.work_time_sigma)
-        )

@@ -27,10 +27,8 @@ dispatch draws from an independent child stream derived from the group id
 and the running ``hits_posted`` counter — not from the shared clock — and
 all gap/deadline arithmetic is relative to the group's ``post_time``, so a
 group's assignments are identical whether it is posted blocking or
-outstanding. The dispatch loop has two implementations behind
-:mod:`repro.util.fastpath` — a reference one and a fast one — that consume
-identical random draws and emit bit-identical assignments;
-``tests/test_determinism_trace.py`` enforces this.
+outstanding. ``tests/test_determinism_trace.py`` pins the dispatch loop's
+draw stream against a golden trace.
 
 Named clients
 -------------
@@ -61,7 +59,7 @@ from repro.crowd.pool import PoolConfig, WorkerPool
 from repro.crowd.truth import GroundTruth
 from repro.errors import MarketplaceError, TransientMarketplaceError
 from repro.hits.hit import HIT, Assignment
-from repro.util import fastpath, resilience, vector
+from repro.util import resilience, vector
 from repro.util.rng import RandomSource, child_seed_from_material
 
 
@@ -105,18 +103,12 @@ class MarketplaceStats:
 
         1.0 means every consideration converted into work; higher values
         measure the refusal-loop overhead (candidates declining the batch
-        size, or re-drawing workers who already did the HIT) that the
-        fast-path optimizations target. 0.0 when nothing completed.
+        size, or re-drawing workers who already did the HIT). 0.0 when
+        nothing completed.
         """
         if self.assignments_completed == 0:
             return 0.0
         return self.considerations / self.assignments_completed
-
-
-@dataclass
-class _PendingAssignment:
-    hit: HIT
-    sequence: int
 
 
 @dataclass(frozen=True)
@@ -267,28 +259,17 @@ class SimulatedMarketplace:
             completed, now, incomplete_hits = dispatch_vector(
                 self, hits, rng, post_time, trial_factor
             )
-        elif fastpath.enabled():
-            # Bare (hit, sequence) tuples: the fast loop unpacks them by
-            # index. Shuffle draws depend only on length, so the slot
-            # representation does not touch the stream.
-            pending_fast = [
+        else:
+            # One (hit, sequence) slot per requested assignment, in a
+            # seeded shuffle; shuffle draws depend only on the length.
+            pending = [
                 (hit, sequence)
                 for hit in hits
                 for sequence in range(hit.assignments_requested)
             ]
-            completed, now, incomplete_hits = self._dispatch_fast(
-                hits, rng.shuffled(pending_fast), rng, post_time, trial_factor
+            completed, now, incomplete_hits = self._dispatch(
+                hits, rng.shuffled(pending), rng, post_time, trial_factor
             )
-        else:
-            pending: list[_PendingAssignment] = []
-            for hit in hits:
-                for sequence in range(hit.assignments_requested):
-                    pending.append(_PendingAssignment(hit=hit, sequence=sequence))
-            pending = rng.shuffled(pending)
-            completed, now, leftover = self._dispatch_reference(
-                hits, pending, rng, post_time, trial_factor
-            )
-            incomplete_hits = {slot.hit.hit_id for slot in leftover}
 
         fault_record: GroupFaultRecord | None = None
         plan = self.faults
@@ -408,11 +389,11 @@ class SimulatedMarketplace:
     ) -> tuple[list[Assignment], set[str], GroupFaultRecord]:
         """Overlay the fault plan on a group's dispatched assignments.
 
-        Runs *after* dispatch so the reference/fast loops stay untouched;
-        all draws come from a child of the group's stream seed, so the
-        overlay is identical under both dispatch implementations and both
-        executors (group streams are keyed by posting order). Per-rate
-        guards keep zero rates from consuming any draw.
+        Runs *after* dispatch so the dispatch loop stays untouched; all
+        draws come from a child of the group's stream seed, so the overlay
+        is identical under both executors (group streams are keyed by
+        posting order). Per-rate guards keep zero rates from consuming any
+        draw.
         """
         plan = self.faults
         frng = RandomSource(child_seed_from_material(f"{rng.seed}:faults"))
@@ -482,73 +463,7 @@ class SimulatedMarketplace:
             }
         return table[worker_id]
 
-    def _dispatch_reference(
-        self,
-        hits: Sequence[HIT],
-        pending: list[_PendingAssignment],
-        rng: RandomSource,
-        post_time: float,
-        trial_factor: float,
-    ) -> tuple[list[Assignment], float, list[_PendingAssignment]]:
-        """The reference dispatch loop (kept verbatim for the fast path's
-        determinism contract; see the module docstring)."""
-        total = len(pending)
-        completed: list[Assignment] = []
-        workers_on_hit: dict[str, set[str]] = {hit.hit_id: set() for hit in hits}
-        deadline = post_time + self.latency.deadline_seconds
-        consecutive_refusals = 0
-        now = post_time
-
-        while pending:
-            gap = self.latency.next_consideration_gap(
-                rng, len(pending), total, self.time_of_day, trial_factor
-            )
-            now += gap
-            if now > deadline:
-                break
-            if consecutive_refusals >= self.latency.config.max_consecutive_refusals:
-                break
-            index = rng.randint(0, len(pending) - 1)
-            slot = pending[index]
-            hit = slot.hit
-            self.stats.considerations += 1
-            worker = self.pool.pick_candidate(
-                rng,
-                batch_units=hit.unit_count,
-                exclude=workers_on_hit[hit.hit_id],
-            )
-            if worker is None:
-                consecutive_refusals += 1
-                self.stats.refusals += 1
-                continue
-            if not rng.chance(worker.acceptance_probability(hit.effort_seconds)):
-                consecutive_refusals += 1
-                self.stats.refusals += 1
-                continue
-            consecutive_refusals = 0
-            pending.pop(index)
-            workers_on_hit[hit.hit_id].add(worker.worker_id)
-            work = self.latency.work_seconds(worker, hit.effort_seconds, rng)
-            answers = answer_hit(
-                worker,
-                hit,
-                self.truth,
-                rng.child("answers", hit.hit_id, slot.sequence, worker.worker_id),
-            )
-            self._assignment_counter += 1
-            assignment = Assignment(
-                assignment_id=f"asn-{self._assignment_counter:06d}",
-                hit_id=hit.hit_id,
-                worker_id=worker.worker_id,
-                answers=answers,
-                accept_time=now,
-                submit_time=now + work,
-            )
-            completed.append(assignment)
-            self.stats.record_work(worker.worker_id)
-        return completed, now, pending
-
-    def _dispatch_fast(
+    def _dispatch(
         self,
         hits: Sequence[HIT],
         pending: list[tuple[HIT, int]],
@@ -556,15 +471,20 @@ class SimulatedMarketplace:
         post_time: float,
         trial_factor: float,
     ) -> tuple[list[Assignment], float, set[str]]:
-        """Stream-preserving fast dispatch.
+        """Dispatch one group's shuffled slots to workers on the virtual clock.
 
-        Identical draw-for-draw to :meth:`_dispatch_reference`, and it
-        selects and removes slots the same way (index into the shuffled
-        list, ``list.pop`` on acceptance); the wins are structural: pickup
-        rates come from a precomputed table, per-HIT constants (unit count,
-        effort, exclusion set) are resolved once, and the per-draw wrapper
-        methods are bypassed in favour of the same underlying
-        ``random.Random`` stream.
+        Each consideration draws an exponential gap at the current pickup
+        rate (from :meth:`LatencyModel.pickup_rate_table`), a uniform slot
+        index into the remaining slots, a candidate worker, and an
+        acceptance draw. An accepted slot is popped, its work time drawn
+        (log-normal around effort × speed), and its answers generated from
+        a per-assignment child stream. The loop stops when every slot is
+        taken, the posting deadline passes, or too many considerations in
+        a row refuse. Draws are taken straight from the group's
+        ``random.Random`` stream, bypassing the wrapper methods; the
+        sequence is what the golden trace pins. Returns the completed
+        assignments, the time the loop stopped, and the ids of HITs left
+        short.
         """
         total = len(pending)
         completed: list[Assignment] = []
@@ -583,7 +503,7 @@ class SimulatedMarketplace:
         raw_expovariate = raw.expovariate
         raw_lognormvariate = raw.lognormvariate
         pop = pending.pop
-        pick_fast = self.pool._pick_candidate_fast
+        pick_candidate = self.pool.pick_candidate
         truth = self.truth
         stats = self.stats
         record_work = stats.record_work
@@ -610,13 +530,13 @@ class SimulatedMarketplace:
             considerations += 1
             hit_id = hit.hit_id
             taken_by = workers_on_hit[hit_id]
-            worker = pick_fast(rng, hit.unit_count, taken_by)
+            worker = pick_candidate(rng, hit.unit_count, taken_by)
             if worker is None:
                 consecutive_refusals += 1
                 refusals += 1
                 continue
             # Inlined RandomSource.chance: acceptance probabilities of 0/1
-            # must not consume a draw, matching the reference wrapper.
+            # must not consume a draw.
             effort = hit.effort_seconds
             probability = worker.acceptance_probability(effort)
             if probability <= 0.0:
@@ -634,7 +554,7 @@ class SimulatedMarketplace:
             alive -= 1
             worker_id = worker.worker_id
             taken_by.add(worker_id)
-            # Inlined LatencyModel.work_seconds, same expression and draw.
+            # Work time: overhead plus a log-normal around effort × speed.
             nominal = effort * worker.speed
             if nominal < 0.5:
                 nominal = 0.5

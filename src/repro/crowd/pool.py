@@ -15,7 +15,6 @@ from itertools import accumulate
 from typing import Iterable, Sequence
 
 from repro.crowd.worker import WorkerProfile, make_reliable, make_sloppy, make_spammer
-from repro.util import fastpath
 from repro.util.rng import RandomSource
 
 
@@ -148,63 +147,11 @@ class WorkerPool:
         applies :meth:`WorkerProfile.acceptance_probability` to decide
         whether the candidate actually takes the HIT.
 
-        Both implementations consume exactly one ``random()`` draw and pick
-        the same worker: the fast path caches the batch-adjusted weight
-        vector per ``batch_units`` (exclusions are rare and small, so most
-        draws are an O(log n) bisect over a cached cumulative array) while
-        the reference path rebuilds the eligible list on every call.
+        Consumes exactly one ``random()`` draw. The batch-adjusted weight
+        vector is cached per ``batch_units``; exclusions are rare and
+        small, so most draws are an O(log n) bisect over a cached
+        cumulative array.
         """
-        if fastpath.enabled():
-            return self._pick_candidate_fast(rng, batch_units, exclude)
-        exclude = exclude or set()
-        weights = []
-        eligible: list[WorkerProfile] = []
-        for weight, worker in zip(self._zipf_weights, self.workers):
-            if worker.worker_id in exclude or worker.worker_id in self._banned:
-                continue
-            if worker.is_spammer and batch_units > 1:
-                weight = weight * (
-                    1.0
-                    + min(4.0, self.config.spammer_batch_affinity * (batch_units - 1))
-                )
-            eligible.append(worker)
-            weights.append(weight)
-        if not eligible:
-            return None
-        return eligible[rng.weighted_index(weights)]
-
-    def _candidate_table(
-        self, batch_units: int
-    ) -> tuple[list[WorkerProfile], list[float], list[float], float, dict[str, int]]:
-        table = self._candidate_tables.get(batch_units)
-        if table is None:
-            workers: list[WorkerProfile] = []
-            weights: list[float] = []
-            affinity = self.config.spammer_batch_affinity
-            for weight, worker in zip(self._zipf_weights, self.workers):
-                if worker.worker_id in self._banned:
-                    continue
-                if worker.is_spammer and batch_units > 1:
-                    weight = weight * (1.0 + min(4.0, affinity * (batch_units - 1)))
-                workers.append(worker)
-                weights.append(weight)
-            positions = {w.worker_id: i for i, w in enumerate(workers)}
-            # The total comes from the builtin ``sum`` because that is what
-            # the reference scales its draw by, and ``sum`` of floats is
-            # Neumaier-compensated on Python 3.12+ (see weighted_index).
-            table = (
-                workers,
-                weights,
-                list(accumulate(weights)),
-                float(sum(weights)),
-                positions,
-            )
-            self._candidate_tables[batch_units] = table
-        return table
-
-    def _pick_candidate_fast(
-        self, rng: RandomSource, batch_units: int, exclude: set[str] | None
-    ) -> WorkerProfile | None:
         table = self._candidate_tables.get(batch_units)
         if table is None:
             table = self._candidate_table(batch_units)
@@ -231,3 +178,31 @@ class WorkerPool:
         index = bisect_right(cumulative, point)
         last = len(cumulative) - 1
         return workers[index if index < last else last]
+
+    def _candidate_table(
+        self, batch_units: int
+    ) -> tuple[list[WorkerProfile], list[float], list[float], float, dict[str, int]]:
+        table = self._candidate_tables.get(batch_units)
+        if table is None:
+            workers: list[WorkerProfile] = []
+            weights: list[float] = []
+            affinity = self.config.spammer_batch_affinity
+            for weight, worker in zip(self._zipf_weights, self.workers):
+                if worker.worker_id in self._banned:
+                    continue
+                if worker.is_spammer and batch_units > 1:
+                    weight = weight * (1.0 + min(4.0, affinity * (batch_units - 1)))
+                workers.append(worker)
+                weights.append(weight)
+            positions = {w.worker_id: i for i, w in enumerate(workers)}
+            # The total is the builtin ``sum``, the scale
+            # RandomSource.weighted_index uses (see its docstring).
+            table = (
+                workers,
+                weights,
+                list(accumulate(weights)),
+                float(sum(weights)),
+                positions,
+            )
+            self._candidate_tables[batch_units] = table
+        return table

@@ -1,4 +1,5 @@
-"""Shared experiment plumbing: result tables and engine builders."""
+"""Shared experiment plumbing: result tables, engine builders, and the
+blocking platform adapter."""
 
 from __future__ import annotations
 
@@ -55,6 +56,36 @@ class ExperimentTable:
         """Cell lookup by row key (first column by default) and column name."""
         key_column = key_column or self.headers[0]
         return self.row_by(key_column, row_key)[self.headers.index(column)]
+
+
+class BlockingPlatform:
+    """A marketplace seen through the blocking ``post_hit_group`` call only.
+
+    Hides the multi-client ``submit_hit_group``/``harvest`` API, so an
+    engine or session built on it runs the depth-first interpreter, the
+    way it would on a platform that can only post and wait (such as a thin
+    MTurk shim). Tests and benchmarks use it to drive the depth-first leg
+    against the same simulated marketplace the pipelined leg uses.
+    ``stats`` passes through so EXPLAIN footers still report marketplace
+    counters, and ``inner`` lets the resilience layer find the fault plan.
+    """
+
+    def __init__(self, inner: SimulatedMarketplace) -> None:
+        self.inner = inner
+
+    def post_hit_group(self, hits, group_id=None):
+        """Post a group and wait for it (the only posting style offered)."""
+        return self.inner.post_hit_group(hits, group_id=group_id)
+
+    @property
+    def clock_seconds(self) -> float:
+        """The wrapped marketplace's virtual clock."""
+        return self.inner.clock_seconds
+
+    @property
+    def stats(self):
+        """The wrapped marketplace's counters."""
+        return self.inner.stats
 
 
 def build_engine(

@@ -1,4 +1,4 @@
-"""Scalable sort workloads for the scale-out sort engine (``REPRO_SORTSCALE``).
+"""Scalable sort workloads: planted-cycle vote corpora and LIMIT sorts.
 
 The paper's sort experiments stop at 40–50 squares; the scale-out sort
 engine targets thousands. This module grows the squares dataset (§4.2.1)

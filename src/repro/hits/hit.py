@@ -341,10 +341,6 @@ class HIT:
             rendered = self._html = builder(self) if builder is not None else ""
         return rendered
 
-    @html.setter
-    def html(self, value: str) -> None:
-        self._html = value
-
     def defer_html(self, builder: Callable[["HIT"], str]) -> None:
         """Arrange for ``builder(self)`` to render the HTML on first access."""
         self._html_builder = builder

@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.errors import QurkError
-from repro.util import fastpath
 from repro.util.rng import RandomSource
 
 
@@ -41,7 +40,8 @@ def covering_groups(
     Strategy: repeatedly build a group seeded with the item participating in
     the most uncovered pairs, then grow it with the item covering the most
     new pairs against the current members. Ties break randomly (seeded) so
-    repeated trials explore different designs.
+    repeated trials explore different designs: each pick is one
+    ``rng.choice`` over the tied candidates in item order.
     """
     unique = list(dict.fromkeys(items))
     if len(unique) != len(items):
@@ -53,47 +53,7 @@ def covering_groups(
             f"group size {group_size} exceeds item count {len(unique)}"
         )
     rng = RandomSource(seed).child("covering-groups")
-    if fastpath.enabled():
-        return _covering_groups_fast(unique, group_size, rng)
-    uncovered: set[tuple[str, str]] = set()
-    for i in range(len(unique)):
-        for j in range(i + 1, len(unique)):
-            uncovered.add(tuple(sorted((unique[i], unique[j]))))  # type: ignore[arg-type]
-
-    degree: dict[str, int] = {item: len(unique) - 1 for item in unique}
-
-    def uncovered_with(item: str, members: list[str]) -> int:
-        return sum(
-            1 for member in members if tuple(sorted((item, member))) in uncovered
-        )
-
-    groups: list[tuple[str, ...]] = []
-    while uncovered:
-        max_degree = max(degree.values())
-        seeds = [item for item, d in degree.items() if d == max_degree]
-        group = [rng.choice(seeds)]
-        while len(group) < group_size:
-            best_gain = -1
-            candidates: list[str] = []
-            for item in unique:
-                if item in group:
-                    continue
-                gain = uncovered_with(item, group)
-                if gain > best_gain:
-                    best_gain = gain
-                    candidates = [item]
-                elif gain == best_gain:
-                    candidates.append(item)
-            group.append(rng.choice(candidates))
-        for i in range(len(group)):
-            for j in range(i + 1, len(group)):
-                pair = tuple(sorted((group[i], group[j])))
-                if pair in uncovered:
-                    uncovered.discard(pair)  # type: ignore[arg-type]
-                    degree[pair[0]] -= 1
-                    degree[pair[1]] -= 1
-        groups.append(tuple(group))
-    return groups
+    return _greedy_cover(unique, group_size, rng)
 
 
 class _ArgmaxView:
@@ -101,10 +61,10 @@ class _ArgmaxView:
 
     ``random.Random.choice(seq)`` consumes one ``_randbelow(len(seq))`` draw
     and reads ``seq[i]`` once. Exposing the argmax candidates through this
-    view therefore consumes exactly the draws the reference's materialized
-    candidate list would — with the same length and the same i-th element —
-    without allocating the list on every greedy pick. Occurrence lookup
-    rides on C-level ``list.index``.
+    view therefore consumes exactly the draws a materialized candidate list
+    would — with the same length and the same i-th element — without
+    allocating the list on every greedy pick. Occurrence lookup rides on
+    C-level ``list.index``.
     """
 
     __slots__ = ("scores", "best", "items", "count")
@@ -129,15 +89,12 @@ class _ArgmaxView:
         return self.items[position]
 
 
-def _covering_groups_fast(
+def _greedy_cover(
     unique: list[str], group_size: int, rng: RandomSource
 ) -> list[tuple[str, ...]]:
-    """The greedy covering above, restructured around incremental gains.
+    """The greedy covering of :func:`covering_groups`, on incremental gains.
 
-    Identical output and RNG consumption: every ``rng.choice`` sees a
-    candidate sequence with the same length and the same elements in the
-    same (item-index) order as the reference's list, so it draws and picks
-    identically. The wins are structural:
+    Bookkeeping that keeps each pick cheap:
 
     * "is this pair uncovered?" is an integer-set membership instead of a
       sorted string-tuple allocation per probe;

@@ -24,7 +24,6 @@ from typing import Callable, Mapping, Sequence
 from repro.errors import QurkError
 from repro.sorting.head_to_head import head_to_head_order
 from repro.sorting.rating import RatingSummary, order_by_rating
-from repro.util import sortscale
 from repro.util.rng import RandomSource
 
 CompareFunction = Callable[[Sequence[str]], Mapping[tuple[str, str], str]]
@@ -66,7 +65,9 @@ class ConfidenceStrategy(WindowStrategy):
 
     Window scores are computed once from the initial rating statistics and
     consumed in decreasing order (wrapping around when iterations exceed the
-    number of windows), per §4.1.3.
+    number of windows), per §4.1.3. Each window's score equals
+    :meth:`window_overlap` over its items, bit for bit; it is computed from
+    a sliding pair index (:func:`_window_scores_indexed`).
     """
 
     def __init__(self, window_size: int) -> None:
@@ -97,15 +98,7 @@ class ConfidenceStrategy(WindowStrategy):
     ) -> list[int]:
         size = min(self.window_size, len(order))
         if self._ranked_starts is None:
-            if sortscale.enabled():
-                scores = _window_scores_indexed(order, summaries, size)
-            else:
-                scores = []
-                for start in range(0, len(order) - size + 1):
-                    window_items = [order[start + k] for k in range(size)]
-                    scores.append(
-                        (self.window_overlap(window_items, summaries), start)
-                    )
+            scores = _window_scores_indexed(order, summaries, size)
             scores.sort(key=lambda pair: (-pair[0], pair[1]))
             self._ranked_starts = [start for _, start in scores]
         starts = self._ranked_starts
@@ -120,19 +113,18 @@ def _window_scores_indexed(
 ) -> list[tuple[float, int]]:
     """Every consecutive window's Rᵢ via a sliding pair-contribution index.
 
-    The reference recomputes :meth:`ConfidenceStrategy.window_overlap` from
-    the summaries for each of the N−S+1 windows — O(S²) mean/σ lookups and
-    ``max`` evaluations per window, with the same pair re-derived in up to
-    S−1 neighbouring windows. Here each qualifying ordered pair (p, q)
-    within sliding distance (|p−q| < S) is scored exactly once — advancing
-    the window by one position only ever introduces the S−1 pairs that end
-    at the entering item — and windows then *sum* their pairs from the
-    index. Sums deliberately re-add the S² table entries per window in the
-    reference's (p, q) iteration order rather than sliding the float total
-    itself: float addition is not associative, and a drifting running sum
-    could re-rank windows whose reference scores tie exactly (the ranked
-    order feeds the hybrid repair trajectory, which must be bit-identical
-    under both toggle modes).
+    Calling :meth:`ConfidenceStrategy.window_overlap` once per window would
+    cost O(S²) mean/σ lookups and ``max`` evaluations for each of the
+    N−S+1 windows, re-deriving the same pair in up to S−1 neighbouring
+    windows. Here each qualifying ordered pair (p, q) within sliding
+    distance (|p−q| < S) is scored exactly once — advancing the window by
+    one position only ever introduces the S−1 pairs that end at the
+    entering item — and windows then *sum* their pairs from the index.
+    Sums deliberately re-add the S² table entries per window in
+    ``window_overlap``'s (p, q) iteration order rather than sliding the
+    float total itself: float addition is not associative, and a drifting
+    running sum could re-rank windows whose ``window_overlap`` scores tie
+    exactly (the ranked order feeds the hybrid repair trajectory).
     """
     n = len(order)
     means = [summaries[item].mean for item in order]

@@ -14,10 +14,10 @@ posting order, votes, and the pinned golden trace are bit-identical to the
 pre-adaptive implementation (``tests/test_adaptive_optimizer.py`` enforces
 this). ``ExecutionConfig.adapt`` overrides the switch per query.
 
-Like the sibling ``REPRO_PIPELINE``/``REPRO_FASTPATH`` toggles, the
-environment variable is re-read by :func:`refresh_from_env` at engine and
-session construction, so exporting it after ``import repro`` still takes
-effect; an unchanged environment leaves programmatic overrides alone.
+The environment variable is re-read by :func:`refresh_from_env` at engine
+and session construction, so exporting it after ``import repro`` still
+takes effect (the pattern every toggle module follows); an unchanged
+environment leaves programmatic overrides alone.
 """
 
 from __future__ import annotations

@@ -1,80 +1,12 @@
-"""Global switch between the reference and fast hot-path implementations.
+"""Retired toggle, kept only so ``repro.util.fastpath`` still imports.
 
-Every optimization on the marketplace dispatch path is *stream-preserving*:
-the fast implementation consumes exactly the same pseudo-random draws and
-produces bit-identical results to the reference implementation it replaces.
-The reference code is kept alongside the fast code, behind this switch, for
-two reasons:
-
-1. ``benchmarks/bench_perf_hotpath.py`` measures before/after wall-clock in
-   the same process, so the recorded speedup is reproducible anywhere;
-2. ``tests/test_determinism_trace.py`` runs a fixed-seed query under both
-   modes and asserts the vote stream, virtual clock, and cost ledger are
-   identical — the determinism contract is enforced, not assumed.
-
-The fast path is on by default. Set ``REPRO_FASTPATH=0`` in the environment
-(or call :func:`set_enabled`) to fall back to the reference implementations.
-
-The environment variable is re-read by :func:`refresh_from_env`, which the
-engine and session facades call at construction time — so exporting
-``REPRO_FASTPATH`` *after* ``import repro`` still takes effect for engines
-built afterwards, instead of being silently ignored by the value captured
-at import.
+``REPRO_FASTPATH`` used to switch every hot-path optimization back to a
+bit-identical reference twin. The twins are gone: each algorithm has one
+implementation. The environment variable is ignored, and no engine module
+imports this one.
 """
-
-from __future__ import annotations
-
-import os
-from contextlib import contextmanager
-from typing import Iterator
-
-_ENV_VAR = "REPRO_FASTPATH"
-_OFF_VALUES = ("0", "false", "no", "off")
-
-
-def _parse(raw: str | None) -> bool:
-    return (raw if raw is not None else "1").lower() not in _OFF_VALUES
-
-
-_ENV_RAW: str | None = os.environ.get(_ENV_VAR)
-_ENABLED: bool = _parse(_ENV_RAW)
 
 
 def enabled() -> bool:
-    """Whether the fast hot-path implementations are active."""
-    return _ENABLED
-
-
-def refresh_from_env() -> bool:
-    """Re-read ``REPRO_FASTPATH`` if it changed; returns the setting.
-
-    Called at :class:`~repro.core.engine.Qurk` /
-    :class:`~repro.core.session.EngineSession` construction. A *changed*
-    environment value wins over any programmatic :func:`set_enabled`; an
-    unchanged one leaves programmatic overrides (and :func:`forced`
-    contexts) alone, so tests toggling the switch in-process keep working.
-    """
-    global _ENABLED, _ENV_RAW
-    raw = os.environ.get(_ENV_VAR)
-    if raw != _ENV_RAW:
-        _ENV_RAW = raw
-        _ENABLED = _parse(raw)
-    return _ENABLED
-
-
-def set_enabled(flag: bool) -> bool:
-    """Switch the fast path on/off; returns the previous setting."""
-    global _ENABLED
-    previous = _ENABLED
-    _ENABLED = bool(flag)
-    return previous
-
-
-@contextmanager
-def forced(flag: bool) -> Iterator[None]:
-    """Temporarily force the fast path on or off (tests and benchmarks)."""
-    previous = set_enabled(flag)
-    try:
-        yield
-    finally:
-        set_enabled(previous)
+    """Always True: the one implementation is the former fast path."""
+    return True

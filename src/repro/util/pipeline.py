@@ -1,83 +1,14 @@
-"""Global switch between the pipelined and depth-first executors.
+"""Retired toggle, kept only so ``repro.util.pipeline`` still imports.
 
-The paper's executor runs every operator concurrently with asynchronous
-input queues so HIT batches from different operators can be outstanding on
-the marketplace at the same time (§2.6). :mod:`repro.core.scheduler`
-reproduces that as a *deterministic* event loop over the marketplace's
-virtual clock; :mod:`repro.core.executor` keeps the original depth-first
-interpreter alongside it, behind this switch, for two reasons:
-
-1. ``benchmarks/bench_pipeline.py`` measures the end-to-end virtual-latency
-   improvement (and the wall-clock overhead) of the pipelined executor
-   against the depth-first interpreter in the same process;
-2. ``tests/test_scheduler.py`` runs fixed-seed queries under both executors
-   and asserts the rows, the cost ledger, and the per-qid vote stream are
-   identical — the pipelining is *latency-only*; it never moves a vote.
-
-The pipelined executor is on by default. Set ``REPRO_PIPELINE=0`` in the
-environment (or call :func:`set_enabled`) to fall back to the depth-first
-interpreter. ``ExecutionConfig.pipeline`` overrides this switch per query.
-
-The environment variable is re-read by :func:`refresh_from_env`, which the
-engine and session facades call at construction time — so exporting
-``REPRO_PIPELINE`` *after* ``import repro`` still takes effect for engines
-built afterwards, instead of being silently ignored by the value captured
-at import.
+``REPRO_PIPELINE`` used to force the depth-first interpreter on platforms
+that support overlap. The executor is now chosen by the platform alone:
+the pipelined executor runs whenever the platform has the multi-client
+``submit_hit_group``/``harvest`` API, and the depth-first interpreter
+serves blocking platforms. The environment variable is ignored, and no
+engine module imports this one.
 """
-
-from __future__ import annotations
-
-import os
-from contextlib import contextmanager
-from typing import Iterator
-
-_ENV_VAR = "REPRO_PIPELINE"
-_OFF_VALUES = ("0", "false", "no", "off")
-
-
-def _parse(raw: str | None) -> bool:
-    return (raw if raw is not None else "1").lower() not in _OFF_VALUES
-
-
-_ENV_RAW: str | None = os.environ.get(_ENV_VAR)
-_ENABLED: bool = _parse(_ENV_RAW)
 
 
 def enabled() -> bool:
-    """Whether the pipelined executor is active by default."""
-    return _ENABLED
-
-
-def refresh_from_env() -> bool:
-    """Re-read ``REPRO_PIPELINE`` if it changed; returns the setting.
-
-    Called at :class:`~repro.core.engine.Qurk` /
-    :class:`~repro.core.session.EngineSession` construction. A *changed*
-    environment value wins over any programmatic :func:`set_enabled`; an
-    unchanged one leaves programmatic overrides (and :func:`forced`
-    contexts) alone, so tests toggling the switch in-process keep working.
-    """
-    global _ENABLED, _ENV_RAW
-    raw = os.environ.get(_ENV_VAR)
-    if raw != _ENV_RAW:
-        _ENV_RAW = raw
-        _ENABLED = _parse(raw)
-    return _ENABLED
-
-
-def set_enabled(flag: bool) -> bool:
-    """Switch the pipelined executor on/off; returns the previous setting."""
-    global _ENABLED
-    previous = _ENABLED
-    _ENABLED = bool(flag)
-    return previous
-
-
-@contextmanager
-def forced(flag: bool) -> Iterator[None]:
-    """Temporarily force the pipelined executor on or off (tests, benchmarks)."""
-    previous = set_enabled(flag)
-    try:
-        yield
-    finally:
-        set_enabled(previous)
+    """Always True: the pipelined executor runs wherever the platform allows."""
+    return True

@@ -1,89 +1,13 @@
-"""Global switch for the scale-out sort engine.
+"""Retired toggle, kept only so ``repro.util.sortscale`` still imports.
 
-The paper's §4 sort algorithms were reproduced first as straight reference
-implementations: ``break_cycles`` re-runs full Tarjan over the entire
-comparison graph (through the dict-copying ``edges`` accessor) on every
-edge-removal sweep, ``topological_order`` re-sorts its ready queue inside
-the loop, and the hybrid sorter's confidence strategy recomputes every
-window's O(S²) rating overlap from scratch. Fine at the paper's 40-square
-workloads; quadratic-and-worse once N grows to thousands of items.
-
-This module is the kill switch for the scale-out replacements
-(:mod:`repro.sorting.graph`'s indexed adjacency + incremental SCC
-cycle-breaking, the heap-based topological sort, the indexed
-confidence-window scorer, and the LIMIT-aware tournament sort path in
-:mod:`repro.core.sort_exec`). The scale path is on by default; set
-``REPRO_SORTSCALE=0`` in the environment (or call :func:`set_enabled`) to
-revert to the reference implementations — with the toggle off, orders,
-removed-edge sets, hybrid repair trajectories, votes, and the pinned
-golden trace are bit-identical to the seed implementation
-(``tests/test_sort_scale.py`` enforces this). The one deliberately
-stream-*changing* piece, the ``ORDER BY rank(...) LIMIT k`` tournament
-path, polls a different (smaller) set of crowd questions: it returns the
-same leading rows whenever judgements among the leaders are consistent,
-and can be pinned per query with
-``ExecutionConfig.limit_sort_tournament``.
-
-Like the sibling ``REPRO_FASTPATH``/``REPRO_PIPELINE``/``REPRO_ADAPT``
-toggles, the environment variable is re-read by :func:`refresh_from_env`
-at engine and session construction, so exporting it after ``import
-repro`` still takes effect; an unchanged environment leaves programmatic
-overrides alone.
+``REPRO_SORTSCALE`` used to switch the sort layer back to bit-identical
+reference twins (full-Tarjan cycle breaking, a re-sorting Kahn queue,
+per-window confidence scoring). The twins are gone, and the LIMIT
+tournament is the plain ``ExecutionConfig.limit_sort_tournament`` field.
+The environment variable is ignored, and no engine module imports this one.
 """
-
-from __future__ import annotations
-
-import os
-from contextlib import contextmanager
-from typing import Iterator
-
-_ENV_VAR = "REPRO_SORTSCALE"
-_OFF_VALUES = ("0", "false", "no", "off")
-
-
-def _parse(raw: str | None) -> bool:
-    return (raw if raw is not None else "1").lower() not in _OFF_VALUES
-
-
-_ENV_RAW: str | None = os.environ.get(_ENV_VAR)
-_ENABLED: bool = _parse(_ENV_RAW)
 
 
 def enabled() -> bool:
-    """Whether the scale-out sort implementations are active."""
-    return _ENABLED
-
-
-def refresh_from_env() -> bool:
-    """Re-read ``REPRO_SORTSCALE`` if it changed; returns the setting.
-
-    Called at :class:`~repro.core.engine.Qurk` /
-    :class:`~repro.core.session.EngineSession` construction. A *changed*
-    environment value wins over any programmatic :func:`set_enabled`; an
-    unchanged one leaves programmatic overrides (and :func:`forced`
-    contexts) alone, so tests toggling the switch in-process keep working.
-    """
-    global _ENABLED, _ENV_RAW
-    raw = os.environ.get(_ENV_VAR)
-    if raw != _ENV_RAW:
-        _ENV_RAW = raw
-        _ENABLED = _parse(raw)
-    return _ENABLED
-
-
-def set_enabled(flag: bool) -> bool:
-    """Switch the scale path on/off; returns the previous setting."""
-    global _ENABLED
-    previous = _ENABLED
-    _ENABLED = bool(flag)
-    return previous
-
-
-@contextmanager
-def forced(flag: bool) -> Iterator[None]:
-    """Temporarily force the scale path on or off (tests and benchmarks)."""
-    previous = set_enabled(flag)
-    try:
-        yield
-    finally:
-        set_enabled(previous)
+    """Always True: the one implementation is the former scale path."""
+    return True

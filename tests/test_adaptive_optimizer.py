@@ -32,8 +32,9 @@ from repro.experiments.adaptive_workload import (
     build_engine,
     careful_pool,
     misordered_dataset,
+    run_misordered_depth_first,
 )
-from repro.util import adapt, pipeline
+from repro.util import adapt
 
 
 def _rows(result) -> list[str]:
@@ -132,8 +133,12 @@ def test_adaptive_rows_identical_to_static_with_fewer_hits():
 def test_adaptive_identical_across_executors():
     outcomes = {}
     for pipelined in (False, True):
-        with adapt.forced(True), pipeline.forced(pipelined):
-            _, result = _run_misordered()
+        with adapt.forced(True):
+            if pipelined:
+                _, result = _run_misordered()
+            else:
+                result = run_misordered_depth_first()
+            assert (result.pipeline_summary is not None) == pipelined
         outcomes[pipelined] = (
             _rows(result),
             result.hit_count,

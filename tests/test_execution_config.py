@@ -3,7 +3,10 @@
 Each bad value used to crash deep in the stack (``ZeroDivisionError`` in
 batching or the cost model), fail only at execute time or at the first
 post, or be accepted silently; now construction raises a ``PlanError``
-naming the field.
+naming the field. Two NaN cases matter beyond tidiness: a NaN
+``backoff_base`` schedules reposts at NaN virtual time (misreporting a
+faulted sort's latency), and a NaN ``retry_deadline`` silently means "no
+deadline".
 """
 
 import math
@@ -31,6 +34,12 @@ from repro.joins.batching import JoinInterface
         ("grid_rows", math.nan),
         ("max_budget", -5.0),
         ("max_budget", math.nan),
+        ("rate_anchor_count", -1),
+        ("hybrid_iterations", -1),
+        ("hybrid_stride", 0),
+        ("backoff_base", math.nan),
+        ("retry_deadline", math.nan),
+        ("limit_sort_tournament", None),
     ],
 )
 def test_bad_value_rejected_at_construction(field, value):
@@ -51,6 +60,9 @@ def test_boundary_values_accepted():
         compare_batch_groups=1,
         compare_group_size=2,
         max_budget=0,
+        rate_anchor_count=0,
+        hybrid_iterations=0,
+        hybrid_stride=1,
     )
     assert config.max_budget == 0
     assert ExecutionConfig(max_budget=None).max_budget is None

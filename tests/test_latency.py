@@ -1,7 +1,8 @@
 """Tests for the latency model."""
 
+from repro.crowd import GroundTruth, SimulatedMarketplace
 from repro.crowd.latency import LatencyConfig, LatencyModel, TimeOfDay
-from repro.crowd.worker import make_reliable
+from repro.hits.hit import HIT, FilterPayload, FilterQuestion
 from repro.util.rng import RandomSource
 
 
@@ -32,20 +33,40 @@ def test_evening_slower_than_morning():
 
 
 def test_work_seconds_scale_with_effort():
-    model = LatencyModel(LatencyConfig(work_time_sigma=0.01))
-    worker = make_reliable("w", RandomSource(1))
-    rng = RandomSource(2)
-    quick = sum(model.work_seconds(worker, 3.0, rng) for _ in range(50)) / 50
-    slow = sum(model.work_seconds(worker, 30.0, rng) for _ in range(50)) / 50
-    assert slow > quick * 3
+    """Assignment work time (submit minus accept) grows with HIT effort."""
+    truth = GroundTruth()
+    truth.add_filter_task("flt", {f"item{i}": True for i in range(10)})
+
+    def mean_work(effort: float) -> float:
+        latency = LatencyModel(LatencyConfig(work_time_sigma=0.01))
+        market = SimulatedMarketplace(truth, seed=2, latency=latency)
+        hits = []
+        for i in range(10):
+            hit = HIT(
+                hit_id=f"h{i}",
+                payloads=(FilterPayload("flt", (FilterQuestion(f"item{i}"),)),),
+                assignments_requested=5,
+            )
+            hit.effort_seconds = effort
+            hits.append(hit)
+        done = market.post_hit_group(hits, "g")
+        assert done
+        return sum(a.submit_time - a.accept_time for a in done) / len(done)
+
+    assert mean_work(30.0) > mean_work(3.0) * 3
 
 
 def test_gap_sampling_positive():
+    """The dispatch loop's pickup-rate table matches pickup_rate entry for
+    entry, and exponential gaps drawn at those rates are positive."""
     model = LatencyModel()
     rng = RandomSource(3)
-    for _ in range(100):
-        gap = model.next_consideration_gap(rng, 10, 100, TimeOfDay.MORNING)
-        assert gap > 0
+    table = model.pickup_rate_table(100, TimeOfDay.MORNING, 1.0)
+    assert len(table) == 101
+    for remaining in range(1, 101):
+        rate = table[remaining]
+        assert rate == model.pickup_rate(remaining, 100, TimeOfDay.MORNING)
+        assert rng.exponential(rate) > 0
 
 
 def test_trial_rate_factor_varies():

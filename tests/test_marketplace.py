@@ -168,18 +168,31 @@ def test_considerations_per_assignment_counts_refusals():
         assert market.stats.considerations_per_assignment > 1.0
 
 
-def test_fast_and_reference_dispatch_agree(truth):
-    """The two dispatch implementations emit identical assignments."""
-    from repro.util import fastpath
+DISPATCH_SEED_15_SHA256 = "e171f2479ebd9e82e185fe20aff7d7f8d46c5276ff9b93f034f74f3831d08056"
+"""sha256 of ``repr`` of the seed-15, 12-HIT assignment tuples below, recorded
+at commit 2275d16, where the fast and the retired reference dispatch loops
+emitted exactly these assignments."""
 
-    with fastpath.forced(True):
-        fast = SimulatedMarketplace(truth, seed=15).post_hit_group(filter_hits(12), "g")
-    with fastpath.forced(False):
-        ref = SimulatedMarketplace(truth, seed=15).post_hit_group(filter_hits(12), "g")
-    assert [
+
+def test_fast_and_reference_dispatch_agree(truth):
+    """The dispatch loop still emits the assignments the retired reference
+    loop emitted for this group: same ids, workers, answers, and times."""
+    import hashlib
+
+    assignments = SimulatedMarketplace(truth, seed=15).post_hit_group(
+        filter_hits(12), "g"
+    )
+    tuples = [
         (a.assignment_id, a.hit_id, a.worker_id, a.answers, a.accept_time, a.submit_time)
-        for a in fast
-    ] == [
-        (a.assignment_id, a.hit_id, a.worker_id, a.answers, a.accept_time, a.submit_time)
-        for a in ref
+        for a in assignments
     ]
+    assert len(tuples) == 60
+    assert tuples[0] == (
+        "asn-000001", "h1", "W0095", {"flt:filter:item1": False},
+        0.16270337680219163, 3.932132926530527,
+    )
+    assert tuples[-1] == (
+        "asn-000060", "h3", "W0023", {"flt:filter:item3": False},
+        246.55572450762335, 250.87104960140204,
+    )
+    assert hashlib.sha256(repr(tuples).encode()).hexdigest() == DISPATCH_SEED_15_SHA256

@@ -23,6 +23,7 @@ from repro.core.context import ExecutionConfig
 from repro.core.engine import Qurk
 from repro.core.session import EngineSession
 from repro.crowd import FaultPlan, GroundTruth, SimulatedMarketplace
+from repro.crowd.faults import GroupFaultRecord
 from repro.datasets import celebrity_dataset
 from repro.errors import (
     ExecutionError,
@@ -39,7 +40,7 @@ from repro.hits.resilience import (
     build_resilience,
     marketplace_faults_active,
 )
-from repro.util import fastpath, resilience
+from repro.util import resilience
 
 
 # ---------------------------------------------------------------------------
@@ -199,18 +200,27 @@ def test_fault_overlay_is_deterministic_run_to_run():
     assert traces[0] == traces[1]
 
 
+FAULTED_GROUP_SHA256 = "eab2ae33e61885e72f2914344d393d74656ece99cd0371ead17c080b5d80cf11"
+"""sha256 of ``repr`` of the faulted seed-7 group's assignments, recorded at
+commit 2275d16, where the fast and the retired reference dispatch loops
+produced this same overlay."""
+
+
 def test_fault_overlay_identical_under_both_dispatch_implementations():
-    """The overlay draws from the group stream's child, which both the
-    reference and fast dispatch loops share: same faults either way."""
+    """The overlay draws from the group stream's child, so the faulted group
+    is the one both retired dispatch implementations produced."""
+    import hashlib
+
     plan = FaultPlan(abandonment_rate=0.3, spam_rate=0.2, straggler_rate=0.2)
-    tickets = {}
-    for flag in (True, False):
-        with fastpath.forced(flag):
-            items, market = make_market(seed=7, faults=plan)
-            _, tickets[flag] = submit_group(market, items)
-    assert tickets[True].assignments == tickets[False].assignments
-    assert tickets[True].faults == tickets[False].faults
-    assert tickets[True].faults.dropped > 0  # the plan actually struck
+    items, market = make_market(seed=7, faults=plan)
+    _, ticket = submit_group(market, items)
+    assert ticket.faults == GroupFaultRecord(
+        abandoned=1, expired_slots=0, stragglers=0, spammed=2
+    )
+    assert ticket.faults.dropped > 0  # the plan actually struck
+    assert ticket.finish_time == 39.49319170186433
+    digest = hashlib.sha256(repr(ticket.assignments).encode()).hexdigest()
+    assert digest == FAULTED_GROUP_SHA256
 
 
 def test_abandonment_drops_assignments_and_uncounts_work():

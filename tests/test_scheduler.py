@@ -14,9 +14,11 @@ Three promises, each enforced here:
    through bounded queues; occupancy never exceeds the bound and a lagging
    consumer stalls its producer (back-pressure).
 
-``REPRO_PIPELINE=0`` (or ``ExecutionConfig(pipeline=False)``) must revert
-to the depth-first interpreter exactly — including the virtual clock — and
-reproduce the PR-1 golden trace.
+The executor follows the platform: a marketplace with the multi-client
+API runs pipelined, and the same marketplace behind
+:class:`~repro.experiments.harness.BlockingPlatform` runs the depth-first
+interpreter, which must reproduce the golden trace exactly — including the
+virtual clock.
 """
 
 from __future__ import annotations
@@ -38,10 +40,10 @@ from repro.datasets import (
     squares_dataset,
 )
 from repro.experiments.end_to_end import QUERY_WITH_FILTER
+from repro.experiments.harness import BlockingPlatform
 from repro.hits.hit import FilterPayload, FilterQuestion
 from repro.hits.manager import TaskManager
 from repro.joins.batching import JoinInterface
-from repro.util import pipeline
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "determinism_trace.json"
 
@@ -69,6 +71,10 @@ class RecordingMarketplace(SimulatedMarketplace):
         self.harvested.extend(assignments)
         return assignments
 
+    def platform(self, blocking: bool):
+        """Itself, or itself behind the blocking adapter (depth-first leg)."""
+        return BlockingPlatform(self) if blocking else self
+
 
 def vote_stream(market: RecordingMarketplace) -> list[tuple]:
     """Per-qid votes in dispatch order (assignment ids are dispatch-ordered,
@@ -86,19 +92,19 @@ def vote_stream(market: RecordingMarketplace) -> list[tuple]:
 # ---------------------------------------------------------------------------
 
 
-def squares_engine(seed=7, n=15, **config):
+def squares_engine(seed=7, n=15, blocking=False, **config):
     data = squares_dataset(n=n, seed=seed)
     market = RecordingMarketplace(data.truth, seed=seed)
-    engine = Qurk(platform=market, config=ExecutionConfig(**config))
+    engine = Qurk(platform=market.platform(blocking), config=ExecutionConfig(**config))
     engine.register_table(data.table)
     engine.define(data.task_dsl)
     return engine, market
 
 
-def animals_engine(seed=11, **config):
+def animals_engine(seed=11, blocking=False, **config):
     data = animals_dataset()
     market = RecordingMarketplace(data.truth, seed=seed)
-    engine = Qurk(platform=market, config=ExecutionConfig(**config))
+    engine = Qurk(platform=market.platform(blocking), config=ExecutionConfig(**config))
     engine.register_table(data.table)
     engine.define(data.task_dsl)
     return engine, market
@@ -112,7 +118,7 @@ ISFEMALE_DSL = (
 )
 
 
-def celebrity_engine(seed=1, n=12, **config):
+def celebrity_engine(seed=1, n=12, blocking=False, **config):
     data = celebrity_dataset(n=n, seed=seed)
     data.truth.add_filter_task(
         "isFemale",
@@ -122,7 +128,7 @@ def celebrity_engine(seed=1, n=12, **config):
         },
     )
     market = RecordingMarketplace(data.truth, seed=seed)
-    engine = Qurk(platform=market, config=ExecutionConfig(**config))
+    engine = Qurk(platform=market.platform(blocking), config=ExecutionConfig(**config))
     engine.register_table(data.celebs)
     engine.register_table(data.photos)
     engine.define(data.task_dsl)
@@ -130,7 +136,7 @@ def celebrity_engine(seed=1, n=12, **config):
     return engine, market
 
 
-def movie_engine(seed=0, **overrides):
+def movie_engine(seed=0, blocking=False, **overrides):
     data = movie_dataset(seed=seed)
     market = RecordingMarketplace(data.truth, seed=seed)
     config = ExecutionConfig(
@@ -144,7 +150,7 @@ def movie_engine(seed=0, **overrides):
         rate_batch_size=5,
         **overrides,
     )
-    engine = Qurk(platform=market, config=config)
+    engine = Qurk(platform=market.platform(blocking), config=config)
     engine.register_table(data.actors)
     engine.register_table(data.scenes)
     engine.define(data.task_dsl)
@@ -196,10 +202,8 @@ EXAMPLE_WORKLOADS = {
 
 def run_workload(name: str, pipelined: bool):
     builder, overrides, query = EXAMPLE_WORKLOADS[name]
-    engine, market = builder(**overrides)
-    with pipeline.forced(pipelined):
-        result = engine.execute(query)
-    return result, market
+    engine, market = builder(blocking=not pipelined, **overrides)
+    return engine.execute(query), market
 
 
 # ---------------------------------------------------------------------------
@@ -251,12 +255,12 @@ def test_single_crowd_operator_trace_is_exact():
 
 
 def test_repro_pipeline_off_reproduces_golden_trace():
-    """The toggle reverts to the depth-first interpreter bit-for-bit: the
-    PR-1 golden trace (votes, clock, ledger) reproduces exactly."""
+    """The depth-first interpreter (what ``REPRO_PIPELINE=0`` used to select;
+    now any blocking platform) reproduces the golden trace (votes, clock,
+    ledger) bit-for-bit."""
     golden = json.loads(GOLDEN_PATH.read_text())
-    engine, market = movie_engine(seed=0)
-    with pipeline.forced(False):
-        result = engine.execute(QUERY_WITH_FILTER)
+    engine, market = movie_engine(seed=0, blocking=True)
+    result = engine.execute(QUERY_WITH_FILTER)
     votes = [
         [qid, a.worker_id, repr(value)]
         for a in market.harvested
@@ -267,16 +271,6 @@ def test_repro_pipeline_off_reproduces_golden_trace():
     assert len(result.rows) == golden["result_rows"]
     assert engine.ledger.total_hits == golden["ledger"]["total_hits"]
     assert engine.ledger.total_assignments == golden["ledger"]["total_assignments"]
-
-
-def test_config_pipeline_flag_overrides_toggle():
-    engine, market = squares_engine(sort_method="compare")
-    with pipeline.forced(True):
-        result = engine.execute(
-            "SELECT squares.label FROM squares ORDER BY squareSorter(img)",
-            config=engine.config.with_overrides(pipeline=False),
-        )
-    assert result.pipeline_summary is None
 
 
 # ---------------------------------------------------------------------------
@@ -386,8 +380,7 @@ def test_queue_occupancy_bounded_and_backpressure_recorded():
     engine, _ = animals_engine(
         pipeline_chunk_size=4, pipeline_queue_chunks=2
     )
-    with pipeline.forced(True):
-        result = engine.execute("SELECT a.name FROM animals a")
+    result = engine.execute("SELECT a.name FROM animals a")
     assert len(result) == 27
     scan_node = next(
         node for node in result.plan.walk() if isinstance(node, ScanNode)
@@ -400,7 +393,7 @@ def test_queue_occupancy_bounded_and_backpressure_recorded():
     assert pstats.emit_stalls > 0  # the producer outpaced the bounded queue
 
 
-def grouped_squares_engine(groups=3, per_group=5, seed=7, **config):
+def grouped_squares_engine(groups=3, per_group=5, seed=7, blocking=False, **config):
     """Squares spread over plain-prefix groups: ``ORDER BY grp, rank(img)``
     crowd-sorts each group independently — the per-group batches overlap
     under the pipelined executor."""
@@ -414,7 +407,7 @@ def grouped_squares_engine(groups=3, per_group=5, seed=7, **config):
             {"grp": f"g{index % groups}", "label": row["label"], "img": row["img"]}
         )
     market = RecordingMarketplace(data.truth, seed=seed)
-    engine = Qurk(platform=market, config=ExecutionConfig(**config))
+    engine = Qurk(platform=market.platform(blocking), config=ExecutionConfig(**config))
     engine.register_table(table)
     engine.define(data.task_dsl)
     return engine, market
@@ -427,11 +420,9 @@ def test_grouped_sort_overlaps_and_matches_depth_first():
     """Sanity for the budget test's workload: the three per-group rate
     batches genuinely overlap, with identical results."""
     engine, market = grouped_squares_engine(sort_method="rate")
-    with pipeline.forced(True):
-        result = engine.execute(GROUPED_SORT_QUERY)
-    ref_engine, ref_market = grouped_squares_engine(sort_method="rate")
-    with pipeline.forced(False):
-        ref_result = ref_engine.execute(GROUPED_SORT_QUERY)
+    result = engine.execute(GROUPED_SORT_QUERY)
+    ref_engine, ref_market = grouped_squares_engine(sort_method="rate", blocking=True)
+    ref_result = ref_engine.execute(GROUPED_SORT_QUERY)
     assert result.as_dicts() == ref_result.as_dicts()
     assert vote_stream(market) == vote_stream(ref_market)
     assert result.pipeline_summary["peak_outstanding_groups"] >= 3
@@ -450,15 +441,14 @@ def test_budget_abort_point_matches_depth_first():
 
     def spend(pipelined: bool, max_budget: float | None):
         engine, market = grouped_squares_engine(
-            sort_method="rate", max_budget=max_budget
+            sort_method="rate", max_budget=max_budget, blocking=not pipelined
         )
-        with pipeline.forced(pipelined):
-            try:
-                engine.execute(GROUPED_SORT_QUERY)
-            except BudgetExceededError:
-                status = "aborted"
-            else:
-                status = "completed"
+        try:
+            engine.execute(GROUPED_SORT_QUERY)
+        except BudgetExceededError:
+            status = "aborted"
+        else:
+            status = "completed"
         return (
             status,
             round(engine.ledger.total_cost, 10),

@@ -392,20 +392,11 @@ def test_blocking_platform_falls_back_to_serial():
     """A platform without the multi-client API still serves sessions —
     serially, through its blocking post path."""
 
-    class BlockingOnly:
-        def __init__(self, inner):
-            self.inner = inner
-
-        def post_hit_group(self, hits, group_id=None):
-            return self.inner.post_hit_group(hits, group_id=group_id)
-
-        @property
-        def clock_seconds(self):
-            return self.inner.clock_seconds
+    from repro.experiments.harness import BlockingPlatform
 
     data = squares_dataset(n=6, seed=3)
     market = SimulatedMarketplace(data.truth, seed=3)
-    session = EngineSession(platform=BlockingOnly(market))
+    session = EngineSession(platform=BlockingPlatform(market))
     session.register_table(data.table)
     session.define(data.task_dsl)
     query = "SELECT squares.label FROM squares ORDER BY squareSorter(img)"

@@ -1,15 +1,18 @@
-"""The REPRO_SORTSCALE equivalence contract.
+"""The scale-out sort engine against straightforward oracles.
 
-The scale-out sort engine promises that, tournament LIMIT path aside,
-every fast implementation is *output-identical* to the reference it
-replaces: same orders, same removed-edge sets, same hybrid repair
-trajectories, bit for bit. These tests enforce that promise on random
-vote corpora with planted cycles (via ``repro.experiments.sort_workload``
-and ad-hoc random tournaments), and pin the LIMIT tournament path's
-row-identity and HIT savings on the steep-latent workload.
+Incremental cycle breaking, the heap-based topological sort, and the
+indexed confidence-window scorer must be *output-identical* to the
+textbook versions defined in this module: same orders, same removed-edge
+sets, same hybrid repair trajectories, bit for bit. These tests enforce
+that on random vote corpora with planted cycles (via
+``repro.experiments.sort_workload``) and ad-hoc random tournaments, and pin
+the LIMIT tournament path's row-identity and HIT savings on the
+steep-latent workload.
 """
 
 from __future__ import annotations
+
+from typing import Mapping, Sequence
 
 import pytest
 
@@ -26,45 +29,130 @@ from repro.sorting.graph import (
     ComparisonGraph,
     break_cycles,
     graph_order,
+    strongly_connected_components,
     topological_order,
 )
 from repro.sorting.head_to_head import WinCountIndex, head_to_head_order
 from repro.sorting.hybrid import ConfidenceStrategy, HybridSorter
 from repro.sorting.rating import RatingSummary
 from repro.sorting.topk import tournament_top_k
-from repro.util import sortscale
 from repro.util.rng import RandomSource
 
 
 # ---------------------------------------------------------------------------
-# Graph layer: orders and removed-edge sets identical under both modes
+# Oracles: the textbook versions the engine's implementations must match
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("n", [12, 40, 80])
+def oracle_break_cycles(graph: ComparisonGraph) -> list[tuple[str, str]]:
+    """Full-Tarjan sweeps: delete each cyclic component's weakest edge,
+    then recompute every SCC of the whole graph, until none is cyclic."""
+    removed: list[tuple[str, str]] = []
+    while True:
+        cyclic = [c for c in strongly_connected_components(graph) if len(c) > 1]
+        if not cyclic:
+            return removed
+        # Components are disjoint, so one edge snapshot serves the sweep.
+        component_of = {node: k for k, c in enumerate(cyclic) for node in c}
+        internal: list[list[tuple[tuple[str, str], float]]] = [[] for _ in cyclic]
+        for edge, weight in graph.edges.items():
+            k = component_of.get(edge[0])
+            if k is not None and component_of.get(edge[1]) == k:
+                internal[k].append((edge, weight))
+        for edges in internal:
+            victim = min(edges, key=lambda pair: (pair[1], pair[0]))[0]
+            graph.remove_edge(*victim)
+            removed.append(victim)
+
+
+def oracle_topological_order(graph: ComparisonGraph) -> list[str]:
+    """Kahn with a ready list re-sorted after every step, least → most."""
+    in_degree = {node: 0 for node in graph.items}
+    adjacency: dict[str, list[str]] = {node: [] for node in graph.items}
+    for winner, loser in graph.edges:
+        in_degree[loser] += 1
+        adjacency[winner].append(loser)
+    ready = sorted(node for node, degree in in_degree.items() if degree == 0)
+    order: list[str] = []
+    while ready:
+        node = ready.pop(0)
+        order.append(node)
+        for succ in sorted(adjacency[node]):
+            in_degree[succ] -= 1
+            if in_degree[succ] == 0:
+                ready.append(succ)
+        ready.sort()
+    assert len(order) == len(graph.items), "oracle needs an acyclic graph"
+    order.reverse()
+    return order
+
+
+def oracle_graph_order(items, corpus) -> list[str]:
+    graph = ComparisonGraph.from_votes(items, corpus)
+    oracle_break_cycles(graph)
+    return oracle_topological_order(graph)
+
+
+class OracleConfidenceStrategy(ConfidenceStrategy):
+    """Scores every window with :meth:`ConfidenceStrategy.window_overlap`
+    directly instead of the sliding pair index."""
+
+    def next_window(
+        self,
+        order: Sequence[str],
+        summaries: Mapping[str, RatingSummary],
+        iteration: int,
+    ) -> list[int]:
+        size = min(self.window_size, len(order))
+        if self._ranked_starts is None:
+            scores = [
+                (self.window_overlap(order[start : start + size], summaries), start)
+                for start in range(0, len(order) - size + 1)
+            ]
+            scores.sort(key=lambda pair: (-pair[0], pair[1]))
+            self._ranked_starts = [start for _, start in scores]
+        start = self._ranked_starts[iteration % len(self._ranked_starts)]
+        return list(range(start, start + size))
+
+
+# ---------------------------------------------------------------------------
+# Graph layer: orders and removed-edge sets identical to the oracle
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [12, 40, 80, 200])
 @pytest.mark.parametrize("seed", [0, 3])
 def test_graph_order_identical_under_toggle(n, seed):
     items, corpus = comparison_corpus(n, seed=seed)
-    with sortscale.forced(False):
-        reference = graph_order(items, corpus)
-    with sortscale.forced(True):
-        scale = graph_order(items, corpus)
-    assert reference == scale
+    assert graph_order(items, corpus) == oracle_graph_order(items, corpus)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 5])
 def test_break_cycles_removed_set_identical(seed):
-    items, corpus = comparison_corpus(40, seed=seed)
-    removed = {}
-    final_edges = {}
-    for flag in (False, True):
+    for n in (40, 200):
+        items, corpus = comparison_corpus(n, seed=seed)
+        oracle_graph = ComparisonGraph.from_votes(items, corpus)
         graph = ComparisonGraph.from_votes(items, corpus)
-        with sortscale.forced(flag):
-            removed[flag] = break_cycles(graph)
-        final_edges[flag] = graph.edges
-    assert removed[False], "workload must actually plant cycles"
-    assert set(removed[False]) == set(removed[True])
-    assert final_edges[False] == final_edges[True]
+        expected = oracle_break_cycles(oracle_graph)
+        removed = break_cycles(graph)
+        assert expected, "workload must actually plant cycles"
+        assert set(removed) == set(expected), n
+        assert graph.edges == oracle_graph.edges, n
+
+
+def test_graph_order_and_removed_set_identical_at_1000():
+    """The largest ``bench_sort_scale`` corpus, where the incremental
+    worklist interleaves hundreds of components."""
+    items, corpus = comparison_corpus(1000, seed=0)
+    oracle_graph = ComparisonGraph.from_votes(items, corpus)
+    graph = ComparisonGraph.from_votes(items, corpus)
+    expected = oracle_break_cycles(oracle_graph)
+    assert len(expected) > 100, "workload must plant many cycles"
+    assert set(break_cycles(graph)) == set(expected)
+    assert graph.edges == oracle_graph.edges
+    oracle_order = oracle_topological_order(oracle_graph)
+    assert topological_order(graph) == oracle_order
+    assert graph_order(items, corpus) == oracle_order
 
 
 @pytest.mark.parametrize("seed", [2, 9])
@@ -79,34 +167,27 @@ def test_random_tournament_identical_under_toggle(seed):
                 edges.append((items[i], items[j], rng.randint(1, 9)))
             else:
                 edges.append((items[j], items[i], rng.randint(1, 9)))
-    orders = {}
-    removed = {}
-    for flag in (False, True):
+    graphs = []
+    for _ in range(2):
         graph = ComparisonGraph(items)
         for winner, loser, weight in edges:
             graph.add_edge(winner, loser, weight)
-        with sortscale.forced(flag):
-            removed[flag] = set(break_cycles(graph))
-            orders[flag] = topological_order(graph)
-    assert orders[False] == orders[True]
-    assert removed[False] == removed[True]
+        graphs.append(graph)
+    oracle_graph, graph = graphs
+    expected_removed = set(oracle_break_cycles(oracle_graph))
+    assert set(break_cycles(graph)) == expected_removed
+    assert topological_order(graph) == oracle_topological_order(oracle_graph)
 
 
 def test_topological_order_identical_on_sparse_dag():
     rng = RandomSource(11)
     items = [f"n{k:03d}" for k in range(60)]
-    graph_ref = ComparisonGraph(items)
-    graph_scale = ComparisonGraph(items)
+    graph = ComparisonGraph(items)
     for i in range(len(items)):
         for j in range(i + 1, len(items)):
             if rng.chance(0.15):
-                for graph in (graph_ref, graph_scale):
-                    graph.add_edge(items[j], items[i])
-    with sortscale.forced(False):
-        reference = topological_order(graph_ref)
-    with sortscale.forced(True):
-        scale = topological_order(graph_scale)
-    assert reference == scale
+                graph.add_edge(items[j], items[i])
+    assert topological_order(graph) == oracle_topological_order(graph)
 
 
 def test_indexed_graph_structure_matches_reference_semantics():
@@ -177,14 +258,11 @@ def test_hybrid_confidence_trajectories_identical(seed):
                 winners[(a, b)] = a if latents[a] > latents[b] else b
         return winners
 
-    trajectories = {}
-    for flag in (False, True):
-        with sortscale.forced(flag):
-            sorter = HybridSorter(
-                summaries, ConfidenceStrategy(window_size=5), oracle_compare
-            )
-            trajectories[flag] = sorter.run(15)
-    assert trajectories[False] == trajectories[True]
+    trajectories = []
+    for strategy in (OracleConfidenceStrategy, ConfidenceStrategy):
+        sorter = HybridSorter(summaries, strategy(window_size=5), oracle_compare)
+        trajectories.append(sorter.run(15))
+    assert trajectories[0] == trajectories[1]
 
 
 def test_win_count_index_matches_head_to_head_order():
@@ -249,9 +327,8 @@ def test_limit_tournament_rows_identical_and_cheaper(direction, labels):
     )
     outcomes = {}
     for flag in (False, True):
-        _, engine = _limit_engine(60)
-        with sortscale.forced(flag):
-            outcomes[flag] = engine.execute(query)
+        _, engine = _limit_engine(60, limit_sort_tournament=flag)
+        outcomes[flag] = engine.execute(query)
     assert outcomes[False].column("squares.label") == labels
     assert (
         outcomes[True].column("squares.label")
@@ -261,20 +338,20 @@ def test_limit_tournament_rows_identical_and_cheaper(direction, labels):
 
 
 def test_limit_tournament_config_override_beats_toggle():
+    """A per-query config override switches the tournament off (and back on)
+    whatever the engine's default config says."""
     query = (
         "SELECT squares.label FROM squares "
         "ORDER BY squareSorter(img) DESC LIMIT 3"
     )
     _, engine = _limit_engine(40)
-    with sortscale.forced(True):
-        full = engine.execute(
-            query, config=engine.config.with_overrides(limit_sort_tournament=False)
-        )
-    _, engine = _limit_engine(40)
-    with sortscale.forced(False):
-        tournament = engine.execute(
-            query, config=engine.config.with_overrides(limit_sort_tournament=True)
-        )
+    full = engine.execute(
+        query, config=engine.config.with_overrides(limit_sort_tournament=False)
+    )
+    _, engine = _limit_engine(40, limit_sort_tournament=False)
+    tournament = engine.execute(
+        query, config=engine.config.with_overrides(limit_sort_tournament=True)
+    )
     assert tournament.hit_count < full.hit_count
     assert tournament.column("squares.label") == full.column("squares.label")
 
@@ -285,8 +362,7 @@ def test_limit_tournament_records_signals():
         "ORDER BY squareSorter(img) DESC LIMIT 3"
     )
     _, engine = _limit_engine(40)
-    with sortscale.forced(True):
-        result = engine.execute(query)
+    result = engine.execute(query)
     signals = {}
     for stats in result.node_stats.values():
         signals.update(stats.signals)
@@ -305,12 +381,12 @@ def test_limit_hint_not_used_for_rate_sorts():
         data = limit_sort_setup(40)
         market = SimulatedMarketplace(data.truth, seed=0)
         engine = Qurk(
-            platform=market, config=ExecutionConfig(sort_method="rate")
+            platform=market,
+            config=ExecutionConfig(sort_method="rate", limit_sort_tournament=flag),
         )
         engine.register_table(data.table)
         engine.define(data.task_dsl)
-        with sortscale.forced(flag):
-            result = engine.execute(query)
+        result = engine.execute(query)
         hits[flag] = result.hit_count
         assert len(result) == 3
     assert hits[False] == hits[True]

@@ -64,3 +64,45 @@ def test_whole_set_single_group():
     items = ["a", "b", "c"]
     groups = covering_groups(items, 3, seed=0)
     assert len(groups) == 1
+
+
+def textbook_greedy_cover(items, group_size, seed):
+    """The greedy covering written plainly: recount each candidate's gain
+    against the group on every pick. The incremental implementation must
+    draw and pick identically."""
+    from repro.util.rng import RandomSource
+
+    rng = RandomSource(seed).child("covering-groups")
+    uncovered = all_pairs(items)
+    degree = {item: len(items) - 1 for item in items}
+    groups = []
+    while uncovered:
+        max_degree = max(degree.values())
+        group = [rng.choice([item for item, d in degree.items() if d == max_degree])]
+        while len(group) < group_size:
+            gains = {
+                item: sum(tuple(sorted((item, m))) in uncovered for m in group)
+                for item in items
+                if item not in group
+            }
+            best = max(gains.values())
+            group.append(rng.choice([item for item, g in gains.items() if g == best]))
+        for i in range(len(group)):
+            for j in range(i + 1, len(group)):
+                pair = tuple(sorted((group[i], group[j])))
+                if pair in uncovered:
+                    uncovered.discard(pair)
+                    degree[pair[0]] -= 1
+                    degree[pair[1]] -= 1
+        groups.append(tuple(group))
+    return groups
+
+
+@pytest.mark.parametrize(
+    "n, group_size, seed", [(6, 3, 0), (12, 4, 1), (20, 5, 2), (31, 5, 7)]
+)
+def test_covering_groups_match_textbook_greedy(n, group_size, seed):
+    items = [f"i{k:02d}" for k in range(n)]
+    assert covering_groups(items, group_size, seed=seed) == textbook_greedy_cover(
+        items, group_size, seed
+    )

@@ -1,11 +1,12 @@
-"""The REPRO_PIPELINE / REPRO_FASTPATH toggles' environment contract.
+"""The REPRO_* toggles' environment contract.
 
-Both toggles used to read their environment variable once, at import, so
-``os.environ["REPRO_PIPELINE"] = "0"`` after ``import repro`` was silently
+The toggles used to read their environment variable once, at import, so
+``os.environ["REPRO_ADAPT"] = "0"`` after ``import repro`` was silently
 ignored. They now re-read the variable at engine/session construction
 (:func:`refresh_from_env`); a *changed* environment value wins, while an
 unchanged environment leaves programmatic ``set_enabled`` / ``forced``
-overrides alone.
+overrides alone. Four toggles remain (ADAPT, RESILIENCE, STORE, VECTOR);
+the retired FASTPATH, PIPELINE and SORTSCALE variables are ignored.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from repro.core.engine import Qurk
 from repro.core.session import EngineSession
 from repro.crowd import SimulatedMarketplace
 from repro.datasets import animals_dataset
-from repro.util import adapt, fastpath, pipeline, resilience, sortscale, store, vector
+from repro.util import adapt, resilience, store, vector
 
 
 def _require_unset(var: str) -> str | None:
@@ -33,10 +34,7 @@ def _restore(var: str, previous: str | None) -> None:
         os.environ.pop(var, None)
     else:
         os.environ[var] = previous
-    pipeline.refresh_from_env()
-    fastpath.refresh_from_env()
     adapt.refresh_from_env()
-    sortscale.refresh_from_env()
     resilience.refresh_from_env()
     store.refresh_from_env()
     vector.refresh_from_env()
@@ -48,55 +46,6 @@ def animals_engine():
     engine = Qurk(platform=market)
     engine.register_table(data.table)
     return engine, data
-
-
-def test_pipeline_env_set_after_import_takes_effect_at_engine_construction():
-    previous = _require_unset("REPRO_PIPELINE")
-    try:
-        os.environ["REPRO_PIPELINE"] = "0"
-        assert pipeline.enabled()  # not yet re-read: construction does that
-        engine, _ = animals_engine()
-        assert not pipeline.enabled()
-        result = engine.execute("SELECT a.name FROM animals a")
-        assert result.pipeline_summary is None  # ran depth-first
-    finally:
-        _restore("REPRO_PIPELINE", previous)
-    engine, _ = animals_engine()
-    assert pipeline.enabled()
-    assert engine.execute("SELECT a.name FROM animals a").pipeline_summary is not None
-
-
-def test_pipeline_env_honored_by_session_construction():
-    previous = _require_unset("REPRO_PIPELINE")
-    try:
-        os.environ["REPRO_PIPELINE"] = "0"
-        data = animals_dataset()
-        session = EngineSession(platform=SimulatedMarketplace(data.truth, seed=1))
-        assert not pipeline.enabled()
-        session.register_table(data.table)
-        query = "SELECT a.name FROM animals a"
-        h0, h1 = session.submit(query), session.submit(query)
-        outcome = session.run()
-        assert outcome[h0].pipeline_summary is None
-        assert outcome[h1].pipeline_summary is None
-        # With nothing pipelinable there is nothing to interleave: the
-        # session must report the serial execution that actually happened.
-        assert outcome.stats.mode == "serial"
-    finally:
-        _restore("REPRO_PIPELINE", previous)
-
-
-def test_fastpath_env_set_after_import_takes_effect_at_engine_construction():
-    previous = _require_unset("REPRO_FASTPATH")
-    try:
-        os.environ["REPRO_FASTPATH"] = "0"
-        assert fastpath.enabled()
-        animals_engine()
-        assert not fastpath.enabled()
-    finally:
-        _restore("REPRO_FASTPATH", previous)
-    animals_engine()
-    assert fastpath.enabled()
 
 
 def test_adapt_env_set_after_import_takes_effect_at_engine_construction():
@@ -116,30 +65,6 @@ def test_adapt_env_set_after_import_takes_effect_at_engine_construction():
         engine.execute("SELECT a.name FROM animals a").adaptive_summary
         is not None
     )
-
-
-def test_sortscale_env_set_after_import_takes_effect_at_engine_construction():
-    previous = _require_unset("REPRO_SORTSCALE")
-    try:
-        os.environ["REPRO_SORTSCALE"] = "0"
-        assert sortscale.enabled()  # not yet re-read: construction does that
-        animals_engine()
-        assert not sortscale.enabled()
-    finally:
-        _restore("REPRO_SORTSCALE", previous)
-    animals_engine()
-    assert sortscale.enabled()
-
-
-def test_sortscale_env_honored_by_session_construction():
-    previous = _require_unset("REPRO_SORTSCALE")
-    try:
-        os.environ["REPRO_SORTSCALE"] = "0"
-        data = animals_dataset()
-        EngineSession(platform=SimulatedMarketplace(data.truth, seed=1))
-        assert not sortscale.enabled()
-    finally:
-        _restore("REPRO_SORTSCALE", previous)
 
 
 def test_resilience_env_set_after_import_takes_effect_at_engine_construction():
@@ -339,22 +264,63 @@ def test_adapt_config_overrides_toggle():
 def test_refresh_does_not_clobber_programmatic_overrides():
     """An unchanged environment must leave forced()/set_enabled() alone —
     constructing an engine inside a forced(False) block keeps it off."""
-    with pipeline.forced(False):
+    _require_unset("REPRO_ADAPT")
+    _require_unset("REPRO_RESILIENCE")
+    with adapt.forced(False):
         animals_engine()
-        assert not pipeline.enabled()
-    assert pipeline.enabled()
-    with fastpath.forced(False):
+        assert not adapt.enabled()
+    assert adapt.enabled()
+    with resilience.forced(False):
         animals_engine()
-        assert not fastpath.enabled()
-    assert fastpath.enabled()
+        assert not resilience.enabled()
+    assert resilience.enabled()
 
 
 def test_env_change_overrides_programmatic_setting():
-    previous = os.environ.get("REPRO_FASTPATH")
+    previous = os.environ.get("REPRO_ADAPT")
     try:
-        fastpath.set_enabled(False)
-        os.environ["REPRO_FASTPATH"] = "1"
-        assert fastpath.refresh_from_env()  # changed env wins
-        assert fastpath.enabled()
+        adapt.set_enabled(False)
+        os.environ["REPRO_ADAPT"] = "1"
+        assert adapt.refresh_from_env()  # changed env wins
+        assert adapt.enabled()
     finally:
-        _restore("REPRO_FASTPATH", previous)
+        _restore("REPRO_ADAPT", previous)
+
+
+def test_retired_toggles_are_ignored():
+    """REPRO_FASTPATH, REPRO_PIPELINE and REPRO_SORTSCALE no longer select
+    anything: set to 0, the engine still pipelines on an overlap-capable
+    platform, a session still overlaps, the LIMIT tournament still runs,
+    and the stub modules still report the one implementation."""
+    from repro.datasets.squares import squares_dataset
+    from repro.util import fastpath, pipeline, sortscale
+
+    retired = ("REPRO_FASTPATH", "REPRO_PIPELINE", "REPRO_SORTSCALE")
+    previous = {var: os.environ.get(var) for var in retired}
+    try:
+        for var in retired:
+            os.environ[var] = "0"
+        engine, _ = animals_engine()
+        assert engine.execute("SELECT a.name FROM animals a").pipeline_summary
+        data = animals_dataset()
+        session = EngineSession(platform=SimulatedMarketplace(data.truth, seed=1))
+        session.register_table(data.table)
+        session.submit("SELECT a.name FROM animals a")
+        session.submit("SELECT a.name FROM animals a")
+        assert session.run().stats.mode == "concurrent"
+        squares = squares_dataset(n=12, seed=0)
+        engine = Qurk(platform=SimulatedMarketplace(squares.truth, seed=0))
+        engine.register_table(squares.table)
+        engine.define(squares.task_dsl)
+        result = engine.execute(
+            "SELECT squares.label FROM squares "
+            "ORDER BY squareSorter(img) DESC LIMIT 2"
+        )
+        signals = {}
+        for stats in result.node_stats.values():
+            signals.update(stats.signals)
+        assert signals.get("limit_tournament_k") == 2.0
+        assert fastpath.enabled() and pipeline.enabled() and sortscale.enabled()
+    finally:
+        for var, value in previous.items():
+            _restore(var, value)

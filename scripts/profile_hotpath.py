@@ -8,34 +8,26 @@ Usage::
     PYTHONPATH=src python scripts/profile_hotpath.py [--scale N] [--top K]
     PYTHONPATH=src python scripts/profile_hotpath.py --check
 
-``--check`` is the CI guard; it exits nonzero when either hot-path budget
-is blown:
+``--check`` is the CI guard; it exits nonzero when any hot-path budget is
+blown:
 
 1. ``child_seed`` or ``payload_cache_key`` appear among the top-5
    cumulative profile entries — per-assignment seed hashing or per-lookup
    payload ``repr`` crept back onto the dispatch path;
-2. the pipelined executor's wall-clock on the macro workload exceeds the
-   depth-first interpreter's by more than 5% — the scheduler's queue and
-   bookkeeping machinery started taxing the path it is supposed to merely
-   re-time. Both executors run the same macro in-process (best of
-   ``--check-repeats``), the depth-first one on the same marketplace behind
-   :class:`~repro.experiments.harness.BlockingPlatform`, and the
-   measurement is appended to ``benchmarks/BENCH_pipeline.json`` under
-   ``ci_check``;
-3. the 8-query session's wall-clock throughput regresses more than 5%
+2. the 8-query session's wall-clock throughput regresses more than 5%
    against the ratio recorded in ``benchmarks/BENCH_session.json`` — the
    session loop's round-robin bookkeeping started costing real time over
    running the same queries serially. The comparison is the
    concurrent/serial wall *ratio* (machine-independent), measured
-   in-process with the same hygiene as the pipeline check and appended to
-   ``BENCH_session.json`` under ``ci_check``;
-4. the adaptive optimizer's wall-clock on the macro workload exceeds the
+   in-process (best of ``--check-repeats``, interleaved, CPU time) and
+   appended to ``BENCH_session.json`` under ``ci_check``;
+3. the adaptive optimizer's wall-clock on the macro workload exceeds the
    static rewriter's (``REPRO_ADAPT=0``) by more than 5% — the
    plan-fusion, cost-model, and selectivity-book machinery started
    taxing queries it has nothing to adapt. Same interleaved best-of
    measurement; the result is appended to ``benchmarks/BENCH_adaptive.json``
    under ``ci_check``;
-5. graph_order's growth from 200 to 1000 planted-cycle items (CPU time at
+4. graph_order's growth from 200 to 1000 planted-cycle items (CPU time at
    N=1000 over CPU time at N=200) exceeds the ratio recorded in
    ``benchmarks/BENCH_sort.json`` (written by
    ``benchmarks/bench_sort_scale.py``) by more than 5% — the indexed graph
@@ -43,13 +35,13 @@ is blown:
    the same code at two sizes keeps the guard machine-independent without
    a second implementation to compare against; the measurement is appended
    to ``BENCH_sort.json`` under ``ci_check``;
-6. the resilience layer's fault-free macro wall-clock exceeds the
+5. the resilience layer's fault-free macro wall-clock exceeds the
    ``REPRO_RESILIENCE=0`` baseline's by more than 5% — the retry/repost
    machinery is gated off entirely on marketplaces without a fault plan,
    so any measurable overhead means the gate leaked onto the dispatch
    path. Same interleaved best-of measurement; the result is appended to
    ``benchmarks/BENCH_resilience.json`` under ``ci_check``;
-7. the persistent answer store's warm/cold wall ratio regresses more than
+6. the persistent answer store's warm/cold wall ratio regresses more than
    5% against the one recorded in ``benchmarks/BENCH_store.json`` (written
    by ``benchmarks/bench_store.py``) — the warm run is pure store-read
    path (SQLite fetch, JSON decode, memory-layer promotion), so a rising
@@ -58,7 +50,7 @@ is blown:
    ``repro.experiments.store_workload.measure_cold_warm`` smoke (best-of
    CPU, GC paused, fresh store file per repeat) and appended to
    ``BENCH_store.json`` under ``ci_check``;
-8. the ``REPRO_VECTOR`` kernel's wall-clock ratio against the scalar
+7. the ``REPRO_VECTOR`` kernel's wall-clock ratio against the scalar
    path on the 4x macro regresses more than 5% over the ratio recorded in
    ``benchmarks/BENCH_perf_hotpath.json`` (``vector_macro.scale_4x.ratio``,
    written by ``benchmarks/bench_perf_hotpath.py``) — the numpy batch
@@ -67,7 +59,7 @@ is blown:
    recorded; otherwise measured interleaved best-of and appended to
    ``BENCH_perf_hotpath.json`` under ``ci_check``.
 
-``--check-store`` runs only check 7 (no profiling, no macro sweeps) — the
+``--check-store`` runs only check 6 (no profiling, no macro sweeps) — the
 fast lane ``scripts/ci_fast.sh`` uses it alongside the ``-m "not slow"``
 pytest suite for a minutes-not-hours smoke signal.
 """
@@ -88,7 +80,6 @@ from repro.crowd import SimulatedMarketplace
 from repro.crowd.latency import LatencyConfig, LatencyModel
 from repro.datasets.movie import movie_dataset
 from repro.experiments.end_to_end import QUERY_WITH_FILTER
-from repro.experiments.harness import BlockingPlatform
 from repro.hits.cache import TaskCache
 from repro.joins.batching import JoinInterface
 from repro.util import adapt
@@ -96,7 +87,6 @@ from repro.util import resilience
 
 CHECK_TOP_N = 5
 FORBIDDEN_IN_TOP = ("child_seed", "payload_cache_key")
-PIPELINE_OVERHEAD_LIMIT = 1.05
 SESSION_REGRESSION_LIMIT = 1.05
 ADAPTIVE_OVERHEAD_LIMIT = 1.05
 SORT_GROWTH_REGRESSION_LIMIT = 1.05
@@ -106,7 +96,6 @@ VECTOR_RATIO_REGRESSION_LIMIT = 1.05
 SESSION_QUERY_COUNT = 8
 SORT_GROWTH_CHECK_ITEMS = (200, 1000)
 VECTOR_CHECK_SCALE = 4
-BENCH_PIPELINE_PATH = Path(__file__).parent.parent / "benchmarks" / "BENCH_pipeline.json"
 BENCH_SESSION_PATH = Path(__file__).parent.parent / "benchmarks" / "BENCH_session.json"
 BENCH_ADAPTIVE_PATH = Path(__file__).parent.parent / "benchmarks" / "BENCH_adaptive.json"
 BENCH_SORT_PATH = Path(__file__).parent.parent / "benchmarks" / "BENCH_sort.json"
@@ -119,11 +108,9 @@ BENCH_PERF_PATH = (
 )
 
 
-def run_workload(scale: int = 1, seed: int = 0, blocking: bool = False) -> None:
+def run_workload(scale: int = 1, seed: int = 0) -> None:
     """The profiled workload: the optimized Table 5 query, with a task
-    cache configured so the cache-key path is exercised too. ``blocking``
-    hides the marketplace behind :class:`BlockingPlatform`, so the
-    depth-first interpreter runs it instead of the pipelined executor."""
+    cache configured so the cache-key path is exercised too."""
     data = movie_dataset(seed=seed, scale=scale)
     latency = LatencyModel(LatencyConfig(deadline_hours=8.0 * scale))
     market = SimulatedMarketplace(data.truth, seed=seed, latency=latency)
@@ -137,8 +124,7 @@ def run_workload(scale: int = 1, seed: int = 0, blocking: bool = False) -> None:
         compare_group_size=5,
         rate_batch_size=5,
     )
-    platform = BlockingPlatform(market) if blocking else market
-    engine = Qurk(platform=platform, config=config, cache=TaskCache())
+    engine = Qurk(platform=market, config=config, cache=TaskCache())
     engine.register_table(data.actors)
     engine.register_table(data.scenes)
     engine.define(data.task_dsl)
@@ -237,26 +223,6 @@ def _with_toggle(toggle, seed: int):
             run_workload(scale=scale, seed=seed)
 
     return run_mode
-
-
-def check_pipeline_overhead(scale: int, seed: int, repeats: int) -> dict:
-    """Run the macro workload under both executors; measure the ratio.
-
-    The depth-first interpreter (on a blocking view of the same
-    marketplace) is the baseline: ``wall_overhead`` is pipelined /
-    depth-first best-of CPU time, and values above
-    ``PIPELINE_OVERHEAD_LIMIT`` fail CI.
-    """
-    report = _overhead_report(
-        lambda pipelined, size: run_workload(scale=size, seed=seed, blocking=not pipelined),
-        ("depth_first", "pipelined"),
-        scale,
-        seed,
-        repeats,
-        PIPELINE_OVERHEAD_LIMIT,
-    )
-    _append_ci_check(BENCH_PIPELINE_PATH, report)
-    return report
 
 
 def check_adaptive_overhead(scale: int, seed: int, repeats: int) -> dict:
@@ -599,9 +565,8 @@ def main() -> int:
         action="store_true",
         help=(
             "exit nonzero if child_seed or payload_cache_key appear in the "
-            f"top-{CHECK_TOP_N} cumulative entries, or if the pipelined "
-            f"executor's macro wall-clock exceeds the depth-first path's "
-            f"by more than {PIPELINE_OVERHEAD_LIMIT - 1:.0%}"
+            f"top-{CHECK_TOP_N} cumulative entries, or if any of the wall "
+            "and growth guards listed above regresses"
         ),
     )
     def positive_int(value: str) -> int:
@@ -615,7 +580,7 @@ def main() -> int:
         type=positive_int,
         default=5,
         help=(
-            "macro repetitions per mode for the pipeline-overhead check "
+            "repetitions per mode for the --check wall guards "
             "(interleaved, best-of; raise on noisy machines)"
         ),
     )
@@ -626,7 +591,7 @@ def main() -> int:
             "run only the persistent-store warm-path guard (fast smoke: "
             "no profiling, no macro sweeps) — exit nonzero if the restart "
             "pair's warm/cold wall ratio regresses more than "
-            f"{STORE_WARM_REGRESSION_LIMIT - 1:.0%} vs BENCH_store.json"
+            f"{(STORE_WARM_REGRESSION_LIMIT - 1) * 100:.0f}%% vs BENCH_store.json"
         ),
     )
     args = parser.parse_args()
@@ -655,21 +620,6 @@ def main() -> int:
         print(
             f"check ok: none of {FORBIDDEN_IN_TOP} in the top-{CHECK_TOP_N} "
             f"cumulative entries ({top})"
-        )
-        report = check_pipeline_overhead(args.scale, args.seed, args.check_repeats)
-        if report["wall_overhead"] > PIPELINE_OVERHEAD_LIMIT:
-            print(
-                "CHECK FAILED: pipelined executor wall-clock is "
-                f"{report['wall_overhead']:.3f}x the depth-first path "
-                f"(limit {PIPELINE_OVERHEAD_LIMIT}x) on the macro workload: "
-                f"{report}",
-                file=sys.stderr,
-            )
-            return 1
-        print(
-            "check ok: pipelined executor wall-clock is "
-            f"{report['wall_overhead']:.3f}x the depth-first path "
-            f"(limit {PIPELINE_OVERHEAD_LIMIT}x)"
         )
         adaptive_report = check_adaptive_overhead(
             args.scale, args.seed, args.check_repeats

@@ -1,15 +1,15 @@
-"""The Qurk query engine: plans, operators, executors, and facade.
+"""The Qurk query engine: plans, operators, the executor, and facade.
 
 The public entry point is :class:`~repro.core.engine.Qurk`: register tables,
 define tasks in the TASK DSL, and execute SELECT queries whose filters,
-joins, and sorts run on a crowd platform. Execution is handled by the
-event-driven pipelined scheduler (:mod:`repro.core.scheduler`) on platforms
-that support overlapping HIT groups, or by the depth-first interpreter
-(:mod:`repro.core.executor`) on blocking platforms — identical results,
-different latency. Plans pass
-the static rewriter plus, by default, the cost-based adaptive re-optimizer
-(:mod:`repro.core.adaptive`, ``REPRO_ADAPT=0`` to disable); see
-docs/ARCHITECTURE.md.
+joins, and sorts run on a crowd platform. Every query runs on the
+event-driven pipelined scheduler (:mod:`repro.core.scheduler`) over the
+operator bodies in :mod:`repro.core.executor`. On platforms that support
+overlapping HIT groups its postings overlap in virtual time; on blocking
+platforms they run one after another — identical results, different
+latency. Plans pass the static rewriter plus, by default, the cost-based
+adaptive re-optimizer (:mod:`repro.core.adaptive`, ``REPRO_ADAPT=0`` to
+disable); see docs/ARCHITECTURE.md.
 """
 
 from repro.core.adaptive import AdaptiveState, ReplanEvent, SelectivityBook

@@ -271,7 +271,7 @@ def pilot_size(rows: int, conjuncts: int, config: "ExecutionConfig") -> int:
 class AdaptiveChainRun:
     """Drives one fused conjunct chain through pilot + adaptive cascade.
 
-    Built by both executors; each :meth:`step` performs exactly one crowd
+    Built by the scheduler; each :meth:`step` performs exactly one crowd
     posting round, so the pipelined scheduler can yield between rounds
     (its re-plan points) and a session can round-robin other queries in
     between. :meth:`finish` returns the surviving rows in input order —
@@ -443,10 +443,3 @@ class AdaptiveChainRun:
             )
         )
         return passed
-
-
-def adaptive_filter_rows(
-    node: "AdaptiveFilterNode", rows: "list[Row]", ctx: "QueryContext"
-) -> "list[Row]":
-    """Depth-first operator body: run the whole chain to completion."""
-    return AdaptiveChainRun(node, rows, ctx).finish()

@@ -233,14 +233,15 @@ class ExecutionConfig:
 class PipelineStats:
     """Per-operator pipelined-execution telemetry for EXPLAIN.
 
-    Filled in by :mod:`repro.core.scheduler` when a query runs under the
-    pipelined executor; ``None`` on :class:`OperatorStats` otherwise.
+    Filled in by :mod:`repro.core.scheduler` for every operator it runs;
+    ``None`` on :class:`OperatorStats` built outside the scheduler.
     """
 
     stage: int = 0
     """The operator's position in the pipeline's deterministic posting
-    order (post-order plan rank; the depth-first interpreter posts in this
-    exact order, which is why the two executors' vote streams agree)."""
+    order (post-order plan rank). The order is the same whether or not the
+    platform overlaps groups, which is why blocking and overlapping runs
+    produce the same vote streams."""
 
     depth: int = 0
     """Chain length from this operator down to its deepest leaf — the
@@ -293,8 +294,8 @@ class QueryContext:
     node_stats: dict[int, OperatorStats] = field(default_factory=dict)
     pipeline_summary: dict[str, float] | None = None
     """Whole-query pipeline telemetry (stages, makespan, serial latency,
-    peak outstanding groups) when the pipelined executor ran; None under
-    the depth-first interpreter."""
+    peak outstanding groups), set when the scheduler finishes the query;
+    None while it runs and after an abort."""
     label: str = ""
     """Which query this is, for diagnostics — a session sets its per-query
     key here so e.g. budget aborts say which of its queries hit the cap."""
@@ -334,12 +335,12 @@ class QueryContext:
     def charge_budget(self, upcoming_assignments: int) -> None:
         """Pre-flight budget check before posting more work.
 
-        Counts the ledger plus any posted-but-unharvested work: under the
-        pipelined executor, ledger charges land at harvest time, so the
-        operator manager proxy exposes ``inflight_assignments`` for the
-        groups currently outstanding — keeping the abort point identical
-        to the depth-first interpreter's, where every posting charges the
-        ledger before the next pre-flight check runs.
+        Counts the ledger plus any posted-but-unharvested work: when groups
+        stay outstanding, ledger charges land at harvest time, so the
+        scheduler's operator manager proxy exposes ``inflight_assignments``
+        for them — keeping the abort point identical to a blocking
+        platform's, where every posting charges the ledger before the next
+        pre-flight check runs.
         """
         if self.config.max_budget is None:
             return

@@ -194,8 +194,8 @@ class QueryResult:
     """This query's marketplace-counter deltas, when the platform exposes
     stats (the simulated marketplace does)."""
     pipeline_summary: dict[str, float] | None = None
-    """Whole-query overlap telemetry when the pipelined executor ran
-    (stages, groups, peak outstanding, makespan vs serial latency)."""
+    """Whole-query overlap telemetry (stages, groups, peak outstanding,
+    makespan vs serial latency); set for every completed query."""
     adaptive_summary: dict[str, object] | None = None
     """Re-plan telemetry when the adaptive optimizer ran: replan/round
     counts, predicted vs. actual HITs and dollars, and the event log;
@@ -374,10 +374,9 @@ class Qurk:
             rows = run_plan(plan, ctx)
         except (BudgetExceededError, MarketplaceError) as exc:
             # Graceful query-level degradation: with the resilience layer
-            # armed, a budget/platform failure completes the query with
-            # whatever rows were produced (none, for the all-or-nothing
-            # depth-first interpreter) instead of raising; the summary says
-            # why. Without it, today's strict raise is preserved.
+            # armed, a budget/platform failure completes the query with no
+            # rows instead of raising; the summary says why. Without it,
+            # today's strict raise is preserved.
             if res_state is None:
                 raise
             res_state.aborted = f"{type(exc).__name__}: {exc}"

@@ -1,30 +1,28 @@
-"""Plan execution: the depth-first interpreter and the operator bodies.
+"""Plan execution: :func:`run_plan` and the operator bodies.
 
-Two executors share the operator implementations in this module, and the
-platform picks between them:
+One executor runs every query: :func:`run_plan` hands the plan to the
+event-driven scheduler (:mod:`repro.core.scheduler`), which runs each
+operator as a stepping task with bounded input queues over the
+marketplace's virtual clock — the paper's §2.6 design, where operators
+"communicate asynchronously through input queues". The functions below
+are the operator bodies the scheduler's tasks call.
 
-* the **pipelined executor** (:mod:`repro.core.scheduler`) runs each
-  operator as a stepping task with bounded input queues over the
-  marketplace's virtual clock, the paper's §2.6 event-driven design, so
-  crowd operators from different pipeline stages have HIT batches
-  outstanding over overlapping virtual intervals. It needs the platform's
-  multi-client ``submit_hit_group``/``harvest`` API;
-* the **depth-first interpreter** (:func:`run_plan_depth_first`) walks the
-  plan tree recursively and materialises every operator boundary. It
-  serves blocking platforms, which only offer ``post_hit_group``.
+The platform decides only how each HIT group is posted. A platform with
+the multi-client ``submit_hit_group``/``harvest`` API (the simulated
+marketplace) keeps groups outstanding over overlapping virtual intervals;
+a blocking platform, which only offers ``post_hit_group``, resolves each
+group at posting, so the same schedule runs serially. The posting order is
+the plan's post-order either way, and each group's dispatch draws from a
+stream keyed by posting order, so rows, costs, and vote streams are
+identical on both kinds of platform — only virtual latency differs
+(``tests/test_scheduler.py`` enforces this, running the blocking leg
+through :class:`~repro.experiments.harness.BlockingPlatform`).
 
-For a fixed seed both produce identical rows, costs, and vote streams —
-pipelining preserves the depth-first posting order and overlaps only
-virtual time — so the choice is observable solely through latency and
-EXPLAIN telemetry (``tests/test_scheduler.py`` enforces this, running the
-depth-first leg through
-:class:`~repro.experiments.harness.BlockingPlatform`).
-
-Crowd operators still materialise their own *inputs* under both executors:
-HIT batching (merging, §2.6) spans an operator's whole tuple set, so a
-crowd operator drains its input queue before posting. The pipelining wins
-come from sibling operators and independent per-group/per-side batches
-overlapping, plus chunked row flow through the computed operators.
+Crowd operators materialise their own *inputs*: HIT batching (merging,
+§2.6) spans an operator's whole tuple set, so a crowd operator drains its
+input queue before posting. The pipelining wins come from sibling
+operators and independent per-group/per-side batches overlapping, plus
+chunked row flow through the computed operators.
 """
 
 from __future__ import annotations
@@ -33,62 +31,27 @@ from repro.core.context import QueryContext
 from repro.core.crowd_calls import evaluate_with_crowd, run_predicate_calls
 from repro.core.join_exec import execute_join
 from repro.core.plan import (
-    AdaptiveFilterNode,
     ComputedFilterNode,
     CrowdPredicateNode,
     JoinNode,
-    LimitNode,
     PlanNode,
     ProjectNode,
     ScanNode,
-    SortNode,
 )
-from repro.core.sort_exec import execute_sort
 from repro.errors import ExecutionError
-from repro.hits.manager import platform_supports_overlap
-from repro.tasks.registry import DispatchTable
 from repro.relational.expressions import UDFCall
 from repro.relational.rows import Row
 
 
 def run_plan(node: PlanNode, ctx: QueryContext) -> list[Row]:
-    """Execute a plan tree; returns the output rows.
+    """Execute a plan tree with the pipelined scheduler; returns the rows."""
+    from repro.core.scheduler import PipelineScheduler
 
-    Runs the pipelined executor when the platform supports overlap (see
-    the module docstring), else interprets depth-first.
-    """
-    if platform_supports_overlap(ctx.manager.platform):
-        from repro.core.scheduler import run_plan_pipelined
-
-        return run_plan_pipelined(node, ctx)
-    return run_plan_depth_first(node, ctx)
-
-
-NODE_EXECUTORS = DispatchTable("depth-first plan-node executor")
-"""Depth-first handlers keyed by ``PlanNode.kind``.
-
-Each handler takes ``(node, ctx)`` and recurses through
-:func:`run_plan_depth_first` for its inputs. Out-of-tree node kinds
-register here (and in :data:`repro.core.scheduler.PIPELINE_GENERATORS` for
-the pipelined path) without touching this module.
-"""
-
-
-def register_node_executor(kind: str, handler=None, *, replace: bool = False):
-    """Register a depth-first executor for a plan-node kind."""
-    return NODE_EXECUTORS.register(kind, handler, replace=replace)
-
-
-def run_plan_depth_first(node: PlanNode, ctx: QueryContext) -> list[Row]:
-    """The blocking-platform interpreter: recurse, materialise, apply."""
-    run = NODE_EXECUTORS.lookup(node.kind)
-    if run is None:
-        raise ExecutionError(f"no executor for plan node {type(node).__name__}")
-    return run(node, ctx)
+    return PipelineScheduler(node, ctx).run()
 
 
 # ---------------------------------------------------------------------------
-# Operator bodies (shared by both executors)
+# Operator bodies
 # ---------------------------------------------------------------------------
 
 
@@ -111,15 +74,6 @@ def computed_filter_rows(
     kept = [row for row in rows if node.predicate.evaluate(row, env)]
     stats = ctx.stats_for(node)
     stats.rows_in += len(rows)
-    stats.rows_out += len(kept)
-    return kept
-
-
-def limit_rows(node: LimitNode, rows: list[Row], ctx: QueryContext) -> list[Row]:
-    """Keep the first ``count`` rows."""
-    stats = ctx.stats_for(node)
-    stats.rows_in += len(rows)
-    kept = rows[: node.count]
     stats.rows_out += len(kept)
     return kept
 
@@ -222,51 +176,3 @@ def _evaluate_plain(expr, row: Row, env) -> object:
             f"crowd UDF {expr.name!r} reached plain evaluation — planner bug"
         )
     return expr.evaluate(row, env)
-
-
-# ---------------------------------------------------------------------------
-# Builtin node-kind registrations (the paper's operators)
-# ---------------------------------------------------------------------------
-
-
-def _exec_computed_filter(node: ComputedFilterNode, ctx: QueryContext) -> list[Row]:
-    return computed_filter_rows(node, run_plan_depth_first(node.inputs[0], ctx), ctx)
-
-
-def _exec_crowd_filter(node: CrowdPredicateNode, ctx: QueryContext) -> list[Row]:
-    return crowd_filter_rows(node, run_plan_depth_first(node.inputs[0], ctx), ctx)
-
-
-def _exec_adaptive_filter(node: AdaptiveFilterNode, ctx: QueryContext) -> list[Row]:
-    from repro.core.adaptive import adaptive_filter_rows
-
-    return adaptive_filter_rows(node, run_plan_depth_first(node.inputs[0], ctx), ctx)
-
-
-def _exec_join(node: JoinNode, ctx: QueryContext) -> list[Row]:
-    left_rows = run_plan_depth_first(node.inputs[0], ctx)
-    right_rows = run_plan_depth_first(node.inputs[1], ctx)
-    return join_rows(node, left_rows, right_rows, ctx)
-
-
-def _exec_sort(node: SortNode, ctx: QueryContext) -> list[Row]:
-    rows = run_plan_depth_first(node.inputs[0], ctx)
-    return execute_sort(node, rows, ctx)
-
-
-def _exec_project(node: ProjectNode, ctx: QueryContext) -> list[Row]:
-    return project_rows(node, run_plan_depth_first(node.inputs[0], ctx), ctx)
-
-
-def _exec_limit(node: LimitNode, ctx: QueryContext) -> list[Row]:
-    return limit_rows(node, run_plan_depth_first(node.inputs[0], ctx), ctx)
-
-
-NODE_EXECUTORS.register(ScanNode.kind, scan_rows)
-NODE_EXECUTORS.register(ComputedFilterNode.kind, _exec_computed_filter)
-NODE_EXECUTORS.register(CrowdPredicateNode.kind, _exec_crowd_filter)
-NODE_EXECUTORS.register(AdaptiveFilterNode.kind, _exec_adaptive_filter)
-NODE_EXECUTORS.register(JoinNode.kind, _exec_join)
-NODE_EXECUTORS.register(SortNode.kind, _exec_sort)
-NODE_EXECUTORS.register(ProjectNode.kind, _exec_project)
-NODE_EXECUTORS.register(LimitNode.kind, _exec_limit)

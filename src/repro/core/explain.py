@@ -9,12 +9,12 @@ row flow, and the signals its operator collected (feature κ, pair
 agreement, filter selectivity, comparison κ, ...). Signals that look
 pathological get flagged so the workflow designer knows where to look.
 
-When the query ran under the pipelined executor each node additionally
-carries a pipeline column — stage rank, pipeline depth, output-queue
-occupancy against its bound, back-pressure stalls, and HIT-group posting
-telemetry — and the footer reports the whole-query overlap economics
-(virtual makespan vs the serial latency the depth-first interpreter would
-have accumulated). See ``docs/API.md`` for the column glossary.
+Each node the scheduler ran additionally carries a pipeline column —
+stage rank, pipeline depth, output-queue occupancy against its bound,
+back-pressure stalls, and HIT-group posting telemetry — and the footer
+reports the whole-query overlap economics (virtual makespan vs the serial
+latency the same postings take when each group waits for the one before,
+as on a blocking platform). See ``docs/API.md`` for the column glossary.
 """
 
 from __future__ import annotations

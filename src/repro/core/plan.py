@@ -28,8 +28,8 @@ from repro.relational.schema import Column, ColumnType, Schema
 class PlanNode:
     """Base class; children in ``inputs``.
 
-    Every node carries a string ``kind`` — its registry key. The executors,
-    scheduler, cost model, and optimizer dispatch on ``node.kind`` through
+    Every node carries a string ``kind`` — its registry key. The scheduler,
+    cost model, and optimizer dispatch on ``node.kind`` through
     :class:`~repro.tasks.registry.DispatchTable`\\ s instead of switching on
     node classes, so out-of-tree node kinds can register handlers without
     engine edits.

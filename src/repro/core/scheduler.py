@@ -21,11 +21,11 @@ expressed entirely in **virtual time**:
   operator, like a join's two feature-extraction sides or a sort's
   per-group batches — occupy overlapping virtual intervals;
 * the scheduler steps tasks in **post-order plan rank** and gates each
-  crowd phase until every lower-rank task has finished, which makes the
-  global *posting order* exactly the depth-first interpreter's. Since each
-  group's dispatch draws from an independent stream keyed by posting order
-  (not by clock), the pipelined executor emits bit-identical votes, costs,
-  and rows — only completion times differ;
+  crowd phase until every lower-rank task has finished, which fixes the
+  global *posting order* to the plan's post-order. Since each group's
+  dispatch draws from an independent stream keyed by posting order (not
+  by clock), overlap changes completion times only — never votes, costs,
+  or rows;
 * outstanding groups are harvested in virtual-finish-time order
   (:func:`repro.hits.manager.collect_pending` /
   :meth:`~repro.crowd.marketplace.SimulatedMarketplace.harvest`), and the
@@ -40,10 +40,17 @@ posting, because HIT *merging* (§2.6) batches over an operator's whole
 tuple set. Queue occupancy, stalls, and per-operator posting telemetry land
 in :class:`~repro.core.context.PipelineStats` for EXPLAIN.
 
+Blocking platforms run the same schedule. A platform that only offers
+``post_hit_group`` cannot keep groups outstanding, so each group is posted
+blocking at the platform clock and comes back already resolved: the
+query's virtual intervals line up end to end, ``peak_outstanding_groups``
+is 1, and the makespan equals the serial latency. Rows, votes, and costs
+are the same as on an overlapping platform.
+
 Error paths: a failing crowd phase (budget exceeded, uncompleted HITs
-under ``strict_hits``) aborts the query exactly as under the depth-first
-interpreter; sibling groups already submitted may then stay unharvested,
-which is safe — the ledger only ever charges harvested work.
+under ``strict_hits``) aborts the query at the posting where a serial run
+would abort; sibling groups already submitted are settled first (see
+:meth:`PipelineScheduler._settle_outstanding`).
 """
 
 from __future__ import annotations
@@ -56,7 +63,6 @@ from repro.core.executor import (
     computed_filter_rows,
     crowd_filter_rows,
     join_rows,
-    limit_rows,
     project_crowd_calls,
     project_rows,
     scan_rows,
@@ -74,6 +80,7 @@ from repro.core.plan import (
 )
 from repro.core.sort_exec import execute_sort
 from repro.errors import ExecutionError
+from repro.hits.manager import platform_supports_overlap
 from repro.relational.rows import Row
 from repro.tasks.registry import DispatchTable
 
@@ -206,8 +213,8 @@ class _LocalClock:
     """Platform facade exposing an operator's local virtual clock.
 
     Crowd-call helpers read ``ctx.manager.platform.clock_seconds`` for
-    outcome timestamps; under the pipelined executor that must be the
-    operator's own timeline, not the shared harvest clock.
+    outcome timestamps; that must be the operator's own timeline, not the
+    shared harvest clock.
     """
 
     __slots__ = ("_task",)
@@ -261,7 +268,8 @@ class _OperatorManager:
     Same interface the operator bodies already use (``run_units`` /
     ``begin_units`` / ``build_hits`` plus ``ledger``/``cache``/``platform``
     attributes); every group is submitted outstanding at the operator's
-    local clock and harvested through :class:`_OperatorPending`.
+    local clock and harvested through :class:`_OperatorPending` — or, on a
+    platform that cannot overlap, posted blocking at the platform clock.
     """
 
     def __init__(self, inner, task: OperatorTask, sched: "PipelineScheduler") -> None:
@@ -288,7 +296,8 @@ class _OperatorManager:
         """Posted-but-unharvested assignments, scheduler-wide — what the
         ledger will charge once the outstanding groups are collected.
         Consulted by ``QueryContext.charge_budget`` so the budget abort
-        point matches the depth-first interpreter's eager charging."""
+        point matches a blocking platform's, where every posting charges
+        the ledger before the next pre-flight check."""
         return self._sched.inflight_assignments
 
     def run_units(
@@ -299,23 +308,17 @@ class _OperatorManager:
         ).result()
 
     def begin_units(
-        self,
-        units,
-        batch_size=1,
-        assignments=5,
-        label="task",
-        strict=True,
-        post_time=None,
+        self, units, batch_size=1, assignments=5, label="task", strict=True
     ):
         hits = self._inner.build_hits(units, batch_size, assignments, label)
-        return self.begin_hits(hits, label=label, strict=strict, post_time=post_time)
+        return self.begin_hits(hits, label=label, strict=strict)
 
-    def begin_hits(self, hits, label="task", strict=True, post_time=None):
+    def begin_hits(self, hits, label="task", strict=True):
         inner = self._inner.begin_hits(
             hits,
             label=label,
             strict=strict,
-            post_time=self._task.local_time if post_time is None else post_time,
+            post_time=self._task.local_time if self._sched.overlap else None,
         )
         self._sched.note_post(self._task, inner)
         return _OperatorPending(inner, self._task, self._sched)
@@ -333,10 +336,9 @@ PIPELINE_GENERATORS = DispatchTable("pipelined plan-node generator")
 """Pipelined generator factories keyed by ``PlanNode.kind``.
 
 Each handler takes ``(scheduler, task, node)`` and returns the operator's
-stepping generator. The builtin registrations mirror the depth-first
-table in :mod:`repro.core.executor` operator for operator, so both
-executors share one dispatch surface; out-of-tree node kinds register in
-both tables without engine edits.
+stepping generator, usually wrapping an operator body from
+:mod:`repro.core.executor`. Out-of-tree node kinds register here without
+engine edits.
 """
 
 
@@ -345,17 +347,15 @@ def register_pipeline_generator(kind: str, handler=None, *, replace: bool = Fals
     return PIPELINE_GENERATORS.register(kind, handler, replace=replace)
 
 
-def run_plan_pipelined(root: PlanNode, ctx: QueryContext) -> list[Row]:
-    """Execute a plan with the event-driven pipelined scheduler."""
-    return PipelineScheduler(root, ctx).run()
-
-
 class PipelineScheduler:
     """Deterministic event loop over operator tasks and bounded queues."""
 
     def __init__(self, root: PlanNode, ctx: QueryContext) -> None:
         self.ctx = ctx
         self.epoch = ctx.manager.platform.clock_seconds
+        # Whether groups stay outstanding; a blocking platform posts each
+        # group at its clock and hands it back resolved.
+        self.overlap = platform_supports_overlap(ctx.manager.platform)
         self.tasks: list[OperatorTask] = []
         self._groups_posted = 0
         self._outstanding = 0
@@ -371,7 +371,7 @@ class PipelineScheduler:
     # -- construction --------------------------------------------------
 
     def _build(self, node: PlanNode) -> OperatorTask:
-        """Post-order construction: ranks replicate depth-first post order."""
+        """Post-order construction: a task's rank is its posting turn."""
         children = [self._build(child) for child in node.inputs]
         depth = 1 + max((child.depth for child in children), default=0)
         task = OperatorTask(
@@ -423,8 +423,9 @@ class PipelineScheduler:
                 yield _Emit(out, task.local_time)
 
     def _limit_gen(self, task: OperatorTask, node: LimitNode, ctx: QueryContext):
-        # Streams, but keeps draining after the limit fills so row-flow
-        # stats match the materialising interpreter exactly.
+        # Streams, but keeps draining after the limit fills: every
+        # upstream task must run to completion, and rows_in counts the
+        # whole input.
         stats = ctx.stats_for(node)
         emitted = 0
         while True:
@@ -524,6 +525,9 @@ class PipelineScheduler:
         task.pstats.peak_outstanding = max(
             task.pstats.peak_outstanding, task.open_batches
         )
+        if pending.done:
+            # A blocking platform resolved the group at posting.
+            self.note_harvest(task, pending)
 
     def note_harvest(self, task: OperatorTask, pending) -> None:
         if not pending.posted:
@@ -648,11 +652,11 @@ class PipelineScheduler:
 
         The crowd already did (and must be paid for) this work — on a live
         marketplace the money is committed at posting. Settling charges
-        the ledger and fills the cache exactly as the depth-first
-        interpreter would have before reaching the aborting call, keeping
-        the two executors' error-path accounting identical. Secondary
-        failures (e.g. a sibling group's own strict-HIT error) are
-        swallowed; the original abort propagates.
+        the ledger and fills the cache exactly as a blocking platform's
+        run would have before reaching the aborting call, keeping the
+        error-path accounting identical on both kinds of platform.
+        Secondary failures (e.g. a sibling group's own strict-HIT error)
+        are swallowed; the original abort propagates.
         """
         for pending, _ in list(self._open_pendings.values()):
             try:
@@ -711,7 +715,7 @@ class PipelineScheduler:
 
 
 # ---------------------------------------------------------------------------
-# Builtin node-kind registrations (mirror repro.core.executor's table)
+# Builtin node-kind registrations (the paper's operators)
 # ---------------------------------------------------------------------------
 
 

@@ -286,9 +286,9 @@ class EngineSession:
     one-shot: build a new one for another batch.
 
     Concurrency needs the platform's multi-client
-    ``submit_hit_group``/``harvest`` API, which the pipelined executor
-    drives; a blocking-only platform falls back to serial execution on the
-    depth-first interpreter.
+    ``submit_hit_group``/``harvest`` API; on a blocking-only platform the
+    session runs its queries serially, each on the same scheduler with
+    every HIT group posted blocking.
     """
 
     def __init__(

@@ -88,7 +88,8 @@ def spam_answer_hit(
     replace an honest assignment's answers with garbage: the worker is
     answered through a spammer twin (``is_spammer=True, spam_style="random"``)
     against a caller-supplied stream, so the honest dispatch draws are
-    untouched, and the replacement is identical under both executors.
+    untouched, and the replacement is identical whether the group is
+    posted blocking or outstanding.
     """
     twin = replace(worker, is_spammer=True, spam_style="random")
     return answer_hit(twin, hit, truth, rng)

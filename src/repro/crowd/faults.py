@@ -27,10 +27,10 @@ child stream derived from the group's own stream seed
 not from the vector kernel's numpy generator — so:
 
 * a given marketplace seed yields an identical fault trace run-to-run and
-  under either executor (group streams are keyed by posting order, which
-  both executors share); within one dispatch domain the fault decisions
-  for a group depend only on its assignment list, never on which loop
-  produced it;
+  on blocking and overlapping platforms alike (group streams are keyed by
+  posting order, which both share); within one dispatch domain the fault
+  decisions for a group depend only on its assignment list, never on which
+  loop produced it;
 * a zero-rate plan consults no stream at all (every draw is guarded by a
   ``rate > 0`` check), leaving the marketplace bit-identical to having no
   plan — the golden-trace contract ``tests/test_determinism_trace.py``

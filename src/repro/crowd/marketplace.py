@@ -12,7 +12,7 @@ The marketplace serves two posting styles:
 
 * **blocking** — :meth:`SimulatedMarketplace.post_hit_group` posts a group
   and advances the shared virtual clock to its completion before returning
-  (the depth-first executor's serial timeline);
+  (a blocking platform's serial timeline);
 * **multi-client** — :meth:`SimulatedMarketplace.submit_hit_group` posts a
   group at an explicit virtual ``post_time`` and returns a
   :class:`HITGroupTicket` without touching the shared clock, so several
@@ -336,8 +336,8 @@ class SimulatedMarketplace:
         Removes it from the outstanding set and advances the clock like
         :meth:`harvest`; returns None when nothing is outstanding. Ties
         break by submission order. The marketplace-level primitive for
-        consuming completions in virtual-time order; the executors drive
-        the same rule through :func:`repro.hits.manager.collect_pending`,
+        consuming completions in virtual-time order; operators drive the
+        same rule through :func:`repro.hits.manager.collect_pending`,
         which sorts its specific pending batches by finish time before
         harvesting each.
         """
@@ -391,8 +391,8 @@ class SimulatedMarketplace:
 
         Runs *after* dispatch so the dispatch loop stays untouched; all
         draws come from a child of the group's stream seed, so the overlay
-        is identical under both executors (group streams are keyed by
-        posting order). Per-rate guards keep zero rates from consuming any
+        is identical whether the group is posted blocking or outstanding
+        (group streams are keyed by posting order). Per-rate guards keep zero rates from consuming any
         draw.
         """
         plan = self.faults

@@ -30,7 +30,6 @@ from repro.crowd import SimulatedMarketplace
 from repro.crowd.pool import PoolConfig, WorkerPool
 from repro.crowd.worker import make_reliable
 from repro.datasets.movie import MovieDataset, movie_dataset
-from repro.experiments.harness import BlockingPlatform
 from repro.util.rng import RandomSource
 
 FILTER_DSL = """
@@ -110,12 +109,3 @@ def run_misordered(seed: int = 0, config: ExecutionConfig | None = None):
     """Execute the misordered query once; returns (engine, result)."""
     engine = build_engine(seed=seed, config=config)
     return engine, engine.execute(MISORDERED_QUERY)
-
-
-def run_misordered_depth_first(seed: int = 0):
-    """Execute the misordered query with the marketplace behind
-    :class:`~repro.experiments.harness.BlockingPlatform`, so the
-    depth-first interpreter runs it; returns the result."""
-    engine = build_engine(seed=seed)
-    blocking = Qurk(platform=BlockingPlatform(engine.platform), catalog=engine.catalog)
-    return blocking.execute(MISORDERED_QUERY)

@@ -62,12 +62,13 @@ class BlockingPlatform:
     """A marketplace seen through the blocking ``post_hit_group`` call only.
 
     Hides the multi-client ``submit_hit_group``/``harvest`` API, so an
-    engine or session built on it runs the depth-first interpreter, the
-    way it would on a platform that can only post and wait (such as a thin
-    MTurk shim). Tests and benchmarks use it to drive the depth-first leg
-    against the same simulated marketplace the pipelined leg uses.
-    ``stats`` passes through so EXPLAIN footers still report marketplace
-    counters, and ``inner`` lets the resilience layer find the fault plan.
+    engine or session built on it posts every HIT group blocking, the way
+    it would on a platform that can only post and wait (such as a thin
+    MTurk shim). Tests use it to check that a blocking platform gets the
+    same rows, votes, and costs as the same simulated marketplace with
+    overlap. ``stats`` passes through so EXPLAIN footers still report
+    marketplace counters, and ``inner`` lets the resilience layer find the
+    fault plan.
     """
 
     def __init__(self, inner: SimulatedMarketplace) -> None:

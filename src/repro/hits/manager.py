@@ -24,8 +24,9 @@ several rounds outstanding at once. Against a plain blocking platform the
 pending batch resolves eagerly (identical to the blocking interface,
 draw-for-draw); given an explicit ``post_time`` and a platform with the
 multi-client ``submit_hit_group``/``harvest`` API (the simulated
-marketplace), the group stays outstanding until ``result()`` harvests it —
-this is what the pipelined executor's scheduler drives.
+marketplace), the group stays outstanding until ``result()`` harvests it.
+The scheduler passes ``post_time`` exactly when the platform has that API
+(:func:`platform_supports_overlap`).
 """
 
 from __future__ import annotations
@@ -67,9 +68,12 @@ class CrowdPlatform(Protocol):
 def platform_supports_overlap(platform: object) -> bool:
     """Whether a platform exposes the multi-client outstanding-HIT API.
 
-    The pipelined executor needs ``submit_hit_group``/``harvest`` (the
-    simulated marketplace has them); anything else — the real MTurk shim, a
-    test double wrapping ``post_hit_group`` — gets the depth-first executor.
+    With ``submit_hit_group``/``harvest`` (the simulated marketplace has
+    them) the scheduler keeps HIT groups outstanding over overlapping
+    virtual intervals and a session may run its queries concurrently.
+    Anything else — the real MTurk shim, a test double wrapping
+    ``post_hit_group`` — gets the same scheduler with every group posted
+    blocking, and sessions run serially. Results are the same either way.
     """
     return hasattr(platform, "submit_hit_group") and hasattr(platform, "harvest")
 

@@ -7,7 +7,7 @@ task-type identity into *data*: each crowd task type is a self-describing
 its default combiner, its per-unit effort (the cost-model / marketplace
 refusal input), an optional HIT payload builder, an optional ground-truth
 installation hook, and an EXPLAIN label. Every layer that used to
-switch-case on task classes — planner, both executors, cost model, HIT
+switch-case on task classes — planner, executor, cost model, HIT
 compiler, crowd behaviour — now dispatches through a registry lookup, so a
 new task type registers from outside the engine with zero engine edits
 (see ``src/repro/scenarios/`` and the toy-task test in
@@ -18,9 +18,9 @@ Two registry shapes live here:
 * :class:`TaskExecutorRegistry` — task-type specs keyed by the DSL ``TYPE``
   identifier (``TASK f(a) TYPE Filter:`` resolves ``"Filter"``);
 * :class:`DispatchTable` — a generic string-keyed handler table used for
-  plan-node executors, payload renderers/effort/mergers, and crowd
-  behaviour models, all keyed by the ``kind`` tag carried on plan nodes
-  and HIT payloads.
+  plan-node generators and cost models, payload renderers/effort/mergers,
+  and crowd behaviour models, all keyed by the ``kind`` tag carried on
+  plan nodes and HIT payloads.
 
 Determinism notes: registration errors are raised eagerly and
 deterministically (duplicate keys are rejected, not last-writer-wins), and
@@ -154,10 +154,10 @@ class TaskExecutorRegistry:
 class DispatchTable:
     """A string-keyed handler table with deterministic registration.
 
-    The generic half of the registry: plan-node executors, payload effort
-    models, payload renderers, payload mergers, and crowd behaviour models
-    are each one of these, keyed by the ``kind`` tag on plan nodes and HIT
-    payloads. ``register`` doubles as a decorator factory when called
+    The generic half of the registry: plan-node generators and cost
+    models, payload effort models, payload renderers, payload mergers, and
+    crowd behaviour models are each one of these, keyed by the ``kind`` tag
+    on plan nodes and HIT payloads. ``register`` doubles as a decorator factory when called
     without a handler.
     """
 

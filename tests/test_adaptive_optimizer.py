@@ -6,7 +6,7 @@ Four promises are pinned here:
    bit-identically: same plans, same posting order, same golden trace.
 2. **Row identity** — adaptive conjunct ordering changes what a query
    *costs*, never what it returns: the fused chain's rows equal the
-   static cascade's, under both executors.
+   static cascade's, on blocking and overlapping platforms alike.
 3. **Economy** — on the misordered-predicate workload the adaptive plan
    posts strictly fewer HITs than the static plan.
 4. **Determinism** — re-planning is a pure function of each query's own
@@ -23,6 +23,7 @@ import pytest
 from repro.core.adaptive import AdaptiveState, SelectivityBook
 from repro.core.context import ExecutionConfig
 from repro.core.cost_model import estimate_plan_cost, predicate_key
+from repro.core.engine import Qurk
 from repro.core.session import EngineSession
 from repro.crowd import SimulatedMarketplace
 from repro.errors import BudgetExceededError
@@ -32,8 +33,8 @@ from repro.experiments.adaptive_workload import (
     build_engine,
     careful_pool,
     misordered_dataset,
-    run_misordered_depth_first,
 )
+from repro.experiments.harness import BlockingPlatform
 from repro.util import adapt
 
 
@@ -130,16 +131,20 @@ def test_adaptive_rows_identical_to_static_with_fewer_hits():
     assert summary["actual_hits"] == adaptive.hit_count
 
 
-def test_adaptive_identical_across_executors():
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_adaptive_identical_across_platforms(seed):
     outcomes = {}
-    for pipelined in (False, True):
+    for blocking in (False, True):
         with adapt.forced(True):
-            if pipelined:
-                _, result = _run_misordered()
-            else:
-                result = run_misordered_depth_first()
-            assert (result.pipeline_summary is not None) == pipelined
-        outcomes[pipelined] = (
+            engine = build_engine(seed=seed)
+            if blocking:
+                engine = Qurk(
+                    platform=BlockingPlatform(engine.platform), catalog=engine.catalog
+                )
+            result = engine.execute(MISORDERED_QUERY)
+        if blocking:
+            assert result.pipeline_summary["peak_outstanding_groups"] == 1
+        outcomes[blocking] = (
             _rows(result),
             result.hit_count,
             result.assignment_count,

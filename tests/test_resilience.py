@@ -12,6 +12,8 @@ Covers the robustness PR's contract end to end:
 * degradation — k-of-n quorum accounting, the all-slots-lost hang guard
   (:class:`~repro.errors.ExecutionError`, never a silent loop), and
   query-level graceful completion with ``degradation_summary``;
+* blocking platforms — reposts go out through ``post_hit_group`` when the
+  platform cannot keep groups outstanding;
 * session isolation — a faulted query degrades alone; siblings run clean.
 """
 
@@ -24,13 +26,15 @@ from repro.core.engine import Qurk
 from repro.core.session import EngineSession
 from repro.crowd import FaultPlan, GroundTruth, SimulatedMarketplace
 from repro.crowd.faults import GroupFaultRecord
-from repro.datasets import celebrity_dataset
+from repro.datasets import celebrity_dataset, movie_dataset
 from repro.errors import (
     ExecutionError,
     MarketplaceError,
     QurkError,
     TransientMarketplaceError,
 )
+from repro.experiments.end_to_end import QUERY_WITH_FILTER
+from repro.experiments.harness import BlockingPlatform
 from repro.hits.hit import FilterPayload, FilterQuestion
 from repro.hits.manager import TaskManager, collect_pending
 from repro.hits.resilience import (
@@ -40,6 +44,7 @@ from repro.hits.resilience import (
     build_resilience,
     marketplace_faults_active,
 )
+from repro.joins.batching import JoinInterface
 from repro.util import resilience
 
 
@@ -561,6 +566,57 @@ def test_budget_abort_still_raises_without_faults():
     engine, _ = celebrity_engine(max_budget=0.02)
     with pytest.raises(BudgetExceededError):
         engine.execute(FILTER_QUERY)
+
+
+class GroupLoggingPlatform(BlockingPlatform):
+    """A blocking platform that records every posted group id."""
+
+    def __init__(self, inner: SimulatedMarketplace) -> None:
+        super().__init__(inner)
+        self.group_ids: list[str | None] = []
+
+    def post_hit_group(self, hits, group_id=None):
+        self.group_ids.append(group_id)
+        return super().post_hit_group(hits, group_id=group_id)
+
+
+def test_blocking_platform_repost_recovery_pin():
+    """Reposts on a platform without ``submit_hit_group``/``harvest`` go
+    out as blocking ``post_hit_group`` calls. Pinned on the optimized
+    movie query (seed 0, 20% abandonment)."""
+    data = movie_dataset(seed=0)
+    market = SimulatedMarketplace(
+        data.truth, seed=0, faults=FaultPlan(abandonment_rate=0.2)
+    )
+    platform = GroupLoggingPlatform(market)
+    engine = Qurk(
+        platform=platform,
+        config=ExecutionConfig(
+            join_interface=JoinInterface.SMART,
+            grid_rows=5,
+            grid_cols=5,
+            use_feature_filters=True,
+            generative_batch_size=5,
+            sort_method="rate",
+            compare_group_size=5,
+            rate_batch_size=5,
+        ),
+    )
+    engine.register_table(data.actors)
+    engine.register_table(data.scenes)
+    engine.define(data.task_dsl)
+    result = engine.execute(QUERY_WITH_FILTER)
+
+    assert len(result.rows) == 38
+    assert result.hit_count == 137
+    assert result.assignment_count == 379
+    assert result.total_cost == pytest.approx(5.685)
+    summary = result.degradation_summary
+    assert summary["reposts"] == 8
+    assert summary["recovered_assignments"] == 78
+    assert "aborted" not in summary
+    reposts = [gid for gid in platform.group_ids if ".repost" in gid]
+    assert len(reposts) == summary["reposts"]
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,11 @@
 
 Three promises, each enforced here:
 
-1. **Latency-only pipelining.** For a fixed seed, the pipelined executor
-   produces identical rows, HIT/assignment counts, dollars, and per-qid
-   vote streams to the depth-first interpreter on every example-workload
-   query — it preserves the depth-first posting order and overlaps only
-   virtual time.
+1. **Latency-only pipelining.** For a fixed seed, a platform that keeps
+   HIT groups outstanding and a blocking one produce identical rows,
+   HIT/assignment counts, dollars, and per-qid vote streams on every
+   example-workload query — the scheduler fixes the posting order, and
+   overlap moves only virtual time.
 2. **Virtual-time order.** The marketplace's multi-client API keeps HIT
    groups outstanding over overlapping virtual intervals and harvests them
    in finish-time order; the shared clock only ever moves forward.
@@ -14,10 +14,11 @@ Three promises, each enforced here:
    through bounded queues; occupancy never exceeds the bound and a lagging
    consumer stalls its producer (back-pressure).
 
-The executor follows the platform: a marketplace with the multi-client
-API runs pipelined, and the same marketplace behind
-:class:`~repro.experiments.harness.BlockingPlatform` runs the depth-first
-interpreter, which must reproduce the golden trace exactly — including the
+One scheduler runs on every platform; the platform decides only the
+posting shape. A marketplace with the multi-client API keeps groups
+outstanding, and the same marketplace behind
+:class:`~repro.experiments.harness.BlockingPlatform` posts each group
+blocking, which must reproduce the golden trace exactly — including the
 virtual clock.
 """
 
@@ -52,7 +53,7 @@ class RecordingMarketplace(SimulatedMarketplace):
     """Simulated marketplace that logs postings and harvested assignments.
 
     ``post_hit_group`` routes through ``submit_hit_group``/``harvest``, so
-    overriding those two records both executors through one code path.
+    overriding those two records both posting shapes through one code path.
     """
 
     def __init__(self, *args, **kwargs) -> None:
@@ -72,13 +73,13 @@ class RecordingMarketplace(SimulatedMarketplace):
         return assignments
 
     def platform(self, blocking: bool):
-        """Itself, or itself behind the blocking adapter (depth-first leg)."""
+        """Itself, or itself behind the blocking adapter."""
         return BlockingPlatform(self) if blocking else self
 
 
 def vote_stream(market: RecordingMarketplace) -> list[tuple]:
     """Per-qid votes in dispatch order (assignment ids are dispatch-ordered,
-    identical across executors; harvest order is not, so sort)."""
+    identical across platforms; harvest order is not, so sort)."""
     ordered = sorted(market.harvested, key=lambda a: a.assignment_id)
     return [
         (a.assignment_id, a.hit_id, a.worker_id, qid, repr(value))
@@ -200,10 +201,21 @@ EXAMPLE_WORKLOADS = {
 }
 
 
-def run_workload(name: str, pipelined: bool):
+def run_workload(name: str, blocking: bool):
     builder, overrides, query = EXAMPLE_WORKLOADS[name]
-    engine, market = builder(blocking=not pipelined, **overrides)
+    engine, market = builder(blocking=blocking, **overrides)
     return engine.execute(query), market
+
+
+def assert_serial_summary(result) -> None:
+    """A blocking run's pipeline summary: one group at a time, end to end."""
+    summary = result.pipeline_summary
+    assert summary["peak_outstanding_groups"] == 1
+    assert (
+        summary["makespan_seconds"]
+        == summary["serial_latency_seconds"]
+        == result.elapsed_seconds
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -212,10 +224,10 @@ def run_workload(name: str, pipelined: bool):
 
 
 @pytest.mark.parametrize("name", sorted(EXAMPLE_WORKLOADS))
-def test_pipeline_matches_depth_first(name):
+def test_blocking_platform_matches_overlapping(name):
     """Rows, costs, posting order, and vote streams identical per workload."""
-    pipe_result, pipe_market = run_workload(name, pipelined=True)
-    ref_result, ref_market = run_workload(name, pipelined=False)
+    pipe_result, pipe_market = run_workload(name, blocking=False)
+    ref_result, ref_market = run_workload(name, blocking=True)
 
     assert pipe_result.as_dicts() == ref_result.as_dicts()
     assert pipe_result.hit_count == ref_result.hit_count
@@ -226,14 +238,20 @@ def test_pipeline_matches_depth_first(name):
     # Overlap can only shorten the virtual critical path, never extend it.
     assert pipe_result.elapsed_seconds <= ref_result.elapsed_seconds + 1e-9
     assert pipe_result.pipeline_summary is not None
-    assert ref_result.pipeline_summary is None
+    assert_serial_summary(ref_result)
+    # The serial counterfactual the overlapping run reports is what the
+    # blocking run took; it sums durations measured from other post
+    # times, so it agrees up to float rounding.
+    assert pipe_result.pipeline_summary["serial_latency_seconds"] == pytest.approx(
+        ref_result.elapsed_seconds, rel=1e-12
+    )
 
 
 def test_pipeline_reduces_latency_on_overlapping_workloads():
     """Workloads with independent HIT groups must actually finish earlier."""
     for name in ("table5-optimized", "filtered-smart-join"):
-        pipe_result, _ = run_workload(name, pipelined=True)
-        ref_result, _ = run_workload(name, pipelined=False)
+        pipe_result, _ = run_workload(name, blocking=False)
+        ref_result, _ = run_workload(name, blocking=True)
         assert pipe_result.elapsed_seconds < ref_result.elapsed_seconds, name
         summary = pipe_result.pipeline_summary
         assert summary["peak_outstanding_groups"] >= 2, name
@@ -243,10 +261,11 @@ def test_pipeline_reduces_latency_on_overlapping_workloads():
 def test_single_crowd_operator_trace_is_exact():
     """One crowd operator ⇒ nothing to overlap ⇒ the *entire* trace —
     votes, assignment timestamps, and the virtual clock — is identical."""
-    pipe_result, pipe_market = run_workload("sort-compare", pipelined=True)
-    ref_result, ref_market = run_workload("sort-compare", pipelined=False)
+    pipe_result, pipe_market = run_workload("sort-compare", blocking=False)
+    ref_result, ref_market = run_workload("sort-compare", blocking=True)
     assert pipe_market.clock_seconds == ref_market.clock_seconds
     assert pipe_result.elapsed_seconds == ref_result.elapsed_seconds
+    assert_serial_summary(ref_result)
     pipe_assignments = sorted(pipe_market.harvested, key=lambda a: a.assignment_id)
     ref_assignments = sorted(ref_market.harvested, key=lambda a: a.assignment_id)
     assert [
@@ -255,12 +274,13 @@ def test_single_crowd_operator_trace_is_exact():
 
 
 def test_repro_pipeline_off_reproduces_golden_trace():
-    """The depth-first interpreter (what ``REPRO_PIPELINE=0`` used to select;
-    now any blocking platform) reproduces the golden trace (votes, clock,
-    ledger) bit-for-bit."""
+    """On a blocking platform (the serial run the retired
+    ``REPRO_PIPELINE=0`` named) the scheduler reproduces the golden trace
+    (votes, clock, ledger) bit-for-bit."""
     golden = json.loads(GOLDEN_PATH.read_text())
     engine, market = movie_engine(seed=0, blocking=True)
     result = engine.execute(QUERY_WITH_FILTER)
+    assert_serial_summary(result)
     votes = [
         [qid, a.worker_id, repr(value)]
         for a in market.harvested
@@ -396,7 +416,7 @@ def test_queue_occupancy_bounded_and_backpressure_recorded():
 def grouped_squares_engine(groups=3, per_group=5, seed=7, blocking=False, **config):
     """Squares spread over plain-prefix groups: ``ORDER BY grp, rank(img)``
     crowd-sorts each group independently — the per-group batches overlap
-    under the pipelined executor."""
+    on a platform that keeps groups outstanding."""
     from repro.relational.schema import Schema
     from repro.relational.table import Table
 
@@ -416,7 +436,7 @@ def grouped_squares_engine(groups=3, per_group=5, seed=7, blocking=False, **conf
 GROUPED_SORT_QUERY = "SELECT gs.label FROM gs ORDER BY gs.grp, squareSorter(img)"
 
 
-def test_grouped_sort_overlaps_and_matches_depth_first():
+def test_grouped_sort_overlaps_and_matches_blocking():
     """Sanity for the budget test's workload: the three per-group rate
     batches genuinely overlap, with identical results."""
     engine, market = grouped_squares_engine(sort_method="rate")
@@ -427,21 +447,25 @@ def test_grouped_sort_overlaps_and_matches_depth_first():
     assert vote_stream(market) == vote_stream(ref_market)
     assert result.pipeline_summary["peak_outstanding_groups"] >= 3
     assert result.elapsed_seconds < ref_result.elapsed_seconds
+    assert_serial_summary(ref_result)
+    assert result.pipeline_summary["serial_latency_seconds"] == pytest.approx(
+        ref_result.elapsed_seconds, rel=1e-12
+    )
 
 
-def test_budget_abort_point_matches_depth_first():
+def test_budget_abort_point_matches_blocking():
     """max_budget must bite at the same posting, for the same dollars,
-    under both executors. The pipelined executor begins every sort
-    group's batch before harvesting any, so its ledger lags — the
+    on both kinds of platform. With overlap, the scheduler begins every
+    sort group's batch before harvesting any, so its ledger lags — the
     scheduler's inflight-assignment reservation has to cover the gap, and
     an abort settles already-posted groups so the charged dollars match.
     The cap sweep is chosen to cross mid-overlap (between the 1st and 3rd
     group's pre-flight checks)."""
     from repro.errors import BudgetExceededError
 
-    def spend(pipelined: bool, max_budget: float | None):
+    def spend(blocking: bool, max_budget: float | None):
         engine, market = grouped_squares_engine(
-            sort_method="rate", max_budget=max_budget, blocking=not pipelined
+            sort_method="rate", max_budget=max_budget, blocking=blocking
         )
         try:
             engine.execute(GROUPED_SORT_QUERY)
@@ -455,23 +479,23 @@ def test_budget_abort_point_matches_depth_first():
             market.stats.hits_posted,
         )
 
-    _, full_cost, _ = spend(pipelined=False, max_budget=None)
+    _, full_cost, _ = spend(blocking=True, max_budget=None)
     # Pre-flight projects units*assignments per group; actual charges are
     # per completed assignment of the *batched* HITs, so caps between one
     # projection and projection+actuals land between groups.
     outcomes = []
     for cap in (full_cost * 0.5, full_cost * 1.5, full_cost * 2.1, full_cost * 6.0):
-        pipelined_run = spend(pipelined=True, max_budget=cap)
-        depth_first_run = spend(pipelined=False, max_budget=cap)
-        assert pipelined_run == depth_first_run, (cap, pipelined_run, depth_first_run)
-        outcomes.append(pipelined_run[0])
+        overlapping_run = spend(blocking=False, max_budget=cap)
+        blocking_run = spend(blocking=True, max_budget=cap)
+        assert overlapping_run == blocking_run, (cap, overlapping_run, blocking_run)
+        outcomes.append(overlapping_run[0])
     assert outcomes[0] == "aborted"
     assert outcomes[-1] == "completed"
     # At least one cap aborted with money already spent: the abort
     # happened mid-overlap, after earlier groups had posted.
     assert any(
         status == "aborted" and cost > 0 for status, cost, _ in
-        [spend(True, full_cost * f) for f in (1.5, 2.1, 2.7)]
+        [spend(False, full_cost * f) for f in (1.5, 2.1, 2.7)]
     )
 
 
@@ -501,12 +525,13 @@ def test_cache_visible_to_outstanding_siblings():
 
 
 def test_explain_reports_pipeline_columns():
-    result, _ = run_workload("table5-optimized", pipelined=True)
+    result, _ = run_workload("table5-optimized", blocking=False)
     text = result.explain()
     assert "pipeline: stage=" in text
     assert "queue=" in text
     assert "peak_outstanding_groups=" in text
     assert "overlap_speedup=" in text
-    # Depth-first EXPLAIN stays free of pipeline columns.
-    ref_result, _ = run_workload("table5-optimized", pipelined=False)
-    assert "pipeline:" not in ref_result.explain()
+    # A blocking run reports the same columns, with nothing overlapped.
+    ref_text = run_workload("table5-optimized", blocking=True)[0].explain()
+    assert "~ pipeline:" in ref_text
+    assert "overlap_speedup=1.00x" in ref_text

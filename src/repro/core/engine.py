@@ -17,18 +17,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from repro.core.adaptive import SelectivityBook, build_state, preflight
-from repro.core.context import ExecutionConfig, OperatorStats, QueryContext
-from repro.core.executor import run_plan
+from repro.core.adaptive import SelectivityBook, build_state
+from repro.core.context import ExecutionConfig, OperatorStats
 from repro.core.explain import plan_task_labels, render_explain
 from repro.core.optimizer import optimize
 from repro.core.plan import PlanNode
 from repro.core.planner import build_plan
-from repro.errors import BudgetExceededError, MarketplaceError, PlanError
+from repro.errors import PlanError
 from repro.hits.cache import TaskCache
 from repro.hits.manager import CrowdPlatform, TaskManager
 from repro.hits.pricing import CostLedger
-from repro.hits.resilience import build_resilience
 from repro.hits.store import PersistentAnswerStore, StoreSpec, open_store
 from repro.language.ast import SelectQuery, TaskDefinition
 from repro.language.parser import parse_statements
@@ -42,6 +40,19 @@ from repro.util import adapt as adapt_toggle
 from repro.util import resilience as resilience_toggle
 from repro.util import store as store_toggle
 from repro.util import vector as vector_toggle
+
+
+def refresh_toggles() -> None:
+    """Re-read every ``REPRO_*`` toggle from the environment.
+
+    Both facades call this at construction, so a toggle exported after
+    ``import repro`` still takes effect (the toggles' import-time capture
+    used to swallow such changes silently).
+    """
+    adapt_toggle.refresh_from_env()
+    resilience_toggle.refresh_from_env()
+    store_toggle.refresh_from_env()
+    vector_toggle.refresh_from_env()
 
 
 _STORE_COUNTERS = (
@@ -147,15 +158,14 @@ def parse_single_select(query: str | SelectQuery, catalog: Catalog) -> SelectQue
     return queries[0]
 
 
-_FAULT_COUNTERS = (
-    "abandoned_assignments",
-    "expired_slots",
-    "spam_assignments",
-    "straggler_assignments",
-    "transient_errors",
-)
-"""Marketplace fault-injection counters snapshotted per query for the
-degradation summary."""
+def plan_query(
+    query: str | SelectQuery, catalog: Catalog, adapt=None
+) -> PlanNode:
+    """Parse, plan, and optimize one SELECT: the plan-construction pipeline
+    every query runs through (``adapt`` is its adaptive state, if any)."""
+    return optimize(
+        build_plan(parse_single_select(query, catalog), catalog), adapt=adapt
+    )
 
 
 @dataclass(frozen=True)
@@ -204,13 +214,15 @@ class QueryResult:
     """What the resilience layer did for this query (transient retries,
     reposts, recovered/unfilled slots, degraded operators, injected-fault
     counts, and ``aborted`` when the query was cut short and completed
-    with partial rows); None when the layer was inert — toggle off or a
+    with no rows); None when the layer was inert — toggle off or a
     fault-free platform."""
     store_summary: dict[str, object] | None = None
     """Persistent-answer-store traffic for this query (hits/misses, the
     disk hits and assignments a fresh process reused, eviction counts, and
     the dollars persistence saved); None when no store is attached
-    (including under ``REPRO_STORE=0``)."""
+    (including under ``REPRO_STORE=0``), and for the queries of a
+    concurrent multi-query session, whose shared store traffic is
+    reported once in ``SessionStats.store_summary``."""
     task_labels: dict[str, str] | None = None
     """task name → registry EXPLAIN label for the crowd tasks this query
     used (each task type's declared ``explain_label``)."""
@@ -252,12 +264,7 @@ class Qurk:
         cache: TaskCache | None = None,
         store: StoreSpec | None = None,
     ) -> None:
-        # Honour REPRO_* environment changes made after import (the
-        # toggles' import-time capture used to swallow them silently).
-        adapt_toggle.refresh_from_env()
-        resilience_toggle.refresh_from_env()
-        store_toggle.refresh_from_env()
-        vector_toggle.refresh_from_env()
+        refresh_toggles()
         self.platform = platform
         self.config = config or ExecutionConfig()
         self.catalog = catalog or Catalog()
@@ -330,100 +337,46 @@ class Qurk:
         conjunct fusion) under the engine's default config; the throwaway
         state shares the engine's selectivity book but records nothing.
         """
-        return self._optimized(query, build_state(self.config, book=self.book))
-
-    def _optimized(self, query: str | SelectQuery, state) -> PlanNode:
-        """The one plan-construction pipeline ``plan`` and ``execute`` share."""
-        return optimize(
-            build_plan(self._parse(query), self.catalog), adapt=state
+        return plan_query(
+            query, self.catalog, build_state(self.config, book=self.book)
         )
 
     def execute(
         self, query: str | SelectQuery, config: ExecutionConfig | None = None
     ) -> QueryResult:
-        """Run a query against the crowd platform."""
-        effective = config or self.config
-        state = build_state(effective, book=self.book)
-        plan = self._optimized(query, state)
-        if state is not None:
-            preflight(state, plan, self.catalog, effective, self.ledger.pricing)
-        res_state = build_resilience(effective, self.platform)
-        self.manager.resilience = res_state
-        ctx = QueryContext(
+        """Run a query against the crowd platform.
+
+        A one-query run of the session's query lifecycle
+        (:func:`repro.core.session.run_queries`), posting through the state
+        this engine keeps across queries where a session builds it fresh
+        per query: the one :class:`TaskManager` (its running group ids
+        seed each group's marketplace stream, so a second query's votes
+        follow on from the first's), the cache or store (none unless
+        ``cache=`` or ``store=`` was given), the cumulative ``ledger`` (the
+        result reports this query's deltas), and the selectivity ``book``.
+
+        Raises the query's failure, planning failures included (a
+        ``budget_preflight`` abort posts nothing). With the resilience layer
+        armed, a run-time budget or marketplace failure instead completes
+        the query with no rows and an ``aborted`` reason in its
+        ``degradation_summary``.
+        """
+        from repro.core.session import SessionQuery, run_queries
+
+        handle = SessionQuery(
+            key="q0",
+            label="q0",
+            query=query,
             catalog=self.catalog,
-            manager=self.manager,
-            config=effective,
-            adapt=state,
+            config=config or self.config,
+            ledger=self.ledger,
         )
-        hits_before = self.ledger.total_hits
-        assignments_before = self.ledger.total_assignments
-        cost_before = self.ledger.total_cost
-        clock_before = self.platform.clock_seconds
-        store_before = (
-            store_counters(self.store) if self.store is not None else None
-        )
-        live_stats = getattr(self.platform, "stats", None)
-        if live_stats is not None:
-            considerations_before = getattr(live_stats, "considerations", 0)
-            refusals_before = getattr(live_stats, "refusals", 0)
-            completed_before = getattr(live_stats, "assignments_completed", 0)
-            faults_before = {
-                name: getattr(live_stats, name, 0) for name in _FAULT_COUNTERS
-            }
-        try:
-            rows = run_plan(plan, ctx)
-        except (BudgetExceededError, MarketplaceError) as exc:
-            # Graceful query-level degradation: with the resilience layer
-            # armed, a budget/platform failure completes the query with no
-            # rows instead of raising; the summary says why. Without it,
-            # today's strict raise is preserved.
-            if res_state is None:
-                raise
-            res_state.aborted = f"{type(exc).__name__}: {exc}"
-            rows = []
-        degradation = None
-        if res_state is not None:
-            degradation = res_state.summary.as_dict()
-            if live_stats is not None:
-                for name in _FAULT_COUNTERS:
-                    degradation[name] = (
-                        getattr(live_stats, name, 0) - faults_before[name]
-                    )
-            if res_state.aborted is not None:
-                degradation["aborted"] = res_state.aborted
-        snapshot = None
-        if live_stats is not None:
-            snapshot = MarketplaceSnapshot(
-                considerations=getattr(live_stats, "considerations", 0)
-                - considerations_before,
-                refusals=getattr(live_stats, "refusals", 0) - refusals_before,
-                assignments_completed=getattr(live_stats, "assignments_completed", 0)
-                - completed_before,
-            )
-        return QueryResult(
-            rows=rows,
-            plan=plan,
-            hit_count=self.ledger.total_hits - hits_before,
-            assignment_count=self.ledger.total_assignments - assignments_before,
-            total_cost=self.ledger.total_cost - cost_before,
-            elapsed_seconds=self.platform.clock_seconds - clock_before,
-            node_stats=ctx.node_stats,
-            marketplace_stats=snapshot,
-            pipeline_summary=ctx.pipeline_summary,
-            adaptive_summary=state.summary(
-                actual_hits=self.ledger.total_hits - hits_before,
-                actual_cost=self.ledger.total_cost - cost_before,
-            )
-            if state is not None
-            else None,
-            degradation_summary=degradation,
-            store_summary=store_summary_delta(
-                self.store, store_before, self.ledger.pricing
-            )
-            if self.store is not None and store_before is not None
-            else None,
-            task_labels=plan_task_labels(plan, self.catalog),
-        )
+        handle.arm(self.manager, book=self.book)
+        run_queries([handle], self.store)
+        if handle.error is not None:
+            raise handle.error
+        assert handle.result is not None
+        return handle.result
 
     def explain(self, query: str | SelectQuery) -> str:
         """The optimized plan tree without executing (no stats)."""
@@ -431,9 +384,6 @@ class Qurk:
         return render_explain(
             plan, {}, task_labels=plan_task_labels(plan, self.catalog)
         )
-
-    def _parse(self, query: str | SelectQuery) -> SelectQuery:
-        return parse_single_select(query, self.catalog)
 
     # -- aggregates ----------------------------------------------------------
 

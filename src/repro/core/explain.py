@@ -23,6 +23,7 @@ from typing import Mapping
 
 from repro.core.context import OperatorStats
 from repro.core.plan import PlanNode
+from repro.crowd.marketplace import FAULT_COUNTERS
 from repro.util import vector as vector_toggle
 
 KAPPA_WARNING = 0.35
@@ -245,11 +246,7 @@ def render_explain(
                 "unfilled_assignments",
                 "degraded_groups",
                 "circuit_opens",
-                "abandoned_assignments",
-                "expired_slots",
-                "spam_assignments",
-                "straggler_assignments",
-                "transient_errors",
+                *FAULT_COUNTERS,
             )
         ]
         operators = degradation_summary.get("degraded_operators") or []

@@ -50,7 +50,7 @@ are the same as on an overlapping platform.
 Error paths: a failing crowd phase (budget exceeded, uncompleted HITs
 under ``strict_hits``) aborts the query at the posting where a serial run
 would abort; sibling groups already submitted are settled first (see
-:meth:`PipelineScheduler._settle_outstanding`).
+:meth:`PipelineScheduler.settle`).
 """
 
 from __future__ import annotations
@@ -545,9 +545,9 @@ class PipelineScheduler:
     def prepare(self) -> None:
         """Arm the operator generators; call once before stepping.
 
-        Split from :meth:`run` so a session can drive several queries'
-        schedulers round-robin through :meth:`step_once` instead of running
-        each to completion.
+        Split from :meth:`run` so the session's driver
+        (:mod:`repro.core.session`) can step several queries' schedulers
+        round-robin through :meth:`step_once`.
         """
         if self._prepared:
             return
@@ -564,45 +564,35 @@ class PipelineScheduler:
         """Whether every operator task has run to completion."""
         return all(task.finished for task in self.tasks)
 
-    def step_once(self) -> bool:
+    def step_once(self) -> None:
         """Advance the lowest-rank steppable task by one effect.
 
-        The session's round-robin admission quantum: one effect (one chunk
-        moved, one crowd phase run, one gate passed) per call, so no query
-        can monopolise the loop. Returns False when nothing could step —
-        either the query is done or every task is blocked. Determinism does
-        not depend on the quantum: crowd phases are rank-gated, so the
-        posting order is the same whether a query is stepped one effect at
-        a time or run to completion.
+        The one stepping rule, and the session's round-robin admission
+        quantum: one effect (one chunk moved, one crowd phase run, one gate
+        passed) per call, so no query can monopolise the loop. Determinism
+        does not depend on the quantum: crowd phases are rank-gated, so the
+        posting order is the same however other queries' steps interleave.
+        Raises :class:`ExecutionError` when the query is not done but no
+        task can step — nothing outside the query could unblock it.
         """
-        progressed = False
         for task in self.tasks:
             if not task.finished and self._try_step(task):
-                progressed = True
-                break
-        self._drain_root()
-        return progressed
+                self._drain_root()
+                return
+        if not self.done:
+            stuck = [
+                f"{type(t.node).__name__}(rank {t.rank}, "
+                f"waiting on {type(t.pending).__name__})"
+                for t in self.tasks
+                if not t.finished
+            ]
+            raise ExecutionError(
+                "pipeline scheduler deadlock; blocked operators: " + ", ".join(stuck)
+            )
 
     def _drain_root(self) -> None:
         while self.root_task.out_queue.items:
             self._results.extend(self.root_task.out_queue.get()[0])
-
-    def settle(self) -> None:
-        """Public abort hook: harvest posted-but-uncollected groups (see
-        :meth:`_settle_outstanding`) after a failed step."""
-        self._settle_outstanding()
-
-    def partial_rows(self) -> list[Row]:
-        """Rows the root operator has emitted so far (graceful degradation).
-
-        The session's resilience layer finalizes an aborted query with
-        these instead of discarding them. Drains the root queue first so
-        chunks produced but not yet collected are included. A stalled or
-        degraded HIT group cannot wedge the ordering behind this: tickets
-        carry their finish times from submission, harvests only move the
-        clock forward, and :meth:`settle` collects whatever was posted."""
-        self._drain_root()
-        return list(self._results)
 
     def finish(self) -> list[Row]:
         """Record the whole-query pipeline summary and return the rows.
@@ -621,34 +611,18 @@ class PipelineScheduler:
         return self._results
 
     def run(self) -> list[Row]:
+        """Run the query alone: :meth:`step_once` until every task is done."""
         self.prepare()
         try:
-            live = True
-            while live:
-                progressed = False
-                for task in self.tasks:
-                    while not task.finished and self._try_step(task):
-                        progressed = True
-                self._drain_root()
-                live = not all(task.finished for task in self.tasks)
-                if live and not progressed:
-                    stuck = [
-                        f"{type(t.node).__name__}(rank {t.rank}, "
-                        f"waiting on {type(t.pending).__name__})"
-                        for t in self.tasks
-                        if not t.finished
-                    ]
-                    raise ExecutionError(
-                        "pipeline scheduler deadlock; blocked operators: "
-                        + ", ".join(stuck)
-                    )
+            while not self.done:
+                self.step_once()
         except BaseException:
-            self._settle_outstanding()
+            self.settle()
             raise
         return self.finish()
 
-    def _settle_outstanding(self) -> None:
-        """Harvest every posted-but-uncollected group after an abort.
+    def settle(self) -> None:
+        """Harvest every posted-but-uncollected group after a failed step.
 
         The crowd already did (and must be paid for) this work — on a live
         marketplace the money is committed at posting. Settling charges

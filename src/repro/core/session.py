@@ -1,4 +1,4 @@
-"""Multi-query sessions: one marketplace, many concurrent queries.
+"""Multi-query sessions, and the one query lifecycle every query runs.
 
 The paper frames Qurk as a workflow engine serving *many* users' queries
 against one crowd marketplace; this module is that serving layer. An
@@ -22,6 +22,22 @@ clock, with three session-level guarantees:
   one query settles that query's outstanding groups and is recorded on
   its handle — sibling queries' ledgers and executions are untouched.
 
+The query lifecycle
+-------------------
+:func:`run_queries` is the only per-query path; ``Qurk.execute`` is a
+one-query run of it. It snapshots each query's counters (ledger, clock,
+marketplace counters from its client or else ``platform.stats``, store),
+plans the query — a planning failure, such as a ``budget_preflight``
+abort, lands on the handle and is never absorbed — and drives it: one
+round-robin over the queries' schedulers, where a query that runs alone
+(the engine's, or each query of a serial session) is a one-element
+round-robin. With the resilience layer armed, a run-time budget or
+marketplace failure completes the query with no rows and an ``aborted``
+reason. One function builds every :class:`~repro.core.engine.QueryResult`
+from the counter deltas; a per-query ``store_summary`` is set whenever no
+other query ran at the same time (a concurrent session reports its store
+traffic in :attr:`SessionStats.store_summary`).
+
 Determinism
 -----------
 Each query's marketplace draws come from its own client stream keyed by
@@ -30,8 +46,8 @@ Each query's marketplace draws come from its own client stream keyed by
 bit-identical whether the session runs its queries concurrently or
 serially (``run(concurrent=False)``) — concurrency changes completion
 *times*, not results. A single-query session runs on the marketplace's
-default client stream and is bit-identical to a plain
-:class:`~repro.core.engine.Qurk` execution, which
+default client stream and equals a plain
+:class:`~repro.core.engine.Qurk` execution field for field, which
 ``tests/test_determinism_trace.py`` pins against the golden trace.
 
 The exception is deliberate: cross-query cache sharing lets a query reuse
@@ -52,24 +68,22 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.core.adaptive import AdaptiveState, build_state
+from repro.core.adaptive import AdaptiveState, SelectivityBook, build_state, preflight
 from repro.core.context import ExecutionConfig, QueryContext
 from repro.core.engine import (
     MarketplaceSnapshot,
     QueryResult,
-    parse_single_select,
+    plan_query,
+    refresh_toggles,
     register_task_definitions,
     resolve_store,
     store_counters,
     store_summary_delta,
 )
-from repro.core.executor import run_plan
-from repro.core.explain import render_session_summary
-from repro.core.optimizer import optimize
+from repro.core.explain import plan_task_labels, render_session_summary
 from repro.core.plan import PlanNode
-from repro.core.planner import build_plan
 from repro.core.scheduler import PipelineScheduler
-from repro.crowd.marketplace import MarketplaceClient
+from repro.crowd.marketplace import CLIENT_COUNTERS, FAULT_COUNTERS, MarketplaceClient
 from repro.errors import (
     BudgetExceededError,
     ExecutionError,
@@ -80,24 +94,11 @@ from repro.hits.cache import HITCache, TaskCache, TaskCacheView
 from repro.hits.manager import CrowdPlatform, TaskManager, platform_supports_overlap
 from repro.hits.pricing import CostLedger
 from repro.hits.resilience import ResilienceState, build_resilience
-from repro.hits.store import StoreSpec
+from repro.hits.store import PersistentAnswerStore, StoreSpec
 from repro.language.ast import SelectQuery
 from repro.relational.catalog import Catalog
+from repro.relational.rows import Row
 from repro.relational.table import Table
-from repro.util import adapt as adapt_toggle
-from repro.util import resilience as resilience_toggle
-from repro.util import store as store_toggle
-from repro.util import vector as vector_toggle
-
-
-_SESSION_FAULT_COUNTERS = (
-    "abandoned_assignments",
-    "expired_slots",
-    "spam_assignments",
-    "straggler_assignments",
-    "transient_errors",
-)
-"""Marketplace fault counters snapshotted per query (default-client case)."""
 
 
 @dataclass
@@ -137,10 +138,8 @@ class SessionQuery:
     summary, circuit breaker); ``None`` when the layer is inert. Strictly
     per-query: an aborted or degraded query settles its own groups while
     siblings and the shared cache stay untouched."""
-    epoch: float = 0.0
     _sched: PipelineScheduler | None = None
-    _stats_before: tuple[int, int, int] | None = None
-    _faults_before: dict[str, int] | None = None
+    _before: _Counters | None = None
 
     @property
     def ok(self) -> bool:
@@ -156,6 +155,192 @@ class SessionQuery:
     def cross_assignments_shared(self) -> int:
         """Assignments this query reused instead of re-posting."""
         return self.cache_view.cross_assignments if self.cache_view is not None else 0
+
+    def arm(
+        self, manager: TaskManager, book: SelectivityBook | None = None, label: str = ""
+    ) -> None:
+        """Bind the query to the Task Manager it posts through: build its
+        resilience bundle (installed on ``manager`` too), its adaptive state
+        over ``book`` (a fresh one when None), and its context, whose
+        ``label`` prefixes budget-abort messages."""
+        self.resilience_state = manager.resilience = build_resilience(
+            self.config, manager.platform
+        )
+        self.adapt_state = build_state(self.config, book=book)
+        self.ctx = QueryContext(
+            catalog=self.catalog,
+            manager=manager,
+            config=self.config,
+            label=label,
+            adapt=self.adapt_state,
+        )
+
+
+@dataclass(frozen=True)
+class _Counters:
+    """One side of a query's before/after counter snapshot."""
+
+    clock: float
+    hits: int
+    assignments: int
+    cost: float
+    market: dict[str, int] | None
+    """:data:`~repro.crowd.marketplace.CLIENT_COUNTERS` from the query's
+    client, else ``platform.stats``; None when the platform keeps no stats."""
+    store: dict[str, int] | None
+
+    @classmethod
+    def of(cls, handle: SessionQuery, store: PersistentAnswerStore | None) -> _Counters:
+        platform = handle.ctx.manager.platform
+        source = handle.client or getattr(platform, "stats", None)
+        return cls(
+            clock=platform.clock_seconds,
+            hits=handle.ledger.total_hits,
+            assignments=handle.ledger.total_assignments,
+            cost=handle.ledger.total_cost,
+            market=None
+            if source is None
+            else {name: getattr(source, name, 0) for name in CLIENT_COUNTERS},
+            store=None if store is None else store_counters(store),
+        )
+
+
+def run_queries(
+    handles: list[SessionQuery],
+    store: PersistentAnswerStore | None,
+    concurrent: bool = False,
+) -> None:
+    """The one query lifecycle (see the module docstring) over armed
+    handles: all planned, then driven together, when ``concurrent``;
+    otherwise each alone, in order. Per-query failures land on the handles.
+    """
+    if concurrent:
+        _drive([handle for handle in handles if _start(handle, store)], store)
+        return
+    for handle in handles:
+        if _start(handle, store):
+            _drive([handle], store)
+
+
+def _start(handle: SessionQuery, store: PersistentAnswerStore | None) -> bool:
+    """Snapshot the counters, plan the query, and arm its scheduler;
+    returns False when planning failed (the error is on the handle)."""
+    handle._before = _Counters.of(handle, store)
+    try:
+        handle.plan = plan_query(handle.query, handle.catalog, handle.adapt_state)
+        if handle.adapt_state is not None:
+            preflight(
+                handle.adapt_state,
+                handle.plan,
+                handle.catalog,
+                handle.config,
+                handle.ledger.pricing,
+            )
+        handle._sched = PipelineScheduler(handle.plan, handle.ctx)
+        handle._sched.prepare()
+    except Exception as exc:
+        handle.error = exc
+        return False
+    return True
+
+
+def _drive(handles: list[SessionQuery], store: PersistentAnswerStore | None) -> None:
+    """The one driver: one scheduler effect per live query per round."""
+    # Store traffic is a query's own only when no other query ran with it.
+    store = store if len(handles) == 1 else None
+    live = list(handles)
+    while live:
+        for handle in list(live):
+            sched = handle._sched
+            try:
+                sched.step_once()
+            except Exception as exc:
+                # Harvest the query's own posted groups; siblings and the
+                # shared cache are untouched.
+                sched.settle()
+                _fail(handle, exc, store)
+            else:
+                if not sched.done:
+                    continue
+                _finish(handle, sched.finish(), store)
+            live.remove(handle)
+
+
+def _fail(
+    handle: SessionQuery, exc: Exception, store: PersistentAnswerStore | None
+) -> None:
+    """The one abort rule: with the resilience layer armed, a run-time
+    budget or marketplace failure completes the query with no rows and an
+    ``aborted`` reason; anything else lands on the handle.
+
+    No rows, because an aborted query never has any: every crowd operator
+    emits only after its whole phase, and a plan is a tree, so no row
+    reaches the root before every crowd operator has finished.
+    """
+    state = handle.resilience_state
+    if state is not None and isinstance(exc, (BudgetExceededError, MarketplaceError)):
+        state.aborted = f"{type(exc).__name__}: {exc}"
+        _finish(handle, [], store)
+    else:
+        handle.error = exc
+
+
+def _finish(
+    handle: SessionQuery, rows: list[Row], store: PersistentAnswerStore | None
+) -> None:
+    """Build the query's :class:`QueryResult` — the only place one is
+    built — from the counter deltas since :func:`_start`; with a ``store``,
+    its per-query store summary too."""
+    before, after = handle._before, _Counters.of(handle, store)
+    client = handle.client
+    if client is None:
+        elapsed = after.clock - before.clock
+    elif client.last_finish_time is None:
+        elapsed = 0.0  # no crowd work reached the marketplace
+    else:
+        # The query's own span: the shared clock also moves on siblings'
+        # harvests.
+        elapsed = max(0.0, client.last_finish_time - before.clock)
+    market = None
+    if before.market is not None:
+        market = {
+            name: after.market[name] - before.market[name] for name in CLIENT_COUNTERS
+        }
+    degradation = None
+    state = handle.resilience_state
+    if state is not None:
+        degradation = state.summary.as_dict()
+        if market is not None:
+            degradation.update((name, market[name]) for name in FAULT_COUNTERS)
+        if state.aborted is not None:
+            degradation["aborted"] = state.aborted
+    hits = after.hits - before.hits
+    cost = after.cost - before.cost
+    handle.result = QueryResult(
+        rows=rows,
+        plan=handle.plan,
+        hit_count=hits,
+        assignment_count=after.assignments - before.assignments,
+        total_cost=cost,
+        elapsed_seconds=elapsed,
+        node_stats=handle.ctx.node_stats,
+        marketplace_stats=None
+        if market is None
+        else MarketplaceSnapshot(
+            considerations=market["considerations"],
+            refusals=market["refusals"],
+            assignments_completed=market["assignments_completed"],
+        ),
+        pipeline_summary=handle.ctx.pipeline_summary,
+        adaptive_summary=None
+        if handle.adapt_state is None
+        else handle.adapt_state.summary(actual_hits=hits, actual_cost=cost),
+        degradation_summary=degradation,
+        store_summary=None
+        if store is None
+        else store_summary_delta(store, before.store, handle.ledger.pricing),
+        task_labels=plan_task_labels(handle.plan, handle.catalog),
+    )
 
 
 @dataclass
@@ -188,7 +373,9 @@ class SessionStats:
     shared cache is a :class:`~repro.hits.store.PersistentAnswerStore`
     (hits/misses, disk reuse, evictions, dollars saved); None otherwise.
     Session-wide rather than per-query: the store is shared, so disk reuse
-    belongs to the batch, not to whichever sibling happened to ask first."""
+    belongs to the batch, not to whichever sibling happened to ask first.
+    (A query that ran alone also reports its own share in its
+    ``QueryResult.store_summary``.)"""
 
     groups_posted: dict[str, int] = field(default_factory=dict)
     admission_log: list[tuple[str, str | None]] = field(default_factory=list)
@@ -285,6 +472,11 @@ class EngineSession:
     are identical either way (see the module docstring). Sessions are
     one-shot: build a new one for another batch.
 
+    Every query runs the module's one lifecycle (:func:`run_queries`),
+    with a fresh ledger, Task Manager, cache view, and selectivity book of
+    its own, so a one-query session's result equals a fresh
+    :class:`~repro.core.engine.Qurk`'s ``execute`` field for field.
+
     Concurrency needs the platform's multi-client
     ``submit_hit_group``/``harvest`` API; on a blocking-only platform the
     session runs its queries serially, each on the same scheduler with
@@ -299,12 +491,7 @@ class EngineSession:
         cache: TaskCache | None = None,
         store: StoreSpec | None = None,
     ) -> None:
-        # Honour REPRO_* environment changes made after import (the
-        # toggles' import-time capture used to swallow them silently).
-        adapt_toggle.refresh_from_env()
-        resilience_toggle.refresh_from_env()
-        store_toggle.refresh_from_env()
-        vector_toggle.refresh_from_env()
+        refresh_toggles()
         self.platform = platform
         self.config = config or ExecutionConfig()
         self.catalog = catalog or Catalog()
@@ -397,28 +584,15 @@ class EngineSession:
                     client_id=handle.key if multi else None,
                     on_submit=self._admission_logger(stats, handle.key),
                 )
-            handle.resilience_state = build_resilience(
-                handle.config, handle.client or self.platform
-            )
-            manager = TaskManager(
-                handle.client or self.platform,
-                ledger=handle.ledger,
-                cache=handle.cache_view,
-                resilience=handle.resilience_state,
-            )
-            handle.adapt_state = build_state(handle.config)
-            handle.ctx = QueryContext(
-                catalog=handle.catalog,
-                manager=manager,
-                config=handle.config,
+            handle.arm(
+                TaskManager(
+                    handle.client or self.platform,
+                    ledger=handle.ledger,
+                    cache=handle.cache_view,
+                ),
                 label=handle.key,
-                adapt=handle.adapt_state,
             )
-
-        if stats.mode == "concurrent":
-            self._run_concurrent(stats)
-        else:
-            self._run_serial(stats)
+        run_queries(self.queries, self.store, concurrent=stats.mode == "concurrent")
 
         stats.completed = sum(1 for h in self.queries if h.result is not None)
         stats.failed = sum(1 for h in self.queries if h.error is not None)
@@ -449,187 +623,3 @@ class EngineSession:
             stats.admission_log.append((key, ticket.group_id))
 
         return log
-
-    def _plan(self, handle: SessionQuery) -> PlanNode:
-        parsed = parse_single_select(handle.query, handle.catalog)
-        plan = optimize(
-            build_plan(parsed, handle.catalog), adapt=handle.adapt_state
-        )
-        if handle.adapt_state is not None:
-            from repro.core.adaptive import preflight
-
-            # Same forecast + whole-plan budget pre-flight as the engine;
-            # a budget_preflight abort raises here and lands on this
-            # query's handle, before it posts anything.
-            preflight(
-                handle.adapt_state,
-                plan,
-                handle.catalog,
-                handle.config,
-                handle.ledger.pricing,
-            )
-        return plan
-
-    def _run_serial(self, stats: SessionStats) -> None:
-        """Each query to completion, in submission order (the baseline)."""
-        for handle in self.queries:
-            handle.epoch = self.platform.clock_seconds
-            self._note_stats_before(handle)
-            try:
-                handle.plan = self._plan(handle)
-                assert handle.ctx is not None
-                rows = run_plan(handle.plan, handle.ctx)
-            except Exception as exc:
-                if not self._absorb_failure(handle, exc):
-                    handle.error = exc
-            else:
-                self._finalize(handle, rows)
-
-    def _run_concurrent(self, stats: SessionStats) -> None:
-        """Round-robin: one scheduler effect per live query per round."""
-        live: list[SessionQuery] = []
-        for handle in self.queries:
-            handle.epoch = self.platform.clock_seconds
-            self._note_stats_before(handle)
-            try:
-                handle.plan = self._plan(handle)
-            except Exception as exc:
-                handle.error = exc
-                continue
-            assert handle.ctx is not None
-            handle._sched = PipelineScheduler(handle.plan, handle.ctx)
-            handle._sched.prepare()
-            live.append(handle)
-
-        while live:
-            progressed = False
-            for handle in list(live):
-                try:
-                    if self._turn(handle):
-                        progressed = True
-                    if handle.result is not None or handle.error is not None:
-                        live.remove(handle)
-                except Exception as exc:
-                    handle._sched.settle()
-                    if not self._absorb_failure(handle, exc):
-                        handle.error = exc
-                    live.remove(handle)
-                    progressed = True
-            if live and not progressed:
-                stuck = ", ".join(h.key for h in live)
-                raise ExecutionError(f"session deadlock; blocked queries: {stuck}")
-
-    def _turn(self, handle: SessionQuery) -> bool:
-        """One round-robin turn; returns whether the query progressed."""
-        sched = handle._sched
-        assert sched is not None
-        progressed = sched.step_once()
-        if sched.done:
-            self._finalize(handle, sched.finish())
-            return True
-        return progressed
-
-    def _absorb_failure(self, handle: SessionQuery, exc: Exception) -> bool:
-        """Graceful query-level degradation: with the resilience layer
-        armed, a budget/platform failure completes the query with the rows
-        produced so far (plus an ``aborted`` entry in the degradation
-        summary) instead of failing the handle. The scheduler was already
-        settled by the caller, so the query's own groups are harvested;
-        siblings and the shared cache are untouched. Returns whether the
-        failure was absorbed."""
-        state = handle.resilience_state
-        if state is None or not isinstance(
-            exc, (BudgetExceededError, MarketplaceError)
-        ):
-            return False
-        rows = handle._sched.partial_rows() if handle._sched is not None else []
-        state.aborted = f"{type(exc).__name__}: {exc}"
-        self._finalize(handle, rows)
-        return True
-
-    def _note_stats_before(self, handle: SessionQuery) -> None:
-        if handle.client is not None:
-            return  # per-client deltas come from the facade itself
-        live_stats = getattr(self.platform, "stats", None)
-        if live_stats is not None:
-            handle._stats_before = (
-                getattr(live_stats, "considerations", 0),
-                getattr(live_stats, "refusals", 0),
-                getattr(live_stats, "assignments_completed", 0),
-            )
-            handle._faults_before = {
-                name: getattr(live_stats, name, 0) for name in _SESSION_FAULT_COUNTERS
-            }
-
-    def _snapshot(self, handle: SessionQuery) -> MarketplaceSnapshot | None:
-        if handle.client is not None:
-            return MarketplaceSnapshot(
-                considerations=handle.client.considerations,
-                refusals=handle.client.refusals,
-                assignments_completed=handle.client.assignments_completed,
-            )
-        if handle._stats_before is not None:
-            live_stats = getattr(self.platform, "stats", None)
-            before = handle._stats_before
-            return MarketplaceSnapshot(
-                considerations=getattr(live_stats, "considerations", 0) - before[0],
-                refusals=getattr(live_stats, "refusals", 0) - before[1],
-                assignments_completed=getattr(live_stats, "assignments_completed", 0)
-                - before[2],
-            )
-        return None
-
-    def _fault_deltas(self, handle: SessionQuery) -> dict[str, int] | None:
-        """This query's injected-fault counts (client counters or platform
-        stat diffs), for its degradation summary."""
-        if handle.client is not None:
-            client = handle.client
-            return {
-                "abandoned_assignments": client.abandoned_assignments,
-                "expired_slots": client.expired_slots,
-                "spam_assignments": client.spam_assignments,
-                "straggler_assignments": client.straggler_assignments,
-            }
-        if handle._faults_before is not None:
-            live_stats = getattr(self.platform, "stats", None)
-            return {
-                name: getattr(live_stats, name, 0) - before
-                for name, before in handle._faults_before.items()
-            }
-        return None
-
-    def _finalize(self, handle: SessionQuery, rows) -> None:
-        assert handle.ctx is not None and handle.plan is not None
-        if handle.client is not None and handle.client.last_finish_time is not None:
-            elapsed = max(0.0, handle.client.last_finish_time - handle.epoch)
-        elif handle.client is not None:
-            elapsed = 0.0  # no crowd work reached the marketplace
-        else:
-            elapsed = self.platform.clock_seconds - handle.epoch
-        degradation = None
-        state = handle.resilience_state
-        if state is not None:
-            degradation = state.summary.as_dict()
-            faults = self._fault_deltas(handle)
-            if faults is not None:
-                degradation.update(faults)
-            if state.aborted is not None:
-                degradation["aborted"] = state.aborted
-        handle.result = QueryResult(
-            rows=rows,
-            plan=handle.plan,
-            hit_count=handle.ledger.total_hits,
-            assignment_count=handle.ledger.total_assignments,
-            total_cost=handle.ledger.total_cost,
-            elapsed_seconds=elapsed,
-            node_stats=handle.ctx.node_stats,
-            marketplace_stats=self._snapshot(handle),
-            pipeline_summary=handle.ctx.pipeline_summary,
-            adaptive_summary=handle.adapt_state.summary(
-                actual_hits=handle.ledger.total_hits,
-                actual_cost=handle.ledger.total_cost,
-            )
-            if handle.adapt_state is not None
-            else None,
-            degradation_summary=degradation,
-        )

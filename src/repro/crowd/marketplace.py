@@ -63,6 +63,28 @@ from repro.util import resilience, vector
 from repro.util.rng import RandomSource, child_seed_from_material
 
 
+FAULT_COUNTERS = (
+    "abandoned_assignments",
+    "expired_slots",
+    "spam_assignments",
+    "straggler_assignments",
+    "transient_errors",
+)
+"""The injected-fault counters, in report order. :class:`MarketplaceStats`
+and every :class:`MarketplaceClient` carry one attribute per name; a
+query's degradation summary and its EXPLAIN ``resilience:`` footer list
+them in this order."""
+
+CLIENT_COUNTERS = (
+    "considerations",
+    "refusals",
+    "assignments_completed",
+    *FAULT_COUNTERS,
+)
+"""The counters a :class:`MarketplaceClient` attributes to its client
+(:class:`MarketplaceStats` carries the same names marketplace-wide)."""
+
+
 @dataclass
 class MarketplaceStats:
     """Aggregate counters exposed for experiments and EXPLAIN output."""
@@ -590,9 +612,10 @@ class MarketplaceClient:
     draws come from the client's own stream (see the module docstring).
     Because the simulation resolves a group's assignments synchronously at
     submission, the facade can also attribute the marketplace's aggregate
-    consideration/refusal/completion counters to the client exactly, by
-    differencing them around each submit — which is what gives a session's
-    per-query EXPLAIN footers real numbers despite the shared stats object.
+    counters (:data:`CLIENT_COUNTERS`) to the client exactly, by
+    differencing them around each submit and harvest — which is what gives
+    a session's per-query EXPLAIN footers and degradation summaries real
+    numbers despite the shared stats object.
 
     ``client_id=None`` is the default client: same shared stream a plain
     engine uses, with only the telemetry added.
@@ -611,13 +634,8 @@ class MarketplaceClient:
         the session's admission log hook."""
         self.groups_posted = 0
         self.hits_posted = 0
-        self.considerations = 0
-        self.refusals = 0
-        self.assignments_completed = 0
-        self.abandoned_assignments = 0
-        self.expired_slots = 0
-        self.spam_assignments = 0
-        self.straggler_assignments = 0
+        for name in CLIENT_COUNTERS:
+            setattr(self, name, 0)
         self.last_finish_time: float | None = None
         """Latest virtual finish this client has harvested; ``None`` until
         the first harvest. A client's makespan is this minus its epoch."""
@@ -639,34 +657,33 @@ class MarketplaceClient:
         post_time: float | None = None,
     ) -> HITGroupTicket:
         """Submit under this client's stream, recording per-client deltas."""
-        shared = self.market.stats
-        considerations = shared.considerations
-        refusals = shared.refusals
-        completed = shared.assignments_completed
-        abandoned = shared.abandoned_assignments
-        expired = shared.expired_slots
-        spammed = shared.spam_assignments
-        stragglers = shared.straggler_assignments
-        ticket = self.market.submit_hit_group(
-            hits, group_id=group_id, post_time=post_time, client_id=self.client_id
+        ticket = self._attributed(
+            lambda: self.market.submit_hit_group(
+                hits, group_id=group_id, post_time=post_time, client_id=self.client_id
+            )
         )
         self.groups_posted += 1
         self.hits_posted += len(hits)
-        self.considerations += shared.considerations - considerations
-        self.refusals += shared.refusals - refusals
-        self.assignments_completed += shared.assignments_completed - completed
-        self.abandoned_assignments += shared.abandoned_assignments - abandoned
-        self.expired_slots += shared.expired_slots - expired
-        self.spam_assignments += shared.spam_assignments - spammed
-        self.straggler_assignments += shared.straggler_assignments - stragglers
         if self.on_submit is not None:
             self.on_submit(self, ticket)
         return ticket
 
+    def _attributed(self, call):
+        """Run a marketplace call, crediting this client with the shared
+        :data:`CLIENT_COUNTERS` it moved — also when it raised, since an
+        injected transient error is counted by the call it fails."""
+        shared = self.market.stats
+        before = [getattr(shared, name) for name in CLIENT_COUNTERS]
+        try:
+            return call()
+        finally:
+            for name, was in zip(CLIENT_COUNTERS, before):
+                setattr(self, name, getattr(self, name) + getattr(shared, name) - was)
+
     def harvest(self, ticket: HITGroupTicket) -> list[Assignment]:
         """Harvest from the shared marketplace, tracking this client's
         latest finish time."""
-        assignments = self.market.harvest(ticket)
+        assignments = self._attributed(lambda: self.market.harvest(ticket))
         if self.last_finish_time is None or ticket.finish_time > self.last_finish_time:
             self.last_finish_time = ticket.finish_time
         return assignments

@@ -206,8 +206,9 @@ class ResilienceState:
             cooldown=self.policy.circuit_cooldown_seconds,
         )
         self.aborted: str | None = None
-        """Set by the engine facades when the query was cut short
-        (budget/marketplace failure absorbed into partial results)."""
+        """Set by the query lifecycle when the query was cut short
+        (a budget/marketplace failure absorbed into a completed query
+        with no rows)."""
 
 
 def marketplace_faults_active(platform) -> bool:

@@ -26,6 +26,7 @@ from repro.core.engine import Qurk
 from repro.core.session import EngineSession
 from repro.crowd import FaultPlan, GroundTruth, SimulatedMarketplace
 from repro.crowd.faults import GroupFaultRecord
+from repro.crowd.marketplace import FAULT_COUNTERS
 from repro.datasets import celebrity_dataset, movie_dataset
 from repro.errors import (
     ExecutionError,
@@ -33,7 +34,7 @@ from repro.errors import (
     QurkError,
     TransientMarketplaceError,
 )
-from repro.experiments.end_to_end import QUERY_WITH_FILTER
+from repro.experiments.end_to_end import QUERY_NO_FILTER, QUERY_WITH_FILTER
 from repro.experiments.harness import BlockingPlatform
 from repro.hits.hit import FilterPayload, FilterQuestion
 from repro.hits.manager import TaskManager, collect_pending
@@ -549,10 +550,13 @@ def test_fault_free_query_has_no_degradation_summary():
     assert "resilience:" not in result.explain()
 
 
-def test_budget_abort_degrades_gracefully_with_partial_rows():
+def test_budget_abort_degrades_gracefully_with_no_rows():
     plan = FaultPlan(abandonment_rate=0.2)
     engine, _ = celebrity_engine(faults=plan, max_budget=0.02)
     result = engine.execute(FILTER_QUERY)  # must not raise
+    # No crowd operator emits before its whole phase finished, so an
+    # aborted query never has rows to return.
+    assert result.rows == []
     summary = result.degradation_summary
     assert summary is not None
     assert "aborted" in summary
@@ -580,16 +584,10 @@ class GroupLoggingPlatform(BlockingPlatform):
         return super().post_hit_group(hits, group_id=group_id)
 
 
-def test_blocking_platform_repost_recovery_pin():
-    """Reposts on a platform without ``submit_hit_group``/``harvest`` go
-    out as blocking ``post_hit_group`` calls. Pinned on the optimized
-    movie query (seed 0, 20% abandonment)."""
-    data = movie_dataset(seed=0)
-    market = SimulatedMarketplace(
-        data.truth, seed=0, faults=FaultPlan(abandonment_rate=0.2)
-    )
-    platform = GroupLoggingPlatform(market)
-    engine = Qurk(
+def movie_facade(facade, platform, data):
+    """``facade`` (``Qurk`` or ``EngineSession``) running the optimized
+    Table 5 plan on the movie dataset."""
+    built = facade(
         platform=platform,
         config=ExecutionConfig(
             join_interface=JoinInterface.SMART,
@@ -602,10 +600,22 @@ def test_blocking_platform_repost_recovery_pin():
             rate_batch_size=5,
         ),
     )
-    engine.register_table(data.actors)
-    engine.register_table(data.scenes)
-    engine.define(data.task_dsl)
-    result = engine.execute(QUERY_WITH_FILTER)
+    built.register_table(data.actors)
+    built.register_table(data.scenes)
+    built.define(data.task_dsl)
+    return built
+
+
+def test_blocking_platform_repost_recovery_pin():
+    """Reposts on a platform without ``submit_hit_group``/``harvest`` go
+    out as blocking ``post_hit_group`` calls. Pinned on the optimized
+    movie query (seed 0, 20% abandonment)."""
+    data = movie_dataset(seed=0)
+    market = SimulatedMarketplace(
+        data.truth, seed=0, faults=FaultPlan(abandonment_rate=0.2)
+    )
+    platform = GroupLoggingPlatform(market)
+    result = movie_facade(Qurk, platform, data).execute(QUERY_WITH_FILTER)
 
     assert len(result.rows) == 38
     assert result.hit_count == 137
@@ -646,7 +656,7 @@ def test_session_queries_degrade_independently():
     plan = FaultPlan(abandonment_rate=0.3)
     session, market = celebrity_session(faults=plan)
     h0 = session.submit(FILTER_QUERY)
-    # Sibling with a starvation budget: aborts, absorbed into partial rows.
+    # Sibling with a starvation budget: aborts, absorbed with no rows.
     h1 = session.submit(
         "SELECT c.name FROM celeb c WHERE isFemale(c) AND gender(c.img) = 'Female'",
         config=ExecutionConfig(max_budget=0.001),
@@ -659,8 +669,32 @@ def test_session_queries_degrade_independently():
     assert "aborted" not in ok.degradation_summary
     assert degraded.degradation_summary is not None
     assert "aborted" in degraded.degradation_summary
+    assert degraded.rows == []
     # The healthy sibling kept a real answer (no abort, actual rows).
     assert len(ok.rows) > 0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_session_fault_counts_sum_to_the_marketplace(seed):
+    """Every injected fault is credited to exactly one query of a
+    concurrent session: per-query degradation counts sum to the shared
+    marketplace's, transient errors raised inside submit or harvest
+    included."""
+    data = movie_dataset(seed=seed)
+    plan = FaultPlan(abandonment_rate=0.2, transient_error_rate=0.3, spam_rate=0.05)
+    market = SimulatedMarketplace(data.truth, seed=seed, faults=plan)
+    session = movie_facade(EngineSession, market, data)
+    session.submit(QUERY_WITH_FILTER)
+    session.submit(QUERY_NO_FILTER)
+    outcome = session.run()
+    assert outcome.stats.mode == "concurrent"
+    assert not outcome.errors
+    summaries = [outcome[handle].degradation_summary for handle in outcome.queries]
+    for name in FAULT_COUNTERS:
+        assert sum(summary[name] for summary in summaries) == getattr(
+            market.stats, name
+        ), name
+    assert market.stats.transient_errors > 0
 
 
 def test_session_fault_free_trace_untouched_by_resilience():

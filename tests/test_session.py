@@ -4,8 +4,9 @@ Four promises, each enforced here:
 
 1. **Single-query fidelity.** A one-query session is bit-identical (rows,
    votes, cost ledger, clock) to a plain engine execution for a fixed
-   seed; `tests/test_determinism_trace.py` additionally pins it against
-   the golden trace.
+   seed, and its `QueryResult` equals the engine's field for field — the
+   engine runs the same lifecycle; `tests/test_determinism_trace.py`
+   additionally pins it against the golden trace.
 2. **Concurrency is latency-only.** Per-query results are bit-identical
    between `run(concurrent=True)` and `run(concurrent=False)` — each
    query's marketplace draws come from its own client stream keyed by its
@@ -24,15 +25,18 @@ Four promises, each enforced here:
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.core.context import ExecutionConfig
-from repro.core.engine import Qurk
+from repro.core.engine import QueryResult, Qurk
 from repro.core.session import EngineSession
-from repro.crowd import GroundTruth, SimulatedMarketplace
+from repro.crowd import FaultPlan, GroundTruth, SimulatedMarketplace
 from repro.datasets import movie_dataset, squares_dataset
 from repro.errors import BudgetExceededError, ExecutionError, PlanError
-from repro.experiments.end_to_end import QUERY_WITH_FILTER
+from repro.experiments.end_to_end import QUERY_NO_FILTER, QUERY_WITH_FILTER
+from repro.experiments.harness import BlockingPlatform
 from repro.hits.cache import TaskCache, TaskCacheView
 from repro.joins.batching import JoinInterface
 
@@ -84,16 +88,29 @@ def optimized_config(**overrides) -> ExecutionConfig:
     return ExecutionConfig(**base)
 
 
-def movie_session(seed=0, **config_overrides):
+def movie_facade(
+    facade, seed=0, faults=None, blocking=False, config=None, store=None
+):
+    """``facade`` (``Qurk`` or ``EngineSession``) over a fresh movie
+    marketplace, optionally faulted, behind a blocking platform, or with a
+    persistent store."""
     data = movie_dataset(seed=seed)
-    market = ClientRecordingMarketplace(data.truth, seed=seed)
-    session = EngineSession(
-        platform=market, config=optimized_config(**config_overrides)
+    market = ClientRecordingMarketplace(data.truth, seed=seed, faults=faults)
+    built = facade(
+        platform=BlockingPlatform(market) if blocking else market,
+        config=config or optimized_config(),
+        store=store,
     )
-    session.register_table(data.actors)
-    session.register_table(data.scenes)
-    session.define(data.task_dsl)
-    return session, market
+    built.register_table(data.actors)
+    built.register_table(data.scenes)
+    built.define(data.task_dsl)
+    return built, market
+
+
+def movie_session(seed=0, **config_overrides):
+    return movie_facade(
+        EngineSession, seed=seed, config=optimized_config(**config_overrides)
+    )
 
 
 GROUPED_MOVIE_QUERY = (
@@ -158,13 +175,7 @@ def disjoint_session(seed=7, n=10, budgets=(None, None), **config):
 
 
 def test_single_query_session_is_bit_identical_to_plain_engine():
-    data = movie_dataset(seed=0)
-
-    engine_market = ClientRecordingMarketplace(data.truth, seed=0)
-    engine = Qurk(platform=engine_market, config=optimized_config())
-    engine.register_table(data.actors)
-    engine.register_table(data.scenes)
-    engine.define(data.task_dsl)
+    engine, engine_market = movie_facade(Qurk)
     engine_result = engine.execute(QUERY_WITH_FILTER)
 
     session, session_market = movie_session(seed=0)
@@ -183,6 +194,55 @@ def test_single_query_session_is_bit_identical_to_plain_engine():
     )
     assert outcome.stats.queries == 1
     assert outcome.stats.cross_cache_hits == 0
+
+
+def result_fields(result: QueryResult) -> dict[str, object]:
+    """Every ``QueryResult`` field in comparable form: rows as dicts, the
+    plan as node labels, node stats in plan order (fused members after
+    their chain)."""
+    nodes = [
+        node
+        for top in result.plan.walk()
+        for node in (top, *getattr(top, "members", ()))
+    ]
+    fields = {f.name: getattr(result, f.name) for f in dataclasses.fields(result)}
+    fields["rows"] = result.as_dicts()
+    fields["plan"] = [node.label() for node in nodes]
+    fields["node_stats"] = (
+        len(result.node_stats),
+        [result.node_stats.get(id(node)) for node in nodes],
+    )
+    return fields
+
+
+@pytest.mark.parametrize("case", ["fault_free", "faulted", "store"])
+@pytest.mark.parametrize("blocking", [False, True], ids=["overlapping", "blocking"])
+def test_one_query_session_result_equals_engine_field_for_field(
+    blocking, case, tmp_path
+):
+    """The engine is a one-query session: same QueryResult in every field
+    (task labels, per-query store summary, all five fault counts), and the
+    same EXPLAIN text."""
+    faults = (
+        FaultPlan(abandonment_rate=0.2, transient_error_rate=0.3)
+        if case == "faulted"
+        else None
+    )
+    results = []
+    for facade in (Qurk, EngineSession):
+        store = tmp_path / f"{facade.__name__}.db" if case == "store" else None
+        built, _ = movie_facade(facade, faults=faults, blocking=blocking, store=store)
+        if facade is Qurk:
+            results.append(built.execute(QUERY_WITH_FILTER))
+        else:
+            handle = built.submit(QUERY_WITH_FILTER)
+            results.append(built.run()[handle])
+    engine_result, session_result = results
+    assert result_fields(session_result) == result_fields(engine_result)
+    assert session_result.explain() == engine_result.explain()
+    assert engine_result.task_labels
+    assert (engine_result.degradation_summary is not None) == (case == "faulted")
+    assert (engine_result.store_summary is not None) == (case == "store")
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +393,36 @@ def test_round_robin_admission_does_not_starve_small_query():
     assert set(keys) == {"q0", "q1"}
     assert keys.index("q1") < len(keys) - 1 - keys[::-1].index("q0")
     assert all(count > 0 for count in outcome.stats.groups_posted.values())
+
+
+@pytest.mark.parametrize(
+    "shape", ["engine", "one_query", "one_query_serial", "serial", "concurrent"]
+)
+def test_preflight_budget_abort_lands_on_the_handle(shape):
+    """A ``budget_preflight`` abort is a planning failure, never absorbed
+    even with the resilience layer armed: the engine raises it, and every
+    session shape records it on the starved query's handle, with nothing
+    posted."""
+    faults = FaultPlan(abandonment_rate=0.2)
+    starved_config = optimized_config(max_budget=0.05, budget_preflight=True)
+    if shape == "engine":
+        engine, market = movie_facade(Qurk, faults=faults, config=starved_config)
+        with pytest.raises(BudgetExceededError, match="pre-flight"):
+            engine.execute(QUERY_WITH_FILTER)
+        assert market.stats.hits_posted == 0
+        return
+    session, _ = movie_facade(EngineSession, faults=faults)
+    starved = session.submit(QUERY_WITH_FILTER, config=starved_config)
+    sibling = (
+        session.submit(QUERY_NO_FILTER) if shape in ("serial", "concurrent") else None
+    )
+    outcome = session.run(concurrent=shape in ("one_query", "concurrent"))
+    assert isinstance(starved.error, BudgetExceededError)
+    assert "pre-flight" in str(starved.error)
+    assert starved.result is None
+    assert starved.ledger.total_hits == 0
+    if sibling is not None:
+        assert outcome[sibling].rows
 
 
 def test_failed_plan_in_one_query_leaves_sibling_running():

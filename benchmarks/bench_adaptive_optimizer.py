@@ -29,7 +29,7 @@ from pathlib import Path
 import pytest
 
 from repro.experiments.adaptive_workload import MISORDERED_QUERY, run_misordered
-from repro.util import adapt
+from repro.util.toggles import ADAPT
 
 RESULTS_PATH = Path(__file__).parent / "BENCH_adaptive.json"
 
@@ -38,7 +38,7 @@ SEEDS = (0, 1, 2)
 
 
 def _measure(seed: int, adaptive: bool) -> dict:
-    with adapt.forced(adaptive):
+    with ADAPT.forced(adaptive):
         _, result = run_misordered(seed=seed)
     return {
         "hits": result.hit_count,

@@ -42,7 +42,7 @@ from repro.crowd.latency import LatencyConfig, LatencyModel
 from repro.datasets.movie import movie_dataset
 from repro.experiments.end_to_end import QUERY_NO_FILTER, QUERY_WITH_FILTER
 from repro.joins.batching import JoinInterface
-from repro.util import vector as vector_toggle
+from repro.util.toggles import VECTOR
 
 # The whole module rides on one >30s measurement fixture (the vector and
 # macro legs); the registered `slow` marker lets tier-1 deselect it locally
@@ -121,7 +121,7 @@ def _measure_vector(scale: int) -> dict:
     # CI guard's baseline — best-of keeps it off the noise floor.
     repeats = 3 if scale < 64 else 1
     for label, vector_on in (("fast", False), ("vector", True)):
-        with vector_toggle.forced(vector_on):
+        with VECTOR.forced(vector_on):
             best = float("inf")
             for _ in range(repeats):
                 start = time.perf_counter()
@@ -155,7 +155,7 @@ def results() -> dict:
         },
         "macro": macro,
     }
-    if vector_toggle.available():
+    if VECTOR.available():
         payload["vector_macro"] = {
             f"scale_{scale}x": _measure_vector(scale) for scale in VECTOR_SCALES
         }

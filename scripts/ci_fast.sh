@@ -73,7 +73,7 @@ python -m pytest benchmarks/bench_scenarios.py -q
 python scripts/profile_hotpath.py --check-store --check-repeats "${CI_STORE_REPEATS:-3}"
 python scripts/vector_smoke.py
 python perfbench/run.py --self-test
-if python -c "from repro.util.vector import available; raise SystemExit(not available())"; then
+if python -c "from repro.util.toggles import VECTOR; raise SystemExit(not VECTOR.available())"; then
     python perfbench/run.py --workload t5_vector --seed 0 --seconds 0
 else
     echo "stage 8 skipped: numpy ([vector] extra) not installed"

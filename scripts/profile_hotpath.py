@@ -82,8 +82,7 @@ from repro.datasets.movie import movie_dataset
 from repro.experiments.end_to_end import QUERY_WITH_FILTER
 from repro.hits.cache import TaskCache
 from repro.joins.batching import JoinInterface
-from repro.util import adapt
-from repro.util import resilience
+from repro.util.toggles import ADAPT, RESILIENCE
 
 CHECK_TOP_N = 5
 FORBIDDEN_IN_TOP = ("child_seed", "payload_cache_key")
@@ -235,7 +234,7 @@ def check_adaptive_overhead(scale: int, seed: int, repeats: int) -> dict:
     ``ADAPTIVE_OVERHEAD_LIMIT`` fail CI.
     """
     report = _overhead_report(
-        _with_toggle(adapt, seed),
+        _with_toggle(ADAPT, seed),
         ("static", "adaptive"),
         scale,
         seed,
@@ -256,7 +255,7 @@ def check_resilience_overhead(scale: int, seed: int, repeats: int) -> dict:
     fail CI.
     """
     report = _overhead_report(
-        _with_toggle(resilience, seed),
+        _with_toggle(RESILIENCE, seed),
         ("resilience_off", "resilience_on"),
         scale,
         seed,
@@ -458,9 +457,9 @@ def check_vector_ratio(seed: int, repeats: int) -> dict | None:
     ``VECTOR_RATIO_REGRESSION_LIMIT``. Returns None (with a warning) when
     numpy is missing or no vector baseline has been recorded.
     """
-    from repro.util import vector as vector_toggle
+    from repro.util.toggles import VECTOR
 
-    if not vector_toggle.available():
+    if not VECTOR.available():
         print(
             "warning: numpy not installed ([vector] extra) — skipping the "
             "vector dispatch wall-ratio check.",
@@ -491,7 +490,7 @@ def check_vector_ratio(seed: int, repeats: int) -> dict | None:
 
     def mode(flag: bool):
         def thunk() -> None:
-            with vector_toggle.forced(flag):
+            with VECTOR.forced(flag):
                 run_workload(scale=VECTOR_CHECK_SCALE, seed=seed)
 
         return thunk

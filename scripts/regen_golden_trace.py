@@ -73,9 +73,9 @@ def main() -> None:
     options = parser.parse_args()
     require_lint_clean()
     if options.vector:
-        from repro.util import vector
+        from repro.util.toggles import VECTOR
 
-        if not vector.available():
+        if not VECTOR.available():
             print(
                 "numpy is not installed; the vector golden can only be "
                 "regenerated with the [vector] extra present",
@@ -83,7 +83,7 @@ def main() -> None:
             )
             raise SystemExit(1)
         path = VECTOR_GOLDEN_PATH
-        with vector.forced(True):
+        with VECTOR.forced(True):
             trace = collect_trace(seed=0)
     else:
         path = GOLDEN_PATH

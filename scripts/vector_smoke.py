@@ -31,7 +31,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.util import vector as vector_toggle  # noqa: E402
+from repro.util.toggles import VECTOR  # noqa: E402
 
 SMOKE_SCALE = 4
 
@@ -41,7 +41,7 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
-    if not vector_toggle.available():
+    if not VECTOR.available():
         print(
             "vector smoke skipped: numpy not installed ([vector] extra); "
             "REPRO_VECTOR degrades to the scalar path"
@@ -53,13 +53,13 @@ def main() -> int:
     counts: dict[str, tuple[int, int]] = {}
     timings: dict[str, float] = {}
     for label, vector_on in (("fast", False), ("vector", True)):
-        with vector_toggle.forced(vector_on):
+        with VECTOR.forced(vector_on):
             start = time.perf_counter()
             counts[label] = _run_table5_variant(
                 SMOKE_SCALE, "optimized", seed=args.seed
             )
             timings[label] = time.perf_counter() - start
-    with vector_toggle.forced(True):
+    with VECTOR.forced(True):
         repeat = _run_table5_variant(SMOKE_SCALE, "optimized", seed=args.seed)
 
     if repeat != counts["vector"]:

@@ -1,4 +1,4 @@
-"""RL002 — environment reads outside the util/ toggle modules."""
+"""RL002 — environment reads outside util/toggles.py."""
 
 from __future__ import annotations
 
@@ -8,21 +8,23 @@ from typing import Iterator
 from repro.analysis.engine import Finding, ModuleInfo, Rule, register
 from repro.analysis.rules.common import is_env_read
 
+TOGGLES_PATH = "src/repro/util/toggles.py"
+
 
 @register
 class EnvironOutsideUtilRule(Rule):
     id = "RL002"
-    title = "os.environ read outside repro.util toggle modules"
+    title = "os.environ read outside repro.util.toggles"
     rationale = (
-        "Every REPRO_* toggle funnels environment access through one util/ "
-        "module with a refresh_from_env() hook, so env semantics (changed "
-        "value wins, unchanged preserves programmatic overrides) live in one "
-        "audited place. Scattered os.environ reads re-open the import-time "
-        "capture bug PR 3 fixed."
+        "Every REPRO_* toggle is a Toggle declared in util/toggles.py, the "
+        "one module that reads the environment, so env semantics (strict "
+        "parsing, changed value wins, unchanged preserves programmatic "
+        "overrides) live in one audited place. Scattered os.environ reads "
+        "re-open the bug class where a value exported after import is ignored."
     )
 
     def applies(self, module: ModuleInfo) -> bool:
-        return module.in_src and not module.in_util
+        return module.in_src and module.rel_path != TOGGLES_PATH
 
     def check(self, module: ModuleInfo) -> Iterator[Finding]:
         for node in ast.walk(module.tree):
@@ -30,8 +32,8 @@ class EnvironOutsideUtilRule(Rule):
                 yield self.finding(
                     module,
                     node,
-                    "environment read outside repro.util; add (or reuse) a "
-                    "util/ toggle module with refresh_from_env() instead",
+                    "environment read outside repro.util.toggles; declare "
+                    "(or reuse) a Toggle there instead",
                 )
             elif isinstance(node, ast.ImportFrom) and node.module == "os":
                 bad = [a.name for a in node.names if a.name in ("environ", "getenv")]
@@ -39,6 +41,7 @@ class EnvironOutsideUtilRule(Rule):
                     yield self.finding(
                         module,
                         node,
-                        f"importing {', '.join(bad)} from os outside repro.util; "
-                        "route environment access through a util/ toggle module",
+                        f"importing {', '.join(bad)} from os outside "
+                        "repro.util.toggles; route environment access through "
+                        "a Toggle",
                     )

@@ -17,8 +17,9 @@ class ImportTimeEnvCaptureRule(Rule):
         "A toggle that reads its environment variable only at import time "
         "silently ignores values exported after `import repro` — the PR 3 "
         "bug. Module-level capture is fine *only* when the module also "
-        "defines refresh_from_env(), which the engine/session facades call "
-        "at construction."
+        "defines a refresh_from_env() hook. The toggle table captures inside "
+        "Toggle instead, and the facades re-read it at construction "
+        "(refresh_all())."
     )
 
     def applies(self, module: ModuleInfo) -> bool:
@@ -40,7 +41,7 @@ class ImportTimeEnvCaptureRule(Rule):
                     node,
                     "module-level environment capture without a "
                     "refresh_from_env() hook; the value is frozen at import "
-                    "time (see repro.util.adapt for the pattern)",
+                    "time (declare a Toggle in repro.util.toggles instead)",
                 )
 
     @staticmethod

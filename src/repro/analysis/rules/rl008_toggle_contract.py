@@ -9,6 +9,7 @@ from pathlib import Path
 from typing import Iterator, Sequence
 
 from repro.analysis.engine import Finding, ModuleInfo, ProjectRule, register
+from repro.analysis.rules.common import dotted_name
 
 _TOGGLE_NAME_RE = re.compile(r"^REPRO_[A-Z][A-Z0-9_]*$")
 
@@ -67,22 +68,17 @@ class ToggleContractRule(ProjectRule):
 
     @staticmethod
     def _declared_toggles(tree: ast.Module) -> Iterator[tuple[str, ast.AST]]:
-        """``_ENV_VAR = "REPRO_X"`` assignments — the toggle declaration
-        idiom every util/ toggle module uses."""
-        for node in tree.body:
-            targets: list[ast.expr] = []
-            value: ast.expr | None = None
-            if isinstance(node, ast.Assign):
-                targets, value = node.targets, node.value
-            elif isinstance(node, ast.AnnAssign) and node.value is not None:
-                targets, value = [node.target], node.value
+        """``Toggle("REPRO_X", ...)`` calls — the declaration idiom of the
+        toggle table in util/toggles.py."""
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and node.args):
+                continue
+            callee = dotted_name(node.func) or ""
+            env = node.args[0]
             if (
-                value is not None
-                and isinstance(value, ast.Constant)
-                and isinstance(value.value, str)
-                and _TOGGLE_NAME_RE.match(value.value)
-                and any(
-                    isinstance(t, ast.Name) and t.id == "_ENV_VAR" for t in targets
-                )
+                callee.rpartition(".")[2] == "Toggle"
+                and isinstance(env, ast.Constant)
+                and isinstance(env.value, str)
+                and _TOGGLE_NAME_RE.match(env.value)
             ):
-                yield value.value, node
+                yield env.value, node

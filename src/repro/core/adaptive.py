@@ -39,6 +39,7 @@ from repro.core.cost_model import (
     predicate_key,
 )
 from repro.core.crowd_calls import evaluate_with_crowd, run_predicate_calls
+from repro.util.toggles import ADAPT
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.budget import PreflightReport
@@ -183,18 +184,9 @@ class AdaptiveState:
         return payload
 
 
-def resolve_enabled(config: "ExecutionConfig") -> bool:
-    """Whether the adaptive optimizer is active for a query's config."""
-    from repro.util import adapt as adapt_toggle
-
-    if config.adapt is not None:
-        return bool(config.adapt)
-    return adapt_toggle.enabled()
-
-
 def build_state(config: "ExecutionConfig", book: SelectivityBook | None = None) -> AdaptiveState | None:
     """An :class:`AdaptiveState` for a query, or None when toggled off."""
-    if not resolve_enabled(config):
+    if not ADAPT.resolve(config.adapt):
         return None
     return AdaptiveState(book=book or SelectivityBook())
 

@@ -144,7 +144,7 @@ class ExecutionConfig:
 
     adapt: bool | None = None
     """Force the cost-based adaptive re-optimizer on/off for this query;
-    None defers to the ``REPRO_ADAPT`` toggle (:mod:`repro.util.adapt`).
+    None defers to the ``REPRO_ADAPT`` toggle (``repro.util.toggles.ADAPT``).
     When active, adjacent crowd WHERE conjuncts fuse into an adaptive
     filter that orders them by observed selectivity and re-plans after
     every crowd round (:mod:`repro.core.adaptive`)."""
@@ -168,7 +168,7 @@ class ExecutionConfig:
     resilience: bool | None = None
     """Force the fault-injection/resilience layer on/off for this query;
     None defers to the ``REPRO_RESILIENCE`` toggle
-    (:mod:`repro.util.resilience`). Even when on, the layer only arms
+    (``repro.util.toggles.RESILIENCE``). Even when on, the layer only arms
     against a platform carrying an active
     :class:`~repro.crowd.faults.FaultPlan` — fault-free marketplaces keep
     the strict historical behaviour bit-for-bit."""
@@ -201,6 +201,10 @@ class ExecutionConfig:
                 "limit_sort_tournament must be True or False, got "
                 f"{self.limit_sort_tournament!r}"
             )
+        for name in ("adapt", "resilience"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, bool):
+                raise PlanError(f"{name} must be None, True or False, got {value!r}")
         for name, minimum in _MINIMUMS.items():
             value = getattr(self, name)
             # ``not >=`` also rejects NaN.

@@ -36,23 +36,7 @@ from repro.relational.table import Table
 from repro.sorting.topk import pick_extreme_order
 from repro.tasks.base import task_from_definition
 from repro.tasks.registry import ROLE_RANK, task_role
-from repro.util import adapt as adapt_toggle
-from repro.util import resilience as resilience_toggle
-from repro.util import store as store_toggle
-from repro.util import vector as vector_toggle
-
-
-def refresh_toggles() -> None:
-    """Re-read every ``REPRO_*`` toggle from the environment.
-
-    Both facades call this at construction, so a toggle exported after
-    ``import repro`` still takes effect (the toggles' import-time capture
-    used to swallow such changes silently).
-    """
-    adapt_toggle.refresh_from_env()
-    resilience_toggle.refresh_from_env()
-    store_toggle.refresh_from_env()
-    vector_toggle.refresh_from_env()
+from repro.util.toggles import STORE, refresh_all
 
 
 _STORE_COUNTERS = (
@@ -85,7 +69,7 @@ def resolve_store(
             "pass either cache= or store=, not both: a persistent store "
             "serves as the task cache"
         )
-    if not store_toggle.enabled():
+    if not STORE.enabled():
         return None
     return open_store(spec)
 
@@ -264,7 +248,7 @@ class Qurk:
         cache: TaskCache | None = None,
         store: StoreSpec | None = None,
     ) -> None:
-        refresh_toggles()
+        refresh_all()
         self.platform = platform
         self.config = config or ExecutionConfig()
         self.catalog = catalog or Catalog()

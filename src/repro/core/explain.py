@@ -24,7 +24,7 @@ from typing import Mapping
 from repro.core.context import OperatorStats
 from repro.core.plan import PlanNode
 from repro.crowd.marketplace import FAULT_COUNTERS
-from repro.util import vector as vector_toggle
+from repro.util.toggles import VECTOR
 
 KAPPA_WARNING = 0.35
 AGREEMENT_WARNING = 0.7
@@ -272,7 +272,7 @@ def render_explain(
                 f", refusals={getattr(marketplace_stats, 'refusals', 0)}"
                 f", considerations_per_assignment={per_assignment:.3f}"
             )
-        degraded = vector_toggle.status_note()
+        degraded = VECTOR.status_note()
         if degraded is not None:
             lines.append(f"  ~ {degraded}")
     return "\n".join(lines)

@@ -74,7 +74,6 @@ from repro.core.engine import (
     MarketplaceSnapshot,
     QueryResult,
     plan_query,
-    refresh_toggles,
     register_task_definitions,
     resolve_store,
     store_counters,
@@ -99,6 +98,7 @@ from repro.language.ast import SelectQuery
 from repro.relational.catalog import Catalog
 from repro.relational.rows import Row
 from repro.relational.table import Table
+from repro.util.toggles import refresh_all
 
 
 @dataclass
@@ -491,7 +491,7 @@ class EngineSession:
         cache: TaskCache | None = None,
         store: StoreSpec | None = None,
     ) -> None:
-        refresh_toggles()
+        refresh_all()
         self.platform = platform
         self.config = config or ExecutionConfig()
         self.catalog = catalog or Catalog()

@@ -59,8 +59,8 @@ from repro.crowd.pool import PoolConfig, WorkerPool
 from repro.crowd.truth import GroundTruth
 from repro.errors import MarketplaceError, TransientMarketplaceError
 from repro.hits.hit import HIT, Assignment
-from repro.util import resilience, vector
 from repro.util.rng import RandomSource, child_seed_from_material
+from repro.util.toggles import RESILIENCE, VECTOR
 
 
 FAULT_COUNTERS = (
@@ -272,7 +272,7 @@ class SimulatedMarketplace:
         rng = stream_root.child("group", group_id or "anon", counter)
         trial_factor = self.latency.trial_rate_factor(rng.child("trial"))
 
-        if vector.enabled():
+        if VECTOR.enabled():
             # Second determinism domain: the numpy kernel draws from its
             # own PCG64 stream derived from this group's seed, so it never
             # consumes (or needs) the scalar shuffle/dispatch draws.
@@ -295,7 +295,7 @@ class SimulatedMarketplace:
 
         fault_record: GroupFaultRecord | None = None
         plan = self.faults
-        if plan is not None and plan.disrupts_dispatch and resilience.enabled():
+        if plan is not None and plan.disrupts_dispatch and RESILIENCE.enabled():
             completed, incomplete_hits, fault_record = self._apply_faults(
                 hits, completed, incomplete_hits, post_time, rng
             )
@@ -393,7 +393,7 @@ class SimulatedMarketplace:
         if self._suppress_transient:
             return
         plan = self.faults
-        if plan is None or plan.transient_error_rate <= 0 or not resilience.enabled():
+        if plan is None or plan.transient_error_rate <= 0 or not RESILIENCE.enabled():
             return
         if self._transient_rng.chance(plan.transient_error_rate):
             self.stats.transient_errors += 1

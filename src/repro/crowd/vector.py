@@ -82,8 +82,8 @@ from repro.hits.hit import (
 )
 from repro.relational.expressions import UNKNOWN
 from repro.tasks.registry import DispatchTable
-from repro.util import vector as vector_toggle
 from repro.util.rng import RandomSource, child_seed_from_material
+from repro.util.toggles import VECTOR
 
 _new_tuple = tuple.__new__
 
@@ -119,9 +119,10 @@ def dispatch_vector(
     ``(completed, now, incomplete_hit_ids)`` and updates the marketplace
     stats / assignment counter.
     """
-    np = vector_toggle.numpy_module()
-    if np is None:
+    if not VECTOR.available():
         raise MarketplaceError("REPRO_VECTOR dispatch requires numpy")
+    import numpy as np
+
     gen = np.random.Generator(
         np.random.PCG64(child_seed_from_material(f"{rng.seed}:vector"))
     )

@@ -36,6 +36,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.util.toggles import RESILIENCE
+
 
 @dataclass(frozen=True)
 class RetryPolicy:
@@ -237,11 +239,7 @@ def build_resilience(config, platform=None) -> ResilienceState | None:
     platform carries an active fault plan — see the module docstring for
     why fault-free marketplaces must keep strict behaviour.
     """
-    from repro.util import resilience as toggle
-
-    override = getattr(config, "resilience", None) if config is not None else None
-    enabled = toggle.enabled() if override is None else bool(override)
-    if not enabled:
+    if not RESILIENCE.resolve(getattr(config, "resilience", None)):
         return None
     if platform is not None and not marketplace_faults_active(platform):
         return None

@@ -1,91 +1,5 @@
-"""Global switch for the fault-injection + resilience subsystem.
+"""``REPRO_RESILIENCE``, declared in :mod:`repro.util.toggles`; perfbench reads it here."""
 
-Real marketplaces misbehave: workers abandon accepted assignments, HIT
-groups expire with slots unfilled, spam answers arrive, and the platform
-API fails transiently. :mod:`repro.crowd.faults` injects those faults into
-the simulated marketplace from seeded random streams, and
-:mod:`repro.hits.resilience` gives the engine the machinery to survive
-them (repost with backoff, quorum degradation, a circuit breaker, graceful
-query-level degradation). Both halves sit behind this switch:
+from repro.util import toggles
 
-1. the marketplace only injects faults from a configured
-   :class:`~repro.crowd.faults.FaultPlan` while this toggle is on;
-2. the engine/session facades only build a
-   :class:`~repro.hits.resilience.ResilienceState` (and therefore only
-   repost, degrade, or absorb aborts) while it is on *and* the platform
-   actually carries an active fault plan.
-
-``REPRO_RESILIENCE=0`` therefore reverts bit-identically to the pre-fault
-engine — even against a marketplace constructed with a non-zero
-``FaultPlan`` — and a zero-rate ``FaultPlan`` is bit-identical with the
-toggle on, because all fault draws come from dedicated child streams that
-are never consulted at zero rates. ``tests/test_determinism_trace.py``
-enforces both directions against the golden trace.
-
-The resilience layer is on by default. Set ``REPRO_RESILIENCE=0`` in the
-environment (or call :func:`set_enabled`) to disable it.
-``ExecutionConfig.resilience`` overrides this switch per query.
-
-The environment variable is re-read by :func:`refresh_from_env`, which the
-engine and session facades call at construction time — so exporting
-``REPRO_RESILIENCE`` *after* ``import repro`` still takes effect for
-engines built afterwards, instead of being silently ignored by the value
-captured at import.
-"""
-
-from __future__ import annotations
-
-import os
-from contextlib import contextmanager
-from typing import Iterator
-
-_ENV_VAR = "REPRO_RESILIENCE"
-_OFF_VALUES = ("0", "false", "no", "off")
-
-
-def _parse(raw: str | None) -> bool:
-    return (raw if raw is not None else "1").lower() not in _OFF_VALUES
-
-
-_ENV_RAW: str | None = os.environ.get(_ENV_VAR)
-_ENABLED: bool = _parse(_ENV_RAW)
-
-
-def enabled() -> bool:
-    """Whether fault injection and the resilience layer are active."""
-    return _ENABLED
-
-
-def refresh_from_env() -> bool:
-    """Re-read ``REPRO_RESILIENCE`` if it changed; returns the setting.
-
-    Called at :class:`~repro.core.engine.Qurk` /
-    :class:`~repro.core.session.EngineSession` construction. A *changed*
-    environment value wins over any programmatic :func:`set_enabled`; an
-    unchanged one leaves programmatic overrides (and :func:`forced`
-    contexts) alone, so tests toggling the switch in-process keep working.
-    """
-    global _ENABLED, _ENV_RAW
-    raw = os.environ.get(_ENV_VAR)
-    if raw != _ENV_RAW:
-        _ENV_RAW = raw
-        _ENABLED = _parse(raw)
-    return _ENABLED
-
-
-def set_enabled(flag: bool) -> bool:
-    """Switch the resilience layer on/off; returns the previous setting."""
-    global _ENABLED
-    previous = _ENABLED
-    _ENABLED = bool(flag)
-    return previous
-
-
-@contextmanager
-def forced(flag: bool) -> Iterator[None]:
-    """Temporarily force the resilience layer on or off (tests, benchmarks)."""
-    previous = set_enabled(flag)
-    try:
-        yield
-    finally:
-        set_enabled(previous)
+enabled = toggles.RESILIENCE.enabled

@@ -1,82 +1,5 @@
-"""Global switch for the persistent cross-run answer store.
+"""``REPRO_STORE``, declared in :mod:`repro.util.toggles`; perfbench reads it here."""
 
-Crowd answers are the expensive resource: the paper's task cache (§2.6)
-reuses them within a process, but dies with it — every restart re-buys
-the same HITs. :mod:`repro.hits.store` adds a SQLite-backed
-:class:`~repro.hits.store.PersistentAnswerStore` behind the existing
-task-cache interface, so answers amortise across sessions, days, and
-deployments. This toggle gates whether a store *configured on the engine
-or session facade* is actually attached:
+from repro.util import toggles
 
-1. with the toggle on (default), ``Qurk(store=...)`` /
-   ``EngineSession(store=...)`` open the store and use it as the task
-   cache (write-through on store, read-through on lookup);
-2. with ``REPRO_STORE=0`` a configured store is ignored entirely — the
-   facade behaves exactly as if no store had been passed (no file is
-   even opened), which reverts bit-identically to the pinned golden
-   trace. Engines that configure no store are untouched by the toggle in
-   either direction.
-
-The environment variable is re-read by :func:`refresh_from_env`, which the
-engine and session facades call at construction time — so exporting
-``REPRO_STORE`` *after* ``import repro`` still takes effect for engines
-built afterwards, instead of being silently ignored by the value captured
-at import.
-"""
-
-from __future__ import annotations
-
-import os
-from contextlib import contextmanager
-from typing import Iterator
-
-_ENV_VAR = "REPRO_STORE"
-_OFF_VALUES = ("0", "false", "no", "off")
-
-
-def _parse(raw: str | None) -> bool:
-    return (raw if raw is not None else "1").lower() not in _OFF_VALUES
-
-
-_ENV_RAW: str | None = os.environ.get(_ENV_VAR)
-_ENABLED: bool = _parse(_ENV_RAW)
-
-
-def enabled() -> bool:
-    """Whether configured persistent answer stores are attached."""
-    return _ENABLED
-
-
-def refresh_from_env() -> bool:
-    """Re-read ``REPRO_STORE`` if it changed; returns the setting.
-
-    Called at :class:`~repro.core.engine.Qurk` /
-    :class:`~repro.core.session.EngineSession` construction. A *changed*
-    environment value wins over any programmatic :func:`set_enabled`; an
-    unchanged one leaves programmatic overrides (and :func:`forced`
-    contexts) alone, so tests toggling the switch in-process keep working.
-    """
-    global _ENABLED, _ENV_RAW
-    raw = os.environ.get(_ENV_VAR)
-    if raw != _ENV_RAW:
-        _ENV_RAW = raw
-        _ENABLED = _parse(raw)
-    return _ENABLED
-
-
-def set_enabled(flag: bool) -> bool:
-    """Switch the persistent store on/off; returns the previous setting."""
-    global _ENABLED
-    previous = _ENABLED
-    _ENABLED = bool(flag)
-    return previous
-
-
-@contextmanager
-def forced(flag: bool) -> Iterator[None]:
-    """Temporarily force the store layer on or off (tests, benchmarks)."""
-    previous = set_enabled(flag)
-    try:
-        yield
-    finally:
-        set_enabled(previous)
+enabled = toggles.STORE.enabled

@@ -35,7 +35,7 @@ from repro.experiments.adaptive_workload import (
     misordered_dataset,
 )
 from repro.experiments.harness import BlockingPlatform
-from repro.util import adapt
+from repro.util.toggles import ADAPT
 
 
 def _rows(result) -> list[str]:
@@ -81,14 +81,14 @@ def test_adapt_off_reproduces_pinned_golden_trace():
     optimizer forced off must equal the pinned golden byte for byte."""
     from test_determinism_trace import GOLDEN_PATH, collect_trace
 
-    with adapt.forced(False):
+    with ADAPT.forced(False):
         trace = collect_trace(seed=0)
     golden = json.loads(GOLDEN_PATH.read_text())
     assert trace == golden
 
 
 def test_adapt_off_yields_no_adaptive_machinery():
-    with adapt.forced(False):
+    with ADAPT.forced(False):
         engine, result = _run_misordered()
     assert result.adaptive_summary is None
     assert "AdaptiveCrowdFilter" not in result.explain()
@@ -104,7 +104,7 @@ def test_operator_elapsed_within_query_elapsed(adaptive):
     """Operators report how long their own crowd work took, never the
     absolute virtual clock: the second query starts with the clock far
     from zero, and no operator may outlast the query containing it."""
-    with adapt.forced(adaptive):
+    with ADAPT.forced(adaptive):
         engine = build_engine(seed=0)
         for _ in range(2):
             result = engine.execute(MISORDERED_QUERY)
@@ -119,9 +119,9 @@ def test_operator_elapsed_within_query_elapsed(adaptive):
 
 
 def test_adaptive_rows_identical_to_static_with_fewer_hits():
-    with adapt.forced(False):
+    with ADAPT.forced(False):
         _, static = _run_misordered()
-    with adapt.forced(True):
+    with ADAPT.forced(True):
         _, adaptive = _run_misordered()
     assert _rows(adaptive) == _rows(static)
     assert adaptive.hit_count < static.hit_count
@@ -135,7 +135,7 @@ def test_adaptive_rows_identical_to_static_with_fewer_hits():
 def test_adaptive_identical_across_platforms(seed):
     outcomes = {}
     for blocking in (False, True):
-        with adapt.forced(True):
+        with ADAPT.forced(True):
             engine = build_engine(seed=seed)
             if blocking:
                 engine = Qurk(
@@ -154,7 +154,7 @@ def test_adaptive_identical_across_platforms(seed):
 
 
 def test_explain_renders_members_and_replan_log():
-    with adapt.forced(True):
+    with ADAPT.forced(True):
         _, result = _run_misordered()
     text = result.explain()
     assert "AdaptiveCrowdFilter(2 conjuncts" in text
@@ -168,7 +168,7 @@ def test_explain_renders_members_and_replan_log():
 def test_engine_book_learns_across_queries():
     """An engine's (serial) queries share one selectivity book: the second
     run of the same query starts from the observed pass rates."""
-    with adapt.forced(True):
+    with ADAPT.forced(True):
         engine, first = _run_misordered()
         key = "pred:isCloseUp(s.img)"
         observed = engine.book.observed(key)
@@ -210,7 +210,7 @@ def test_cost_model_prefers_selective_first_order():
 def test_budget_preflight_aborts_before_posting():
     config = ExecutionConfig(max_budget=0.05, budget_preflight=True)
     engine = build_engine(config=config)
-    with adapt.forced(True):
+    with ADAPT.forced(True):
         with pytest.raises(BudgetExceededError, match="pre-flight"):
             engine.execute(MISORDERED_QUERY)
     assert engine.ledger.total_hits == 0  # nothing was posted
@@ -219,7 +219,7 @@ def test_budget_preflight_aborts_before_posting():
 def test_budget_preflight_off_by_default_still_aborts_midway():
     config = ExecutionConfig(max_budget=0.05)
     engine = build_engine(config=config)
-    with adapt.forced(True):
+    with ADAPT.forced(True):
         with pytest.raises(BudgetExceededError):
             engine.execute(MISORDERED_QUERY)
 
@@ -227,7 +227,7 @@ def test_budget_preflight_off_by_default_still_aborts_midway():
 def test_preflight_report_in_summary_when_budget_set():
     config = ExecutionConfig(max_budget=100.0)
     engine = build_engine(config=config)
-    with adapt.forced(True):
+    with ADAPT.forced(True):
         result = engine.execute(MISORDERED_QUERY)
     preflight = result.adaptive_summary["preflight"]
     assert preflight["fits"] == 1.0
@@ -255,7 +255,7 @@ def test_asymmetric_grid_orientation_replans_from_observed_sides():
         engine.register_table(data.actors)
         engine.register_table(data.scenes)
         engine.define(data.task_dsl)
-        with adapt.forced(adaptive):
+        with ADAPT.forced(adaptive):
             return engine.execute(QUERY_NO_FILTER)
 
     static = run(False)
@@ -268,7 +268,7 @@ def test_asymmetric_grid_orientation_replans_from_observed_sides():
 
 
 def test_square_grid_never_swaps():
-    with adapt.forced(True):
+    with ADAPT.forced(True):
         from repro.datasets.movie import movie_dataset
         from repro.experiments.end_to_end import QUERY_NO_FILTER
         from repro.core.engine import Qurk
@@ -329,7 +329,7 @@ def test_session_replan_determinism_8_queries(concurrent):
     """Two identical 8-query sessions replan identically, event for event,
     in both run modes — estimate state is per-query, so a query's
     re-planning never depends on sibling progress."""
-    with adapt.forced(True):
+    with ADAPT.forced(True):
         first = _build_session().run(concurrent=concurrent)
         second = _build_session().run(concurrent=concurrent)
     assert _session_fingerprint(first) == _session_fingerprint(second)
@@ -339,7 +339,7 @@ def test_session_replan_determinism_8_queries(concurrent):
 
 
 def test_session_queries_carry_isolated_books():
-    with adapt.forced(True):
+    with ADAPT.forced(True):
         outcome = _build_session().run()
     states = [h.adapt_state for h in outcome.queries]
     assert all(state is not None for state in states)
@@ -348,7 +348,7 @@ def test_session_queries_carry_isolated_books():
 
 
 def test_session_adapt_off_runs_static():
-    with adapt.forced(False):
+    with ADAPT.forced(False):
         outcome = _build_session().run()
     for handle in outcome.queries:
         assert handle.error is None

@@ -33,6 +33,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 
 ENGINE_PATH = "src/repro/core/somemodule.py"
 UTIL_PATH = "src/repro/util/sometoggle.py"
+TOGGLES_PATH = "src/repro/util/toggles.py"
 SRC_PATH = "src/repro/experiments/somemodule.py"
 
 
@@ -76,7 +77,7 @@ def test_rl001_skips_tests():
 
 
 # ---------------------------------------------------------------------------
-# RL002 — os.environ outside util/
+# RL002 — os.environ outside util/toggles.py
 # ---------------------------------------------------------------------------
 
 
@@ -92,8 +93,13 @@ def test_rl002_flags_from_os_import_environ():
 
 def test_rl002_allows_util_toggles_and_tests():
     src = "import os\nRAW = os.environ.get('REPRO_X')\n"
-    assert "RL002" not in rules_of(lint_source(src, UTIL_PATH))
+    assert "RL002" not in rules_of(lint_source(src, TOGGLES_PATH))
     assert lint_source(src, "tests/test_toggles_like.py") == []
+
+
+def test_rl002_flags_environ_read_in_another_util_module():
+    src = "import os\n\ndef peek():\n    return os.environ.get('REPRO_X')\n"
+    assert rules_of(lint_source(src, UTIL_PATH)) == ["RL002"]
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +117,7 @@ PRE_PR3_TOGGLE = (
 
 
 def test_rl003_catches_the_pr3_import_time_capture_bug():
-    findings = lint_source(PRE_PR3_TOGGLE, "src/repro/util/pipeline.py")
+    findings = lint_source(PRE_PR3_TOGGLE, TOGGLES_PATH)
     assert rules_of(findings) == ["RL003"]
     assert "refresh_from_env" in findings[0].message
 
@@ -124,7 +130,7 @@ def test_rl003_satisfied_by_refresh_hook():
         "    _ENABLED = os.environ.get('REPRO_PIPELINE', '1') != '0'\n"
         "    return _ENABLED\n"
     )
-    assert lint_source(src, "src/repro/util/pipeline.py") == []
+    assert lint_source(src, TOGGLES_PATH) == []
 
 
 def test_rl003_ignores_function_local_env_reads():
@@ -133,7 +139,7 @@ def test_rl003_ignores_function_local_env_reads():
         "def peek():\n"
         "    return os.environ.get('REPRO_X')\n"
     )
-    assert lint_source(src, UTIL_PATH) == []
+    assert lint_source(src, TOGGLES_PATH) == []
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +310,7 @@ def run_project_rule(tmp_path, toggle_src, toggles_text, api_text):
     return list(rule.check_project([module], tmp_path))
 
 
-TOGGLE_DECL = '_ENV_VAR = "REPRO_NEWTOGGLE"\n\ndef refresh_from_env():\n    pass\n'
+TOGGLE_DECL = 'NEWTOGGLE = Toggle("REPRO_NEWTOGGLE", True, "A new switch.")\n'
 
 
 def test_rl008_flags_undocumented_untested_toggle(tmp_path):
@@ -658,8 +664,10 @@ def test_every_suppression_in_the_live_tree_is_justified():
 
 def test_historical_bugs_are_each_caught():
     # PR 3: import-time env capture (REPRO_PIPELINE frozen at import)
+    # Outside util/toggles.py, its env read is an RL002 finding too.
     assert rules_of(lint_source(PRE_PR3_TOGGLE, "src/repro/util/pipeline.py")) == [
-        "RL003"
+        "RL003",
+        "RL002",
     ]
     # PR 7 class: hash()-derived cache keys / seeds (PYTHONHASHSEED-salted)
     pre_pr7 = (

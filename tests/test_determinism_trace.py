@@ -151,7 +151,7 @@ def test_resilience_disabled_matches_golden():
     """REPRO_RESILIENCE=0 reverts bit-identically: with the toggle off the
     retry/repost machinery never arms and the golden query reproduces the
     pinned trace exactly."""
-    from repro.util import resilience
+    from repro.util.toggles import RESILIENCE as resilience
 
     with resilience.forced(False):
         trace = collect_trace(seed=0)
@@ -163,7 +163,7 @@ def test_store_disabled_matches_golden(tmp_path):
     """REPRO_STORE=0 reverts bit-identically: a *configured* persistent
     store is ignored entirely — the pinned trace reproduces exactly and
     the store file is never even created — through both facades."""
-    from repro.util import store as store_toggle
+    from repro.util.toggles import STORE as store_toggle
 
     golden = json.loads(GOLDEN_PATH.read_text())
     for through_session in (False, True):
@@ -191,7 +191,7 @@ def test_zero_rate_fault_plan_matches_golden_with_toggle_forced_on():
     """Same pin with REPRO_RESILIENCE explicitly forced on: arming the
     layer against a fault-free marketplace must still change nothing."""
     from repro.crowd import FaultPlan
-    from repro.util import resilience
+    from repro.util.toggles import RESILIENCE as resilience
 
     with resilience.forced(True):
         trace = collect_trace(seed=0, faults=FaultPlan())
@@ -203,7 +203,7 @@ def test_vector_disabled_matches_golden():
     """REPRO_VECTOR=0 reverts bit-identically: with the vector kernel off
     (its default) the scalar fast path runs untouched and the golden query
     reproduces the pinned trace exactly."""
-    from repro.util import vector
+    from repro.util.toggles import VECTOR as vector
 
     with vector.forced(False):
         trace = collect_trace(seed=0)
@@ -217,7 +217,7 @@ def test_vector_path_matches_vector_golden():
     scalar golden but is pinned against its own
     (``determinism_trace_vector.json``, regenerated with
     ``python scripts/regen_golden_trace.py --vector``)."""
-    from repro.util import vector
+    from repro.util.toggles import VECTOR as vector
 
     if not vector.available():
         pytest.skip("numpy not installed; vector determinism domain inactive")
@@ -230,7 +230,7 @@ def test_vector_path_matches_vector_golden():
 def test_vector_path_bit_reproducible_run_to_run():
     """Two identical runs under REPRO_VECTOR=1 emit identical traces —
     votes, clock, ledger, counters, assignment ids, and submit times."""
-    from repro.util import vector
+    from repro.util.toggles import VECTOR as vector
 
     if not vector.available():
         pytest.skip("numpy not installed; vector determinism domain inactive")

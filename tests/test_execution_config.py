@@ -40,6 +40,8 @@ from repro.joins.batching import JoinInterface
         ("backoff_base", math.nan),
         ("retry_deadline", math.nan),
         ("limit_sort_tournament", None),
+        ("adapt", "0"),
+        ("resilience", "off"),
     ],
 )
 def test_bad_value_rejected_at_construction(field, value):

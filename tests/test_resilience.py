@@ -46,7 +46,7 @@ from repro.hits.resilience import (
     marketplace_faults_active,
 )
 from repro.joins.batching import JoinInterface
-from repro.util import resilience
+from repro.util.toggles import RESILIENCE
 
 
 # ---------------------------------------------------------------------------
@@ -162,10 +162,10 @@ def test_build_resilience_requires_toggle_and_active_faults():
     _, clean = make_market()
     assert build_resilience(config, faulted) is not None
     assert build_resilience(config, clean) is None
-    with resilience.forced(False):
+    with RESILIENCE.forced(False):
         assert build_resilience(config, faulted) is None
     # ExecutionConfig.resilience overrides the toggle in both directions.
-    with resilience.forced(False):
+    with RESILIENCE.forced(False):
         on = build_resilience(ExecutionConfig(resilience=True), faulted)
         assert on is not None
     assert build_resilience(ExecutionConfig(resilience=False), faulted) is None
@@ -289,7 +289,7 @@ def test_straggler_stretches_submit_times():
 
 def test_faults_ignored_when_toggle_disabled():
     plan = FaultPlan(abandonment_rate=1.0, transient_error_rate=1.0)
-    with resilience.forced(False):
+    with RESILIENCE.forced(False):
         items, market = make_market(seed=7, faults=plan)
         _, ticket = submit_group(market, items)
     assert len(ticket.assignments) > 0
@@ -701,7 +701,7 @@ def test_session_fault_free_trace_untouched_by_resilience():
     session_on, market_on = celebrity_session()
     h_on = session_on.submit(FILTER_QUERY)
     result_on = session_on.run()[h_on]
-    with resilience.forced(False):
+    with RESILIENCE.forced(False):
         session_off, market_off = celebrity_session()
         h_off = session_off.submit(FILTER_QUERY)
         result_off = session_off.run()[h_off]

@@ -36,7 +36,7 @@ from repro.hits.store import (
     open_store,
 )
 from repro.relational.expressions import UNKNOWN
-from repro.util import store as store_toggle
+from repro.util.toggles import STORE
 
 
 def make_hit(item: str = "a", assignments: int = 5) -> HIT:
@@ -509,7 +509,7 @@ def test_cold_store_run_matches_plain_taskcache_run(db_path):
 
 
 def test_repro_store_off_ignores_configured_store(db_path):
-    with store_toggle.forced(False):
+    with STORE.forced(False):
         engine = animals_engine(store=db_path)
         assert engine.store is None
         result = engine.execute(ANIMALS_QUERY)

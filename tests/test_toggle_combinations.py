@@ -17,6 +17,7 @@ The VECTOR=1 settings are skipped when numpy is not installed.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 
@@ -26,16 +27,18 @@ from repro.core.engine import Qurk
 from repro.crowd import FaultPlan, SimulatedMarketplace
 from repro.datasets import squares_dataset
 from repro.errors import QurkError
-from repro.util import adapt, resilience, store, vector
+from repro.util.toggles import STORE, TOGGLES
 
 QUERY = "SELECT squares.label FROM squares ORDER BY squareSorter(img)"
 
-SETTINGS = list(itertools.product((False, True), repeat=4))
+SETTINGS = list(itertools.product((False, True), repeat=len(TOGGLES)))
 
 
 def _setting_id(setting) -> str:
-    names = ("adapt", "resilience", "store", "vector")
-    return "-".join(f"{name}{int(flag)}" for name, flag in zip(names, setting))
+    return "-".join(
+        f"{toggle.env.removeprefix('REPRO_').lower()}{int(flag)}"
+        for toggle, flag in zip(TOGGLES, setting)
+    )
 
 
 def _run(data, db_path):
@@ -73,18 +76,17 @@ def _assert_conserved(result, ledger, stats) -> None:
 
 @pytest.mark.parametrize("setting", SETTINGS, ids=[_setting_id(s) for s in SETTINGS])
 def test_toggle_combination(setting, tmp_path):
-    adapt_on, resilience_on, store_on, vector_on = setting
-    if vector_on and not vector.available():
-        pytest.skip("numpy not installed; REPRO_VECTOR degrades to scalar")
+    flags = dict(zip(TOGGLES, setting))
+    for toggle, flag in flags.items():
+        if flag and not toggle.available():
+            pytest.skip(f"{toggle.requires} not installed; {toggle.env} stays off")
+    store_on = flags[STORE]
     data = squares_dataset(n=10, seed=0)
     db_path = tmp_path / "answers.db"
-    with (
-        adapt.forced(adapt_on),
-        resilience.forced(resilience_on),
-        store.forced(store_on),
-        vector.forced(vector_on),
-    ):
-        assert vector.enabled() == vector_on
+    with contextlib.ExitStack() as stack:
+        for toggle, flag in flags.items():
+            stack.enter_context(toggle.forced(flag))
+        assert all(toggle.enabled() == flag for toggle, flag in flags.items())
         cold = _run(data, db_path)
         warm = _run(data, db_path)
     for result, ledger, stats in (cold, warm):

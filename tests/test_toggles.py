@@ -1,17 +1,21 @@
-"""The REPRO_* toggles' environment contract.
+"""The REPRO_* toggle table and its environment contract.
 
-The toggles used to read their environment variable once, at import, so
-``os.environ["REPRO_ADAPT"] = "0"`` after ``import repro`` was silently
-ignored. They now re-read the variable at engine/session construction
-(:func:`refresh_from_env`); a *changed* environment value wins, while an
-unchanged environment leaves programmatic ``set_enabled`` / ``forced``
-overrides alone. Four toggles remain (ADAPT, RESILIENCE, STORE, VECTOR);
-the retired FASTPATH, PIPELINE and SORTSCALE variables are ignored.
+Every toggle is a :class:`~repro.util.toggles.Toggle` in ``TOGGLES``. The
+generic contract is parametrized over the table: a value is captured at
+import and re-read at every ``Qurk``/``EngineSession`` construction, where
+a *changed* value wins over ``set_enabled``/``forced`` and an unchanged
+one leaves them alone; values parse strictly. The toggle-specific tests
+pin what each switch does. The retired FASTPATH, PIPELINE and SORTSCALE
+variables are ignored.
 """
 
 from __future__ import annotations
 
 import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -19,197 +23,281 @@ from repro.core.engine import Qurk
 from repro.core.session import EngineSession
 from repro.crowd import SimulatedMarketplace
 from repro.datasets import animals_dataset
-from repro.util import adapt, resilience, store, vector
+from repro.errors import PlanError
+from repro.util.toggles import ADAPT, RESILIENCE, STORE, TOGGLES, VECTOR, refresh_all
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+QUERY = "SELECT a.name FROM animals a"
+FACADES = pytest.mark.parametrize(
+    "facade", [Qurk, EngineSession], ids=["Qurk", "EngineSession"]
+)
+EACH_TOGGLE = pytest.mark.parametrize("toggle", TOGGLES, ids=lambda t: t.env)
 
 
-def _require_unset(var: str) -> str | None:
-    previous = os.environ.get(var)
-    if previous is not None:
-        pytest.skip(f"{var} is set in this environment; test assumes defaults")
-    return previous
+@pytest.fixture
+def env(monkeypatch):
+    """``monkeypatch`` for the environment; every toggle is re-read once the
+    environment is restored, so no test leaks a setting into the next."""
+    yield monkeypatch
+    monkeypatch.undo()
+    refresh_all()
 
 
-def _restore(var: str, previous: str | None) -> None:
-    if previous is None:
-        os.environ.pop(var, None)
-    else:
-        os.environ[var] = previous
-    adapt.refresh_from_env()
-    resilience.refresh_from_env()
-    store.refresh_from_env()
-    vector.refresh_from_env()
+def _require_unset(name: str) -> None:
+    if os.environ.get(name) is not None:
+        pytest.skip(f"{name} is set in this environment; test assumes defaults")
 
 
-def animals_engine():
+def animals_engine(faults=None):
     data = animals_dataset()
-    market = SimulatedMarketplace(data.truth, seed=1)
+    market = SimulatedMarketplace(data.truth, seed=1, faults=faults)
     engine = Qurk(platform=market)
     engine.register_table(data.table)
     return engine, data
 
 
-def test_adapt_env_set_after_import_takes_effect_at_engine_construction():
-    previous = _require_unset("REPRO_ADAPT")
+# ---------------------------------------------------------------------------
+# the table, the spellings and the generic contract
+# ---------------------------------------------------------------------------
+
+
+def test_table_declares_the_four_toggles():
+    assert [t.env for t in TOGGLES] == [
+        "REPRO_ADAPT",
+        "REPRO_RESILIENCE",
+        "REPRO_STORE",
+        "REPRO_VECTOR",
+    ]
+
+
+def test_api_doc_table_lists_exactly_the_toggle_table():
+    api = (REPO_ROOT / "docs" / "API.md").read_text(encoding="utf-8")
+    section = api.split("### Environment toggles\n", 1)[1]
+    table = section.strip().split("\n\n", 1)[0]
+    rows = re.findall(r"^\| `(REPRO_\w+)` \| `([01])` \|", table, re.MULTILINE)
+    assert rows == [(t.env, str(int(t.default))) for t in TOGGLES]
+    assert len(table.splitlines()) == 2 + len(TOGGLES)
+
+
+@EACH_TOGGLE
+@pytest.mark.parametrize(
+    "raw, expected",
+    [
+        ("1", True), ("true", True), (" Yes ", True), ("ON", True),
+        ("0", False), ("False", False), (" no", False), ("Off\n", False),
+        ("", None), ("  ", None),
+    ],
+)
+def test_accepted_spellings(toggle, raw, expected, env):
+    """Accepted spellings ignore case and surrounding whitespace; an empty
+    value counts as unset and keeps the default."""
+    env.setenv(toggle.env, raw)
+    toggle.refresh()
+    assert toggle.requested() == (toggle.default if expected is None else expected)
+
+
+@EACH_TOGGLE
+@pytest.mark.parametrize("raw", ["disabled", "flase", "2", "o n"])
+def test_malformed_value_raises_at_construction(toggle, raw, env):
+    """Any other value used to switch the toggle on (``REPRO_VECTOR=disabled``
+    armed the numpy kernel); now construction names the variable, the value
+    and the accepted spellings, and the setting is left as it was."""
+    before = toggle.requested()
+    env.setenv(toggle.env, raw)
+    with pytest.raises(PlanError, match=rf"{toggle.env}={raw!r}.*true.*off"):
+        animals_engine()
+    assert toggle.requested() == before
+
+
+def test_malformed_value_set_before_import_raises_at_construction_not_import():
+    script = (
+        "import repro\n"
+        "from repro.core.engine import Qurk\n"
+        "from repro.crowd import SimulatedMarketplace\n"
+        "from repro.datasets import animals_dataset\n"
+        "from repro.errors import PlanError\n"
+        "from repro.util.toggles import VECTOR\n"
+        "assert not VECTOR.requested()\n"
+        "try:\n"
+        "    Qurk(platform=SimulatedMarketplace(animals_dataset().truth, seed=1))\n"
+        "except PlanError as exc:\n"
+        "    assert \"REPRO_VECTOR='disabled'\" in str(exc), exc\n"
+        "else:\n"
+        "    raise SystemExit('no PlanError')\n"
+    )
+    environ = {**os.environ, "REPRO_VECTOR": "disabled"}
+    environ["PYTHONPATH"] = os.pathsep.join(
+        [str(REPO_ROOT / "src"), environ.get("PYTHONPATH", "")]
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=environ, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+
+
+@EACH_TOGGLE
+@FACADES
+def test_env_set_after_import_takes_effect_at_construction(toggle, facade, env):
+    _require_unset(toggle.env)
+    env.setenv(toggle.env, str(int(not toggle.default)))
+    assert toggle.requested() == toggle.default  # construction re-reads it
+    facade(platform=SimulatedMarketplace(animals_dataset().truth, seed=1))
+    assert toggle.requested() != toggle.default
+
+
+@EACH_TOGGLE
+def test_unchanged_env_leaves_forced_alone(toggle):
+    _require_unset(toggle.env)
+    with toggle.forced(not toggle.default):
+        animals_engine()
+        assert toggle.requested() != toggle.default
+    assert toggle.requested() == toggle.default
+
+
+@EACH_TOGGLE
+def test_changed_env_beats_set_enabled(toggle, env):
+    _require_unset(toggle.env)
+    previous = toggle.set_enabled(not toggle.default)
     try:
-        os.environ["REPRO_ADAPT"] = "0"
-        assert adapt.enabled()  # not yet re-read: construction does that
-        engine, _ = animals_engine()
-        assert not adapt.enabled()
-        result = engine.execute("SELECT a.name FROM animals a")
-        assert result.adaptive_summary is None  # static rewriter ran
+        env.setenv(toggle.env, str(int(toggle.default)))
+        animals_engine()
+        assert toggle.requested() == toggle.default
     finally:
-        _restore("REPRO_ADAPT", previous)
+        toggle.set_enabled(previous)
+
+
+# ---------------------------------------------------------------------------
+# what each toggle switches
+# ---------------------------------------------------------------------------
+
+
+def test_adapt_env_set_after_import_takes_effect_at_engine_construction(env):
+    _require_unset("REPRO_ADAPT")
+    env.setenv("REPRO_ADAPT", "0")
     engine, _ = animals_engine()
-    assert adapt.enabled()
-    assert (
-        engine.execute("SELECT a.name FROM animals a").adaptive_summary
-        is not None
-    )
+    assert engine.execute(QUERY).adaptive_summary is None  # static rewriter ran
+    env.delenv("REPRO_ADAPT")
+    engine, _ = animals_engine()
+    assert engine.execute(QUERY).adaptive_summary is not None
 
 
-def test_resilience_env_set_after_import_takes_effect_at_engine_construction():
-    previous = _require_unset("REPRO_RESILIENCE")
-    try:
-        os.environ["REPRO_RESILIENCE"] = "0"
-        assert resilience.enabled()  # not yet re-read: construction does that
-        engine, _ = animals_engine()
-        assert not resilience.enabled()
-    finally:
-        _restore("REPRO_RESILIENCE", previous)
-    animals_engine()
-    assert resilience.enabled()
+def test_resilience_env_set_after_import_takes_effect_at_engine_construction(env):
+    """With the layer off, a faulted marketplace's engine never arms it."""
+    from repro.crowd import FaultPlan
+
+    _require_unset("REPRO_RESILIENCE")
+    faults = FaultPlan(abandonment_rate=0.2)
+    env.setenv("REPRO_RESILIENCE", "0")
+    engine, _ = animals_engine(faults)
+    assert engine.execute(QUERY).degradation_summary is None
+    env.delenv("REPRO_RESILIENCE")
+    engine, _ = animals_engine(faults)
+    assert engine.execute(QUERY).degradation_summary is not None
 
 
-def test_resilience_env_honored_by_session_construction():
-    previous = _require_unset("REPRO_RESILIENCE")
-    try:
-        os.environ["REPRO_RESILIENCE"] = "0"
-        data = animals_dataset()
-        EngineSession(platform=SimulatedMarketplace(data.truth, seed=1))
-        assert not resilience.enabled()
-    finally:
-        _restore("REPRO_RESILIENCE", previous)
+def test_resilience_env_honored_by_session_construction(env):
+    from repro.crowd import FaultPlan
 
-
-def test_store_env_set_after_import_takes_effect_at_engine_construction(tmp_path):
-    previous = _require_unset("REPRO_STORE")
-    db_path = tmp_path / "answers.db"
-    try:
-        os.environ["REPRO_STORE"] = "0"
-        assert store.enabled()  # not yet re-read: construction does that
-        data = animals_dataset()
-        engine = Qurk(
-            platform=SimulatedMarketplace(data.truth, seed=1), store=db_path
+    _require_unset("REPRO_RESILIENCE")
+    env.setenv("REPRO_RESILIENCE", "0")
+    data = animals_dataset()
+    session = EngineSession(
+        platform=SimulatedMarketplace(
+            data.truth, seed=1, faults=FaultPlan(abandonment_rate=0.2)
         )
-        assert not store.enabled()
-        assert engine.store is None  # configured store ignored entirely
-        engine.register_table(data.table)
-        result = engine.execute("SELECT a.name FROM animals a")
-        assert result.store_summary is None
-        assert not db_path.exists()  # not even the file was opened
-    finally:
-        _restore("REPRO_STORE", previous)
-    engine = Qurk(
-        platform=SimulatedMarketplace(data.truth, seed=1), store=db_path
     )
-    assert store.enabled()
+    session.register_table(data.table)
+    handle = session.submit(QUERY)
+    session.run()
+    assert handle.result.degradation_summary is None
+
+
+def test_store_env_set_after_import_takes_effect_at_engine_construction(
+    tmp_path, env
+):
+    _require_unset("REPRO_STORE")
+    db_path = tmp_path / "answers.db"
+    env.setenv("REPRO_STORE", "0")
+    data = animals_dataset()
+    engine = Qurk(platform=SimulatedMarketplace(data.truth, seed=1), store=db_path)
+    assert engine.store is None  # configured store ignored entirely
+    engine.register_table(data.table)
+    assert engine.execute(QUERY).store_summary is None
+    assert not db_path.exists()  # not even the file was opened
+    env.delenv("REPRO_STORE")
+    engine = Qurk(platform=SimulatedMarketplace(data.truth, seed=1), store=db_path)
     assert engine.store is not None
     engine.store.close()
 
 
-def test_store_env_honored_by_session_construction(tmp_path):
-    previous = _require_unset("REPRO_STORE")
-    db_path = tmp_path / "answers.db"
-    try:
-        os.environ["REPRO_STORE"] = "0"
-        data = animals_dataset()
-        session = EngineSession(
-            platform=SimulatedMarketplace(data.truth, seed=1), store=db_path
-        )
-        assert not store.enabled()
-        assert session.store is None
-        # With the store ignored, the session falls back to a plain
-        # in-process TaskCache as its shared cross-query cache.
-        from repro.hits.cache import TaskCache
+def test_store_env_honored_by_session_construction(tmp_path, env):
+    from repro.hits.cache import TaskCache
 
-        assert isinstance(session.cache, TaskCache)
-        assert not db_path.exists()
-    finally:
-        _restore("REPRO_STORE", previous)
+    _require_unset("REPRO_STORE")
+    db_path = tmp_path / "answers.db"
+    env.setenv("REPRO_STORE", "0")
+    data = animals_dataset()
+    session = EngineSession(
+        platform=SimulatedMarketplace(data.truth, seed=1), store=db_path
+    )
+    assert session.store is None
+    # With the store ignored, the session falls back to a plain
+    # in-process TaskCache as its shared cross-query cache.
+    assert isinstance(session.cache, TaskCache)
+    assert not db_path.exists()
 
 
 def test_store_refresh_does_not_clobber_forced_context(tmp_path):
-    """An unchanged environment leaves forced()/set_enabled() alone, so a
-    forced(False) block survives engine construction inside it."""
+    """A forced(False) block survives engine construction inside it: the
+    configured store stays detached."""
     data = animals_dataset()
-    db_path = tmp_path / "answers.db"
-    with store.forced(False):
+    with STORE.forced(False):
         engine = Qurk(
-            platform=SimulatedMarketplace(data.truth, seed=1), store=db_path
+            platform=SimulatedMarketplace(data.truth, seed=1),
+            store=tmp_path / "answers.db",
         )
-        assert not store.enabled()
         assert engine.store is None
-    assert store.enabled()
+    assert STORE.enabled()
 
 
-def test_vector_env_set_after_import_takes_effect_at_engine_construction():
-    """REPRO_VECTOR defaults *off* (opt-in), so the env contract runs in the
-    opposite direction from the other toggles: setting the variable after
-    import must arm the kernel at the next engine construction."""
-    previous = _require_unset("REPRO_VECTOR")
-    try:
-        os.environ["REPRO_VECTOR"] = "1"
-        assert not vector.requested()  # not yet re-read: construction does that
-        animals_engine()
-        assert vector.requested()
-        # enabled() additionally gates on numpy being importable.
-        assert vector.enabled() == vector.available()
-    finally:
-        _restore("REPRO_VECTOR", previous)
-    animals_engine()
-    assert not vector.requested()
-    assert not vector.enabled()
-
-
-def test_vector_env_honored_by_session_construction():
-    previous = _require_unset("REPRO_VECTOR")
-    try:
-        os.environ["REPRO_VECTOR"] = "1"
-        data = animals_dataset()
-        EngineSession(platform=SimulatedMarketplace(data.truth, seed=1))
-        assert vector.requested()
-    finally:
-        _restore("REPRO_VECTOR", previous)
-
-
-def test_vector_refresh_does_not_clobber_forced_context():
-    """An unchanged environment leaves forced()/set_enabled() alone, so a
-    forced(True) block survives engine construction inside it."""
+def test_vector_env_set_after_import_takes_effect_at_engine_construction(env):
+    """REPRO_VECTOR defaults *off* (opt-in); once requested, enabled()
+    additionally gates on numpy being importable."""
     _require_unset("REPRO_VECTOR")
-    with vector.forced(True):
-        animals_engine()
-        assert vector.requested()
-    assert not vector.requested()
+    env.setenv("REPRO_VECTOR", "1")
+    animals_engine()
+    assert VECTOR.requested()
+    assert VECTOR.enabled() == VECTOR.available()
+    env.delenv("REPRO_VECTOR")
+    animals_engine()
+    assert not VECTOR.requested()
+    assert not VECTOR.enabled()
+
+
+def test_vector_env_honored_by_session_construction(env):
+    _require_unset("REPRO_VECTOR")
+    env.setenv("REPRO_VECTOR", "1")
+    EngineSession(platform=SimulatedMarketplace(animals_dataset().truth, seed=1))
+    assert VECTOR.requested()
+    assert VECTOR.enabled() == VECTOR.available()
 
 
 def test_vector_requested_without_numpy_degrades_to_scalar(monkeypatch):
     """With numpy unimportable, a requested kernel must not break anything:
     enabled() stays False, the degradation note appears, a RuntimeWarning
     fires at construction, and the query runs on the scalar path."""
-    monkeypatch.setattr(vector, "_NUMPY", None)
-    monkeypatch.setattr(vector, "_NUMPY_PROBED", True)
+    monkeypatch.setattr(VECTOR, "_available", False)
     # Both the forced() entry and engine construction warn; the whole
     # block sits inside pytest.warns so neither leaks into the run log.
     with pytest.warns(RuntimeWarning, match="REPRO_VECTOR"):
-        with vector.forced(True):
-            assert vector.requested()
-            assert not vector.available()
-            assert not vector.enabled()
-            assert vector.requested_but_unavailable()
-            note = vector.status_note()
-            assert note is not None and "numpy" in note
+        with VECTOR.forced(True):
+            assert VECTOR.requested()
+            assert not VECTOR.available()
+            assert not VECTOR.enabled()
+            note = VECTOR.status_note()
+            assert note is not None and "numpy is not installed" in note
             engine, _ = animals_engine()
-            result = engine.execute("SELECT a.name FROM animals a")
+            result = engine.execute(QUERY)
             assert result.rows
             # The degradation note also reaches the EXPLAIN footer.
             assert "numpy is not installed" in result.explain()
@@ -220,28 +308,15 @@ def test_resilience_config_overrides_toggle():
     faulted marketplace, the only place the layer arms at all)."""
     from repro.core.context import ExecutionConfig
     from repro.crowd import FaultPlan
-    from repro.datasets import animals_dataset
 
-    data = animals_dataset()
-    query = "SELECT a.name FROM animals a"
-
-    def faulted_engine():
-        market = SimulatedMarketplace(
-            data.truth, seed=1, faults=FaultPlan(abandonment_rate=0.2)
-        )
-        engine = Qurk(platform=market)
-        engine.register_table(data.table)
-        return engine
-
-    with resilience.forced(True):
-        result = faulted_engine().execute(
-            query, config=ExecutionConfig(resilience=False)
-        )
+    faults = FaultPlan(abandonment_rate=0.2)
+    with RESILIENCE.forced(True):
+        engine, _ = animals_engine(faults)
+        result = engine.execute(QUERY, config=ExecutionConfig(resilience=False))
         assert result.degradation_summary is None
-    with resilience.forced(False):
-        result = faulted_engine().execute(
-            query, config=ExecutionConfig(resilience=True)
-        )
+    with RESILIENCE.forced(False):
+        engine, _ = animals_engine(faults)
+        result = engine.execute(QUERY, config=ExecutionConfig(resilience=True))
         assert result.degradation_summary is not None
 
 
@@ -249,45 +324,15 @@ def test_adapt_config_overrides_toggle():
     from repro.core.context import ExecutionConfig
 
     engine, _ = animals_engine()
-    with adapt.forced(True):
-        result = engine.execute(
-            "SELECT a.name FROM animals a", config=ExecutionConfig(adapt=False)
-        )
+    with ADAPT.forced(True):
+        result = engine.execute(QUERY, config=ExecutionConfig(adapt=False))
         assert result.adaptive_summary is None
-    with adapt.forced(False):
-        result = engine.execute(
-            "SELECT a.name FROM animals a", config=ExecutionConfig(adapt=True)
-        )
+    with ADAPT.forced(False):
+        result = engine.execute(QUERY, config=ExecutionConfig(adapt=True))
         assert result.adaptive_summary is not None
 
 
-def test_refresh_does_not_clobber_programmatic_overrides():
-    """An unchanged environment must leave forced()/set_enabled() alone —
-    constructing an engine inside a forced(False) block keeps it off."""
-    _require_unset("REPRO_ADAPT")
-    _require_unset("REPRO_RESILIENCE")
-    with adapt.forced(False):
-        animals_engine()
-        assert not adapt.enabled()
-    assert adapt.enabled()
-    with resilience.forced(False):
-        animals_engine()
-        assert not resilience.enabled()
-    assert resilience.enabled()
-
-
-def test_env_change_overrides_programmatic_setting():
-    previous = os.environ.get("REPRO_ADAPT")
-    try:
-        adapt.set_enabled(False)
-        os.environ["REPRO_ADAPT"] = "1"
-        assert adapt.refresh_from_env()  # changed env wins
-        assert adapt.enabled()
-    finally:
-        _restore("REPRO_ADAPT", previous)
-
-
-def test_retired_toggles_are_ignored():
+def test_retired_toggles_are_ignored(env):
     """REPRO_FASTPATH, REPRO_PIPELINE and REPRO_SORTSCALE no longer select
     anything: set to 0, the engine still pipelines on an overlap-capable
     platform, a session still overlaps, the LIMIT tournament still runs,
@@ -295,32 +340,26 @@ def test_retired_toggles_are_ignored():
     from repro.datasets.squares import squares_dataset
     from repro.util import fastpath, pipeline, sortscale
 
-    retired = ("REPRO_FASTPATH", "REPRO_PIPELINE", "REPRO_SORTSCALE")
-    previous = {var: os.environ.get(var) for var in retired}
-    try:
-        for var in retired:
-            os.environ[var] = "0"
-        engine, _ = animals_engine()
-        assert engine.execute("SELECT a.name FROM animals a").pipeline_summary
-        data = animals_dataset()
-        session = EngineSession(platform=SimulatedMarketplace(data.truth, seed=1))
-        session.register_table(data.table)
-        session.submit("SELECT a.name FROM animals a")
-        session.submit("SELECT a.name FROM animals a")
-        assert session.run().stats.mode == "concurrent"
-        squares = squares_dataset(n=12, seed=0)
-        engine = Qurk(platform=SimulatedMarketplace(squares.truth, seed=0))
-        engine.register_table(squares.table)
-        engine.define(squares.task_dsl)
-        result = engine.execute(
-            "SELECT squares.label FROM squares "
-            "ORDER BY squareSorter(img) DESC LIMIT 2"
-        )
-        signals = {}
-        for stats in result.node_stats.values():
-            signals.update(stats.signals)
-        assert signals.get("limit_tournament_k") == 2.0
-        assert fastpath.enabled() and pipeline.enabled() and sortscale.enabled()
-    finally:
-        for var, value in previous.items():
-            _restore(var, value)
+    for var in ("REPRO_FASTPATH", "REPRO_PIPELINE", "REPRO_SORTSCALE"):
+        env.setenv(var, "0")
+    engine, _ = animals_engine()
+    assert engine.execute(QUERY).pipeline_summary
+    data = animals_dataset()
+    session = EngineSession(platform=SimulatedMarketplace(data.truth, seed=1))
+    session.register_table(data.table)
+    session.submit(QUERY)
+    session.submit(QUERY)
+    assert session.run().stats.mode == "concurrent"
+    squares = squares_dataset(n=12, seed=0)
+    engine = Qurk(platform=SimulatedMarketplace(squares.truth, seed=0))
+    engine.register_table(squares.table)
+    engine.define(squares.task_dsl)
+    result = engine.execute(
+        "SELECT squares.label FROM squares "
+        "ORDER BY squareSorter(img) DESC LIMIT 2"
+    )
+    signals = {}
+    for stats in result.node_stats.values():
+        signals.update(stats.signals)
+    assert signals.get("limit_tournament_k") == 2.0
+    assert fastpath.enabled() and pipeline.enabled() and sortscale.enabled()

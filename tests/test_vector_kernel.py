@@ -34,10 +34,10 @@ from repro.hits.hit import (
 )
 from repro.hits.manager import TaskManager
 from repro.relational.expressions import UNKNOWN
-from repro.util import vector as vector_toggle
 from repro.util.rng import RandomSource
+from repro.util.toggles import VECTOR
 
-if not vector_toggle.available():
+if not VECTOR.available():
     pytest.skip(
         "numpy not installed; REPRO_VECTOR kernel inactive", allow_module_level=True
     )
@@ -290,7 +290,7 @@ def test_dispatched_answers_keep_per_kind_row_order():
         ]
         for hit in hits
     }
-    with vector_toggle.forced(True):
+    with VECTOR.forced(True):
         completed = market.post_hit_group(hits, group_id="g")
     assert len(completed) == len(hits) * 5
     assert [a.assignment_id for a in completed] == [

@@ -32,9 +32,9 @@ import pytest
 from repro.crowd import GroundTruth, SimulatedMarketplace
 from repro.hits.hit import FilterPayload, FilterQuestion
 from repro.hits.manager import BatchOutcome, TaskManager
-from repro.util import vector as vector_toggle
+from repro.util.toggles import VECTOR
 
-if not vector_toggle.available():
+if not VECTOR.available():
     pytest.skip(
         "numpy not installed; REPRO_VECTOR kernel inactive", allow_module_level=True
     )
@@ -56,7 +56,7 @@ def _post_group(seed: int, vector_on: bool):
     hits = manager.build_hits(
         units, batch_size=BATCH_SIZE, assignments=ASSIGNMENTS, label="t"
     )
-    with vector_toggle.forced(vector_on):
+    with VECTOR.forced(vector_on):
         completed = market.post_hit_group(hits, group_id="g")
     return market, completed
 

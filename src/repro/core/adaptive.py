@@ -398,9 +398,7 @@ class AdaptiveChainRun:
         stats = ctx.stats_for(member)
         stats.rows_in += len(subset)
         bindings = run_predicate_calls(member.predicate, subset, ctx, "where")
-        stats.hits += bindings.outcome.hit_count
-        stats.assignments += bindings.outcome.assignment_count
-        stats.elapsed_seconds += bindings.outcome.elapsed_seconds
+        stats.add(bindings.outcome)
         stats.signals.update(bindings.signals)
 
         passed: set[int] = set()
@@ -415,10 +413,7 @@ class AdaptiveChainRun:
         if observed is not None:
             stats.signals["observed_selectivity"] = observed
 
-        node_stats = ctx.stats_for(self.node)
-        node_stats.hits += bindings.outcome.hit_count
-        node_stats.assignments += bindings.outcome.assignment_count
-        node_stats.elapsed_seconds += bindings.outcome.elapsed_seconds
+        ctx.stats_for(self.node).add(bindings.outcome)
 
         self.state.note_event(
             ReplanEvent(

@@ -16,13 +16,14 @@ from typing import TYPE_CHECKING
 from repro.combine import get_combiner
 from repro.combine.adaptive import AdaptivePolicy
 from repro.combine.base import Combiner
-from repro.errors import PlanError
-from repro.hits.manager import TaskManager
+from repro.errors import BudgetExceededError, PlanError
+from repro.hits.manager import BatchOutcome, PendingBatch, TaskManager
 from repro.joins.batching import JoinInterface
 from repro.relational.catalog import Catalog
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.plan import PlanNode
+    from repro.core.scheduler import OperatorBinding
 
 _MINIMUMS: dict[str, int] = {
     "assignments": 1,
@@ -162,7 +163,7 @@ class ExecutionConfig:
     before posting *anything* when the cost model's whole-plan forecast
     says even a trimmed allocation cannot fit (see
     :func:`repro.core.budget.plan_preflight`). Off by default: the
-    per-round pre-flight in ``charge_budget_for_units`` remains the
+    per-group pre-flight in :meth:`QueryContext.post` remains the
     precise, cache-aware gate."""
 
     resilience: bool | None = None
@@ -287,6 +288,13 @@ class OperatorStats:
     signals: dict[str, float] = field(default_factory=dict)
     pipeline: PipelineStats | None = None
 
+    def add(self, outcome: BatchOutcome) -> None:
+        """Fold one crowd phase's outcome into the node's counts: HITs,
+        assignments, and the phase's own virtual duration."""
+        self.hits += outcome.hit_count
+        self.assignments += outcome.assignment_count
+        self.elapsed_seconds += outcome.elapsed_seconds
+
 
 @dataclass
 class QueryContext:
@@ -310,6 +318,11 @@ class QueryContext:
     active; None under ``REPRO_ADAPT=0``. Typed loosely to keep this module
     import-light; the engine and session construct it."""
 
+    binding: OperatorBinding | None = None
+    """The scheduler's binding for the operator this context was handed to
+    (its local clock and the scheduler's book of its groups); None outside
+    the scheduler, where :meth:`post` posts blocking."""
+
     def combiner_for(self, task_combiner: str) -> Combiner:
         """Instantiate the effective combiner for a task."""
         name = self.config.combiner or task_combiner
@@ -319,44 +332,49 @@ class QueryContext:
         """The mutable stats bucket for a plan node."""
         return self.node_stats.setdefault(id(node), OperatorStats(label=node.label()))
 
-    def charge_budget_for_units(
-        self, units, batch_size: int, assignments: int
-    ) -> None:
-        """Pre-flight a posting round of ``units`` against ``max_budget``.
+    def post(
+        self, units, batch_size: int, assignments: int, label: str
+    ) -> PendingBatch:
+        """Post one HIT group of ``units``: the one way operators hand work
+        to the crowd. Collect it with ``.result()``.
 
-        Projects through :meth:`TaskManager.projected_new_assignments`, so
-        unit batches already answered in the task cache are not counted —
-        but only when a budget is actually set: the projection re-merges
-        the units and computes cache keys, work that must stay off the
-        un-budgeted hot path.
+        Pre-flights ``max_budget`` first. The projection goes through
+        :meth:`TaskManager.projected_new_assignments`, so unit batches
+        already answered in the task cache are not counted, but only when
+        a budget is set: it re-merges the units and computes cache keys,
+        work that must stay off the un-budgeted hot path. It also counts
+        the binding's posted-but-unharvested assignments, whose ledger
+        charges land at harvest, so the abort point is the one a blocking
+        platform reaches, where every posting charges the ledger before
+        the next pre-flight.
+
+        The group is then posted under ``strict_hits``: at the operator's
+        local clock through :attr:`binding` when the scheduler runs the
+        operator, else blocking at the platform clock.
         """
-        if self.config.max_budget is None:
-            return
-        self.charge_budget(
-            self.manager.projected_new_assignments(units, batch_size, assignments)
-        )
-
-    def charge_budget(self, upcoming_assignments: int) -> None:
-        """Pre-flight budget check before posting more work.
-
-        Counts the ledger plus any posted-but-unharvested work: when groups
-        stay outstanding, ledger charges land at harvest time, so the
-        scheduler's operator manager proxy exposes ``inflight_assignments``
-        for them — keeping the abort point identical to a blocking
-        platform's, where every posting charges the ledger before the next
-        pre-flight check runs.
-        """
-        if self.config.max_budget is None:
-            return
-        inflight = getattr(self.manager, "inflight_assignments", 0)
-        projected = self.manager.ledger.total_cost + self.manager.ledger.pricing.cost(
-            upcoming_assignments + inflight
-        )
-        if projected > self.config.max_budget + 1e-9:
-            from repro.errors import BudgetExceededError
-
-            prefix = f"{self.label}: " if self.label else ""
-            raise BudgetExceededError(
-                f"{prefix}posting {upcoming_assignments} assignments would cost "
-                f"${projected:.2f}, exceeding the ${self.config.max_budget:.2f} budget"
+        binding = self.binding
+        if self.config.max_budget is not None:
+            upcoming = self.manager.projected_new_assignments(
+                units, batch_size, assignments
             )
+            inflight = 0 if binding is None else binding.inflight_assignments
+            ledger = self.manager.ledger
+            projected = ledger.total_cost + ledger.pricing.cost(upcoming + inflight)
+            if projected > self.config.max_budget + 1e-9:
+                prefix = f"{self.label}: " if self.label else ""
+                raise BudgetExceededError(
+                    f"{prefix}posting {upcoming} assignments would cost "
+                    f"${projected:.2f}, exceeding the "
+                    f"${self.config.max_budget:.2f} budget"
+                )
+        pending = self.manager.begin_units(
+            units,
+            batch_size,
+            assignments,
+            label=label,
+            strict=self.config.strict_hits,
+            post_time=None if binding is None else binding.post_time,
+        )
+        if binding is not None:
+            binding.book(pending)
+        return pending

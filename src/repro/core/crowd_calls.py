@@ -2,8 +2,8 @@
 
 The bridge between expressions in a query and HIT payloads: evaluate a
 call's arguments against a row, reduce them to item references, build
-payloads, hand them to the Task Manager, and combine the votes back into
-per-item answers usable during expression evaluation.
+payloads, post them through :meth:`QueryContext.post`, and combine the
+votes back into per-item answers usable during expression evaluation.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from repro.hits.hit import (
     filter_qid,
     generative_qid,
 )
-from repro.hits.manager import BatchOutcome
+from repro.hits.manager import BatchOutcome, PendingBatch
 from repro.metrics.agreement import feature_kappa
 from repro.relational.expressions import (
     And,
@@ -173,16 +173,9 @@ def run_filter_call(
             label,
         )
     else:
-        ctx.charge_budget_for_units(
-            units, ctx.config.filter_batch_size, ctx.config.assignments
-        )
-        outcome = ctx.manager.run_units(
-            units,
-            batch_size=ctx.config.filter_batch_size,
-            assignments=ctx.config.assignments,
-            label=label,
-            strict=ctx.config.strict_hits,
-        )
+        outcome = ctx.post(
+            units, ctx.config.filter_batch_size, ctx.config.assignments, label
+        ).result()
         votes = outcome.votes
     combiner = ctx.combiner_for(task.combiner)
     corpus = {qid: qvotes for qid, qvotes in votes.items() if ":filter:" in qid}
@@ -204,8 +197,8 @@ class PendingGenerative:
     tasks: dict[str, GenerativeTask]
     task_items: dict[str, tuple[str, ...]]
     ctx: QueryContext
-    pending: object | None = None
-    """The manager's PendingBatch, or None when there was nothing to post.
+    pending: PendingBatch | None = None
+    """The posted group, or None when there was nothing to post.
 
     Callers ordering harvests by finish time sort the non-None ``pending``
     handles themselves (see :func:`repro.hits.manager.collect_pending`);
@@ -266,14 +259,11 @@ def begin_generative_units(
     frozen_items = {name: tuple(items) for name, items in task_items.items()}
     if not units:
         return PendingGenerative(tasks, frozen_items, ctx)  # type: ignore[arg-type]
-    effective_batch = batch_size or ctx.config.generative_batch_size
-    ctx.charge_budget_for_units(units, effective_batch, ctx.config.assignments)
-    pending = ctx.manager.begin_units(
+    pending = ctx.post(
         units,
-        batch_size=effective_batch,
-        assignments=ctx.config.assignments,
-        label=label,
-        strict=ctx.config.strict_hits,
+        batch_size or ctx.config.generative_batch_size,
+        ctx.config.assignments,
+        label,
     )
     return PendingGenerative(tasks, frozen_items, ctx, pending)  # type: ignore[arg-type]
 
@@ -351,21 +341,15 @@ def adaptive_single_question_votes(
     """
     policy: AdaptivePolicy = ctx.config.adaptive or AdaptivePolicy()
     votes: dict[str, list[Vote]] = {qid: [] for qid in qids}
-    total = BatchOutcome(post_time=ctx.manager.platform.clock_seconds)
+    # The first merge sets ``total.post_time`` (see BatchOutcome.merge).
+    total = BatchOutcome()
     pending = list(zip(units, qids))
     round_votes = policy.initial_votes
     while pending:
         round_units = [unit for unit, _ in pending]
-        ctx.charge_budget_for_units(
-            round_units, ctx.config.filter_batch_size, round_votes
-        )
-        outcome = ctx.manager.run_units(
-            round_units,
-            batch_size=ctx.config.filter_batch_size,
-            assignments=round_votes,
-            label=label,
-            strict=ctx.config.strict_hits,
-        )
+        outcome = ctx.post(
+            round_units, ctx.config.filter_batch_size, round_votes, label
+        ).result()
         total.merge(outcome)
         for qid, new_votes in outcome.votes.items():
             if qid in votes:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from repro.core.adaptive import SelectivityBook, build_state
-from repro.core.context import ExecutionConfig, OperatorStats
+from repro.core.context import ExecutionConfig, OperatorStats, QueryContext
 from repro.core.explain import plan_task_labels, render_explain
 from repro.core.optimizer import optimize
 from repro.core.plan import PlanNode
@@ -27,6 +27,7 @@ from repro.errors import PlanError
 from repro.hits.cache import TaskCache
 from repro.hits.manager import CrowdPlatform, TaskManager
 from repro.hits.pricing import CostLedger
+from repro.hits.resilience import build_resilience
 from repro.hits.store import PersistentAnswerStore, StoreSpec, open_store
 from repro.language.ast import SelectQuery, TaskDefinition
 from repro.language.parser import parse_statements
@@ -381,7 +382,10 @@ class Qurk:
     ) -> tuple[str, int]:
         """MAX/MIN via the best-of-batch tournament interface (§2.3).
 
-        Returns (winning item ref, HITs spent).
+        Returns (winning item ref, HITs spent). Posts like a query does:
+        through :meth:`QueryContext.post` under the engine's config
+        (``max_budget``, ``strict_hits``) and a fresh resilience bundle of
+        its own.
         """
         from repro.core.sort_exec import pick_best_payload, tally_pick_votes
 
@@ -389,15 +393,16 @@ class Qurk:
         if task_role(task) != ROLE_RANK:
             raise PlanError(f"extreme() needs a Rank task, got {type(task).__name__}")
         votes_requested = assignments or self.config.assignments
+        self.manager.resilience = build_resilience(self.config, self.platform)
+        ctx = QueryContext(
+            catalog=self.catalog, manager=self.manager, config=self.config
+        )
 
         def pick(batch: Sequence[str]) -> str:
             payload = pick_best_payload(task, batch, most)
-            outcome = self.manager.run_units(
-                [[payload]],
-                batch_size=1,
-                assignments=votes_requested,
-                label="aggregate:extreme",
-            )
+            outcome = ctx.post(
+                [[payload]], 1, votes_requested, "aggregate:extreme"
+            ).result()
             return tally_pick_votes(payload, outcome.votes.get(payload.qid(), []))
 
         return pick_extreme_order(items, pick, batch_size=batch_size)

@@ -23,6 +23,11 @@ Crowd operators materialise their own *inputs*: HIT batching (merging,
 input queue before posting. The pipelining wins come from sibling
 operators and independent per-group/per-side batches overlapping, plus
 chunked row flow through the computed operators.
+
+Operator bodies post crowd work only through
+:meth:`~repro.core.context.QueryContext.post`, and fold each phase's
+outcome into their node's stats with
+:meth:`~repro.core.context.OperatorStats.add`.
 """
 
 from __future__ import annotations
@@ -88,9 +93,7 @@ def crowd_filter_rows(
     if not rows:
         return []
     bindings = run_predicate_calls(node.predicate, rows, ctx, "where")
-    stats.hits += bindings.outcome.hit_count
-    stats.assignments += bindings.outcome.assignment_count
-    stats.elapsed_seconds += bindings.outcome.elapsed_seconds
+    stats.add(bindings.outcome)
     stats.signals.update(bindings.signals)
     kept = [
         row
@@ -145,8 +148,7 @@ def project_rows(node: ProjectNode, rows: list[Row], ctx: QueryContext) -> list[
 
         synthetic = And(operands=tuple(item.expr for item in node.items))
         bindings = run_predicate_calls(synthetic, rows, ctx, "select")
-        stats.hits += bindings.outcome.hit_count
-        stats.assignments += bindings.outcome.assignment_count
+        stats.add(bindings.outcome)
         stats.signals.update(bindings.signals)
 
     schema = node.output_schema

@@ -279,8 +279,8 @@ def _run_feature_extraction(
     )
     left_results, left_outcome, left_corpora = left_pending.collect()
     right_results, right_outcome, right_corpora = right_pending.collect()
-    stats.hits += left_outcome.hit_count + right_outcome.hit_count
-    stats.assignments += left_outcome.assignment_count + right_outcome.assignment_count
+    stats.add(left_outcome)
+    stats.add(right_outcome)
 
     # Unary predicates prune one side before the cross product forms. Many
     # refs share a feature value, so the predicate runs once per value.
@@ -472,18 +472,11 @@ def _run_join_interface(
         ]
         votes, outcome = adaptive_single_question_votes(units, qids, ctx, "join:pairs")
     else:
-        ctx.charge_budget_for_units(units, batch_size, ctx.config.assignments)
-        outcome = ctx.manager.run_units(
-            units,
-            batch_size=batch_size,
-            assignments=ctx.config.assignments,
-            label="join:pairs",
-            strict=ctx.config.strict_hits,
-        )
+        outcome = ctx.post(
+            units, batch_size, ctx.config.assignments, "join:pairs"
+        ).result()
         votes = outcome.votes
-    stats.hits += outcome.hit_count
-    stats.assignments += outcome.assignment_count
-    stats.elapsed_seconds += outcome.elapsed_seconds
+    stats.add(outcome)
 
     corpus = {qid: v for qid, v in votes.items() if ":join:" in qid and v}
     if not corpus:

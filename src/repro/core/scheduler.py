@@ -14,12 +14,16 @@ expressed entirely in **virtual time**:
 
 * every operator task carries a *local clock* — the virtual time up to
   which its inputs and previous HIT rounds have resolved;
-* a crowd operator posts each HIT group at its local clock through the
+* a crowd operator posts each HIT group through
+  :meth:`~repro.core.context.QueryContext.post`. The context the
+  scheduler hands its crowd phase carries an :class:`OperatorBinding`, so
+  the group goes out at the operator's local clock through the
   marketplace's multi-client API
-  (:meth:`~repro.crowd.marketplace.SimulatedMarketplace.submit_hit_group`),
-  so groups from different operators — and independent groups within one
-  operator, like a join's two feature-extraction sides or a sort's
-  per-group batches — occupy overlapping virtual intervals;
+  (:meth:`~repro.crowd.marketplace.SimulatedMarketplace.submit_hit_group`)
+  and the scheduler books it. Groups from different operators — and
+  independent groups within one operator, like a join's two
+  feature-extraction sides or a sort's per-group batches — therefore
+  occupy overlapping virtual intervals;
 * the scheduler steps tasks in **post-order plan rank** and gates each
   crowd phase until every lower-rank task has finished, which fixes the
   global *posting order* to the plan's post-order. Since each group's
@@ -80,7 +84,7 @@ from repro.core.plan import (
 )
 from repro.core.sort_exec import execute_sort
 from repro.errors import ExecutionError
-from repro.hits.manager import platform_supports_overlap
+from repro.hits.manager import PendingBatch, platform_supports_overlap
 from repro.relational.rows import Row
 from repro.tasks.registry import DispatchTable
 
@@ -209,122 +213,36 @@ class OperatorTask:
             self.local_time = time
 
 
-class _LocalClock:
-    """Platform facade exposing an operator's local virtual clock.
+class OperatorBinding:
+    """An operator's seat on the one posting path, :meth:`QueryContext.post`.
 
-    Crowd-call helpers read ``ctx.manager.platform.clock_seconds`` for
-    outcome timestamps; that must be the operator's own timeline, not the
-    shared harvest clock.
+    The scheduler hands each crowd phase a context carrying its operator's
+    binding: groups go out at the operator's local clock (or, on a
+    platform that cannot overlap, blocking at the platform clock), and the
+    scheduler books each one so it can count the query's outstanding
+    groups and in-flight assignments and advance the operator's clock when
+    the group is harvested.
     """
 
-    __slots__ = ("_task",)
+    __slots__ = ("_sched", "_task")
 
-    def __init__(self, task: OperatorTask) -> None:
-        self._task = task
-
-    @property
-    def clock_seconds(self) -> float:
-        return self._task.local_time
-
-
-class _OperatorPending:
-    """An operator's pending batch: advances the local clock on harvest."""
-
-    __slots__ = ("_inner", "_task", "_sched", "_accounted")
-
-    def __init__(self, inner, task: OperatorTask, sched: "PipelineScheduler") -> None:
-        self._inner = inner
-        self._task = task
+    def __init__(self, sched: "PipelineScheduler", task: OperatorTask) -> None:
         self._sched = sched
-        self._accounted = False
-
-    @property
-    def post_time(self) -> float:
-        return self._inner.post_time
-
-    @property
-    def finish_time(self) -> float:
-        return self._inner.finish_time
-
-    @property
-    def done(self) -> bool:
-        return self._inner.done
-
-    def result(self):
-        first = not self._inner.done
-        try:
-            outcome = self._inner.result()
-        finally:
-            if first and not self._accounted:
-                self._accounted = True
-                self._sched.note_harvest(self._task, self._inner)
-        self._task.advance_to(self._inner.finish_time)
-        return outcome
-
-
-class _OperatorManager:
-    """Task-manager proxy binding posts to an operator's local timeline.
-
-    Same interface the operator bodies already use (``run_units`` /
-    ``begin_units`` / ``build_hits`` plus ``ledger``/``cache``/``platform``
-    attributes); every group is submitted outstanding at the operator's
-    local clock and harvested through :class:`_OperatorPending` — or, on a
-    platform that cannot overlap, posted blocking at the platform clock.
-    """
-
-    def __init__(self, inner, task: OperatorTask, sched: "PipelineScheduler") -> None:
-        self._inner = inner
         self._task = task
-        self._sched = sched
-        self.ledger = inner.ledger
-        self.cache = inner.cache
-        self.compiler = inner.compiler
-        self.reward = inner.reward
-        self.platform = _LocalClock(task)
 
-    def build_hits(self, units, batch_size, assignments, label):
-        return self._inner.build_hits(units, batch_size, assignments, label)
-
-    def merge_units(self, units, batch_size):
-        return self._inner.merge_units(units, batch_size)
-
-    def projected_new_assignments(self, units, batch_size, assignments):
-        return self._inner.projected_new_assignments(units, batch_size, assignments)
+    @property
+    def post_time(self) -> float | None:
+        """The operator's local clock; None on a blocking platform."""
+        return self._task.local_time if self._sched.overlap else None
 
     @property
     def inflight_assignments(self) -> int:
-        """Posted-but-unharvested assignments, scheduler-wide — what the
-        ledger will charge once the outstanding groups are collected.
-        Consulted by ``QueryContext.charge_budget`` so the budget abort
-        point matches a blocking platform's, where every posting charges
-        the ledger before the next pre-flight check."""
+        """Posted-but-unharvested assignments, scheduler-wide."""
         return self._sched.inflight_assignments
 
-    def run_units(
-        self, units, batch_size=1, assignments=5, label="task", strict=True
-    ):
-        return self.begin_units(
-            units, batch_size, assignments, label=label, strict=strict
-        ).result()
-
-    def begin_units(
-        self, units, batch_size=1, assignments=5, label="task", strict=True
-    ):
-        hits = self._inner.build_hits(units, batch_size, assignments, label)
-        return self.begin_hits(hits, label=label, strict=strict)
-
-    def begin_hits(self, hits, label="task", strict=True):
-        inner = self._inner.begin_hits(
-            hits,
-            label=label,
-            strict=strict,
-            post_time=self._task.local_time if self._sched.overlap else None,
-        )
-        self._sched.note_post(self._task, inner)
-        return _OperatorPending(inner, self._task, self._sched)
-
-    def post_hits(self, hits, label="task", strict=True):
-        return self.begin_hits(hits, label=label, strict=strict).result()
+    def book(self, pending: PendingBatch) -> None:
+        """Record a posted group with the scheduler."""
+        self._sched.note_post(self._task, pending)
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +256,9 @@ PIPELINE_GENERATORS = DispatchTable("pipelined plan-node generator")
 Each handler takes ``(scheduler, task, node)`` and returns the operator's
 stepping generator, usually wrapping an operator body from
 :mod:`repro.core.executor`. Out-of-tree node kinds register here without
-engine edits.
+engine edits. Their crowd work goes through ``ctx.post`` on the context
+the scheduler hands them: a post straight through ``ctx.manager``
+bypasses the operator's clock and the in-flight budget count.
 """
 
 
@@ -358,12 +278,10 @@ class PipelineScheduler:
         self.overlap = platform_supports_overlap(ctx.manager.platform)
         self.tasks: list[OperatorTask] = []
         self._groups_posted = 0
-        self._outstanding = 0
         self._peak_outstanding = 0
         self._serial_latency = 0.0
         self._last_finish = self.epoch
-        self.inflight_assignments = 0
-        self._open_pendings: dict[int, tuple[object, int]] = {}
+        self._open: dict[int, PendingBatch] = {}
         self._results: list[Row] = []
         self._prepared = False
         self.root_task = self._build(root)
@@ -394,9 +312,7 @@ class PipelineScheduler:
 
     def _operator_ctx(self, task: OperatorTask) -> QueryContext:
         """The operator's view of the context: posts ride its local clock."""
-        return replace(
-            self.ctx, manager=_OperatorManager(self.ctx.manager, task, self)
-        )
+        return replace(self.ctx, binding=OperatorBinding(self, task))
 
     # -- generators ----------------------------------------------------
 
@@ -511,30 +427,29 @@ class PipelineScheduler:
 
     # -- telemetry hooks ----------------------------------------------
 
-    def note_post(self, task: OperatorTask, pending) -> None:
-        if not pending.posted:
-            return
-        inflight = pending.inflight_assignments
-        self._open_pendings[id(pending)] = (pending, inflight)
-        self.inflight_assignments += inflight
-        self._groups_posted += 1
-        self._outstanding += 1
-        self._peak_outstanding = max(self._peak_outstanding, self._outstanding)
-        task.open_batches += 1
-        task.pstats.groups_posted += 1
-        task.pstats.peak_outstanding = max(
-            task.pstats.peak_outstanding, task.open_batches
-        )
-        if pending.done:
-            # A blocking platform resolved the group at posting.
-            self.note_harvest(task, pending)
+    @property
+    def inflight_assignments(self) -> int:
+        """Assignments of posted-but-unharvested groups: what the ledger
+        will charge once they are collected."""
+        return sum(pending.inflight_assignments for pending in self._open.values())
 
-    def note_harvest(self, task: OperatorTask, pending) -> None:
+    def note_post(self, task: OperatorTask, pending: PendingBatch) -> None:
+        if pending.posted:
+            self._open[id(pending)] = pending
+            self._groups_posted += 1
+            self._peak_outstanding = max(self._peak_outstanding, len(self._open))
+            task.open_batches += 1
+            task.pstats.groups_posted += 1
+            task.pstats.peak_outstanding = max(
+                task.pstats.peak_outstanding, task.open_batches
+            )
+        pending.on_harvest(lambda batch: self.note_harvest(task, batch))
+
+    def note_harvest(self, task: OperatorTask, pending: PendingBatch) -> None:
+        task.advance_to(pending.finish_time)
         if not pending.posted:
             return
-        _, inflight = self._open_pendings.pop(id(pending), (None, 0))
-        self.inflight_assignments -= inflight
-        self._outstanding -= 1
+        del self._open[id(pending)]
         task.open_batches -= 1
         self._serial_latency += max(0.0, pending.finish_time - pending.post_time)
         if pending.finish_time > self._last_finish:
@@ -632,7 +547,7 @@ class PipelineScheduler:
         Secondary failures (e.g. a sibling group's own strict-HIT error)
         are swallowed; the original abort propagates.
         """
-        for pending, _ in list(self._open_pendings.values()):
+        for pending in list(self._open.values()):
             try:
                 pending.result()
             # repro-lint: disable=RL010 -- settle deliberately absorbs secondary failures so the original abort propagates (see docstring)

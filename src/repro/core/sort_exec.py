@@ -280,19 +280,11 @@ def limit_tournament_refs(
 
     def pick(batch: Sequence[str]) -> str:
         payload = pick_best_payload(task, batch, most)
-        ctx.charge_budget_for_units([[payload]], 1, ctx.config.assignments)
-        outcome = ctx.manager.run_units(
-            [[payload]],
-            batch_size=1,
-            assignments=ctx.config.assignments,
-            label="sort:limit",
-            strict=ctx.config.strict_hits,
-        )
+        outcome = ctx.post(
+            [[payload]], 1, ctx.config.assignments, "sort:limit"
+        ).result()
         if node is not None:
-            stats = ctx.stats_for(node)
-            stats.hits += outcome.hit_count
-            stats.assignments += outcome.assignment_count
-            stats.elapsed_seconds += outcome.elapsed_seconds
+            ctx.stats_for(node).add(outcome)
         return tally_pick_votes(payload, outcome.votes.get(payload.qid(), []))
 
     winners, hits = tournament_top_k(refs, pick, k, batch_size=batch_size)
@@ -337,10 +329,7 @@ class _PendingGroupSort:
         """Collect the votes and combine them into (order, corpus/summaries)."""
         outcome = self.batch.result()
         if node is not None:
-            stats = self.ctx.stats_for(node)
-            stats.hits += outcome.hit_count
-            stats.assignments += outcome.assignment_count
-            stats.elapsed_seconds += outcome.elapsed_seconds
+            self.ctx.stats_for(node).add(outcome)
         return self._combine(outcome, node)
 
 
@@ -362,15 +351,8 @@ def begin_compare_sort(
         ]
         for group in groups
     ]
-    ctx.charge_budget_for_units(
-        units, ctx.config.compare_batch_groups, ctx.config.assignments
-    )
-    batch = ctx.manager.begin_units(
-        units,
-        batch_size=ctx.config.compare_batch_groups,
-        assignments=ctx.config.assignments,
-        label="sort:compare",
-        strict=ctx.config.strict_hits,
+    batch = ctx.post(
+        units, ctx.config.compare_batch_groups, ctx.config.assignments, "sort:compare"
     )
 
     def combine(outcome, node):
@@ -413,15 +395,8 @@ def begin_rate_sort(
         ]
         for ref in refs
     ]
-    ctx.charge_budget_for_units(
-        units, ctx.config.rate_batch_size, ctx.config.assignments
-    )
-    batch = ctx.manager.begin_units(
-        units,
-        batch_size=ctx.config.rate_batch_size,
-        assignments=ctx.config.assignments,
-        label="sort:rate",
-        strict=ctx.config.strict_hits,
+    batch = ctx.post(
+        units, ctx.config.rate_batch_size, ctx.config.assignments, "sort:rate"
     )
 
     def combine(outcome, node):
@@ -494,19 +469,11 @@ def run_compare_window(
         question=task.compare_question(len(window)),
         item_html={ref: _item_html(task, ref) for ref in window},
     )
-    ctx.charge_budget_for_units([[payload]], 1, ctx.config.assignments)
-    outcome = ctx.manager.run_units(
-        [[payload]],
-        batch_size=1,
-        assignments=ctx.config.assignments,
-        label="sort:hybrid",
-        strict=ctx.config.strict_hits,
-    )
+    outcome = ctx.post(
+        [[payload]], 1, ctx.config.assignments, "sort:hybrid"
+    ).result()
     if node is not None:
-        stats = ctx.stats_for(node)
-        stats.hits += outcome.hit_count
-        stats.assignments += outcome.assignment_count
-        stats.elapsed_seconds += outcome.elapsed_seconds
+        ctx.stats_for(node).add(outcome)
     corpus = {qid: v for qid, v in outcome.votes.items() if ":cmp:" in qid and v}
     return pair_winners_from_votes(corpus)
 

@@ -606,10 +606,11 @@ class SimulatedMarketplace:
 class MarketplaceClient:
     """One named client's view of a shared :class:`SimulatedMarketplace`.
 
-    Satisfies the platform protocol the Task Manager posts through (both
-    the blocking and the multi-client shapes), routing every group to the
-    shared marketplace under this client's ``client_id`` so its dispatch
-    draws come from the client's own stream (see the module docstring).
+    Offers the multi-client shape of the platform protocol the Task
+    Manager posts through (a session builds clients only on overlapping
+    platforms), routing every group to the shared marketplace under this
+    client's ``client_id`` so its dispatch draws come from the client's
+    own stream (see the module docstring).
     Because the simulation resolves a group's assignments synchronously at
     submission, the facade can also attribute the marketplace's aggregate
     counters (:data:`CLIENT_COUNTERS`) to the client exactly, by
@@ -687,21 +688,3 @@ class MarketplaceClient:
         if self.last_finish_time is None or ticket.finish_time > self.last_finish_time:
             self.last_finish_time = ticket.finish_time
         return assignments
-
-    def post_hit_group(
-        self, hits: Sequence[HIT], group_id: str | None = None
-    ) -> list[Assignment]:
-        """Blocking post on this client's stream (submit + harvest).
-
-        Like :meth:`SimulatedMarketplace.post_hit_group`, the harvest half
-        skips transient-fault injection so a retried blocking post never
-        double-submits the group.
-        """
-        if not hits:
-            return []
-        ticket = self.submit_hit_group(hits, group_id=group_id)
-        self.market._suppress_transient = True
-        try:
-            return self.harvest(ticket)
-        finally:
-            self.market._suppress_transient = False

@@ -14,25 +14,26 @@ per-group) payload bundles. The manager:
 6. records HIT/assignment counts in the cost ledger;
 7. returns per-question vote lists ready for a combiner.
 
-Posting comes in two shapes. :meth:`TaskManager.run_units` /
-:meth:`TaskManager.post_hits` are the blocking interface: post one group,
-wait (in virtual time) for it, return its :class:`BatchOutcome`.
-:meth:`TaskManager.begin_units` / :meth:`TaskManager.begin_hits` are the
-non-blocking post/poll interface: they return a :class:`PendingBatch` whose
-:meth:`PendingBatch.result` is collected later, so an operator can have
-several rounds outstanding at once. Against a plain blocking platform the
-pending batch resolves eagerly (identical to the blocking interface,
-draw-for-draw); given an explicit ``post_time`` and a platform with the
-multi-client ``submit_hit_group``/``harvest`` API (the simulated
-marketplace), the group stays outstanding until ``result()`` harvests it.
-The scheduler passes ``post_time`` exactly when the platform has that API
-(:func:`platform_supports_overlap`).
+Query operators never call the manager directly: they post through
+:meth:`repro.core.context.QueryContext.post`, the one path that pre-flights
+the budget, applies ``strict_hits``, and stamps each group with the
+operator's virtual clock. That path posts with :meth:`TaskManager.begin_units`,
+which returns a :class:`PendingBatch` whose :meth:`PendingBatch.result` is
+collected later, so an operator can have several groups outstanding at
+once. Without a ``post_time`` the group is posted blocking at the
+platform clock and the batch comes back resolved; given a ``post_time``
+and a platform with the multi-client ``submit_hit_group``/``harvest`` API
+(the simulated marketplace), the group stays outstanding until
+``result()`` harvests it. The scheduler passes ``post_time`` exactly when
+the platform has that API (:func:`platform_supports_overlap`).
+:meth:`TaskManager.run_units` (post one group and wait for it) remains for
+experiments and tools that drive the manager without a query.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Protocol, Sequence
+from typing import Callable, Protocol, Sequence
 
 from repro.errors import (
     ExecutionError,
@@ -316,12 +317,9 @@ class TaskManager:
         behaviour pass ``strict=False`` and inspect
         ``BatchOutcome.uncompleted_hit_ids``.
         """
-        hits = self.build_hits(units, batch_size, assignments, label)
-        return self.post_hits(hits, label=label, strict=strict)
-
-    def post_hits(self, hits: list[HIT], label: str = "task", strict: bool = True) -> BatchOutcome:
-        """Post already-built HITs as one group and collect assignments."""
-        return self.begin_hits(hits, label=label, strict=strict).result()
+        return self.begin_units(
+            units, batch_size, assignments, label=label, strict=strict
+        ).result()
 
     def begin_units(
         self,
@@ -350,10 +348,9 @@ class TaskManager:
 
         With ``post_time=None`` (default) the group is posted *blocking* at
         the platform's current clock and the returned batch is already
-        resolved — ``begin_hits(...).result()`` is ``post_hits(...)``
-        draw-for-draw, including when several begins are interleaved (each
-        posting advances the shared clock before the next, exactly like the
-        serial calls they replace).
+        resolved; when several begins are interleaved, each posting
+        advances the shared clock before the next, exactly like serial
+        post-and-wait calls.
 
         With an explicit ``post_time`` the group is submitted outstanding at
         that virtual time through the platform's multi-client API
@@ -640,6 +637,7 @@ class PendingBatch:
         "_finish_time",
         "_resolved",
         "_cache_stored",
+        "_on_harvest",
     )
 
     def __init__(
@@ -660,6 +658,16 @@ class PendingBatch:
         self._finish_time = outcome.post_time
         self._resolved = False
         self._cache_stored = False
+        self._on_harvest: Callable[[PendingBatch], None] | None = None
+
+    def on_harvest(self, callback: Callable[["PendingBatch"], None]) -> None:
+        """Call ``callback(self)`` once, when :meth:`result` first collects
+        the batch (also when that collection raises) — right away if it
+        already has, as a blocking post resolves at posting."""
+        if self._resolved:
+            callback(self)
+        else:
+            self._on_harvest = callback
 
     @property
     def post_time(self) -> float:
@@ -700,22 +708,26 @@ class PendingBatch:
         if self._resolved:
             return self._outcome
         self._resolved = True
-        completed = self._completed
-        if self._ticket is not None:
-            # Routed through the transient-retry wrapper: a failed harvest
-            # leaves the ticket outstanding, so retrying it is safe.
-            completed = self._manager._call_platform(
-                lambda: self._manager.platform.harvest(self._ticket)
+        try:
+            completed = self._completed
+            if self._ticket is not None:
+                # Routed through the transient-retry wrapper: a failed harvest
+                # leaves the ticket outstanding, so retrying it is safe.
+                completed = self._manager._call_platform(
+                    lambda: self._manager.platform.harvest(self._ticket)
+                )
+            return self._manager._finalize_outcome(
+                self._outcome,
+                self._to_post,
+                completed,
+                self._label,
+                self._strict,
+                self._finish_time,
+                cache_stored=self._cache_stored,
             )
-        return self._manager._finalize_outcome(
-            self._outcome,
-            self._to_post,
-            completed,
-            self._label,
-            self._strict,
-            self._finish_time,
-            cache_stored=self._cache_stored,
-        )
+        finally:
+            if self._on_harvest is not None:
+                self._on_harvest(self)
 
 
 def collect_pending(pendings: Sequence[PendingBatch]) -> list[BatchOutcome]:

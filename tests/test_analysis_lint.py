@@ -15,6 +15,7 @@ Three layers of coverage:
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -51,6 +52,18 @@ def test_registry_has_the_eleven_rules():
     assert sorted(rules) == [f"RL{n:03d}" for n in range(1, 12)]
     for rule in rules.values():
         assert rule.title and rule.rationale
+
+
+def test_lint_doc_catalogs_every_rule():
+    """docs/LINT.md has a catalog row and a section for every registered
+    rule, and its "Extending" example declares an id no rule holds."""
+    text = (REPO_ROOT / "docs" / "LINT.md").read_text()
+    rules = load_rules()
+    for rule_id in rules:
+        assert f"| {rule_id} |" in text, rule_id
+        assert f"### {rule_id} " in text, rule_id
+    example_ids = re.findall(r'id = "(RL\d+)"', text)
+    assert example_ids and not set(example_ids) & set(rules)
 
 
 # ---------------------------------------------------------------------------

@@ -3,19 +3,22 @@
 import pytest
 
 from repro import ExecutionConfig, JoinInterface, Qurk, SimulatedMarketplace
+from repro.combine.adaptive import AdaptivePolicy
+from repro.crowd.faults import FaultPlan
 from repro.datasets import (
     animals_dataset,
     celebrity_dataset,
     movie_dataset,
     squares_dataset,
 )
-from repro.errors import PlanError
+from repro.errors import BudgetExceededError, PlanError
 from repro.metrics import kendall_tau_from_orders
+from repro.util.toggles import RESILIENCE
 
 
-def make_squares_engine(n=15, seed=7, **config):
+def make_squares_engine(n=15, seed=7, faults=None, **config):
     data = squares_dataset(n=n, seed=seed)
-    market = SimulatedMarketplace(data.truth, seed=seed)
+    market = SimulatedMarketplace(data.truth, seed=seed, faults=faults)
     engine = Qurk(platform=market, config=ExecutionConfig(**config))
     engine.register_table(data.table)
     engine.define(data.task_dsl)
@@ -109,6 +112,14 @@ def join_accuracy(result, n):
     return true_positives, false_positives
 
 
+def node_stats(result, label_prefix):
+    """The one node of a result whose label starts with ``label_prefix``."""
+    (stats,) = [
+        s for s in result.node_stats.values() if s.label.startswith(label_prefix)
+    ]
+    return stats
+
+
 def test_simple_join_finds_matches():
     data, engine = celebrity_engine(join_interface=JoinInterface.SIMPLE)
     result = engine.execute(JOIN_QUERY)
@@ -126,6 +137,11 @@ def test_feature_filtering_cuts_hits_without_losing_matches():
     assert filtered.hit_count < plain.hit_count
     tp, _ = join_accuracy(filtered, 15)
     assert tp >= 12
+    # The feature pass counts toward the join node's crowd time: its groups'
+    # durations cover the node's whole crowd phase (features, then pairs).
+    join = node_stats(filtered, "CrowdJoin")
+    live = join.pipeline.finished_at - join.pipeline.started_at
+    assert join.elapsed_seconds >= live > 0
 
 
 def test_use_feature_filters_false_ignores_possibly():
@@ -171,22 +187,39 @@ def test_join_then_sort_grouped_by_name():
     assert len(result) > 20
 
 
-def test_generative_select_fields():
+GENERATIVE_SELECT = (
+    "SELECT animals.name, animalInfo(img).common AS common FROM animals LIMIT 27"
+)
+
+
+def animals_engine(**config):
     data = animals_dataset()
     market = SimulatedMarketplace(data.truth, seed=3)
-    engine = Qurk(platform=market)
+    engine = Qurk(platform=market, config=ExecutionConfig(**config))
     engine.register_table(data.table)
     engine.define(data.task_dsl)
-    result = engine.execute(
-        "SELECT animals.name, animalInfo(img).common AS common FROM animals LIMIT 27"
-    )
+    return data, engine
+
+
+def test_generative_select_fields():
+    _, engine = animals_engine()
+    result = engine.execute(GENERATIVE_SELECT)
     matches = sum(
         1 for row in result.rows if row["common"] == row["animals.name"]
     )
     assert matches >= 24  # normalization + majority recovers names
+    # The generative phase's duration lands on the Project node, which
+    # runs nothing else, so it equals the node's live interval.
+    project = node_stats(result, "Project")
+    live = project.pipeline.finished_at - project.pipeline.started_at
+    assert project.elapsed_seconds == pytest.approx(live)
+    assert project.elapsed_seconds > 0
 
 
-def test_where_crowd_filter():
+WHERE_QUERY = "SELECT c.name FROM celeb c WHERE isFemale(c)"
+
+
+def where_engine(**config):
     data = celebrity_dataset(n=10, seed=4)
     truth = data.truth
     truth.add_filter_task(
@@ -197,14 +230,19 @@ def test_where_crowd_filter():
         },
     )
     market = SimulatedMarketplace(truth, seed=4)
-    engine = Qurk(platform=market)
+    engine = Qurk(platform=market, config=ExecutionConfig(**config))
     engine.register_table(data.celebs)
     engine.define(data.task_dsl)
     engine.define(
         'TASK isFemale(field) TYPE Filter:\n'
         'Prompt: "<img src=\'%s\'>", tuple[field]\n'
     )
-    result = engine.execute("SELECT c.name FROM celeb c WHERE isFemale(c)")
+    return data, engine
+
+
+def test_where_crowd_filter():
+    data, engine = where_engine()
+    result = engine.execute(WHERE_QUERY)
     expected = {
         f"celebrity-{i}"
         for i, ref in enumerate(data.celeb_refs)
@@ -215,14 +253,54 @@ def test_where_crowd_filter():
     assert len(got ^ expected) <= 1
 
 
-def test_budget_enforcement():
-    from repro.errors import BudgetExceededError
+SORT_QUERY = "SELECT squares.label FROM squares ORDER BY squareSorter(img)"
 
-    _, engine = celebrity_engine(
-        join_interface=JoinInterface.SIMPLE, max_budget=0.10
-    )
+
+def _query_case(make_engine, query, **config):
+    def run():
+        _, engine = make_engine(max_budget=0.0, **config)
+        return engine, lambda: engine.execute(query)
+
+    return run
+
+
+def _extreme_case():
+    data, engine = make_squares_engine(n=9, max_budget=0.0)
+    return engine, lambda: engine.extreme("squareSorter", data.items, most=True)
+
+
+ZERO_BUDGET_CASES = {
+    "where": _query_case(where_engine, WHERE_QUERY),
+    "where-adaptive-votes": _query_case(
+        where_engine, WHERE_QUERY, adaptive=AdaptivePolicy()
+    ),
+    "generative-select": _query_case(animals_engine, GENERATIVE_SELECT),
+    "compare-sort": _query_case(make_squares_engine, SORT_QUERY, sort_method="compare"),
+    "rate-sort": _query_case(make_squares_engine, SORT_QUERY, sort_method="rate"),
+    "hybrid-sort": _query_case(make_squares_engine, SORT_QUERY, sort_method="hybrid"),
+    "limit-tournament": _query_case(
+        make_squares_engine, SORT_QUERY + " DESC LIMIT 2", sort_method="compare"
+    ),
+    "simple-join": _query_case(
+        celebrity_engine, JOIN_QUERY, join_interface=JoinInterface.SIMPLE
+    ),
+    "smart-join": _query_case(
+        celebrity_engine, JOIN_QUERY, join_interface=JoinInterface.SMART
+    ),
+    "possibly-join": _query_case(
+        celebrity_engine, FILTERED_JOIN_QUERY, join_interface=JoinInterface.SIMPLE
+    ),
+    "extreme": _extreme_case,
+}
+
+
+@pytest.mark.parametrize("case", list(ZERO_BUDGET_CASES))
+def test_budget_enforcement(case):
+    """A $0 budget posts nothing, whatever shape the crowd work takes."""
+    engine, run = ZERO_BUDGET_CASES[case]()
     with pytest.raises(BudgetExceededError):
-        engine.execute(JOIN_QUERY)
+        run()
+    assert engine.platform.stats.hits_posted == 0
 
 
 def test_define_rejects_select():
@@ -250,6 +328,18 @@ def test_extreme_tournament():
     winner, hits = engine.extreme("squareSorter", data.items, most=True)
     assert winner == data.true_order[-1]
     assert hits >= 3
+
+
+def test_extreme_tournament_retries_transient_faults():
+    """extreme() arms its own resilience bundle, as a query does, so a
+    fresh engine over a flaky marketplace retries instead of failing."""
+    with RESILIENCE.forced(True):
+        data, engine = make_squares_engine(
+            n=13, faults=FaultPlan(transient_error_rate=0.3)
+        )
+        winner, _ = engine.extreme("squareSorter", data.items, most=True)
+    assert winner == data.true_order[-1]
+    assert engine.platform.stats.transient_errors > 0
 
 
 def test_engine_explain_without_execution():

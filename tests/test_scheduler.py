@@ -24,11 +24,13 @@ virtual clock.
 
 from __future__ import annotations
 
+import ast
 import json
 from pathlib import Path
 
 import pytest
 
+import repro.core
 from repro.core.context import ExecutionConfig
 from repro.core.engine import Qurk
 from repro.core.plan import ScanNode
@@ -535,3 +537,51 @@ def test_explain_reports_pipeline_columns():
     ref_text = run_workload("table5-optimized", blocking=True)[0].explain()
     assert "~ pipeline:" in ref_text
     assert "overlap_speedup=1.00x" in ref_text
+
+
+# ---------------------------------------------------------------------------
+# One posting path
+# ---------------------------------------------------------------------------
+
+
+_MANAGER_POSTS = {"run_units", "begin_units", "begin_hits"}
+_POSTING_PATH = {"QueryContext.post"}
+
+
+class _ManagerPosts(ast.NodeVisitor):
+    """Every ``*.run_units/begin_units/begin_hits(...)`` call in a module,
+    with the dotted name of the class/function it sits in."""
+
+    def __init__(self) -> None:
+        self.scope: list[str] = []
+        self.calls: list[tuple[str, int]] = []
+
+    def _enter(self, node) -> None:
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_ClassDef = visit_FunctionDef = visit_AsyncFunctionDef = _enter
+
+    def visit_Call(self, node: ast.Call) -> None:
+        func = node.func
+        if isinstance(func, ast.Attribute) and func.attr in _MANAGER_POSTS:
+            self.calls.append((".".join(self.scope), node.lineno))
+        self.generic_visit(node)
+
+
+def test_engine_posts_only_through_query_context():
+    """``QueryContext.post`` is the engine's one posting path: it
+    pre-flights ``max_budget``, applies ``strict_hits``, and books the
+    group with the scheduler. A direct Task Manager post anywhere else in
+    ``repro.core`` would skip all three."""
+    offenders = []
+    for path in sorted(Path(repro.core.__file__).parent.glob("*.py")):
+        visitor = _ManagerPosts()
+        visitor.visit(ast.parse(path.read_text(), filename=str(path)))
+        offenders += [
+            f"{path.name}:{line} ({scope})"
+            for scope, line in visitor.calls
+            if scope not in _POSTING_PATH
+        ]
+    assert offenders == []

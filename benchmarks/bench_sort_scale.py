@@ -72,9 +72,9 @@ def _best_of(thunk, repeats: int) -> float:
 
 
 def measure_graph_order(n: int, seed: int = 0, repeats: int = 3) -> dict:
-    items, corpus = comparison_corpus(n, seed=seed)
-    seconds = _best_of(lambda: graph_order(items, corpus), repeats)
-    removed = break_cycles(ComparisonGraph.from_votes(items, corpus))
+    items, corpus, pairs = comparison_corpus(n, seed=seed)
+    seconds = _best_of(lambda: graph_order(items, corpus, pairs), repeats)
+    removed = break_cycles(ComparisonGraph.from_votes(items, corpus, pairs))
     return {
         "items": n,
         "pairs": len(corpus),

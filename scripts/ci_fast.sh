@@ -31,13 +31,20 @@
 #      callables by name (Row/Schema derivations, TaskManager._finalize_outcome,
 #      combine_corpus), so a rename that breaks `--trace 1` fails here even
 #      though no unit test notices;
-#   8. `perfbench/run.py --workload t5_vector --seed 0 --seconds 0` (~22s on
-#      2 cores) — each seed-0 input of the 64x optimized Table-5 plan once
-#      under REPRO_VECTOR=1, checked against the row digests and economics
-#      pinned in perfbench/expected.json. Catches vector-kernel drift that
-#      only shows at scale (many rounds, large exclusion sets, repeated
-#      generative templates), which the 1x vector golden trace cannot.
-#      Skipped with a notice when numpy ([vector] extra) is not installed.
+#   8. every workload pinned in perfbench/expected.json, each seed-0 input
+#      once (`perfbench/run.py --workload W --seed 0 --seconds 0`), checked
+#      against the pinned row digests and economics:
+#      - `session_restart` (~24s on 2 cores): the cold/warm store session,
+#        where nearly every lookup is a cache hit, so it pins the cached-vote
+#        path;
+#      - `t5_unoptimized` (~35s): the Simple join plus Compare sort at 4x,
+#        pinning the comparison-vote readers;
+#      - `t5_vector` (~22s): the 64x optimized Table-5 plan under
+#        REPRO_VECTOR=1. Catches vector-kernel drift that only shows at
+#        scale (many rounds, large exclusion sets, repeated generative
+#        templates), which the 1x vector golden trace cannot. Skipped with a
+#        notice when numpy ([vector] extra) is not installed; the other two
+#        need no numpy and always run.
 #
 # The heavyweight lane stays `scripts/profile_hotpath.py --check` plus
 # `pytest benchmarks -q`.
@@ -73,8 +80,10 @@ python -m pytest benchmarks/bench_scenarios.py -q
 python scripts/profile_hotpath.py --check-store --check-repeats "${CI_STORE_REPEATS:-3}"
 python scripts/vector_smoke.py
 python perfbench/run.py --self-test
+python perfbench/run.py --workload session_restart --seed 0 --seconds 0
+python perfbench/run.py --workload t5_unoptimized --seed 0 --seconds 0
 if python -c "from repro.util.toggles import VECTOR; raise SystemExit(not VECTOR.available())"; then
     python perfbench/run.py --workload t5_vector --seed 0 --seconds 0
 else
-    echo "stage 8 skipped: numpy ([vector] extra) not installed"
+    echo "stage 8 t5_vector skipped: numpy ([vector] extra) not installed"
 fi

@@ -376,12 +376,12 @@ def check_sort_growth(seed: int, repeats: int) -> dict | None:
 
     small, large = SORT_GROWTH_CHECK_ITEMS
     corpora = {n: comparison_corpus(n, seed=seed) for n in (small, large)}
-    for items, corpus in corpora.values():
-        graph_order(items, corpus)  # untimed warm-up
+    for items, corpus, pairs in corpora.values():
+        graph_order(items, corpus, pairs)  # untimed warm-up
 
     def size(n: int):
-        items, corpus = corpora[n]
-        return lambda: graph_order(items, corpus)
+        items, corpus, pairs = corpora[n]
+        return lambda: graph_order(items, corpus, pairs)
 
     timings = _interleaved_best_of(
         [(str(small), size(small)), (str(large), size(large))], repeats

@@ -13,11 +13,8 @@ savings at equal accuracy.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
-
-from repro.hits.hit import Vote
+from typing import Mapping
 
 
 @dataclass(frozen=True)
@@ -38,23 +35,26 @@ class AdaptivePolicy:
             raise ValueError("margin must be >= 1")
 
 
-def vote_margin(votes: Sequence[Vote]) -> int:
-    """Lead of the most popular answer over the runner-up."""
-    if not votes:
+def vote_margin(counts: Mapping[object, int]) -> int:
+    """Lead of the most popular answer over the runner-up, from one
+    question's :meth:`~repro.hits.vote_columns.VoteColumns.tally`."""
+    if not counts:
         return 0
-    counts = Counter(vote.value for vote in votes).most_common()
-    if len(counts) == 1:
-        return counts[0][1]
-    return counts[0][1] - counts[1][1]
+    ranked = sorted(counts.values(), reverse=True)
+    if len(ranked) == 1:
+        return ranked[0]
+    return ranked[0] - ranked[1]
 
 
-def needs_more_votes(votes: Sequence[Vote], policy: AdaptivePolicy) -> bool:
-    """Whether the stopping rule wants another round for this question."""
-    if len(votes) >= policy.max_votes:
+def needs_more_votes(counts: Mapping[object, int], policy: AdaptivePolicy) -> bool:
+    """Whether the stopping rule wants another round for this question,
+    given its tally so far."""
+    votes = sum(counts.values())
+    if votes >= policy.max_votes:
         return False
     # An unreachable margin within budget also stops collection early.
-    remaining = policy.max_votes - len(votes)
-    current = vote_margin(votes)
+    remaining = policy.max_votes - votes
+    current = vote_margin(counts)
     if current >= policy.margin:
         return False
     return current + remaining >= policy.margin

@@ -17,10 +17,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping, Sequence
 
 from repro.errors import CombinerError
-from repro.hits.hit import Vote
+from repro.hits.vote_columns import VoteColumns
 
 
 @dataclass
@@ -55,7 +54,7 @@ class DawidSkeneResult:
 
 
 def dawid_skene(
-    corpus: Mapping[str, Sequence[Vote]],
+    corpus: VoteColumns,
     iterations: int = 5,
     smoothing: float = 0.01,
 ) -> DawidSkeneResult:
@@ -63,26 +62,28 @@ def dawid_skene(
 
     ``smoothing`` is a Laplace pseudo-count keeping confusion entries off
     zero (a single surprising vote must not produce -inf likelihoods).
+    Questions are visited in the corpus's table order and each question's
+    votes in vote order, so every float sum is reproducible.
     """
-    if not corpus:
+    if not len(corpus):
         raise CombinerError("cannot run Dawid-Skene on an empty corpus")
     if iterations < 1:
         raise CombinerError("need at least one EM iteration")
 
+    groups = corpus.grouped()
     labels = sorted(
-        {vote.value for votes in corpus.values() for vote in votes}, key=repr
+        {value for _, values in groups.values() for value in values}, key=repr
     )
     if not labels:
         raise CombinerError("corpus contains no votes")
-    workers = sorted(
-        {vote.worker_id for votes in corpus.values() for vote in votes}
-    )
-    question_ids = list(corpus.keys())
+    workers = sorted({worker for workers, _ in groups.values() for worker in workers})
+    question_ids = list(groups)
+    answered = {qid: list(zip(*groups[qid])) for qid in question_ids}
 
     # Initialise posteriors with per-question vote fractions (majority soft).
     posteriors: dict[str, dict[object, float]] = {}
     for qid in question_ids:
-        counts = Counter(vote.value for vote in corpus[qid])
+        counts = Counter(groups[qid][1])
         total = sum(counts.values())
         if total == 0:
             raise CombinerError(f"question {qid!r} has no votes")
@@ -106,10 +107,10 @@ def dawid_skene(
             }
         for qid in question_ids:
             posterior = posteriors[qid]
-            for vote in corpus[qid]:
-                rows = confusion[vote.worker_id]
+            for worker, value in answered[qid]:
+                rows = confusion[worker]
                 for true_label in labels:
-                    rows[true_label][vote.value] += posterior[true_label]
+                    rows[true_label][value] += posterior[true_label]
         for worker in workers:
             for true_label in labels:
                 row = confusion[worker][true_label]
@@ -122,8 +123,8 @@ def dawid_skene(
             scores: dict[object, float] = {}
             for true_label in labels:
                 likelihood = priors[true_label]
-                for vote in corpus[qid]:
-                    likelihood *= confusion[vote.worker_id][true_label][vote.value]
+                for worker, value in answered[qid]:
+                    likelihood *= confusion[worker][true_label][value]
                 scores[true_label] = likelihood
             total = sum(scores.values())
             if total <= 0.0:

@@ -8,46 +8,50 @@ deterministically by sorted representation so results are reproducible.
 
 from __future__ import annotations
 
-from collections import Counter
-from operator import attrgetter
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from repro.combine.base import Combiner
 from repro.errors import CombinerError
-from repro.hits.hit import Vote, count_vote_values
+from repro.hits.vote_columns import VoteColumns
 
-_vote_value = attrgetter("value")
+_BINARY = frozenset((True, False))
 
 
 class MajorityVote(Combiner):
     """Per-question plurality with deterministic, pessimistic tie-breaks."""
 
-    def combine(self, corpus: Mapping[str, Sequence[Vote]]) -> dict[str, object]:
-        return {qid: self._majority(qid, votes) for qid, votes in corpus.items()}
+    def combine(self, corpus: VoteColumns) -> dict[str, object]:
+        sizes = corpus.sizes()
+        if not all(sizes.values()):
+            empty = next(qid for qid, votes in sizes.items() if not votes)
+            raise CombinerError(f"no votes for question {empty!r}")
+        if corpus.all_bool():
+            # Yes/no questions need only the True count: True wins exactly
+            # when it outnumbers False, and a tie is False (as below).
+            truthy = corpus.truthy_counts().get
+            return {qid: truthy(qid, 0) * 2 > votes for qid, votes in sizes.items()}
+        decisions: dict[str, object] = {}
+        for qid, counts in corpus.tally().items():
+            if len(counts) == 1:
+                # Unanimous: the first vote's value (equal values merged).
+                decisions[qid] = next(iter(counts))
+                continue
+            best_count = max(counts.values())
+            winners = [value for value, count in counts.items() if count == best_count]
+            if len(winners) == 1:
+                decisions[qid] = winners[0]
+            elif counts.keys() <= _BINARY:
+                # Binary tie: positives did not outweigh negatives.
+                decisions[qid] = False
+            else:
+                decisions[qid] = sorted(winners, key=repr)[0]
+        return decisions
 
-    @staticmethod
-    def _majority(qid: str, votes: Sequence[Vote]) -> object:
-        if not votes:
-            raise CombinerError(f"no votes for question {qid!r}")
-        values = list(map(_vote_value, votes))
-        first = values[0]
-        if values.count(first) == len(values):
-            return first  # unanimous: nothing to tally
-        counts = count_vote_values(votes)
-        best_count = max(counts.values())
-        winners = [value for value, count in counts.items() if count == best_count]
-        if len(winners) == 1:
-            return winners[0]
-        # Binary tie: positives did not outweigh negatives.
-        if set(counts) <= {True, False}:
-            return False
-        return sorted(winners, key=repr)[0]
 
-
-def vote_fractions(votes: Sequence[Vote]) -> dict[object, float]:
-    """Share of votes per label (used by agreement metrics and EXPLAIN)."""
-    if not votes:
-        return {}
-    counts = Counter(vote.value for vote in votes)
+def vote_fractions(counts: Mapping[object, int]) -> dict[object, float]:
+    """Share of votes per label, from one question's tally
+    (:meth:`~repro.hits.vote_columns.VoteColumns.tally`)."""
     total = sum(counts.values())
+    if not total:
+        return {}
     return {value: count / total for value, count in counts.items()}

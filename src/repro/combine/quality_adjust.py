@@ -15,11 +15,12 @@ these scores to ban bad workers.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from collections import Counter
+from typing import Mapping
 
 from repro.combine.base import Combiner
 from repro.combine.dawid_skene import DawidSkeneResult, dawid_skene
-from repro.hits.hit import Vote
+from repro.hits.vote_columns import VoteColumns
 
 
 class QualityAdjust(Combiner):
@@ -45,20 +46,15 @@ class QualityAdjust(Combiner):
         self.last_result: DawidSkeneResult | None = None
         self.last_vote_counts: dict[str, int] = {}
 
-    def fit(self, corpus: Mapping[str, Sequence[Vote]]) -> DawidSkeneResult:
+    def fit(self, corpus: VoteColumns) -> DawidSkeneResult:
         """Run the EM and keep the fitted model for inspection."""
         self.last_result = dawid_skene(
             corpus, iterations=self.iterations, smoothing=self.smoothing
         )
-        self.last_vote_counts = {}
-        for votes in corpus.values():
-            for vote in votes:
-                self.last_vote_counts[vote.worker_id] = (
-                    self.last_vote_counts.get(vote.worker_id, 0) + 1
-                )
+        self.last_vote_counts = dict(Counter(corpus.worker))
         return self.last_result
 
-    def combine(self, corpus: Mapping[str, Sequence[Vote]]) -> dict[str, object]:
+    def combine(self, corpus: VoteColumns) -> dict[str, object]:
         result = self.fit(corpus)
         is_boolean = set(result.labels) <= {True, False}
         decisions: dict[str, object] = {}

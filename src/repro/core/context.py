@@ -333,10 +333,17 @@ class QueryContext:
         return self.node_stats.setdefault(id(node), OperatorStats(label=node.label()))
 
     def post(
-        self, units, batch_size: int, assignments: int, label: str
+        self,
+        units,
+        batch_size: int,
+        assignments: int,
+        label: str,
+        cache_round: int = 1,
     ) -> PendingBatch:
         """Post one HIT group of ``units``: the one way operators hand work
-        to the crowd. Collect it with ``.result()``.
+        to the crowd. Collect it with ``.result()``. ``cache_round`` is the
+        collection round (adaptive top-ups count 2, 3, ...; see
+        :attr:`~repro.hits.hit.HIT.cache_round`).
 
         Pre-flights ``max_budget`` first. The projection goes through
         :meth:`TaskManager.projected_new_assignments`, so unit batches
@@ -355,7 +362,7 @@ class QueryContext:
         binding = self.binding
         if self.config.max_budget is not None:
             upcoming = self.manager.projected_new_assignments(
-                units, batch_size, assignments
+                units, batch_size, assignments, cache_round
             )
             inflight = 0 if binding is None else binding.inflight_assignments
             ledger = self.manager.ledger
@@ -374,6 +381,7 @@ class QueryContext:
             label=label,
             strict=self.config.strict_hits,
             post_time=None if binding is None else binding.post_time,
+            cache_round=cache_round,
         )
         if binding is not None:
             binding.book(pending)

@@ -22,11 +22,11 @@ from repro.hits.hit import (
     GenerativePayload,
     GenerativeQuestion,
     Payload,
-    Vote,
     filter_qid,
     generative_qid,
 )
 from repro.hits.manager import BatchOutcome, PendingBatch
+from repro.hits.vote_columns import VoteColumns, normalized_values
 from repro.metrics.agreement import feature_kappa
 from repro.relational.expressions import (
     And,
@@ -166,7 +166,7 @@ def run_filter_call(
     if not units:
         return {}, BatchOutcome()
     if ctx.config.adaptive is not None:
-        votes, outcome = adaptive_single_question_votes(
+        columns, outcome = adaptive_single_question_votes(
             units,
             [filter_qid(task.name, p[0].questions[0].item) for p in units],  # type: ignore[attr-defined]
             ctx,
@@ -176,10 +176,9 @@ def run_filter_call(
         outcome = ctx.post(
             units, ctx.config.filter_batch_size, ctx.config.assignments, label
         ).result()
-        votes = outcome.votes
+        columns = outcome.columns
     combiner = ctx.combiner_for(task.combiner)
-    corpus = {qid: qvotes for qid, qvotes in votes.items() if ":filter:" in qid}
-    decisions = combine_corpus(combiner, corpus)
+    decisions = combine_corpus(combiner, columns.matching(":filter:"))
     answers = {
         qid.rsplit(":filter:", 1)[1]: bool(value) for qid, value in decisions.items()
     }
@@ -206,7 +205,7 @@ class PendingGenerative:
 
     def collect(
         self,
-    ) -> tuple[dict[str, dict[str, dict[str, object]]], BatchOutcome, dict[str, dict[str, list[Vote]]]]:
+    ) -> tuple[dict[str, dict[str, dict[str, object]]], BatchOutcome, dict[str, VoteColumns]]:
         """Harvest and combine; see :func:`run_generative_units` for shape."""
         if self.pending is None:
             return {}, BatchOutcome(), {}
@@ -274,14 +273,16 @@ def run_generative_units(
     label: str,
     combine_tasks: bool = False,
     batch_size: int | None = None,
-) -> tuple[dict[str, dict[str, dict[str, object]]], BatchOutcome, dict[str, dict[str, list[Vote]]]]:
+) -> tuple[dict[str, dict[str, dict[str, object]]], BatchOutcome, dict[str, VoteColumns]]:
     """Run one or more generative tasks over item lists.
 
     ``task_items`` maps task name → item refs. With ``combine_tasks`` the
     tasks are *combined*: each HIT unit asks all tasks about one item
     (requires identical item lists, the §3.3.4 combined feature interface).
 
-    Returns (task → ref → field values, outcome, task → field corpus).
+    Returns (task → ref → field values, outcome, task → vote corpus). A
+    task's corpus holds its normalized votes, field by field, each field's
+    questions in item order; items without votes are left out.
     """
     return begin_generative_units(
         task_items, ctx, label, combine_tasks=combine_tasks, batch_size=batch_size
@@ -293,37 +294,37 @@ def _combine_generative(
     task_items: Mapping[str, Sequence[str]],
     ctx: QueryContext,
     outcome: BatchOutcome,
-) -> tuple[dict[str, dict[str, dict[str, object]]], BatchOutcome, dict[str, dict[str, list[Vote]]]]:
+) -> tuple[dict[str, dict[str, dict[str, object]]], BatchOutcome, dict[str, VoteColumns]]:
     """Normalize, combine, and index one generative outcome's votes."""
     results: dict[str, dict[str, dict[str, object]]] = {}
-    corpora: dict[str, dict[str, list[Vote]]] = {}
+    corpora: dict[str, VoteColumns] = {}
+    columns = outcome.columns
+    asked = columns.sizes()
     for name, task in tasks.items():
         results[name] = {}
-        corpora[name] = {}
+        fields: list[VoteColumns] = []
         for gen_field in task.fields:
             normalizer = get_normalizer(gen_field.normalizer)
-            categorical = gen_field.is_categorical
-            field_corpus: dict[str, list[Vote]] = {}
-            item_of: dict[str, str] = {}
-            for item in task_items[name]:
-                qid = generative_qid(name, item, gen_field.name)
-                votes = outcome.votes.get(qid, [])
-                if categorical:
-                    normalized = list(votes)
-                else:
-                    normalized = [
-                        Vote(worker_id=v.worker_id, value=normalizer(str(v.value)))
-                        for v in votes
-                    ]
-                field_corpus[qid] = normalized
-                item_of[qid] = item
+            item_of = {
+                generative_qid(name, item, gen_field.name): item
+                for item in task_items[name]
+            }
+            field_votes = columns.select([qid for qid in item_of if qid in asked])
+            if not gen_field.is_categorical:
+                field_votes = field_votes.with_values(
+                    normalized_values(field_votes.value, normalizer)
+                )
             combiner = ctx.combiner_for(gen_field.combiner)
-            decisions = combine_corpus(
-                combiner, {q: v for q, v in field_corpus.items() if v}
-            )
+            decisions = combine_corpus(combiner, field_votes)
             for qid, value in decisions.items():
                 results[name].setdefault(item_of[qid], {})[gen_field.name] = value
-            corpora[name].update(field_corpus)
+            fields.append(field_votes)
+        if len(fields) == 1:
+            corpora[name] = fields[0]
+        else:
+            corpora[name] = VoteColumns()
+            for field_votes in fields:
+                corpora[name].extend(field_votes)
     return results, outcome, corpora
 
 
@@ -332,34 +333,41 @@ def adaptive_single_question_votes(
     qids: Sequence[str],
     ctx: QueryContext,
     label: str,
-) -> tuple[dict[str, list[Vote]], BatchOutcome]:
+) -> tuple[VoteColumns, BatchOutcome]:
     """Adaptive vote collection for single-question units (§6 extension).
 
     Posts an initial small number of assignments, then re-posts only the
     still-contested questions in increments until the margin rule is
-    satisfied or the per-question budget runs out.
+    satisfied or the per-question budget runs out. Returns the votes on
+    ``qids`` (in that order; a question may have none) and every round's
+    merged outcome. Each round posts under its own
+    :attr:`~repro.hits.hit.HIT.cache_round`, so a top-up asks the crowd
+    again instead of hitting the previous round's cache entry.
     """
     policy: AdaptivePolicy = ctx.config.adaptive or AdaptivePolicy()
-    votes: dict[str, list[Vote]] = {qid: [] for qid in qids}
+    votes = VoteColumns.from_corpus({qid: () for qid in qids})
     # The first merge sets ``total.post_time`` (see BatchOutcome.merge).
     total = BatchOutcome()
     pending = list(zip(units, qids))
     round_votes = policy.initial_votes
+    cache_round = 1
     while pending:
         round_units = [unit for unit, _ in pending]
         outcome = ctx.post(
-            round_units, ctx.config.filter_batch_size, round_votes, label
+            round_units,
+            ctx.config.filter_batch_size,
+            round_votes,
+            label,
+            cache_round=cache_round,
         ).result()
         total.merge(outcome)
-        for qid, new_votes in outcome.votes.items():
-            if qid in votes:
-                votes[qid].extend(new_votes)
+        votes.extend(outcome.columns.select([q for q in outcome.columns if q in votes]))
+        tally = votes.tally()
         pending = [
-            (unit, qid)
-            for unit, qid in pending
-            if needs_more_votes(votes[qid], policy)
+            (unit, qid) for unit, qid in pending if needs_more_votes(tally[qid], policy)
         ]
         round_votes = policy.step_votes
+        cache_round += 1
     return votes, total
 
 
@@ -468,7 +476,6 @@ def run_predicate_calls(
         bindings.generative.update(results)
         bindings.outcome.merge(outcome)
         for task_name, corpus in corpora.items():
-            populated = {q: v for q, v in corpus.items() if v}
-            if populated:
-                bindings.signals[f"{task_name}.kappa"] = feature_kappa(populated)
+            if len(corpus):
+                bindings.signals[f"{task_name}.kappa"] = feature_kappa(corpus)
     return bindings

@@ -403,6 +403,6 @@ class Qurk:
             outcome = ctx.post(
                 [[payload]], 1, votes_requested, "aggregate:extreme"
             ).result()
-            return tally_pick_votes(payload, outcome.votes.get(payload.qid(), []))
+            return tally_pick_votes(payload, outcome.columns)
 
         return pick_extreme_order(items, pick, batch_size=batch_size)

@@ -13,7 +13,6 @@ left and right linear scans overlap in virtual time (§2.6).
 
 from __future__ import annotations
 
-from operator import attrgetter, truth
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from repro.combine.base import combine_corpus
@@ -34,13 +33,14 @@ from repro.hits.hit import (
     Payload,
     join_qid,
 )
+from repro.hits.vote_columns import VoteColumns
 from repro.joins.batching import JoinInterface, all_pairs, smart_grids, smart_grids_for_candidates
 from repro.joins.feature_filter import (
     confident_feature_values,
     evaluate_features,
     filter_candidates,
 )
-from repro.metrics.agreement import feature_kappa
+from repro.metrics.agreement import feature_kappa, mean_pair_agreement
 from repro.relational.expressions import (
     UNKNOWN,
     Comparison,
@@ -59,8 +59,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 _EMPTY_ROW = Row(Schema([]), {})
 """The row a substituted unary POSSIBLY predicate evaluates against."""
-
-_vote_value = attrgetter("value")
 
 
 class _PossiblyClauses:
@@ -160,7 +158,7 @@ def execute_join(
         return []
 
     features: dict[str, tuple[dict[str, object], dict[str, object]]] = {}
-    corpora: dict[str, dict] = {}
+    corpora: dict[str, VoteColumns] = {}
     if ctx.config.use_feature_filters and node.possibly:
         clauses = _classify_possibly(node, left_aliases, right_aliases, ctx)
         left_refs, right_refs, features, corpora = _run_feature_extraction(
@@ -312,7 +310,7 @@ def _run_feature_extraction(
             ctx.adapt.book.observe(f"unary:{call.name}", len(refs), len(kept))
 
     features: dict[str, tuple[dict[str, object], dict[str, object]]] = {}
-    corpora: dict[str, dict] = {}
+    corpora: dict[str, VoteColumns] = {}
     for key, left_call, right_call in clauses.equality:
         left_task = ctx.catalog.task(left_call.name)
         right_task = ctx.catalog.task(right_call.name)
@@ -320,29 +318,52 @@ def _run_feature_extraction(
         # to UNKNOWN so noisy features (hair) filter weakly, not wrongly.
         left_field = left_call.field or left_task.single_field.name
         right_field = right_call.field or right_task.single_field.name
-        left_confident = confident_feature_values(
-            _field_corpus(left_corpora.get(left_call.name, {}), left_field)
-        )
+        left_corpus = left_corpora.get(left_call.name, VoteColumns())
+        right_corpus = right_corpora.get(right_call.name, VoteColumns())
+        left_confident = confident_feature_values(_field_corpus(left_corpus, left_field))
         right_confident = confident_feature_values(
-            _field_corpus(right_corpora.get(right_call.name, {}), right_field)
+            _field_corpus(right_corpus, right_field)
         )
         left_values = {ref: left_confident.get(ref, UNKNOWN) for ref in left_refs}
         right_values = {ref: right_confident.get(ref, UNKNOWN) for ref in right_refs}
         features[key] = (left_values, right_values)
-        merged_corpus = {}
-        merged_corpus.update(left_corpora.get(left_call.name, {}))
-        merged_corpus.update(right_corpora.get(right_call.name, {}))
-        populated = {qid: votes for qid, votes in merged_corpus.items() if votes}
-        corpora[key] = populated
-        if populated:
-            stats.signals[f"{key}.kappa"] = feature_kappa(populated)
+        corpora[key] = merged = _overlay(left_corpus, right_corpus)
+        if len(merged):
+            stats.signals[f"{key}.kappa"] = feature_kappa(merged)
     return left_refs, right_refs, features, corpora
 
 
-def _field_corpus(corpus: Mapping[str, list], field_name: str) -> dict[str, list]:
+def _field_corpus(corpus: VoteColumns, field_name: str) -> VoteColumns:
     """Restrict a generative vote corpus to one field's questions."""
     suffix = f":{field_name}"
-    return {qid: votes for qid, votes in corpus.items() if qid.endswith(suffix) and votes}
+    return corpus.select([qid for qid in corpus if qid.endswith(suffix)])
+
+
+def _overlay(left: VoteColumns, right: VoteColumns) -> VoteColumns:
+    """Both sides' corpora as one, the way a dict update of ``left`` by
+    ``right`` merges: ``left``'s questions then ``right``'s new ones, and a
+    question both sides asked (a self-join) keeps ``right``'s votes."""
+    merged = VoteColumns.from_corpus(dict.fromkeys([*left, *right], ()))
+    merged.extend(left.select([qid for qid in left if qid not in right]))
+    merged.extend(right)
+    return merged
+
+
+def _posted_pair(
+    body: str, candidates: set[tuple[str, str]]
+) -> tuple[str, str] | None:
+    """The posted candidate ``(left, right)`` whose join question id ends in
+    ``body`` = ``left|right``, or None (a grid cell outside the candidates).
+
+    An item ref may itself contain ``|``, so every split point is tried
+    against the candidates rather than splitting at the first one."""
+    cut = body.find("|")
+    while cut != -1:
+        pair = (body[:cut], body[cut + 1 :])
+        if pair in candidates:
+            return pair
+        cut = body.find("|", cut + 1)
+    return None
 
 
 def _evaluate_unary(expr: Expression, call: UDFCall, value: object) -> bool:
@@ -470,38 +491,37 @@ def _run_join_interface(
             join_qid(task.name, unit[0].pairs[0].left, unit[0].pairs[0].right)  # type: ignore[attr-defined]
             for unit in units
         ]
-        votes, outcome = adaptive_single_question_votes(units, qids, ctx, "join:pairs")
+        columns, outcome = adaptive_single_question_votes(
+            units, qids, ctx, "join:pairs"
+        )
     else:
         outcome = ctx.post(
             units, batch_size, ctx.config.assignments, "join:pairs"
         ).result()
-        votes = outcome.votes
+        columns = outcome.columns
     stats.add(outcome)
 
-    corpus = {qid: v for qid, v in votes.items() if ":join:" in qid and v}
-    if not corpus:
+    corpus = columns.select(
+        [qid for qid, votes in columns.sizes().items() if votes and ":join:" in qid]
+    )
+    if not len(corpus):
         return []
     combiner = ctx.combiner_for(task.combiner)
     decisions = combine_corpus(combiner, corpus)
     candidate_set = set(candidates)
+    prefix = f"{task.name}:join:"  # join_qid's, before ``left|right``
     matches: list[tuple[str, str]] = []
     for qid, is_match in decisions.items():
-        if not is_match:
-            continue
-        pair_part = qid.rsplit(":join:", 1)[1]
-        left_ref, right_ref = pair_part.split("|", 1)
-        if (left_ref, right_ref) in candidate_set:
-            matches.append((left_ref, right_ref))
+        if is_match and qid.startswith(prefix):
+            pair = _posted_pair(qid[len(prefix) :], candidate_set)
+            if pair is not None:
+                matches.append(pair)
     matches.sort()
     if ctx.adapt is not None and candidates:
         from repro.core.cost_model import join_key
 
         ctx.adapt.book.observe(join_key(task.name), len(candidates), len(matches))
-    agreements = []
-    for vs in corpus.values():
-        yes = sum(map(truth, map(_vote_value, vs)))
-        agreements.append(max(yes, len(vs) - yes) / len(vs))
-    if agreements:
-        stats.signals["mean_pair_agreement"] = sum(agreements) / len(agreements)
+    # Reads the counts a majority combiner already took.
+    stats.signals["mean_pair_agreement"] = mean_pair_agreement(corpus)
     stats.signals["matches"] = float(len(matches))
     return matches

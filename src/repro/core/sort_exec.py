@@ -18,7 +18,6 @@ repair loop.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from repro.core.context import QueryContext
@@ -32,8 +31,10 @@ from repro.hits.hit import (
     PickBestPayload,
     RatePayload,
     RateQuestion,
+    compare_pairs,
 )
 from repro.hits.manager import collect_pending
+from repro.hits.vote_columns import VoteColumns
 from repro.language.ast import OrderItem
 from repro.metrics.agreement import comparison_kappa
 from repro.relational.expressions import UDFCall
@@ -243,15 +244,19 @@ def pick_best_payload(
     )
 
 
-def tally_pick_votes(payload: PickBestPayload, votes: Sequence) -> str:
+def tally_pick_votes(payload: PickBestPayload, columns: VoteColumns) -> str:
     """Majority winner of one pick-best question (shared tie-break).
 
-    Ties break toward the higher vote count, then the larger item
-    reference — the same rule for the engine's ``extreme()`` aggregate and
-    the sort tournament, so tied crowds cannot rank differently depending
-    on which entry point asked.
+    Reads the question's votes from the group's ``columns``. Ties break
+    toward the higher vote count, then the larger item reference — the
+    same rule for the engine's ``extreme()`` aggregate and the sort
+    tournament, so tied crowds cannot rank differently depending on which
+    entry point asked.
     """
-    counts = Counter(str(vote.value) for vote in votes)
+    counts: dict[str, int] = {}
+    for value, count in columns.tally().get(payload.qid(), {}).items():
+        text = str(value)
+        counts[text] = counts.get(text, 0) + count
     if not counts:
         raise PlanError(
             f"no votes for pick batch {list(payload.items)!r} — cannot rank"
@@ -285,7 +290,7 @@ def limit_tournament_refs(
         ).result()
         if node is not None:
             ctx.stats_for(node).add(outcome)
-        return tally_pick_votes(payload, outcome.votes.get(payload.qid(), []))
+        return tally_pick_votes(payload, outcome.columns)
 
     winners, hits = tournament_top_k(refs, pick, k, batch_size=batch_size)
     if node is not None:
@@ -354,10 +359,11 @@ def begin_compare_sort(
     batch = ctx.post(
         units, ctx.config.compare_batch_groups, ctx.config.assignments, "sort:compare"
     )
+    pairs = compare_pairs(task.name, groups)
 
     def combine(outcome, node):
-        corpus = {qid: v for qid, v in outcome.votes.items() if ":cmp:" in qid and v}
-        winners = pair_winners_from_votes(corpus)
+        corpus = outcome.columns.matching(":cmp:")
+        winners = pair_winners_from_votes(corpus, pairs)
         order = head_to_head_order(list(refs), winners)
         if node is not None and corpus:
             ctx.stats_for(node).signals["comparison_kappa"] = comparison_kappa(corpus)
@@ -400,8 +406,7 @@ def begin_rate_sort(
     )
 
     def combine(outcome, node):
-        corpus = {qid: v for qid, v in outcome.votes.items() if ":rate:" in qid and v}
-        summaries = summarize_ratings(corpus)
+        summaries = summarize_ratings(outcome.columns.matching(":rate:"))
         for ref in refs:
             if ref not in summaries:
                 summaries[ref] = RatingSummary(item=ref, mean=0.0, std=0.0, count=0)
@@ -474,8 +479,9 @@ def run_compare_window(
     ).result()
     if node is not None:
         ctx.stats_for(node).add(outcome)
-    corpus = {qid: v for qid, v in outcome.votes.items() if ":cmp:" in qid and v}
-    return pair_winners_from_votes(corpus)
+    return pair_winners_from_votes(
+        outcome.columns.matching(":cmp:"), compare_pairs(task.name, [window])
+    )
 
 
 def _item_html(task: RankTask, ref: str) -> str:

@@ -16,7 +16,7 @@ from repro.crowd import SimulatedMarketplace
 from repro.datasets.celebrities import FEATURE_TASKS, CelebrityDataset, celebrity_dataset
 from repro.experiments.harness import ExperimentTable
 from repro.hits import TaskManager
-from repro.hits.hit import Vote
+from repro.hits.vote_columns import VoteColumns
 from repro.hits.pricing import PricingModel
 from repro.joins.feature_filter import (
     confident_feature_values,
@@ -40,7 +40,7 @@ class ExtractionRun:
     trial: int
     combined: bool
     values: dict[str, tuple[dict[str, object], dict[str, object]]]
-    corpora: dict[str, dict[str, list[Vote]]]
+    corpora: dict[str, VoteColumns]
     extraction_assignments: int
 
     def candidates(self, data: CelebrityDataset) -> list[tuple[str, str]]:
@@ -94,9 +94,7 @@ def run_extraction(
     for task in FEATURE_TASKS:
         # Filtering values use the abstention rule (see joins.feature_filter):
         # contested labels demote to UNKNOWN rather than pruning wrongly.
-        confident = confident_feature_values(
-            {qid: v for qid, v in corpora[task].items() if v}
-        )
+        confident = confident_feature_values(corpora[task])
         left = {ref: value for ref, value in confident.items() if ref in celeb_set}
         right = {ref: value for ref, value in confident.items() if ref not in celeb_set}
         values[task] = (left, right)
@@ -104,7 +102,7 @@ def run_extraction(
         trial=trial,
         combined=combined,
         values=values,
-        corpora={task: dict(corpora[task]) for task in FEATURE_TASKS},
+        corpora={task: corpora[task] for task in FEATURE_TASKS},
         extraction_assignments=outcome.assignment_count,
     )
 
@@ -206,12 +204,16 @@ def run_table4(seed: int = 0, n_celebs: int = 30) -> ExperimentTable:
 
     def kappa_for(run: ExtractionRun, task: str, subset: list[str]) -> float:
         wanted = set(subset)
-        corpus = {
-            qid: votes
-            for qid, votes in run.corpora[task].items()
-            if votes and qid.rsplit(":", 1)[0].rsplit(":gen:", 1)[1] in wanted
-        }
-        return feature_kappa(corpus)
+        corpus = run.corpora[task]
+        return feature_kappa(
+            corpus.select(
+                [
+                    qid
+                    for qid in corpus
+                    if qid.rsplit(":", 1)[0].rsplit(":gen:", 1)[1] in wanted
+                ]
+            )
+        )
 
     for run in runs:
         full = [round(kappa_for(run, task, refs), 2) for task in FEATURE_TASKS]

@@ -11,7 +11,7 @@ from repro.core.context import ExecutionConfig
 from repro.core.engine import Qurk
 from repro.crowd import SimulatedMarketplace, TimeOfDay
 from repro.crowd.truth import GroundTruth
-from repro.hits.hit import Vote
+from repro.hits.vote_columns import VoteColumns
 from repro.util.tables import format_table
 
 
@@ -100,15 +100,12 @@ def build_engine(
     return Qurk(platform=market, config=config), market
 
 
-def merge_vote_corpora(
-    corpora: Sequence[Mapping[str, Sequence[Vote]]]
-) -> dict[str, list[Vote]]:
+def merge_vote_corpora(corpora: Sequence[VoteColumns]) -> VoteColumns:
     """Pool votes across trials (the paper aggregates two 5-assignment
     trials into ten votes per question)."""
-    merged: dict[str, list[Vote]] = {}
+    merged = VoteColumns()
     for corpus in corpora:
-        for qid, votes in corpus.items():
-            merged.setdefault(qid, []).extend(votes)
+        merged.extend(corpus)
     return merged
 
 
@@ -129,7 +126,7 @@ def binary_confusion(
 
 
 def combine_both_ways(
-    corpus: Mapping[str, Sequence[Vote]]
+    corpus: VoteColumns,
 ) -> tuple[dict[str, object], dict[str, object]]:
     """(MajorityVote decisions, QualityAdjust decisions) for one corpus."""
     mv = MajorityVote().combine(corpus)
@@ -138,15 +135,16 @@ def combine_both_ways(
 
 
 def single_vote_accuracy(
-    corpus: Mapping[str, Sequence[Vote]], truth: Mapping[str, bool], positives: bool
+    corpus: VoteColumns, truth: Mapping[str, bool], positives: bool
 ) -> float:
     """Expected accuracy of trusting one random worker (§3.3.2's 78%/53%)."""
+    tally = corpus.tally()
     correct = 0
     total = 0
     for qid, expected in truth.items():
         if expected is not positives:
             continue
-        for vote in corpus.get(qid, []):
-            total += 1
-            correct += bool(vote.value) is expected
+        for value, count in tally.get(qid, {}).items():
+            total += count
+            correct += count * (bool(value) is expected)
     return correct / total if total else float("nan")

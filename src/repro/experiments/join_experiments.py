@@ -25,9 +25,9 @@ from repro.hits.hit import (
     JoinPair,
     JoinPairsPayload,
     Payload,
-    Vote,
     join_qid,
 )
+from repro.hits.vote_columns import VoteColumns
 from repro.joins.batching import all_pairs, smart_grids
 from repro.metrics.agreement import worker_accuracies
 from repro.metrics.regression import RegressionResult, accuracy_regression
@@ -102,7 +102,7 @@ def run_join_trial(
     seed: int,
     assignments: int = 5,
     time_of_day: TimeOfDay = TimeOfDay.MORNING,
-) -> tuple[dict[str, list[Vote]], "TrialStats"]:
+) -> tuple[VoteColumns, "TrialStats"]:
     """One posting of the full celebrity join under one scheme."""
     market = SimulatedMarketplace(data.truth, seed=seed, time_of_day=time_of_day)
     manager = TaskManager(market)
@@ -110,7 +110,7 @@ def run_join_trial(
     outcome = manager.run_units(
         units, batch_size=batch, assignments=assignments, label=scheme.name
     )
-    corpus = {qid: votes for qid, votes in outcome.votes.items() if ":join:" in qid}
+    corpus = outcome.columns.matching(":join:")
     stats = TrialStats(
         hits=outcome.hit_count,
         assignments=outcome.assignment_count,

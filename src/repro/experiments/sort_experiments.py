@@ -12,6 +12,7 @@ from repro.datasets.squares import squares_dataset
 from repro.errors import HITUncompletedError
 from repro.experiments.harness import ExperimentTable
 from repro.hits import TaskManager
+from repro.hits.hit import compare_pairs
 from repro.language.parser import parse_statements
 from repro.metrics.agreement import comparison_kappa
 from repro.metrics.kendall import kendall_tau_from_orders
@@ -183,13 +184,10 @@ def run_fig6(seed: int = 0, sample_size: int = 10, n_samples: int = 50) -> Exper
         from repro.metrics.sampling import estimate_on_samples
 
         def kappa_metric(subset: Sequence[str]) -> float:
-            wanted = set(subset)
-            sub_corpus = {}
-            for qid, votes in corpus.items():
-                pair = qid.rsplit(":cmp:", 1)[1].split("|", 1)
-                if pair[0] in wanted and pair[1] in wanted:
-                    sub_corpus[qid] = votes
-            return comparison_kappa(sub_corpus)
+            # The subset's own pairs, decoded from the refs themselves (an
+            # item ref may contain the question id's ``|``).
+            pairs = compare_pairs(task.name, [list(subset)])
+            return comparison_kappa(corpus.select([qid for qid in corpus if qid in pairs]))
 
         def tau_metric(subset: Sequence[str]) -> float:
             subset = list(subset)

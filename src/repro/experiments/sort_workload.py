@@ -28,7 +28,8 @@ from dataclasses import replace
 
 from repro.crowd.truth import GroundTruth
 from repro.datasets.squares import RATING_AMBIGUITY, SORT_TASK, SquaresDataset, squares_dataset
-from repro.hits.hit import Vote, compare_qid
+from repro.hits.hit import compare_qid
+from repro.hits.vote_columns import VoteColumns
 from repro.util.rng import RandomSource
 
 SCALES = (1, 5, 25)
@@ -46,8 +47,9 @@ def comparison_corpus(
     window: int = 12,
     window_spacing: int = 25,
     window_flip_rate: float = 0.35,
-) -> tuple[list[str], dict[str, list[Vote]]]:
-    """(items, corpus) — a sparse comparison corpus with planted cycles.
+) -> tuple[list[str], VoteColumns, dict[str, tuple[str, str]]]:
+    """(items, corpus, pairs) — a sparse comparison corpus with planted
+    cycles, plus each question's ``(a, b)`` refs for the graph readers.
 
     Each item is compared with its ``neighbors`` nearest truth-order
     successors (the band where real sorts are ambiguous) plus ``spokes``
@@ -86,19 +88,23 @@ def comparison_corpus(
                     pairs.add((i, j))
                     flipped_pairs.add((i, j))
         start += window_spacing
-    corpus: dict[str, list[Vote]] = {}
+    question: list[str] = []
+    worker: list[str] = []
+    value: list[object] = []
+    posted: dict[str, tuple[str, str]] = {}
     for i, j in sorted(pairs):
         smaller, larger = items[i], items[j]
         flipped = (i, j) in flipped_pairs
         winner, loser = (smaller, larger) if flipped else (larger, smaller)
         majority = 3 if flipped else VOTES_PER_PAIR
         qid = compare_qid(SORT_TASK, smaller, larger)
-        votes = [
-            Vote(f"w{i}-{j}-{v}", winner if v < majority else loser)
-            for v in range(VOTES_PER_PAIR)
-        ]
-        corpus[qid] = votes
-    return items, corpus
+        lo, hi = sorted((smaller, larger))
+        posted[qid] = (lo, hi)
+        for v in range(VOTES_PER_PAIR):
+            question.append(qid)
+            worker.append(f"w{i}-{j}-{v}")
+            value.append(winner if v < majority else loser)
+    return items, VoteColumns(question, worker, value), posted
 
 
 LIMIT_GROWTH = 1.1

@@ -28,6 +28,7 @@ from repro.hits.hit import (
     RatePayload,
     RateQuestion,
     Vote,
+    compare_pairs,
     compare_qid,
     join_qid,
 )
@@ -40,6 +41,7 @@ from repro.hits.resilience import (
     RetryPolicy,
     build_resilience,
 )
+from repro.hits.vote_columns import VoteColumns, VotesView
 
 __all__ = [
     "HIT",
@@ -70,7 +72,10 @@ __all__ = [
     "PendingBatch",
     "TaskManager",
     "Vote",
+    "VoteColumns",
+    "VotesView",
     "build_resilience",
+    "compare_pairs",
     "compare_qid",
     "join_qid",
 ]

@@ -45,16 +45,23 @@ class HITCache(Protocol):
         ...  # pragma: no cover
 
 
-def payload_cache_key(payloads: tuple[Payload, ...], assignments: int) -> str:
+def payload_cache_key(
+    payloads: tuple[Payload, ...], assignments: int, cache_round: int = 1
+) -> str:
     """A deterministic key for a HIT's content.
 
     Payload dataclasses are frozen; their ``repr`` includes every question
     and item reference, so two HITs asking exactly the same questions with
-    the same replication collide (which is the point). :attr:`HIT.cache_key`
-    computes this same key once per HIT; prefer it on hot paths.
+    the same replication collide (which is the point). Collection rounds
+    after the first (adaptive top-ups, :attr:`HIT.cache_round`) are
+    prefixed ``r=<round>|`` so that a top-up of the same units is asked
+    anew instead of replaying the previous round's answers; round 1 keys
+    are unprefixed. :attr:`HIT.cache_key` computes this same key once per
+    HIT; prefer it on hot paths.
     """
     body = ";".join(sorted(repr(payload) for payload in payloads))
-    return f"a={assignments}|{body}"
+    key = f"a={assignments}|{body}"
+    return f"r={cache_round}|{key}" if cache_round > 1 else key
 
 
 @dataclass

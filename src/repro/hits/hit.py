@@ -21,7 +21,7 @@ Question id conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, ClassVar, NamedTuple, Sequence, Union
+from typing import Callable, ClassVar, Iterable, NamedTuple, Sequence, Union
 
 from repro.errors import TaskError
 
@@ -30,6 +30,24 @@ def compare_qid(task_name: str, a: str, b: str) -> str:
     """Canonical question id for the comparison of items ``a`` and ``b``."""
     lo, hi = sorted((a, b))
     return f"{task_name}:cmp:{lo}|{hi}"
+
+
+def compare_pairs(
+    task_name: str, groups: Iterable[Sequence[str]]
+) -> dict[str, tuple[str, str]]:
+    """Comparison question id → its ``(lo, hi)`` item refs, for every pair
+    of every group.
+
+    Readers decode a comparison question through this map rather than by
+    splitting the id at ``|``, which an item ref may itself contain.
+    """
+    pairs: dict[str, tuple[str, str]] = {}
+    for group in groups:
+        for i, a in enumerate(group):
+            for b in group[i + 1 :]:
+                lo, hi = sorted((a, b))
+                pairs[compare_qid(task_name, lo, hi)] = (lo, hi)
+    return pairs
 
 
 def join_qid(task_name: str, left: str, right: str) -> str:
@@ -316,6 +334,11 @@ class HIT:
     reward: float = 0.01
     effort_seconds: float = 0.0
     group_id: str | None = None
+    cache_round: int = 1
+    """Which collection round of one query posted this HIT. Adaptive
+    top-ups re-post the same units round after round; rounds after the
+    first key the task cache apart (see :attr:`cache_key`), so a top-up
+    never replays an earlier round's answers."""
 
     @property
     def unit_count(self) -> int:
@@ -369,12 +392,17 @@ class HIT:
         question and item reference, so two HITs asking exactly the same
         questions with the same replication collide (which is the point).
         Computed once per HIT instead of re-``repr``-ing every payload on
-        each cache lookup/store.
+        each cache lookup/store. A HIT of collection round ``r > 1`` keys
+        as ``r=<r>|`` + the round-1 key, exactly like
+        :func:`repro.hits.cache.payload_cache_key`.
         """
         key = self._cache_key
         if key is None:
             body = ";".join(sorted(repr(payload) for payload in self.payloads))
-            key = self._cache_key = f"a={self.assignments_requested}|{body}"
+            key = f"a={self.assignments_requested}|{body}"
+            if self.cache_round > 1:
+                key = f"r={self.cache_round}|{key}"
+            self._cache_key = key
         return key
 
     def __post_init__(self) -> None:
@@ -414,26 +442,12 @@ class Assignment(NamedTuple):
 class Vote(NamedTuple):
     """One worker's answer to one question.
 
-    ``NamedTuple`` for the same hot-path reason as :class:`Assignment` —
-    one ``Vote`` is built per answer per assignment when collecting a
-    round's corpus.
+    Engine code counts votes as columns
+    (:class:`~repro.hits.vote_columns.VoteColumns`) and never builds these; a
+    ``Vote`` is what :class:`~repro.hits.vote_columns.VotesView` yields when a
+    caller iterates one question's votes, and what
+    :meth:`~repro.hits.vote_columns.VoteColumns.from_corpus` reads.
     """
 
     worker_id: str
     value: object
-
-
-def count_vote_values(votes: Sequence["Vote"]) -> dict[object, int]:
-    """Multiset of the values in a vote list, as a plain dict.
-
-    The shared counting step of every combiner/agreement path. Vote lists
-    are typically ~5 long and there is one per question, so
-    ``collections.Counter`` construction dominates combining on large
-    corpora — a hand-rolled dict loop is several times cheaper and
-    semantically identical.
-    """
-    counts: dict[object, int] = {}
-    for vote in votes:
-        value = vote.value
-        counts[value] = counts.get(value, 0) + 1
-    return counts

@@ -12,7 +12,8 @@ per-group) payload bundles. The manager:
    large groups, which the latency model exploits);
 5. consults the task cache when one is configured;
 6. records HIT/assignment counts in the cost ledger;
-7. returns per-question vote lists ready for a combiner.
+7. returns the group's votes as columns
+   (:class:`~repro.hits.vote_columns.VoteColumns`) ready for a combiner.
 
 Query operators never call the manager directly: they post through
 :meth:`repro.core.context.QueryContext.post`, the one path that pre-flights
@@ -44,11 +45,10 @@ from repro.errors import (
 )
 from repro.hits.cache import HITCache, payload_cache_key
 from repro.hits.compiler import HITCompiler, merge_payloads
-from repro.hits.hit import HIT, Assignment, Payload, Vote
+from repro.hits.hit import HIT, Assignment, Payload
 from repro.hits.pricing import CostLedger
 from repro.hits.resilience import ResilienceState
-
-_new_tuple = tuple.__new__
+from repro.hits.vote_columns import VoteColumns, VotesView
 
 
 class CrowdPlatform(Protocol):
@@ -85,7 +85,9 @@ class BatchOutcome:
 
     hits: list[HIT] = field(default_factory=list)
     assignments: list[Assignment] = field(default_factory=list)
-    votes: dict[str, list[Vote]] = field(default_factory=dict)
+    columns: VoteColumns = field(default_factory=VoteColumns)
+    """Every answer of :attr:`assignments` as one vote (questions in
+    first-appearance order, votes in assignment order)."""
     post_time: float = 0.0
     finish_time: float = 0.0
     uncompleted_hit_ids: list[str] = field(default_factory=list)
@@ -99,6 +101,12 @@ class BatchOutcome:
     def assignment_count(self) -> int:
         """Assignments completed in this round."""
         return len(self.assignments)
+
+    @property
+    def votes(self) -> VotesView:
+        """Read-only per-question view of :attr:`columns`; builds
+        :class:`~repro.hits.hit.Vote` tuples only when iterated."""
+        return VotesView(self.columns)
 
     @property
     def elapsed_seconds(self) -> float:
@@ -145,8 +153,7 @@ class BatchOutcome:
             self.post_time = min(self.post_time, other.post_time)
         self.hits.extend(other.hits)
         self.assignments.extend(other.assignments)
-        for qid, votes in other.votes.items():
-            self.votes.setdefault(qid, []).extend(votes)
+        self.columns.extend(other.columns)
         self.finish_time = max(self.finish_time, other.finish_time)
         self.uncompleted_hit_ids.extend(other.uncompleted_hit_ids)
 
@@ -223,6 +230,7 @@ class TaskManager:
         batch_size: int,
         assignments: int,
         label: str,
+        cache_round: int = 1,
     ) -> list[HIT]:
         """Slice units into batched, compiled HITs without posting them.
 
@@ -230,6 +238,7 @@ class TaskManager:
         several payloads represents *combining* (several tasks on the same
         tuple). Units are merged ``batch_size`` at a time; payloads of the
         same task merge into one batched payload inside the HIT.
+        ``cache_round`` is the HITs' :attr:`HIT.cache_round`.
         """
         hits: list[HIT] = []
         for merged in self.merge_units(units, batch_size):
@@ -238,6 +247,7 @@ class TaskManager:
                 payloads=merged,
                 assignments_requested=assignments,
                 reward=self.reward,
+                cache_round=cache_round,
             )
             self.compiler.compile(hit)
             hits.append(hit)
@@ -278,6 +288,7 @@ class TaskManager:
         units: Sequence[Sequence[Payload]],
         batch_size: int,
         assignments: int,
+        cache_round: int = 1,
     ) -> int:
         """Budget pre-flight: assignments the next posting round would buy.
 
@@ -289,7 +300,9 @@ class TaskManager:
         a session shares one cache across queries and a later query would
         otherwise abort on a budget it will never actually spend. Without a
         cache (or with no cached batch) this is exactly
-        ``len(units) * assignments``.
+        ``len(units) * assignments``. ``cache_round`` must be the round the
+        units will be posted under, so the keys probed are the keys the
+        posting looks up.
         """
         if not units:
             return 0
@@ -297,7 +310,8 @@ class TaskManager:
             return len(units) * assignments
         uncached_units = 0
         for index, merged in enumerate(self.merge_units(units, batch_size)):
-            if not self.cache.contains_key(payload_cache_key(merged, assignments)):
+            key = payload_cache_key(merged, assignments, cache_round)
+            if not self.cache.contains_key(key):
                 start = index * batch_size
                 uncached_units += len(units[start : start + batch_size])
         return uncached_units * assignments
@@ -329,12 +343,14 @@ class TaskManager:
         label: str = "task",
         strict: bool = True,
         post_time: float | None = None,
+        cache_round: int = 1,
     ) -> "PendingBatch":
         """Batch and post one round of work without collecting it.
 
-        See :meth:`begin_hits` for the ``post_time`` semantics.
+        See :meth:`begin_hits` for the ``post_time`` semantics and
+        :attr:`HIT.cache_round` for ``cache_round``.
         """
-        hits = self.build_hits(units, batch_size, assignments, label)
+        hits = self.build_hits(units, batch_size, assignments, label, cache_round)
         return self.begin_hits(hits, label=label, strict=strict, post_time=post_time)
 
     def begin_hits(
@@ -357,7 +373,7 @@ class TaskManager:
         (``submit_hit_group``; the platform must support it) and stays on
         the marketplace until ``result()`` harvests it — several pending
         batches may then cover overlapping virtual intervals. Accounting
-        (ledger, vote bucketing, strictness) happens at ``result()`` time
+        (ledger, vote columns, strictness) happens at ``result()`` time
         in both shapes; cache stores happen at posting time, so a group
         begun while this one is outstanding sees its results.
         """
@@ -441,7 +457,7 @@ class TaskManager:
     ) -> BatchOutcome:
         """Fold a group's completed assignments into its outcome: per-HIT
         bookkeeping, shortfall recovery, cache stores, ledger charges, vote
-        buckets, strictness/degradation."""
+        columns, strictness/degradation."""
         state = self.resilience
         if to_post:
             completed = list(completed)
@@ -482,24 +498,9 @@ class TaskManager:
                             state.summary.note_degraded(label)
 
         outcome.finish_time = finish_time
-        # Votes are immutable, so an assignment's yes/no answers share one
-        # Vote each; tuple.__new__ skips the NamedTuple's Python-level __new__.
-        votes = outcome.votes
-        get_bucket = votes.get
-        for assignment in outcome.assignments:
-            worker_id = assignment.worker_id
-            yes = _new_tuple(Vote, (worker_id, True))
-            no = _new_tuple(Vote, (worker_id, False))
-            for qid, value in assignment.answers.items():
-                bucket = get_bucket(qid)
-                if bucket is None:
-                    bucket = votes[qid] = []
-                if value is True:
-                    bucket.append(yes)
-                elif value is False:
-                    bucket.append(no)
-                else:
-                    bucket.append(_new_tuple(Vote, (worker_id, value)))
+        # Every assignment, cache hits included: the answers dicts stay the
+        # source of votes, the columns are what readers count.
+        outcome.columns = VoteColumns.from_assignments(outcome.assignments)
         if strict and outcome.uncompleted_hit_ids:
             if state is None:
                 raise HITUncompletedError(

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from repro.errors import QurkError
-from repro.hits.hit import Vote
+from repro.hits.vote_columns import VoteColumns
 from repro.joins.selectivity import estimate_selectivity
 from repro.metrics.agreement import feature_kappa
 from repro.relational.expressions import UNKNOWN, feature_equal
@@ -37,28 +37,28 @@ contested features like hair color filter weakly instead of wrongly.
 """
 
 
-def confident_value(votes: Sequence[Vote], share: float = ABSTENTION_SHARE) -> object:
-    """Majority label, or UNKNOWN when the winner lacks a confident share."""
-    if not votes:
+def confident_value(
+    counts: Mapping[object, int], share: float = ABSTENTION_SHARE
+) -> object:
+    """Majority label of one question's tally, or UNKNOWN when the winner
+    lacks a confident share (or the question has no votes)."""
+    if not counts:
         return UNKNOWN
-    from collections import Counter
-
-    counts = Counter(vote.value for vote in votes)
     winner, count = max(counts.items(), key=lambda kv: (kv[1], repr(kv[0])))
-    if count / len(votes) < share:
+    if count / sum(counts.values()) < share:
         return UNKNOWN
     return winner
 
 
 def confident_feature_values(
-    corpus: Mapping[str, Sequence[Vote]], share: float = ABSTENTION_SHARE
+    corpus: VoteColumns, share: float = ABSTENTION_SHARE
 ) -> dict[str, object]:
     """item ref → abstention-aware combined value from a ``task:gen:item:field``
     vote corpus."""
     values: dict[str, object] = {}
-    for qid, votes in corpus.items():
+    for qid, counts in corpus.tally().items():
         item = qid.rsplit(":", 1)[0].rsplit(":gen:", 1)[1]
-        values[item] = confident_value(votes, share)
+        values[item] = confident_value(counts, share)
     return values
 
 
@@ -172,7 +172,7 @@ def evaluate_features(
     left_items: Sequence[str],
     right_items: Sequence[str],
     features: Mapping[str, tuple[FeatureValues, FeatureValues]],
-    vote_corpora: Mapping[str, Mapping[str, Sequence[Vote]]],
+    vote_corpora: Mapping[str, VoteColumns],
     sampled_matches: Sequence[tuple[str, str]] = (),
     selectivity_threshold: float = 0.9,
     kappa_threshold: float = 0.35,
@@ -196,7 +196,7 @@ def evaluate_features(
             [left_values.get(item, UNKNOWN) for item in left_items],
             [right_values.get(item, UNKNOWN) for item in right_items],
         )
-        corpus = vote_corpora.get(name, {})
+        corpus = vote_corpora.get(name)
         kappa = feature_kappa(corpus) if corpus else 1.0
         err = error_contribution(
             left_items, right_items, features, name, sampled_matches

@@ -14,6 +14,7 @@ from repro.metrics.agreement import (
     comparison_agreement_table,
     comparison_kappa,
     feature_kappa,
+    mean_pair_agreement,
     vote_count_table,
     worker_accuracies,
 )
@@ -33,6 +34,7 @@ __all__ = [
     "fleiss_kappa",
     "kendall_tau_b",
     "kendall_tau_from_orders",
+    "mean_pair_agreement",
     "modified_kappa",
     "vote_count_table",
     "worker_accuracies",

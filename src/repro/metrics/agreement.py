@@ -1,26 +1,26 @@
-"""Agreement bookkeeping: vote corpora → κ inputs and worker accuracies."""
+"""Agreement bookkeeping: vote columns → κ inputs and worker accuracies."""
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, Sequence
+from itertools import repeat
+from typing import Callable
 
-from repro.hits.hit import Vote, count_vote_values
+from repro.hits.vote_columns import VoteColumns
 from repro.metrics.fleiss import fleiss_kappa, modified_kappa
 
 
-def vote_count_table(
-    corpus: Mapping[str, Sequence[Vote]]
-) -> list[dict[object, int]]:
-    """Per-question label counts, the input shape for Fleiss' κ."""
-    return [count_vote_values(votes) for votes in corpus.values()]
+def vote_count_table(corpus: VoteColumns) -> list[dict[object, int]]:
+    """Per-question label counts, the input shape for Fleiss' κ (the
+    corpus's shared tally, in question order; read-only)."""
+    return list(corpus.tally().values())
 
 
-def feature_kappa(corpus: Mapping[str, Sequence[Vote]]) -> float:
+def feature_kappa(corpus: VoteColumns) -> float:
     """Standard Fleiss' κ over a feature-extraction vote corpus (Table 4)."""
     return fleiss_kappa(vote_count_table(corpus))
 
 
-def comparison_kappa(corpus: Mapping[str, Sequence[Vote]]) -> float:
+def comparison_kappa(corpus: VoteColumns) -> float:
     """Modified κ over pairwise-comparison votes (Figure 6).
 
     Each comparison question has two possible winners, so k = 2 regardless
@@ -29,37 +29,46 @@ def comparison_kappa(corpus: Mapping[str, Sequence[Vote]]) -> float:
     return modified_kappa(vote_count_table(corpus), categories=2)
 
 
-def comparison_agreement_table(
-    corpus: Mapping[str, Sequence[Vote]]
-) -> dict[str, float]:
+def comparison_agreement_table(corpus: VoteColumns) -> dict[str, float]:
     """Per-question agreement: share of votes for the most popular winner."""
-    agreement: dict[str, float] = {}
-    for qid, votes in corpus.items():
-        if not votes:
-            continue
-        counts = count_vote_values(votes)
-        agreement[qid] = max(counts.values()) / sum(counts.values())
-    return agreement
+    return {
+        qid: max(counts.values()) / sum(counts.values())
+        for qid, counts in corpus.tally().items()
+        if counts
+    }
+
+
+def mean_pair_agreement(corpus: VoteColumns) -> float:
+    """Mean over yes/no questions of the share of votes on the larger side
+    (the join's ``mean_pair_agreement`` signal); truthy values count as
+    yes. Every question must have votes."""
+    sizes = corpus.sizes()
+    truthy = map(corpus.truthy_counts().get, sizes, repeat(0))
+    agreements = [
+        max(yes, votes - yes) / votes for votes, yes in zip(sizes.values(), truthy)
+    ]
+    return sum(agreements) / len(agreements)
 
 
 def worker_accuracies(
-    corpus: Mapping[str, Sequence[Vote]],
+    corpus: VoteColumns,
     truth: Callable[[str], object],
     min_tasks: int = 1,
 ) -> dict[str, tuple[int, float]]:
     """Per-worker (tasks completed, accuracy) against a truth function.
 
     The §3.3.3 regression feeds on this: does doing more tasks correlate
-    with lower accuracy?
+    with lower accuracy? Workers come in order of first vote, question by
+    question.
     """
     completed: dict[str, int] = {}
     correct: dict[str, int] = {}
-    for qid, votes in corpus.items():
+    for qid, (workers, values) in corpus.grouped().items():
         expected = truth(qid)
-        for vote in votes:
-            completed[vote.worker_id] = completed.get(vote.worker_id, 0) + 1
-            if vote.value == expected:
-                correct[vote.worker_id] = correct.get(vote.worker_id, 0) + 1
+        for worker, value in zip(workers, values):
+            completed[worker] = completed.get(worker, 0) + 1
+            if value == expected:
+                correct[worker] = correct.get(worker, 0) + 1
     return {
         worker: (count, correct.get(worker, 0) / count)
         for worker, count in completed.items()

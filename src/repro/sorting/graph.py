@@ -24,11 +24,10 @@ maintained item set keeps ``add_edge`` O(1), and forward adjacency makes
 from __future__ import annotations
 
 import heapq
-from collections import Counter
 from typing import Iterable, Mapping, Sequence
 
 from repro.errors import QurkError
-from repro.hits.hit import Vote
+from repro.hits.vote_columns import VoteColumns
 
 
 class ComparisonGraph:
@@ -46,18 +45,28 @@ class ComparisonGraph:
 
     @classmethod
     def from_votes(
-        cls, items: Sequence[str], corpus: Mapping[str, Sequence[Vote]]
+        cls,
+        items: Sequence[str],
+        corpus: VoteColumns,
+        pairs: Mapping[str, tuple[str, str]],
     ) -> "ComparisonGraph":
         """Build from comparison votes: one edge per pair, winner → loser,
-        weighted by the winning margin (ties produce no edge)."""
+        weighted by the winning margin (ties produce no edge). ``pairs``
+        maps each comparison question id to its ``(a, b)`` item refs
+        (:func:`repro.hits.hit.compare_pairs`)."""
         graph = cls(items)
-        for qid, votes in corpus.items():
-            parts = qid.rsplit(":cmp:", 1)
-            if len(parts) != 2:
-                raise QurkError(f"malformed comparison qid {qid!r}")
-            a, b = parts[1].split("|", 1)
-            counts = Counter(str(vote.value) for vote in votes)
-            wins_a, wins_b = counts.get(a, 0), counts.get(b, 0)
+        for qid, counts in corpus.tally().items():
+            pair = pairs.get(qid)
+            if pair is None:
+                raise QurkError(f"comparison question {qid!r} was not posted")
+            a, b = pair
+            wins_a = wins_b = 0
+            for value, count in counts.items():
+                text = str(value)
+                if text == a:
+                    wins_a += count
+                elif text == b:
+                    wins_b += count
             if wins_a > wins_b:
                 graph.add_edge(a, b, wins_a - wins_b)
             elif wins_b > wins_a:
@@ -238,9 +247,11 @@ def topological_order(graph: ComparisonGraph) -> list[str]:
 
 
 def graph_order(
-    items: Sequence[str], corpus: Mapping[str, Sequence[Vote]]
+    items: Sequence[str],
+    corpus: VoteColumns,
+    pairs: Mapping[str, tuple[str, str]],
 ) -> list[str]:
     """Convenience: votes → cycle-broken topological order (least → most)."""
-    graph = ComparisonGraph.from_votes(items, corpus)
+    graph = ComparisonGraph.from_votes(items, corpus, pairs)
     break_cycles(graph)
     return topological_order(graph)

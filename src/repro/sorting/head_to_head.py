@@ -15,34 +15,38 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from repro.errors import QurkError
-from repro.hits.hit import Vote, count_vote_values
+from repro.hits.vote_columns import VoteColumns
 
 
 def pair_winners_from_votes(
-    corpus: Mapping[str, Sequence[Vote]]
+    corpus: VoteColumns, pairs: Mapping[str, tuple[str, str]]
 ) -> dict[tuple[str, str], str]:
     """Majority winner per comparison question.
 
-    Question ids follow the ``task:cmp:a|b`` convention; the vote values are
-    winning item references. Ties break toward the lexicographically smaller
-    item for determinism.
+    ``pairs`` maps each posted comparison question id to its ``(a, b)``
+    item refs (:func:`repro.hits.hit.compare_pairs`); the vote values are
+    winning item references. Ties break toward the lexicographically
+    smaller item for determinism.
     """
     winners: dict[tuple[str, str], str] = {}
-    for qid, votes in corpus.items():
-        if not votes:
+    for qid, counts in corpus.tally().items():
+        if not counts:
             continue
-        try:
-            pair_part = qid.rsplit(":cmp:", 1)[1]
-            a, b = pair_part.split("|", 1)
-        except (IndexError, ValueError) as exc:
-            raise QurkError(f"malformed comparison qid {qid!r}") from exc
-        counts = count_vote_values(votes)
-        top = max(counts.values())
-        leaders = sorted(
-            [value for value, count in counts.items() if count == top], key=str
-        )
-        winners[(a, b)] = str(leaders[0])
+        winners[_posted_pair(qid, pairs)] = _leader(counts)
     return winners
+
+
+def _posted_pair(qid: str, pairs: Mapping[str, tuple[str, str]]) -> tuple[str, str]:
+    pair = pairs.get(qid)
+    if pair is None:
+        raise QurkError(f"comparison question {qid!r} was not posted")
+    return pair
+
+
+def _leader(counts: Mapping[object, int]) -> str:
+    top = max(counts.values())
+    leaders = sorted([value for value, count in counts.items() if count == top], key=str)
+    return str(leaders[0])
 
 
 class WinCountIndex:
@@ -96,26 +100,27 @@ def head_to_head_order(
 
 
 def win_fractions(
-    items: Sequence[str], corpus: Mapping[str, Sequence[Vote]]
+    items: Sequence[str],
+    corpus: VoteColumns,
+    pairs: Mapping[str, tuple[str, str]],
 ) -> dict[str, float]:
     """Raw vote-level win share per item (no per-pair majority first).
 
     A smoother score than whole-pair wins; used by EXPLAIN output and the
-    hybrid sorter's diagnostics.
+    hybrid sorter's diagnostics. ``pairs`` is as for
+    :func:`pair_winners_from_votes`.
     """
     wins: dict[str, int] = {item: 0 for item in items}
     appearances: dict[str, int] = {item: 0 for item in items}
-    for qid, votes in corpus.items():
-        pair_part = qid.rsplit(":cmp:", 1)
-        if len(pair_part) != 2:
-            raise QurkError(f"malformed comparison qid {qid!r}")
-        a, b = pair_part[1].split("|", 1)
-        for vote in votes:
-            for side in (a, b):
-                if side in appearances:
-                    appearances[side] += 1
-            if vote.value in wins:
-                wins[str(vote.value)] += 1
+    for qid, counts in corpus.tally().items():
+        a, b = _posted_pair(qid, pairs)
+        votes = sum(counts.values())
+        for side in (a, b):
+            if side in appearances:
+                appearances[side] += votes
+        for value, count in counts.items():
+            if value in wins:
+                wins[str(value)] += count
     return {
         item: (wins[item] / appearances[item]) if appearances[item] else 0.0
         for item in items

@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from repro.errors import QurkError
-from repro.hits.hit import Vote
+from repro.hits.vote_columns import VoteColumns
 from repro.util.stats import mean, stddev
 
 
@@ -23,17 +23,17 @@ class RatingSummary:
     count: int
 
 
-def summarize_ratings(
-    corpus: Mapping[str, Sequence[Vote]]
-) -> dict[str, RatingSummary]:
-    """Per-item rating summaries from a ``task:rate:item`` vote corpus."""
+def summarize_ratings(corpus: VoteColumns) -> dict[str, RatingSummary]:
+    """Per-item rating summaries from a ``task:rate:item`` vote corpus.
+
+    Each mean and deviation sums the item's ratings in vote order."""
     summaries: dict[str, RatingSummary] = {}
-    for qid, votes in corpus.items():
+    for qid, (_, ratings) in corpus.grouped().items():
         parts = qid.rsplit(":rate:", 1)
         if len(parts) != 2:
             raise QurkError(f"malformed rating qid {qid!r}")
         item = parts[1]
-        values = [float(vote.value) for vote in votes]  # type: ignore[arg-type]
+        values = [float(value) for value in ratings]  # type: ignore[arg-type]
         if not values:
             continue
         summaries[item] = RatingSummary(

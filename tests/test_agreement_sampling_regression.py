@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import QurkError
 from repro.hits.hit import Vote
+from repro.hits.vote_columns import VoteColumns
 from repro.metrics.agreement import (
     comparison_agreement_table,
     comparison_kappa,
@@ -21,7 +22,7 @@ def votes(*values):
 
 def test_vote_count_table():
     corpus = {"q1": votes("a", "a", "b"), "q2": votes("b")}
-    table = vote_count_table(corpus)
+    table = vote_count_table(VoteColumns.from_corpus(corpus))
     assert {"a": 2, "b": 1} in table
     assert {"b": 1} in table
 
@@ -31,13 +32,15 @@ def test_comparison_kappa_unanimous():
         "t:cmp:a|b": votes("a", "a", "a", "a", "a"),
         "t:cmp:b|c": votes("c", "c", "c", "c", "c"),
     }
-    assert comparison_kappa(corpus) == pytest.approx(1.0)
+    assert comparison_kappa(VoteColumns.from_corpus(corpus)) == pytest.approx(1.0)
 
 
 def test_comparison_kappa_split():
     corpus = {"t:cmp:a|b": votes("a", "a", "b", "b")}
     # Evenly split: agreement at chance level for k=2.
-    assert comparison_kappa(corpus) == pytest.approx(-0.33333, abs=0.01)
+    assert comparison_kappa(VoteColumns.from_corpus(corpus)) == pytest.approx(
+        -0.33333, abs=0.01
+    )
 
 
 def test_feature_kappa_runs_on_generative_corpus():
@@ -45,12 +48,13 @@ def test_feature_kappa_runs_on_generative_corpus():
         "gender:gen:i1:value": votes("Male", "Male", "Male", "Female", "Male"),
         "gender:gen:i2:value": votes("Female", "Female", "Female", "Female", "Male"),
     }
-    assert 0.0 < feature_kappa(corpus) <= 1.0
+    assert 0.0 < feature_kappa(VoteColumns.from_corpus(corpus)) <= 1.0
 
 
 def test_comparison_agreement_table():
     corpus = {"q": votes("a", "a", "b")}
-    assert comparison_agreement_table(corpus)["q"] == pytest.approx(2 / 3)
+    table = comparison_agreement_table(VoteColumns.from_corpus(corpus))
+    assert table["q"] == pytest.approx(2 / 3)
 
 
 def test_worker_accuracies():
@@ -58,14 +62,16 @@ def test_worker_accuracies():
         "q1": [Vote("w1", True), Vote("w2", False)],
         "q2": [Vote("w1", True), Vote("w2", True)],
     }
-    stats = worker_accuracies(corpus, truth=lambda qid: True)
+    stats = worker_accuracies(VoteColumns.from_corpus(corpus), truth=lambda qid: True)
     assert stats["w1"] == (2, 1.0)
     assert stats["w2"] == (2, 0.5)
 
 
 def test_worker_accuracies_min_tasks():
     corpus = {"q1": [Vote("w1", True)], "q2": [Vote("w1", True), Vote("w2", True)]}
-    stats = worker_accuracies(corpus, truth=lambda qid: True, min_tasks=2)
+    stats = worker_accuracies(
+        VoteColumns.from_corpus(corpus), truth=lambda qid: True, min_tasks=2
+    )
     assert "w2" not in stats and "w1" in stats
 
 

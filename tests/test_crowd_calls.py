@@ -164,7 +164,31 @@ def test_adaptive_collection_spends_fewer_assignments(binary_filter_truth):
     ]
     qids = [f"isEven:filter:img://item/{i}" for i in range(10)]
     votes, outcome = adaptive_single_question_votes(units, qids, ctx, "adaptive")
-    counts = [len(votes[qid]) for qid in qids]
+    counts = [sum(votes.tally()[qid].values()) for qid in qids]
     assert all(3 <= count <= 9 for count in counts)
     # Most questions settle with the initial three votes.
     assert sum(counts) < 10 * 9
+
+
+def test_adaptive_top_ups_do_not_replay_cached_rounds(binary_filter_truth):
+    """With a task cache, each top-up round is its own cache entry: every
+    collected vote comes from an assignment the round actually bought."""
+    from repro.hits.cache import TaskCache
+
+    policy = AdaptivePolicy(initial_votes=1, step_votes=1, max_votes=7, margin=3)
+    ctx = make_context(
+        binary_filter_truth,
+        FILTER_DSL,
+        seed=7,
+        config=ExecutionConfig(adaptive=policy, filter_batch_size=1),
+    )
+    ctx.manager.cache = TaskCache()
+    units = [
+        [FilterPayload("isEven", (FilterQuestion(f"img://item/{i}"),))]
+        for i in range(20)
+    ]
+    qids = [f"isEven:filter:img://item/{i}" for i in range(20)]
+    votes, outcome = adaptive_single_question_votes(units, qids, ctx, "adaptive")
+    assert len(votes.value) == outcome.assignment_count
+    assert len(votes.value) == ctx.manager.ledger.total_assignments
+    assert len(votes.value) > len(qids)  # top-up rounds ran

@@ -5,6 +5,7 @@ import pytest
 from repro.combine.dawid_skene import dawid_skene
 from repro.errors import CombinerError
 from repro.hits.hit import Vote
+from repro.hits.vote_columns import VoteColumns
 from repro.util.rng import RandomSource
 
 
@@ -30,7 +31,7 @@ def synthetic_corpus(
 
 def test_recovers_truth_on_clean_corpus():
     corpus, truths = synthetic_corpus()
-    result = dawid_skene(corpus, iterations=5)
+    result = dawid_skene(VoteColumns.from_corpus(corpus), iterations=5)
     labels = result.hard_labels()
     accuracy = sum(labels[qid] == truth for qid, truth in truths.items()) / len(truths)
     assert accuracy >= 0.95
@@ -38,7 +39,7 @@ def test_recovers_truth_on_clean_corpus():
 
 def test_worker_accuracy_estimates_separate_good_from_bad():
     corpus, _ = synthetic_corpus()
-    result = dawid_skene(corpus, iterations=5)
+    result = dawid_skene(VoteColumns.from_corpus(corpus), iterations=5)
     good = result.worker_accuracy_estimate("good0")
     bad = result.worker_accuracy_estimate("bad0")
     assert good > 0.85
@@ -47,7 +48,7 @@ def test_worker_accuracy_estimates_separate_good_from_bad():
 
 def test_posteriors_are_distributions():
     corpus, _ = synthetic_corpus(n_questions=20)
-    result = dawid_skene(corpus)
+    result = dawid_skene(VoteColumns.from_corpus(corpus))
     for posterior in result.posteriors.values():
         assert sum(posterior.values()) == pytest.approx(1.0)
         assert all(0.0 <= p <= 1.0 for p in posterior.values())
@@ -55,7 +56,7 @@ def test_posteriors_are_distributions():
 
 def test_priors_sum_to_one():
     corpus, _ = synthetic_corpus(n_questions=20)
-    result = dawid_skene(corpus)
+    result = dawid_skene(VoteColumns.from_corpus(corpus))
     assert sum(result.priors.values()) == pytest.approx(1.0)
 
 
@@ -76,7 +77,7 @@ def test_handles_bias_better_than_majority():
         for b in range(3):
             votes.append(Vote(f"naysayer{b}", False))
         corpus[qid] = votes
-    result = dawid_skene(corpus, iterations=10)
+    result = dawid_skene(VoteColumns.from_corpus(corpus), iterations=10)
     labels = result.hard_labels()
     em_accuracy = sum(labels[q] == t for q, t in truths.items()) / len(truths)
     majority_accuracy = sum((False) == t for t in truths.values()) / len(truths)
@@ -96,7 +97,7 @@ def test_multiclass_labels():
             value = truth if rng.chance(0.85) else rng.choice(options)
             votes.append(Vote(f"w{w}", value))
         corpus[f"q{i}"] = votes
-    result = dawid_skene(corpus)
+    result = dawid_skene(VoteColumns.from_corpus(corpus))
     labels = result.hard_labels()
     accuracy = sum(labels[q] == t for q, t in truths.items()) / len(truths)
     assert accuracy > 0.9
@@ -105,21 +106,21 @@ def test_multiclass_labels():
 
 def test_empty_corpus_rejected():
     with pytest.raises(CombinerError):
-        dawid_skene({})
+        dawid_skene(VoteColumns.from_corpus({}))
 
 
 def test_question_with_no_votes_rejected():
     with pytest.raises(CombinerError):
-        dawid_skene({"q": []})
+        dawid_skene(VoteColumns.from_corpus({"q": []}))
 
 
 def test_iterations_validated():
     corpus, _ = synthetic_corpus(n_questions=5)
     with pytest.raises(CombinerError):
-        dawid_skene(corpus, iterations=0)
+        dawid_skene(VoteColumns.from_corpus(corpus), iterations=0)
 
 
 def test_single_worker_corpus_does_not_crash():
     corpus = {f"q{i}": [Vote("solo", i % 2 == 0)] for i in range(10)}
-    result = dawid_skene(corpus)
+    result = dawid_skene(VoteColumns.from_corpus(corpus))
     assert len(result.hard_labels()) == 10

@@ -219,7 +219,7 @@ def test_generative_select_fields():
 WHERE_QUERY = "SELECT c.name FROM celeb c WHERE isFemale(c)"
 
 
-def where_engine(**config):
+def where_engine(cache=None, **config):
     data = celebrity_dataset(n=10, seed=4)
     truth = data.truth
     truth.add_filter_task(
@@ -230,7 +230,7 @@ def where_engine(**config):
         },
     )
     market = SimulatedMarketplace(truth, seed=4)
-    engine = Qurk(platform=market, config=ExecutionConfig(**config))
+    engine = Qurk(platform=market, config=ExecutionConfig(**config), cache=cache)
     engine.register_table(data.celebs)
     engine.define(data.task_dsl)
     engine.define(
@@ -251,6 +251,47 @@ def test_where_crowd_filter():
     got = set(result.column("c.name"))
     # At most one boundary mistake from crowd noise.
     assert len(got ^ expected) <= 1
+
+
+TOP_UP_POLICY = AdaptivePolicy(initial_votes=1, step_votes=1, max_votes=7, margin=3)
+
+
+def test_adaptive_top_ups_are_asked_anew_with_a_cache():
+    """Every top-up round re-posts the contested units; with a task cache
+    attached, a round must not be served the previous round's answers (the
+    margin rule would then count replayed votes)."""
+    from repro.core.session import EngineSession
+    from repro.hits.cache import TaskCache
+
+    config = {"adaptive": TOP_UP_POLICY, "filter_batch_size": 1}
+    _, plain = where_engine(**config)
+    expected = plain.execute(WHERE_QUERY)
+    assert expected.assignment_count > 10  # top-ups happened
+
+    cache = TaskCache()
+    _, engine = where_engine(cache=cache, **config)
+    cold = engine.execute(WHERE_QUERY)
+    assert cold.rows == expected.rows
+    assert cold.assignment_count == expected.assignment_count
+    warm = engine.execute(WHERE_QUERY)
+    assert warm.hit_count == 0
+    assert warm.rows == expected.rows
+
+    data, _ = where_engine()
+    session = EngineSession(
+        platform=SimulatedMarketplace(data.truth, seed=4),
+        config=ExecutionConfig(**config),
+    )
+    session.register_table(data.celebs)
+    session.define(data.task_dsl)
+    session.define(
+        'TASK isFemale(field) TYPE Filter:\n'
+        'Prompt: "<img src=\'%s\'>", tuple[field]\n'
+    )
+    session.submit(WHERE_QUERY)
+    result = session.run()[0]
+    assert result.rows == expected.rows
+    assert result.assignment_count == expected.assignment_count
 
 
 SORT_QUERY = "SELECT squares.label FROM squares ORDER BY squareSorter(img)"

@@ -10,6 +10,7 @@ from repro.experiments.harness import (
     single_vote_accuracy,
 )
 from repro.hits.hit import Vote
+from repro.hits.vote_columns import VoteColumns
 
 
 def votes(*values):
@@ -32,10 +33,13 @@ def test_experiment_table_helpers():
 
 def test_merge_vote_corpora():
     merged = merge_vote_corpora(
-        [{"q": votes(True)}, {"q": votes(False), "r": votes(True)}]
+        [
+            VoteColumns.from_corpus({"q": votes(True)}),
+            VoteColumns.from_corpus({"q": votes(False), "r": votes(True)}),
+        ]
     )
-    assert len(merged["q"]) == 2
-    assert len(merged["r"]) == 1
+    assert sum(merged.tally()["q"].values()) == 2
+    assert sum(merged.tally()["r"].values()) == 1
 
 
 def test_binary_confusion():
@@ -46,14 +50,16 @@ def test_binary_confusion():
 
 
 def test_single_vote_accuracy():
-    corpus = {"q1": votes(True, False), "q2": votes(False, False)}
+    corpus = VoteColumns.from_corpus(
+        {"q1": votes(True, False), "q2": votes(False, False)}
+    )
     truth = {"q1": True, "q2": False}
     assert single_vote_accuracy(corpus, truth, positives=True) == 0.5
     assert single_vote_accuracy(corpus, truth, positives=False) == 1.0
 
 
 def test_combine_both_ways_agree_on_clean_corpus():
-    corpus = {"q": votes(True, True, True, False)}
+    corpus = VoteColumns.from_corpus({"q": votes(True, True, True, False)})
     mv, qa = combine_both_ways(corpus)
     assert mv["q"] is True and qa["q"] is True
 

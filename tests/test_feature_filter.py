@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import QurkError
 from repro.hits.hit import Vote
+from repro.hits.vote_columns import VoteColumns
 from repro.joins.feature_filter import (
     error_contribution,
     evaluate_features,
@@ -81,11 +82,12 @@ def split_votes():
 def test_evaluate_features_keeps_good_drops_ambiguous():
     features = {"gender": GENDER, "hair": HAIR}
     corpora = {
-        "gender": {
-            f"gender:gen:{item}:value": agree_votes("m")
-            for item in LEFT + RIGHT
-        },
-        "hair": {f"hair:gen:{item}:value": split_votes() for item in LEFT + RIGHT},
+        "gender": VoteColumns.from_corpus(
+            {f"gender:gen:{item}:value": agree_votes("m") for item in LEFT + RIGHT}
+        ),
+        "hair": VoteColumns.from_corpus(
+            {f"hair:gen:{item}:value": split_votes() for item in LEFT + RIGHT}
+        ),
     }
     report = evaluate_features(LEFT, RIGHT, features, corpora)
     assert "gender" in report.kept
@@ -97,7 +99,9 @@ def test_evaluate_features_keeps_good_drops_ambiguous():
 
 def test_evaluate_features_drops_ineffective():
     same = ({"l0": "x", "l1": "x"}, {"r0": "x", "r1": "x"})
-    corpora = {"const": {f"q{i}": agree_votes("x") for i in range(4)}}
+    corpora = {
+        "const": VoteColumns.from_corpus({f"q{i}": agree_votes("x") for i in range(4)})
+    }
     report = evaluate_features(
         ["l0", "l1"], ["r0", "r1"], {"const": same}, corpora
     )
@@ -108,7 +112,9 @@ def test_evaluate_features_drops_ineffective():
 def test_evaluate_features_drops_unsound():
     # A selective, agreed-upon feature that nevertheless prunes true matches.
     unstable = ({"l0": "a", "l1": "b"}, {"r0": "b", "r1": "a"})
-    corpora = {"f": {f"q{i}": agree_votes("a") for i in range(4)}}
+    corpora = {
+        "f": VoteColumns.from_corpus({f"q{i}": agree_votes("a") for i in range(4)})
+    }
     report = evaluate_features(
         ["l0", "l1"],
         ["r0", "r1"],

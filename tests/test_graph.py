@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import QurkError
-from repro.hits.hit import Vote, compare_qid
+from repro.hits.hit import Vote, compare_pairs, compare_qid
+from repro.hits.vote_columns import VoteColumns
 from repro.sorting.graph import (
     ComparisonGraph,
     break_cycles,
@@ -74,13 +75,17 @@ def test_from_votes_uses_margins():
     corpus = {
         compare_qid("t", "a", "b"): [Vote("w1", "b"), Vote("w2", "b"), Vote("w3", "a")],
     }
-    graph = ComparisonGraph.from_votes(["a", "b"], corpus)
+    graph = ComparisonGraph.from_votes(
+        ["a", "b"], VoteColumns.from_corpus(corpus), compare_pairs("t", [("a", "b")])
+    )
     assert graph.edges[("b", "a")] == 1  # margin 2-1
 
 
 def test_from_votes_tie_produces_no_edge():
     corpus = {compare_qid("t", "a", "b"): [Vote("w1", "a"), Vote("w2", "b")]}
-    graph = ComparisonGraph.from_votes(["a", "b"], corpus)
+    graph = ComparisonGraph.from_votes(
+        ["a", "b"], VoteColumns.from_corpus(corpus), compare_pairs("t", [("a", "b")])
+    )
     assert graph.edges == {}
 
 
@@ -97,7 +102,9 @@ def test_graph_order_end_to_end():
     corpus[compare_qid("t", "c", "d")] = [
         Vote("w0", "c"), Vote("w1", "c"), Vote("w2", "d")
     ]
-    order = graph_order(items, corpus)
+    order = graph_order(
+        items, VoteColumns.from_corpus(corpus), compare_pairs("t", [items])
+    )
     assert order.index("a") == 0 and order.index("b") == 1
 
 

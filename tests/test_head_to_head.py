@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import QurkError
-from repro.hits.hit import Vote, compare_qid
+from repro.hits.hit import Vote, compare_pairs, compare_qid
+from repro.hits.vote_columns import VoteColumns
 from repro.sorting.head_to_head import (
     head_to_head_order,
     pair_winners_from_votes,
@@ -20,12 +21,17 @@ def corpus_for_order(items, votes_per_pair=5, flips=()):
             winner = b if (a, b) not in flips else a
             qid = compare_qid("t", a, b)
             corpus[qid] = [Vote(f"w{k}", winner) for k in range(votes_per_pair)]
-    return corpus
+    return VoteColumns.from_corpus(corpus)
+
+
+AB = compare_pairs("t", [("a", "b")])
 
 
 def test_exact_recovery_when_acyclic():
     items = ["a", "b", "c", "d", "e"]
-    winners = pair_winners_from_votes(corpus_for_order(items))
+    winners = pair_winners_from_votes(
+        corpus_for_order(items), compare_pairs("t", [items])
+    )
     assert head_to_head_order(items, winners) == items
 
 
@@ -35,19 +41,19 @@ def test_majority_voting_per_pair():
             Vote("w1", "a"), Vote("w2", "b"), Vote("w3", "b")
         ]
     }
-    winners = pair_winners_from_votes(corpus)
+    winners = pair_winners_from_votes(VoteColumns.from_corpus(corpus), AB)
     assert winners[("a", "b")] == "b"
 
 
 def test_tie_breaks_deterministically():
     corpus = {compare_qid("t", "a", "b"): [Vote("w1", "a"), Vote("w2", "b")]}
-    assert pair_winners_from_votes(corpus)[("a", "b")] == "a"
+    assert pair_winners_from_votes(VoteColumns.from_corpus(corpus), AB)[("a", "b")] == "a"
 
 
 def test_single_flip_moves_one_item():
     items = ["a", "b", "c", "d"]
     winners = pair_winners_from_votes(
-        corpus_for_order(items, flips={("c", "d")})
+        corpus_for_order(items, flips={("c", "d")}), compare_pairs("t", [items])
     )
     order = head_to_head_order(items, winners)
     # c and d swap win counts: both have 2 wins; tie broken by name.
@@ -68,7 +74,9 @@ def test_winner_must_belong_to_pair():
 
 def test_malformed_qid():
     with pytest.raises(QurkError):
-        pair_winners_from_votes({"not-a-cmp-qid": [Vote("w", "a")]})
+        pair_winners_from_votes(
+            VoteColumns.from_corpus({"not-a-cmp-qid": [Vote("w", "a")]}), AB
+        )
 
 
 def test_win_fractions():
@@ -76,11 +84,13 @@ def test_win_fractions():
     corpus = {
         compare_qid("t", "a", "b"): [Vote("w1", "b"), Vote("w2", "b"), Vote("w3", "a")]
     }
-    fractions = win_fractions(items, corpus)
+    fractions = win_fractions(items, VoteColumns.from_corpus(corpus), AB)
     assert fractions["b"] == pytest.approx(2 / 3)
     assert fractions["a"] == pytest.approx(1 / 3)
 
 
 def test_empty_votes_ignored():
-    winners = pair_winners_from_votes({compare_qid("t", "a", "b"): []})
+    winners = pair_winners_from_votes(
+        VoteColumns.from_corpus({compare_qid("t", "a", "b"): []}), AB
+    )
     assert winners == {}

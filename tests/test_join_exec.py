@@ -144,3 +144,48 @@ def test_rank_task_rejected_as_possibly():
     query = JOIN + " AND POSSIBLY rk(c.img) = rk(p.img)"
     with pytest.raises(PlanError):
         run_query(ctx, query)
+
+
+BAND_DSL = """
+TASK sameBand(f1, f2) TYPE EquiJoin:
+    SingularName: "band"
+    PluralName: "bands"
+    LeftPreview: "<img src='%s'>", tuple1[f1]
+    LeftNormal: "<img src='%s'>", tuple1[f1]
+    RightPreview: "<img src='%s'>", tuple2[f2]
+    RightNormal: "<img src='%s'>", tuple2[f2]
+    Combiner: MajorityVote
+"""
+
+
+@pytest.mark.parametrize("interface", [JoinInterface.SIMPLE, JoinInterface.SMART])
+def test_join_matches_refs_containing_the_pair_separator(interface):
+    """Join question ids read ``task:join:left|right``; a left ref that
+    itself contains ``|`` must still decode to the pair that was posted."""
+    from repro import Qurk, SimulatedMarketplace
+    from repro.crowd import GroundTruth
+    from repro.relational.table import Table
+    from repro.relational.schema import Schema
+
+    bands = Table("bands", Schema.of("name text", "img url"))
+    photos = Table("photos", Schema.of("id text", "img url"))
+    truth = GroundTruth()
+    for i in range(4):
+        bands.insert({"name": f"band-{i}", "img": f"img://band|{i}"})
+        photos.insert({"id": str(i), "img": f"img://photo/{i}"})
+    truth.add_join_task(
+        "sameBand", {(f"img://band|{i}", f"img://photo/{i}") for i in range(4)}
+    )
+    engine = Qurk(
+        platform=SimulatedMarketplace(truth, seed=3),
+        config=ExecutionConfig(join_interface=interface),
+    )
+    engine.register_table(bands)
+    engine.register_table(photos)
+    engine.define(BAND_DSL)
+    result = engine.execute(
+        "SELECT b.name, p.id FROM bands b JOIN photos p ON sameBand(b.img, p.img)"
+    )
+    assert sorted((row["b.name"], row["p.id"]) for row in result.rows) == [
+        (f"band-{i}", str(i)) for i in range(4)
+    ]

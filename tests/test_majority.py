@@ -6,6 +6,7 @@ from repro.combine.base import combine_corpus
 from repro.combine.majority import MajorityVote, vote_fractions
 from repro.errors import CombinerError
 from repro.hits.hit import Vote
+from repro.hits.vote_columns import VoteColumns
 
 
 def votes(*values):
@@ -32,7 +33,9 @@ def test_non_binary_tie_deterministic():
 
 def test_corpus_combination():
     combiner = MajorityVote()
-    result = combiner.combine({"q1": votes(True, True, False), "q2": votes(False)})
+    result = combiner.combine(
+        VoteColumns.from_corpus({"q1": votes(True, True, False), "q2": votes(False)})
+    )
     assert result == {"q1": True, "q2": False}
 
 
@@ -43,11 +46,12 @@ def test_empty_votes_raise():
 
 def test_combine_corpus_validates():
     with pytest.raises(CombinerError):
-        combine_corpus(MajorityVote(), {"q": []})
+        combine_corpus(MajorityVote(), VoteColumns.from_corpus({"q": []}))
 
 
 def test_vote_fractions():
-    fractions = vote_fractions(votes("a", "a", "b", "c"))
+    tally = VoteColumns.from_corpus({"q": votes("a", "a", "b", "c"), "e": []}).tally()
+    fractions = vote_fractions(tally["q"])
     assert fractions["a"] == 0.5
     assert fractions["b"] == 0.25
-    assert vote_fractions([]) == {}
+    assert vote_fractions(tally["e"]) == {}

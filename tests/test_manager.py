@@ -104,11 +104,12 @@ def test_cache_avoids_reposting(binary_filter_truth):
 def test_outcome_merge():
     from repro.hits.manager import BatchOutcome
     from repro.hits.hit import Vote
+    from repro.hits.vote_columns import VoteColumns
 
     a = BatchOutcome(post_time=0.0, finish_time=5.0)
-    a.votes["q"] = [Vote("w1", True)]
+    a.columns = VoteColumns.from_corpus({"q": [Vote("w1", True)]})
     b = BatchOutcome(post_time=1.0, finish_time=9.0)
-    b.votes["q"] = [Vote("w2", False)]
+    b.columns = VoteColumns.from_corpus({"q": [Vote("w2", False)]})
     a.merge(b)
     assert len(a.votes["q"]) == 2
     assert a.finish_time == 9.0

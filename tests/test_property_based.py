@@ -291,6 +291,7 @@ def test_unanimous_corpus_survives_dawid_skene(seed):
     """With unanimous votes, EM must return exactly those labels."""
     from repro.combine.dawid_skene import dawid_skene
     from repro.hits.hit import Vote
+    from repro.hits.vote_columns import VoteColumns
     from repro.util.rng import RandomSource
 
     rng = RandomSource(seed)
@@ -302,7 +303,7 @@ def test_unanimous_corpus_survives_dawid_skene(seed):
         corpus[f"q{i}"] = [Vote(f"w{k}", label) for k in range(4)]
     if len(set(truth.values())) < 2:
         return
-    result = dawid_skene(corpus)
+    result = dawid_skene(VoteColumns.from_corpus(corpus))
     assert result.hard_labels() == truth
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.combine.quality_adjust import QualityAdjust
 from repro.hits.hit import Vote
+from repro.hits.vote_columns import VoteColumns
 from repro.util.rng import RandomSource
 
 
@@ -20,7 +21,7 @@ def spam_corpus(seed: int = 0, n: int = 60):
         votes.append(Vote("spam_no", False))
         votes.append(Vote("spam_rand", rng.chance(0.5)))
         corpus[qid] = votes
-    return corpus, truths
+    return VoteColumns.from_corpus(corpus), truths
 
 
 def test_combine_recovers_truth():
@@ -69,7 +70,7 @@ def test_multiclass_map_decision():
             Vote(f"w{w}", truth if rng.chance(0.9) else rng.choice(options))
             for w in range(5)
         ]
-    decisions = QualityAdjust().combine(corpus)
+    decisions = QualityAdjust().combine(VoteColumns.from_corpus(corpus))
     accuracy = sum(decisions[f"q{i}"] == options[i % 3] for i in range(30)) / 30
     assert accuracy > 0.9
 
@@ -98,8 +99,9 @@ def test_qa_beats_majority_with_heavy_spam():
         votes.extend(Vote(f"spam{s}", False) for s in range(2))
         votes.append(Vote("spam_r", rng.chance(0.5)))
         corpus[qid] = votes
-    mv = MajorityVote().combine(corpus)
-    qa = QualityAdjust().combine(corpus)
+    columns = VoteColumns.from_corpus(corpus)
+    mv = MajorityVote().combine(columns)
+    qa = QualityAdjust().combine(columns)
     mv_acc = sum(mv[q] == t for q, t in truths.items()) / len(truths)
     qa_acc = sum(qa[q] == t for q, t in truths.items()) / len(truths)
     assert qa_acc > mv_acc

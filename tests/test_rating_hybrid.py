@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import QurkError
 from repro.hits.hit import Vote
+from repro.hits.vote_columns import VoteColumns
 from repro.sorting.hybrid import (
     ConfidenceStrategy,
     HybridSorter,
@@ -14,10 +15,12 @@ from repro.sorting.rating import RatingSummary, order_by_rating, summarize_ratin
 
 
 def rating_corpus(mapping):
-    return {
-        f"t:rate:{item}": [Vote(f"w{i}", score) for i, score in enumerate(scores)]
-        for item, scores in mapping.items()
-    }
+    return VoteColumns.from_corpus(
+        {
+            f"t:rate:{item}": [Vote(f"w{i}", score) for i, score in enumerate(scores)]
+            for item, scores in mapping.items()
+        }
+    )
 
 
 def test_summarize_ratings():
@@ -29,7 +32,7 @@ def test_summarize_ratings():
 
 def test_summarize_malformed_qid():
     with pytest.raises(QurkError):
-        summarize_ratings({"bogus": [Vote("w", 1)]})
+        summarize_ratings(VoteColumns.from_corpus({"bogus": [Vote("w", 1)]}))
 
 
 def test_order_by_rating_ascending_with_deterministic_ties():

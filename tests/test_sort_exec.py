@@ -151,3 +151,32 @@ def test_execute_sort_singleton_groups_cost_nothing():
     )
     execute_sort(node, rows, ctx)
     assert ctx.manager.ledger.total_hits == 0  # nothing to compare
+
+
+@pytest.mark.parametrize("method", ["compare", "hybrid"])
+def test_pair_sorts_accept_refs_containing_the_pair_separator(method):
+    """Comparison question ids read ``task:cmp:a|b``; refs that contain
+    ``|`` themselves must still decode to the compared pair."""
+    from repro import Qurk, SimulatedMarketplace
+    from repro.crowd import GroundTruth
+    from repro.datasets.squares import SORT_TASK, TASK_DSL
+    from repro.relational.table import Table
+
+    table = Table("squares", Schema.of("label text", "img url"))
+    truth = GroundTruth()
+    latents = {}
+    for i in range(6):
+        ref = f"img://sq|{i}"
+        table.insert({"label": f"sq-{i}", "img": ref})
+        latents[ref] = float(i)
+    truth.add_rank_task(SORT_TASK, latents, comparison_ambiguity=0.1, rating_ambiguity=0.5)
+    engine = Qurk(
+        platform=SimulatedMarketplace(truth, seed=3),
+        config=ExecutionConfig(sort_method=method),
+    )
+    engine.register_table(table)
+    engine.define(TASK_DSL)
+    result = engine.execute(
+        "SELECT squares.label FROM squares ORDER BY squareSorter(img)"
+    )
+    assert result.column("squares.label") == [f"sq-{i}" for i in range(6)]

@@ -87,8 +87,8 @@ def oracle_topological_order(graph: ComparisonGraph) -> list[str]:
     return order
 
 
-def oracle_graph_order(items, corpus) -> list[str]:
-    graph = ComparisonGraph.from_votes(items, corpus)
+def oracle_graph_order(items, corpus, pairs) -> list[str]:
+    graph = ComparisonGraph.from_votes(items, corpus, pairs)
     oracle_break_cycles(graph)
     return oracle_topological_order(graph)
 
@@ -123,16 +123,16 @@ class OracleConfidenceStrategy(ConfidenceStrategy):
 @pytest.mark.parametrize("n", [12, 40, 80, 200])
 @pytest.mark.parametrize("seed", [0, 3])
 def test_graph_order_identical_under_toggle(n, seed):
-    items, corpus = comparison_corpus(n, seed=seed)
-    assert graph_order(items, corpus) == oracle_graph_order(items, corpus)
+    items, corpus, pairs = comparison_corpus(n, seed=seed)
+    assert graph_order(items, corpus, pairs) == oracle_graph_order(items, corpus, pairs)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 5])
 def test_break_cycles_removed_set_identical(seed):
     for n in (40, 200):
-        items, corpus = comparison_corpus(n, seed=seed)
-        oracle_graph = ComparisonGraph.from_votes(items, corpus)
-        graph = ComparisonGraph.from_votes(items, corpus)
+        items, corpus, pairs = comparison_corpus(n, seed=seed)
+        oracle_graph = ComparisonGraph.from_votes(items, corpus, pairs)
+        graph = ComparisonGraph.from_votes(items, corpus, pairs)
         expected = oracle_break_cycles(oracle_graph)
         removed = break_cycles(graph)
         assert expected, "workload must actually plant cycles"
@@ -143,16 +143,16 @@ def test_break_cycles_removed_set_identical(seed):
 def test_graph_order_and_removed_set_identical_at_1000():
     """The largest ``bench_sort_scale`` corpus, where the incremental
     worklist interleaves hundreds of components."""
-    items, corpus = comparison_corpus(1000, seed=0)
-    oracle_graph = ComparisonGraph.from_votes(items, corpus)
-    graph = ComparisonGraph.from_votes(items, corpus)
+    items, corpus, pairs = comparison_corpus(1000, seed=0)
+    oracle_graph = ComparisonGraph.from_votes(items, corpus, pairs)
+    graph = ComparisonGraph.from_votes(items, corpus, pairs)
     expected = oracle_break_cycles(oracle_graph)
     assert len(expected) > 100, "workload must plant many cycles"
     assert set(break_cycles(graph)) == set(expected)
     assert graph.edges == oracle_graph.edges
     oracle_order = oracle_topological_order(oracle_graph)
     assert topological_order(graph) == oracle_order
-    assert graph_order(items, corpus) == oracle_order
+    assert graph_order(items, corpus, pairs) == oracle_order
 
 
 @pytest.mark.parametrize("seed", [2, 9])

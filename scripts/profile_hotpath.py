@@ -250,8 +250,8 @@ def check_resilience_overhead(scale: int, seed: int, repeats: int) -> dict:
 
     The macro's marketplace carries no :class:`~repro.crowd.faults.FaultPlan`,
     so ``build_resilience`` declines to arm and the measured ratio is the
-    pure cost of the gating itself (toggle resolution plus the duck-typed
-    fault-plan walk per query). Values above ``RESILIENCE_OVERHEAD_LIMIT``
+    pure cost of the gating itself (toggle resolution plus the platform's
+    fault-plan check per query). Values above ``RESILIENCE_OVERHEAD_LIMIT``
     fail CI.
     """
     report = _overhead_report(

@@ -167,9 +167,9 @@ class ExecutionConfig:
     precise, cache-aware gate."""
 
     resilience: bool | None = None
-    """Force the fault-injection/resilience layer on/off for this query;
-    None defers to the ``REPRO_RESILIENCE`` toggle
-    (``repro.util.toggles.RESILIENCE``). Even when on, the layer only arms
+    """Arm (``True``) or disarm (``False``) the resilience layer for this
+    query, on any platform. None defers to the ``REPRO_RESILIENCE`` toggle
+    (``repro.util.toggles.RESILIENCE``), and then the layer only arms
     against a platform carrying an active
     :class:`~repro.crowd.faults.FaultPlan` — fault-free marketplaces keep
     the strict historical behaviour bit-for-bit."""

@@ -25,7 +25,7 @@ from repro.core.plan import PlanNode
 from repro.core.planner import build_plan
 from repro.errors import PlanError
 from repro.hits.cache import TaskCache
-from repro.hits.manager import CrowdPlatform, TaskManager
+from repro.hits.manager import CrowdPlatform, PostAndWaitPlatform, TaskManager
 from repro.hits.pricing import CostLedger
 from repro.hits.resilience import build_resilience
 from repro.hits.store import PersistentAnswerStore, StoreSpec, open_store
@@ -242,7 +242,7 @@ class Qurk:
 
     def __init__(
         self,
-        platform: CrowdPlatform,
+        platform: CrowdPlatform | PostAndWaitPlatform,
         config: ExecutionConfig | None = None,
         catalog: Catalog | None = None,
         ledger: CostLedger | None = None,
@@ -393,7 +393,7 @@ class Qurk:
         if task_role(task) != ROLE_RANK:
             raise PlanError(f"extreme() needs a Rank task, got {type(task).__name__}")
         votes_requested = assignments or self.config.assignments
-        self.manager.resilience = build_resilience(self.config, self.platform)
+        self.manager.resilience = build_resilience(self.config, self.manager.platform)
         ctx = QueryContext(
             catalog=self.catalog, manager=self.manager, config=self.config
         )

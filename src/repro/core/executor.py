@@ -7,11 +7,12 @@ marketplace's virtual clock — the paper's §2.6 design, where operators
 "communicate asynchronously through input queues". The functions below
 are the operator bodies the scheduler's tasks call.
 
-The platform decides only how each HIT group is posted. A platform with
-the multi-client ``submit_hit_group``/``harvest`` API (the simulated
+Every HIT group is a ticket, and the platform decides only whether
+groups overlap. One that declares ``overlaps`` (the simulated
 marketplace) keeps groups outstanding over overlapping virtual intervals;
-a blocking platform, which only offers ``post_hit_group``, resolves each
-group at posting, so the same schedule runs serially. The posting order is
+any other, such as a post-and-wait platform behind the Task Manager's
+:class:`~repro.hits.manager.BlockingAdapter`, resolves each group at
+submission, so the same schedule runs serially. The posting order is
 the plan's post-order either way, and each group's dispatch draws from a
 stream keyed by posting order, so rows, costs, and vote streams are
 identical on both kinds of platform — only virtual latency differs

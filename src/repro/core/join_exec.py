@@ -32,6 +32,7 @@ from repro.hits.hit import (
     JoinPairsPayload,
     Payload,
     join_qid,
+    split_pair,
 )
 from repro.hits.vote_columns import VoteColumns
 from repro.joins.batching import JoinInterface, all_pairs, smart_grids, smart_grids_for_candidates
@@ -349,23 +350,6 @@ def _overlay(left: VoteColumns, right: VoteColumns) -> VoteColumns:
     return merged
 
 
-def _posted_pair(
-    body: str, candidates: set[tuple[str, str]]
-) -> tuple[str, str] | None:
-    """The posted candidate ``(left, right)`` whose join question id ends in
-    ``body`` = ``left|right``, or None (a grid cell outside the candidates).
-
-    An item ref may itself contain ``|``, so every split point is tried
-    against the candidates rather than splitting at the first one."""
-    cut = body.find("|")
-    while cut != -1:
-        pair = (body[:cut], body[cut + 1 :])
-        if pair in candidates:
-            return pair
-        cut = body.find("|", cut + 1)
-    return None
-
-
 def _evaluate_unary(expr: Expression, call: UDFCall, value: object) -> bool:
     """Evaluate a unary POSSIBLY predicate with the call's value substituted."""
 
@@ -513,8 +497,9 @@ def _run_join_interface(
     matches: list[tuple[str, str]] = []
     for qid, is_match in decisions.items():
         if is_match and qid.startswith(prefix):
-            pair = _posted_pair(qid[len(prefix) :], candidate_set)
-            if pair is not None:
+            # A grid cell outside the candidates is no match.
+            pair = split_pair(qid[len(prefix) :])
+            if pair in candidate_set:
                 matches.append(pair)
     matches.sort()
     if ctx.adapt is not None and candidates:

@@ -17,8 +17,7 @@ expressed entirely in **virtual time**:
 * a crowd operator posts each HIT group through
   :meth:`~repro.core.context.QueryContext.post`. The context the
   scheduler hands its crowd phase carries an :class:`OperatorBinding`, so
-  the group goes out at the operator's local clock through the
-  marketplace's multi-client API
+  the group is submitted as a ticket at the operator's local clock
   (:meth:`~repro.crowd.marketplace.SimulatedMarketplace.submit_hit_group`)
   and the scheduler books it. Groups from different operators — and
   independent groups within one operator, like a join's two
@@ -44,12 +43,14 @@ posting, because HIT *merging* (§2.6) batches over an operator's whole
 tuple set. Queue occupancy, stalls, and per-operator posting telemetry land
 in :class:`~repro.core.context.PipelineStats` for EXPLAIN.
 
-Blocking platforms run the same schedule. A platform that only offers
-``post_hit_group`` cannot keep groups outstanding, so each group is posted
-blocking at the platform clock and comes back already resolved: the
-query's virtual intervals line up end to end, ``peak_outstanding_groups``
-is 1, and the makespan equals the serial latency. Rows, votes, and costs
-are the same as on an overlapping platform.
+Blocking platforms run the same schedule. A platform whose ``overlaps``
+is false (such as a post-and-wait platform behind the Task Manager's
+:class:`~repro.hits.manager.BlockingAdapter`) cannot keep groups
+outstanding, so each group is submitted at the platform clock and comes
+back already resolved: the query's virtual intervals line up end to end,
+``peak_outstanding_groups`` is 1, and the makespan equals the serial
+latency. Rows, votes, and costs are the same as on an overlapping
+platform.
 
 Error paths: a failing crowd phase (budget exceeded, uncompleted HITs
 under ``strict_hits``) aborts the query at the posting where a serial run
@@ -84,7 +85,7 @@ from repro.core.plan import (
 )
 from repro.core.sort_exec import execute_sort
 from repro.errors import ExecutionError
-from repro.hits.manager import PendingBatch, platform_supports_overlap
+from repro.hits.manager import PendingBatch
 from repro.relational.rows import Row
 from repro.tasks.registry import DispatchTable
 
@@ -218,7 +219,7 @@ class OperatorBinding:
 
     The scheduler hands each crowd phase a context carrying its operator's
     binding: groups go out at the operator's local clock (or, on a
-    platform that cannot overlap, blocking at the platform clock), and the
+    platform that does not overlap, resolved at the platform clock), and the
     scheduler books each one so it can count the query's outstanding
     groups and in-flight assignments and advance the operator's clock when
     the group is harvested.
@@ -232,8 +233,10 @@ class OperatorBinding:
 
     @property
     def post_time(self) -> float | None:
-        """The operator's local clock; None on a blocking platform."""
-        return self._task.local_time if self._sched.overlap else None
+        """The operator's local clock; None on a platform that does not
+        overlap, which resolves each group at its own clock."""
+        overlaps = self._sched.ctx.manager.platform.overlaps
+        return self._task.local_time if overlaps else None
 
     @property
     def inflight_assignments(self) -> int:
@@ -273,9 +276,6 @@ class PipelineScheduler:
     def __init__(self, root: PlanNode, ctx: QueryContext) -> None:
         self.ctx = ctx
         self.epoch = ctx.manager.platform.clock_seconds
-        # Whether groups stay outstanding; a blocking platform posts each
-        # group at its clock and hands it back resolved.
-        self.overlap = platform_supports_overlap(ctx.manager.platform)
         self.tasks: list[OperatorTask] = []
         self._groups_posted = 0
         self._peak_outstanding = 0

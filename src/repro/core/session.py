@@ -90,7 +90,12 @@ from repro.errors import (
     PlanError,
 )
 from repro.hits.cache import HITCache, TaskCache, TaskCacheView
-from repro.hits.manager import CrowdPlatform, TaskManager, platform_supports_overlap
+from repro.hits.manager import (
+    CrowdPlatform,
+    PostAndWaitPlatform,
+    TaskManager,
+    ticket_platform,
+)
 from repro.hits.pricing import CostLedger
 from repro.hits.resilience import ResilienceState, build_resilience
 from repro.hits.store import PersistentAnswerStore, StoreSpec
@@ -477,15 +482,15 @@ class EngineSession:
     its own, so a one-query session's result equals a fresh
     :class:`~repro.core.engine.Qurk`'s ``execute`` field for field.
 
-    Concurrency needs the platform's multi-client
-    ``submit_hit_group``/``harvest`` API; on a blocking-only platform the
-    session runs its queries serially, each on the same scheduler with
-    every HIT group posted blocking.
+    Concurrency needs a platform that ``overlaps`` its HIT groups; on any
+    other platform (a post-and-wait one included) the session runs its
+    queries serially, each on the same scheduler with every HIT group
+    resolved at submission.
     """
 
     def __init__(
         self,
-        platform: CrowdPlatform,
+        platform: CrowdPlatform | PostAndWaitPlatform,
         config: ExecutionConfig | None = None,
         catalog: Catalog | None = None,
         cache: TaskCache | None = None,
@@ -561,12 +566,13 @@ class EngineSession:
         if not self.queries:
             raise PlanError("session has no queries; submit() some first")
         self._ran = True
-        overlap = platform_supports_overlap(self.platform)
+        platform = ticket_platform(self.platform)
         multi = len(self.queries) > 1
+        concurrent = concurrent and multi and platform.overlaps
         stats = SessionStats(
-            mode="concurrent" if concurrent and multi and overlap else "serial",
+            mode="concurrent" if concurrent else "serial",
             queries=len(self.queries),
-            epoch=self.platform.clock_seconds,
+            epoch=platform.clock_seconds,
         )
         store_before = (
             store_counters(self.store) if self.store is not None else None
@@ -576,27 +582,27 @@ class EngineSession:
             handle.cache_view = TaskCacheView(
                 shared=self.cache, owner=handle.key, owners=self._owners
             )
-            if overlap:
+            if platform.overlaps:
                 # Single-query sessions stay on the default client stream:
                 # that is what makes them bit-identical to a plain engine.
                 handle.client = MarketplaceClient(
-                    self.platform,
+                    platform,
                     client_id=handle.key if multi else None,
                     on_submit=self._admission_logger(stats, handle.key),
                 )
             handle.arm(
                 TaskManager(
-                    handle.client or self.platform,
+                    handle.client or platform,
                     ledger=handle.ledger,
                     cache=handle.cache_view,
                 ),
                 label=handle.key,
             )
-        run_queries(self.queries, self.store, concurrent=stats.mode == "concurrent")
+        run_queries(self.queries, self.store, concurrent=concurrent)
 
         stats.completed = sum(1 for h in self.queries if h.result is not None)
         stats.failed = sum(1 for h in self.queries if h.error is not None)
-        stats.makespan_seconds = self.platform.clock_seconds - stats.epoch
+        stats.makespan_seconds = platform.clock_seconds - stats.epoch
         stats.serial_latency_seconds = sum(
             h.result.elapsed_seconds for h in self.queries if h.result is not None
         )

@@ -41,6 +41,7 @@ from repro.hits.hit import (
     Payload,
     PickBestPayload,
     RatePayload,
+    compare_qid,
     filter_qid,
     generative_qid,
     join_qid,
@@ -219,10 +220,10 @@ def _answer_join_pairs(
         right = pair.right
         if join_match(task_name, left, right):
             missed = raw_random() < miss if miss_draws else miss_always
-            answers[f"{task_name}:join:{left}|{right}"] = not missed
+            answers[join_qid(task_name, left, right)] = not missed
         else:
             alarmed = raw_random() < false_alarm if fa_draws else fa_always
-            answers[f"{task_name}:join:{left}|{right}"] = alarmed
+            answers[join_qid(task_name, left, right)] = alarmed
     return answers
 
 
@@ -268,10 +269,10 @@ def _answer_join_grid(
         for right in payload.right_items:
             if join_match(task_name, left, right):
                 missed = raw_random() < miss if miss_draws else miss_always
-                answers[f"{task_name}:join:{left}|{right}"] = not missed
+                answers[join_qid(task_name, left, right)] = not missed
             else:
                 alarmed = raw_random() < false_alarm if fa_draws else fa_always
-                answers[f"{task_name}:join:{left}|{right}"] = alarmed
+                answers[join_qid(task_name, left, right)] = alarmed
     return answers
 
 
@@ -305,11 +306,8 @@ def _compare_pair_layout(
     """
     pairs = []
     for i in range(len(items)):
-        a = items[i]
         for j in range(i + 1, len(items)):
-            b = items[j]
-            lo, hi = (a, b) if a <= b else (b, a)
-            pairs.append((i, j, f"{task_name}:cmp:{lo}|{hi}"))
+            pairs.append((i, j, compare_qid(task_name, items[i], items[j])))
     return tuple(pairs)
 
 

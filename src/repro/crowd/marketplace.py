@@ -8,19 +8,16 @@ models against a :class:`~repro.crowd.truth.GroundTruth` oracle, and the
 latency model produces completion-time distributions with the paper's
 qualitative shape.
 
-The marketplace serves two posting styles:
-
-* **blocking** — :meth:`SimulatedMarketplace.post_hit_group` posts a group
-  and advances the shared virtual clock to its completion before returning
-  (a blocking platform's serial timeline);
-* **multi-client** — :meth:`SimulatedMarketplace.submit_hit_group` posts a
-  group at an explicit virtual ``post_time`` and returns a
-  :class:`HITGroupTicket` without touching the shared clock, so several
-  operators can have HIT groups outstanding over overlapping virtual-time
-  intervals; :meth:`SimulatedMarketplace.harvest` (or
-  :meth:`SimulatedMarketplace.harvest_next`, which picks the earliest
-  finisher) collects a ticket and folds its completion time into the clock.
-  This is what the pipelined executor (:mod:`repro.core.scheduler`) drives.
+The marketplace speaks the engine's ticket protocol and declares
+``overlaps``: :meth:`SimulatedMarketplace.submit_hit_group` posts a group at
+an explicit virtual ``post_time`` and returns a
+:class:`~repro.hits.hit.HITGroupTicket` without touching the shared
+clock, so several operators can have HIT groups outstanding over
+overlapping virtual-time intervals; :meth:`SimulatedMarketplace.harvest`
+collects a ticket and folds its completion time into the clock. This is
+what the pipelined executor (:mod:`repro.core.scheduler`) drives.
+:meth:`SimulatedMarketplace.post_hit_group` (submit at the clock, then
+harvest) serves callers that post and wait, such as the MTurk API shim.
 
 Everything is deterministic given the construction seed. Each group's
 dispatch draws from an independent child stream derived from the group id
@@ -58,7 +55,7 @@ from repro.crowd.latency import LatencyConfig, LatencyModel, TimeOfDay
 from repro.crowd.pool import PoolConfig, WorkerPool
 from repro.crowd.truth import GroundTruth
 from repro.errors import MarketplaceError, TransientMarketplaceError
-from repro.hits.hit import HIT, Assignment
+from repro.hits.hit import HIT, Assignment, HITGroupTicket
 from repro.util.rng import RandomSource, child_seed_from_material
 from repro.util.toggles import RESILIENCE, VECTOR
 
@@ -133,33 +130,10 @@ class MarketplaceStats:
         return self.considerations / self.assignments_completed
 
 
-@dataclass(frozen=True)
-class HITGroupTicket:
-    """Handle for a HIT group that is outstanding on the marketplace.
-
-    The simulation resolves a group's assignments eagerly at submission
-    (they depend only on the group's independent random stream, never on
-    what else is outstanding), but the results stay embargoed behind this
-    ticket until :meth:`SimulatedMarketplace.harvest` collects them — which
-    is also the moment the group's completion folds into the shared virtual
-    clock. ``finish_time`` is the virtual time the group resolved: the last
-    submission when fully completed, or the instant the marketplace gave up
-    on it (deadline / sustained refusals) when HITs were left uncompleted.
-    """
-
-    ticket_id: int
-    group_id: str | None
-    post_time: float
-    finish_time: float
-    assignments: tuple[Assignment, ...]
-    incomplete_hit_ids: frozenset[str]
-    faults: GroupFaultRecord | None = None
-    """What the fault overlay did to this group; ``None`` when no faults
-    were injected (no plan, zero rates, or ``REPRO_RESILIENCE=0``)."""
-
-
 class SimulatedMarketplace:
     """A deterministic MTurk stand-in satisfying the platform protocol."""
+
+    overlaps = True
 
     def __init__(
         self,
@@ -220,10 +194,7 @@ class SimulatedMarketplace:
         if not hits:
             return []
         ticket = self.submit_hit_group(hits, group_id=group_id)
-        # Harvest through the public method (subclasses hook it to observe
-        # completions) but with injection suppressed: the submit above
-        # already committed state, so a retried blocking post must never
-        # double-submit the group.
+        # The public harvest, which subclasses hook to observe completions.
         self._suppress_transient = True
         try:
             return self.harvest(ticket)
@@ -339,10 +310,6 @@ class SimulatedMarketplace:
         the ticket, which stays outstanding — retrying the harvest is safe.
         """
         self._maybe_transient("harvest")
-        return self._harvest(ticket)
-
-    def _harvest(self, ticket: HITGroupTicket) -> list[Assignment]:
-        """:meth:`harvest` minus fault injection (internal retry-safe path)."""
         if self._outstanding.pop(ticket.ticket_id, None) is None:
             raise MarketplaceError(
                 f"ticket {ticket.ticket_id} (group {ticket.group_id!r}) is not "
@@ -351,26 +318,6 @@ class SimulatedMarketplace:
         if ticket.finish_time > self._clock:
             self._clock = ticket.finish_time
         return list(ticket.assignments)
-
-    def harvest_next(self) -> HITGroupTicket | None:
-        """The outstanding ticket with the earliest virtual finish time.
-
-        Removes it from the outstanding set and advances the clock like
-        :meth:`harvest`; returns None when nothing is outstanding. Ties
-        break by submission order. The marketplace-level primitive for
-        consuming completions in virtual-time order; operators drive the
-        same rule through :func:`repro.hits.manager.collect_pending`,
-        which sorts its specific pending batches by finish time before
-        harvesting each.
-        """
-        if not self._outstanding:
-            return None
-        ticket = min(
-            self._outstanding.values(),
-            key=lambda t: (t.finish_time, t.ticket_id),
-        )
-        self.harvest(ticket)
-        return ticket
 
     @property
     def outstanding_count(self) -> int:
@@ -606,9 +553,9 @@ class SimulatedMarketplace:
 class MarketplaceClient:
     """One named client's view of a shared :class:`SimulatedMarketplace`.
 
-    Offers the multi-client shape of the platform protocol the Task
-    Manager posts through (a session builds clients only on overlapping
-    platforms), routing every group to the shared marketplace under this
+    Speaks the ticket protocol the Task Manager posts through (a session
+    builds clients only on overlapping platforms), routing every group to
+    the shared marketplace under this
     client's ``client_id`` so its dispatch draws come from the client's
     own stream (see the module docstring).
     Because the simulation resolves a group's assignments synchronously at
@@ -621,6 +568,8 @@ class MarketplaceClient:
     ``client_id=None`` is the default client: same shared stream a plain
     engine uses, with only the telemetry added.
     """
+
+    overlaps = True
 
     def __init__(
         self,
@@ -650,6 +599,11 @@ class MarketplaceClient:
     def stats(self) -> MarketplaceStats:
         """The shared marketplace counters (session-wide, not per-client)."""
         return self.market.stats
+
+    @property
+    def faults(self) -> FaultPlan | None:
+        """The shared marketplace's fault plan."""
+        return self.market.faults
 
     def submit_hit_group(
         self,

@@ -3,7 +3,8 @@
 Qurk's declarative interface promises platform independence (§1). This
 module provides the familiar imperative MTurk SDK surface — create a HIT,
 poll for reviewable HITs, fetch and approve assignments — implemented
-against the same platform protocol the Task Manager uses. It exists so that
+against the post-and-wait platform protocol
+(:class:`~repro.hits.manager.PostAndWaitPlatform`). It exists so that
 code written against the real (boto-era) SDK can run unmodified against the
 simulator, and it documents exactly which slice of the MTurk API Qurk needs.
 """
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 from repro.errors import MarketplaceError
 from repro.hits.compiler import HITCompiler
 from repro.hits.hit import HIT, Assignment, Payload
-from repro.hits.manager import CrowdPlatform
+from repro.hits.manager import PostAndWaitPlatform
 
 
 @dataclass(frozen=True)
@@ -55,7 +56,7 @@ class MTurkConnection:
     holds, only the blocking point moves.
     """
 
-    def __init__(self, platform: CrowdPlatform) -> None:
+    def __init__(self, platform: PostAndWaitPlatform) -> None:
         self.platform = platform
         self._compiler = HITCompiler()
         self._hits: dict[str, HITStatus] = {}

@@ -61,14 +61,14 @@ class ExperimentTable:
 class BlockingPlatform:
     """A marketplace seen through the blocking ``post_hit_group`` call only.
 
-    Hides the multi-client ``submit_hit_group``/``harvest`` API, so an
-    engine or session built on it posts every HIT group blocking, the way
-    it would on a platform that can only post and wait (such as a thin
-    MTurk shim). Tests use it to check that a blocking platform gets the
-    same rows, votes, and costs as the same simulated marketplace with
-    overlap. ``stats`` passes through so EXPLAIN footers still report
-    marketplace counters, and ``inner`` lets the resilience layer find the
-    fault plan.
+    Offers only the post-and-wait protocol, so the Task Manager wraps it in
+    its :class:`~repro.hits.manager.BlockingAdapter` and an engine or
+    session built on it posts every HIT group blocking, the way it would on
+    a platform that can only post and wait (such as a thin MTurk shim).
+    Tests use it to check that a blocking platform gets the same rows,
+    votes, and costs as the same simulated marketplace with overlap.
+    ``stats`` passes through so EXPLAIN footers still report marketplace
+    counters, and ``faults`` so the resilience layer sees the fault plan.
     """
 
     def __init__(self, inner: SimulatedMarketplace) -> None:
@@ -87,6 +87,11 @@ class BlockingPlatform:
     def stats(self):
         """The wrapped marketplace's counters."""
         return self.inner.stats
+
+    @property
+    def faults(self):
+        """The wrapped marketplace's fault plan."""
+        return self.inner.faults
 
 
 def build_engine(

@@ -16,20 +16,60 @@ Question id conventions:
 * comparison pair: ``task:cmp:a|b`` with ``(a, b)`` sorted — the vote value
   is the winning item ref
 * join pair: ``task:join:left|right`` — the vote value is a bool
+
+In a pair id each ref has ``\\`` and ``|`` backslash-escaped, so the
+``|`` between the two refs is the only bare one (``("a|b", "c")`` and
+``("a", "b|c")`` ask different questions); a ref containing neither
+character appears verbatim. :func:`split_pair` decodes the ``a|b`` body.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
-from typing import Callable, ClassVar, Iterable, NamedTuple, Sequence, Union
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    ClassVar,
+    Iterable,
+    NamedTuple,
+    Sequence,
+    Union,
+)
 
 from repro.errors import TaskError
+
+if TYPE_CHECKING:
+    from repro.crowd.faults import GroupFaultRecord
+
+
+def _pair_ref(ref: str) -> str:
+    """``ref`` as one side of a pair id: ``\\`` and ``|`` escaped."""
+    if "|" in ref or "\\" in ref:
+        return ref.replace("\\", "\\\\").replace("|", "\\|")
+    return ref
+
+
+_PAIR_BODY = re.compile(r"((?:[^\\|]|\\.)*)\|((?:[^\\|]|\\.)*)", re.DOTALL)
+_ESCAPED = re.compile(r"\\(.)", re.DOTALL)
+
+
+def split_pair(body: str) -> tuple[str, str] | None:
+    """The two refs a pair id's ``a|b`` body encodes (the id's text after
+    ``task:join:`` or ``task:cmp:``), or None when it encodes no pair."""
+    if "\\" not in body:
+        a, sep, b = body.partition("|")
+        return (a, b) if sep and "|" not in b else None
+    match = _PAIR_BODY.fullmatch(body)
+    if match is None:
+        return None
+    return _ESCAPED.sub(r"\1", match[1]), _ESCAPED.sub(r"\1", match[2])
 
 
 def compare_qid(task_name: str, a: str, b: str) -> str:
     """Canonical question id for the comparison of items ``a`` and ``b``."""
     lo, hi = sorted((a, b))
-    return f"{task_name}:cmp:{lo}|{hi}"
+    return f"{task_name}:cmp:{_pair_ref(lo)}|{_pair_ref(hi)}"
 
 
 def compare_pairs(
@@ -38,8 +78,8 @@ def compare_pairs(
     """Comparison question id → its ``(lo, hi)`` item refs, for every pair
     of every group.
 
-    Readers decode a comparison question through this map rather than by
-    splitting the id at ``|``, which an item ref may itself contain.
+    Readers decode a comparison question through this map rather than
+    with :func:`split_pair`, so a question that was never posted is caught.
     """
     pairs: dict[str, tuple[str, str]] = {}
     for group in groups:
@@ -55,7 +95,7 @@ def join_qid(task_name: str, left: str, right: str) -> str:
 
     Left/right are *not* sorted: the pair is ordered (R tuple, S tuple).
     """
-    return f"{task_name}:join:{left}|{right}"
+    return f"{task_name}:join:{_pair_ref(left)}|{_pair_ref(right)}"
 
 
 def filter_qid(task_name: str, item: str) -> str:
@@ -437,6 +477,28 @@ class Assignment(NamedTuple):
     def duration(self) -> float:
         """Seconds between accept and submit."""
         return self.submit_time - self.accept_time
+
+
+@dataclass(frozen=True)
+class HITGroupTicket:
+    """A submitted HIT group, collected by the platform's ``harvest``
+    (:class:`~repro.hits.manager.CrowdPlatform`).
+
+    The simulation resolves a group at submission, but its assignments stay
+    embargoed behind the ticket until harvested, when the group's completion
+    folds into the platform clock. ``finish_time`` is when the group
+    resolved: its last submission, or when the platform gave up on the HITs
+    it left uncompleted.
+    """
+
+    ticket_id: int
+    group_id: str | None
+    post_time: float
+    finish_time: float
+    assignments: tuple[Assignment, ...]
+    incomplete_hit_ids: frozenset[str]
+    faults: GroupFaultRecord | None = None
+    """What the fault overlay did to this group (``None``: nothing injected)."""
 
 
 class Vote(NamedTuple):

@@ -21,18 +21,21 @@ the budget, applies ``strict_hits``, and stamps each group with the
 operator's virtual clock. That path posts with :meth:`TaskManager.begin_units`,
 which returns a :class:`PendingBatch` whose :meth:`PendingBatch.result` is
 collected later, so an operator can have several groups outstanding at
-once. Without a ``post_time`` the group is posted blocking at the
-platform clock and the batch comes back resolved; given a ``post_time``
-and a platform with the multi-client ``submit_hit_group``/``harvest`` API
-(the simulated marketplace), the group stays outstanding until
-``result()`` harvests it. The scheduler passes ``post_time`` exactly when
-the platform has that API (:func:`platform_supports_overlap`).
+once.
+
+Every group reaches the platform as a
+:class:`~repro.hits.hit.HITGroupTicket` (the :class:`CrowdPlatform`
+protocol; :func:`ticket_platform` adapts a platform that can only post and
+wait). The scheduler passes an operator's clock as ``post_time`` exactly
+when the platform overlaps; without one a group is submitted at the
+platform clock and collected before ``begin`` returns.
 :meth:`TaskManager.run_units` (post one group and wait for it) remains for
 experiments and tools that drive the manager without a query.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Protocol, Sequence
 
@@ -45,38 +48,83 @@ from repro.errors import (
 )
 from repro.hits.cache import HITCache, payload_cache_key
 from repro.hits.compiler import HITCompiler, merge_payloads
-from repro.hits.hit import HIT, Assignment, Payload
+from repro.hits.hit import HIT, Assignment, HITGroupTicket, Payload
 from repro.hits.pricing import CostLedger
 from repro.hits.resilience import ResilienceState
 from repro.hits.vote_columns import VoteColumns, VotesView
 
 
 class CrowdPlatform(Protocol):
-    """What the manager needs from a crowd platform (simulated or real)."""
+    """The engine-facing platform protocol: every HIT group is a ticket."""
+
+    overlaps: bool
+    """Whether submitted groups stay outstanding over overlapping virtual
+    intervals; a platform that does not overlap resolves each group at
+    submission, at its own clock."""
+
+    @property
+    def clock_seconds(self) -> float:
+        """The platform's current (virtual) time in seconds."""
+
+    def submit_hit_group(
+        self,
+        hits: Sequence[HIT],
+        group_id: str | None = None,
+        post_time: float | None = None,
+    ) -> HITGroupTicket:
+        """Post HITs as one group at ``post_time`` (None: the platform clock)."""
+
+    def harvest(self, ticket: HITGroupTicket) -> list[Assignment]:
+        """Collect a submitted group's completed assignments."""
+
+
+class PostAndWaitPlatform(Protocol):
+    """A platform that can only post a group and wait (a thin MTurk shim)."""
+
+    @property
+    def clock_seconds(self) -> float:
+        """The platform's current (virtual) time in seconds."""
 
     def post_hit_group(
         self, hits: Sequence[HIT], group_id: str | None = None
     ) -> list[Assignment]:
         """Post HITs as one group; block until completed (or deadline)."""
-        ...  # pragma: no cover
-
-    @property
-    def clock_seconds(self) -> float:
-        """The platform's current (virtual) time in seconds."""
-        ...  # pragma: no cover
 
 
-def platform_supports_overlap(platform: object) -> bool:
-    """Whether a platform exposes the multi-client outstanding-HIT API.
+class BlockingAdapter:
+    """A :class:`PostAndWaitPlatform` speaking the ticket protocol: each
+    submit posts and waits at the platform clock (``post_time`` is ignored),
+    so the ticket comes back resolved and ``harvest`` makes no platform
+    call. ``clock_seconds``, ``faults`` and ``stats`` pass through."""
 
-    With ``submit_hit_group``/``harvest`` (the simulated marketplace has
-    them) the scheduler keeps HIT groups outstanding over overlapping
-    virtual intervals and a session may run its queries concurrently.
-    Anything else — the real MTurk shim, a test double wrapping
-    ``post_hit_group`` — gets the same scheduler with every group posted
-    blocking, and sessions run serially. Results are the same either way.
-    """
-    return hasattr(platform, "submit_hit_group") and hasattr(platform, "harvest")
+    overlaps = False
+
+    def __init__(self, inner: PostAndWaitPlatform) -> None:
+        self.inner = inner
+        self._tickets = 0
+
+    def submit_hit_group(self, hits, group_id=None, post_time=None) -> HITGroupTicket:
+        start = self.inner.clock_seconds
+        done = tuple(self.inner.post_hit_group(hits, group_id=group_id))
+        got = Counter(assignment.hit_id for assignment in done)
+        short = [h.hit_id for h in hits if got[h.hit_id] < h.assignments_requested]
+        self._tickets += 1
+        return HITGroupTicket(
+            self._tickets, group_id, start, self.clock_seconds, done, frozenset(short)
+        )
+
+    def harvest(self, ticket: HITGroupTicket) -> list[Assignment]:
+        return list(ticket.assignments)
+
+    clock_seconds = property(lambda self: self.inner.clock_seconds)
+    faults = property(lambda self: getattr(self.inner, "faults", None))
+    stats = property(lambda self: getattr(self.inner, "stats", None))
+
+
+def ticket_platform(platform: CrowdPlatform | PostAndWaitPlatform) -> CrowdPlatform:
+    """``platform`` if it declares ``overlaps`` (it speaks the ticket
+    protocol, as an adapter does), else wrapped in a :class:`BlockingAdapter`."""
+    return platform if hasattr(platform, "overlaps") else BlockingAdapter(platform)
 
 
 @dataclass
@@ -163,14 +211,14 @@ class TaskManager:
 
     def __init__(
         self,
-        platform: CrowdPlatform,
+        platform: CrowdPlatform | PostAndWaitPlatform,
         ledger: CostLedger | None = None,
         compiler: HITCompiler | None = None,
         cache: HITCache | None = None,
         reward: float = 0.01,
         resilience: ResilienceState | None = None,
     ) -> None:
-        self.platform = platform
+        self.platform = ticket_platform(platform)
         self.ledger = ledger or CostLedger()
         self.compiler = compiler or HITCompiler()
         self.cache = cache
@@ -292,29 +340,27 @@ class TaskManager:
     ) -> int:
         """Budget pre-flight: assignments the next posting round would buy.
 
-        Projects ``assignments`` per unit — the same deliberate per-unit
-        overestimate the operators have always pre-flighted (actual charges
-        are per completed assignment of the *batched* HITs) — but skips
-        units whose merged batch is already in the task cache: work the
+        Prices ``assignments`` per HIT the posting builds (one per
+        ``batch_size`` units, as :meth:`build_hits` merges them), skipping
+        HITs whose merged batch is already in the task cache: work the
         crowd already did is fanned out free of charge, which matters when
         a session shares one cache across queries and a later query would
-        otherwise abort on a budget it will never actually spend. Without a
-        cache (or with no cached batch) this is exactly
-        ``len(units) * assignments``. ``cache_round`` must be the round the
+        otherwise abort on a budget it will never actually spend. Actual
+        charges are per *completed* assignment, so this is an upper bound
+        on what the posting costs. ``cache_round`` must be the round the
         units will be posted under, so the keys probed are the keys the
         posting looks up.
         """
-        if not units:
-            return 0
-        if self.cache is None:
-            return len(units) * assignments
-        uncached_units = 0
-        for index, merged in enumerate(self.merge_units(units, batch_size)):
-            key = payload_cache_key(merged, assignments, cache_round)
-            if not self.cache.contains_key(key):
-                start = index * batch_size
-                uncached_units += len(units[start : start + batch_size])
-        return uncached_units * assignments
+        batches = self.merge_units(units, batch_size)
+        if self.cache is not None:
+            batches = [
+                merged
+                for merged in batches
+                if not self.cache.contains_key(
+                    payload_cache_key(merged, assignments, cache_round)
+                )
+            ]
+        return len(batches) * assignments
 
     def run_units(
         self,
@@ -362,28 +408,18 @@ class TaskManager:
     ) -> "PendingBatch":
         """Post already-built HITs as one group; collect via ``result()``.
 
-        With ``post_time=None`` (default) the group is posted *blocking* at
-        the platform's current clock and the returned batch is already
-        resolved; when several begins are interleaved, each posting
-        advances the shared clock before the next, exactly like serial
-        post-and-wait calls.
-
-        With an explicit ``post_time`` the group is submitted outstanding at
-        that virtual time through the platform's multi-client API
-        (``submit_hit_group``; the platform must support it) and stays on
-        the marketplace until ``result()`` harvests it — several pending
-        batches may then cover overlapping virtual intervals. Accounting
-        (ledger, vote columns, strictness) happens at ``result()`` time
-        in both shapes; cache stores happen at posting time, so a group
-        begun while this one is outstanding sees its results.
+        The group is submitted at ``post_time``; with ``post_time=None``
+        (default) it goes out at the platform clock and is collected before
+        this returns, like a serial post-and-wait call. With a ``post_time``
+        on an overlapping platform it stays outstanding until ``result()``
+        harvests it, so pending batches may cover overlapping virtual
+        intervals. Accounting (ledger, vote columns, strictness) happens at
+        ``result()``; cache stores happen at submission, so a group begun
+        while this one is outstanding sees its results.
         """
         outcome = BatchOutcome(
             post_time=self.platform.clock_seconds if post_time is None else post_time
         )
-        if not hits:
-            outcome.finish_time = outcome.post_time
-            return PendingBatch(self, outcome, [], label, strict)
-
         to_post: list[HIT] = []
         for hit in hits:
             cached = self.cache.lookup(hit) if self.cache is not None else None
@@ -395,34 +431,30 @@ class TaskManager:
 
         pending = PendingBatch(self, outcome, to_post, label, strict)
         if to_post:
-            group_id = self._next_group_id(label)
-            for hit in to_post:
-                hit.group_id = group_id
-            if post_time is None:
-                pending._completed = self._call_platform(
-                    lambda: self.platform.post_hit_group(to_post, group_id=group_id)
-                )
-                pending._finish_time = self.platform.clock_seconds
-            else:
-                pending._ticket = self._call_platform(
-                    lambda: self.platform.submit_hit_group(
-                        to_post, group_id=group_id, post_time=post_time
-                    )
-                )
-                pending._finish_time = pending._ticket.finish_time
-                if self.cache is not None:
-                    # Store now, not at harvest: a group posted while this
-                    # one is outstanding must see these results in its
-                    # cache lookup, exactly as it would after a blocking
-                    # post. (The simulation resolved the assignments at
-                    # submission; only the clock bookkeeping is deferred.)
-                    self._store_in_cache(to_post, pending._ticket.assignments)
-                    pending._cache_stored = True
+            pending._ticket = self._submit(to_post, label, post_time)
+            if self.cache is not None:
+                # Stored at submission (the simulation resolved the work):
+                # a group begun while this one is outstanding must find it.
+                by_hit = self._group_by_hit(pending._ticket.assignments)
+                for hit in to_post:
+                    if hit.hit_id in by_hit:
+                        self.cache.store(hit, by_hit[hit.hit_id])
         if post_time is None:
-            # Nothing (or only cache hits) posted: resolve on the spot so the
-            # blocking shape never leaves work dangling.
             pending.result()
         return pending
+
+    def _submit(
+        self, hits: list[HIT], label: str, post_time: float | None
+    ) -> HITGroupTicket:
+        """Submit ``hits`` as one new group, retrying transient failures."""
+        group_id = self._next_group_id(label)
+        for hit in hits:
+            hit.group_id = group_id
+        return self._call_platform(
+            lambda: self.platform.submit_hit_group(
+                hits, group_id=group_id, post_time=post_time
+            )
+        )
 
     @staticmethod
     def _group_by_hit(
@@ -434,17 +466,6 @@ class TaskManager:
             by_hit.setdefault(assignment.hit_id, []).append(assignment)
         return by_hit
 
-    def _store_in_cache(
-        self, to_post: list[HIT], completed: Sequence[Assignment]
-    ) -> None:
-        """Cache every posted HIT's completed assignments."""
-        assert self.cache is not None
-        by_hit = self._group_by_hit(completed)
-        for hit in to_post:
-            hit_assignments = by_hit.get(hit.hit_id, [])
-            if hit_assignments:
-                self.cache.store(hit, hit_assignments)
-
     def _finalize_outcome(
         self,
         outcome: BatchOutcome,
@@ -453,11 +474,10 @@ class TaskManager:
         label: str,
         strict: bool,
         finish_time: float,
-        cache_stored: bool = False,
     ) -> BatchOutcome:
         """Fold a group's completed assignments into its outcome: per-HIT
-        bookkeeping, shortfall recovery, cache stores, ledger charges, vote
-        columns, strictness/degradation."""
+        bookkeeping, shortfall recovery (re-storing recovered HITs in the
+        cache), ledger charges, vote columns, strictness/degradation."""
         state = self.resilience
         if to_post:
             completed = list(completed)
@@ -474,11 +494,9 @@ class TaskManager:
                 outcome.assignments.extend(hit_assignments)
                 if not hit_assignments:
                     outcome.uncompleted_hit_ids.append(hit.hit_id)
-                elif self.cache is not None and (
-                    not cache_stored or hit.hit_id in refreshed
-                ):
-                    # Recovered hits re-store: the eager at-submit store
-                    # cached the faulted (shortfall) assignment set.
+                elif self.cache is not None and hit.hit_id in refreshed:
+                    # The at-submit store cached the faulted (shortfall)
+                    # assignment set.
                     self.cache.store(hit, hit_assignments)
             # Only pay for work actually completed (reposted clone HITs
             # count as posted-HIT overhead).
@@ -548,7 +566,6 @@ class TaskManager:
         refreshed: set[str] = set()
         reposted = 0
         extra_cost = 0.0
-        use_overlap = platform_supports_overlap(self.platform)
         zero_progress = 0
         for attempt in range(1, policy.max_reposts + 1):
             by_hit = self._group_by_hit(completed)
@@ -578,26 +595,12 @@ class TaskManager:
                 self.compiler.compile(clone)
                 clones.append(clone)
                 clone_to_original[clone.hit_id] = hit.hit_id
-            group_id = self._next_group_id(f"{label}.repost")
-            for clone in clones:
-                clone.group_id = group_id
-            if use_overlap:
-                ticket = self._call_platform(
-                    lambda: self.platform.submit_hit_group(
-                        clones, group_id=group_id, post_time=repost_time
-                    )
-                )
-                extras = self._call_platform(lambda: self.platform.harvest(ticket))
-                round_finish = ticket.finish_time
-            else:
-                extras = self._call_platform(
-                    lambda: self.platform.post_hit_group(clones, group_id=group_id)
-                )
-                round_finish = self.platform.clock_seconds
+            ticket = self._submit(clones, f"{label}.repost", repost_time)
+            extras = self._call_platform(lambda: self.platform.harvest(ticket))
             state.summary.reposts += 1
             state.summary.reposted_hits += len(clones)
             reposted += len(clones)
-            finish_time = max(finish_time, round_finish)
+            finish_time = max(finish_time, ticket.finish_time)
             if not extras:
                 # Reposts that keep coming back empty (the faults ate the
                 # whole round) will not improve: stop after two in a row.
@@ -634,10 +637,7 @@ class PendingBatch:
         "_label",
         "_strict",
         "_ticket",
-        "_completed",
-        "_finish_time",
         "_resolved",
-        "_cache_stored",
         "_on_harvest",
     )
 
@@ -654,11 +654,8 @@ class PendingBatch:
         self._to_post = to_post
         self._label = label
         self._strict = strict
-        self._ticket = None
-        self._completed: Sequence[Assignment] = ()
-        self._finish_time = outcome.post_time
+        self._ticket: HITGroupTicket | None = None
         self._resolved = False
-        self._cache_stored = False
         self._on_harvest: Callable[[PendingBatch], None] | None = None
 
     def on_harvest(self, callback: Callable[["PendingBatch"], None]) -> None:
@@ -694,7 +691,8 @@ class PendingBatch:
     @property
     def finish_time(self) -> float:
         """Virtual time the group resolves (peek — does not harvest)."""
-        return self._finish_time
+        ticket = self._ticket
+        return self._outcome.post_time if ticket is None else ticket.finish_time
 
     @property
     def done(self) -> bool:
@@ -710,7 +708,7 @@ class PendingBatch:
             return self._outcome
         self._resolved = True
         try:
-            completed = self._completed
+            completed: Sequence[Assignment] = ()
             if self._ticket is not None:
                 # Routed through the transient-retry wrapper: a failed harvest
                 # leaves the ticket outstanding, so retrying it is safe.
@@ -723,8 +721,7 @@ class PendingBatch:
                 completed,
                 self._label,
                 self._strict,
-                self._finish_time,
-                cache_stored=self._cache_stored,
+                self.finish_time,
             )
         finally:
             if self._on_harvest is not None:

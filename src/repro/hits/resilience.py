@@ -21,15 +21,16 @@ the machinery to survive them:
 
 Gating
 ------
-:func:`build_resilience` returns ``None`` — the whole layer inert —
-unless the resolved toggle (``ExecutionConfig.resilience`` overriding
-``REPRO_RESILIENCE``) is on *and* the platform actually carries an active
-:class:`~repro.crowd.faults.FaultPlan`
-(:func:`marketplace_faults_active`). Fault-free marketplaces therefore
-keep today's strict behaviour bit-for-bit: budget violations still raise
-:class:`~repro.errors.BudgetExceededError`, refused oversized batches
-still raise :class:`~repro.errors.HITUncompletedError`, and no recovery
-draws or reposts perturb the golden trace.
+An explicit ``ExecutionConfig(resilience=True)`` arms the layer on any
+platform: a real one fails transiently without announcing a fault plan.
+By default (``resilience=None``) :func:`build_resilience` returns ``None``
+— the whole layer inert — unless ``REPRO_RESILIENCE`` is on *and* the
+platform's ``faults`` is an active :class:`~repro.crowd.faults.FaultPlan`.
+Fault-free default runs therefore keep strict behaviour bit-for-bit:
+budget violations still raise :class:`~repro.errors.BudgetExceededError`,
+refused oversized batches still raise
+:class:`~repro.errors.HITUncompletedError`, and no recovery draws or
+reposts perturb the golden trace. ``resilience=False`` always disarms.
 """
 
 from __future__ import annotations
@@ -213,35 +214,20 @@ class ResilienceState:
         with no rows)."""
 
 
-def marketplace_faults_active(platform) -> bool:
-    """Whether ``platform`` carries an active (non-zero) fault plan.
-
-    Duck-typed walk: checks the object's own ``faults`` attribute, then
-    unwraps one facade layer (``market`` for
-    :class:`~repro.crowd.marketplace.MarketplaceClient`, ``inner`` for
-    test doubles that wrap a real marketplace).
-    """
-    for candidate in (platform, getattr(platform, "market", None), getattr(platform, "inner", None)):
-        if candidate is None:
-            continue
-        plan = getattr(candidate, "faults", None)
-        if plan is not None and getattr(plan, "active", False):
-            return True
-    return False
-
-
-def build_resilience(config, platform=None) -> ResilienceState | None:
+def build_resilience(config, platform) -> ResilienceState | None:
     """Build a query's :class:`ResilienceState`, or ``None`` when inert.
 
-    ``config`` is an ``ExecutionConfig``-like object (duck-typed); its
-    ``resilience`` field overrides the global toggle when not ``None``.
-    The state is only built when the resolved flag is on *and* the
-    platform carries an active fault plan — see the module docstring for
-    why fault-free marketplaces must keep strict behaviour.
+    ``config`` is an ``ExecutionConfig``-like object (duck-typed). Its
+    ``resilience`` field arms (``True``) or disarms (``False``) the layer
+    outright; ``None`` defers to ``REPRO_RESILIENCE`` plus the platform's
+    ``faults`` plan being active — see the module docstring for why
+    fault-free runs keep strict behaviour by default.
     """
-    if not RESILIENCE.resolve(getattr(config, "resilience", None)):
+    requested = getattr(config, "resilience", None)
+    if not RESILIENCE.resolve(requested):
         return None
-    if platform is not None and not marketplace_faults_active(platform):
-        return None
-    policy = RetryPolicy.from_config(config) if config is not None else RetryPolicy()
-    return ResilienceState(policy)
+    if requested is None:
+        plan = getattr(platform, "faults", None)
+        if plan is None or not plan.active:
+            return None
+    return ResilienceState(RetryPolicy.from_config(config))

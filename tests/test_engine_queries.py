@@ -344,6 +344,46 @@ def test_budget_enforcement(case):
     assert engine.platform.stats.hits_posted == 0
 
 
+def test_budget_of_exactly_the_cost_completes():
+    """The per-post pre-flight prices the HITs each posting builds, so a
+    budget equal to a query's unbudgeted cost completes it unchanged, and
+    one assignment's price less aborts before the post that would
+    overspend."""
+    from dataclasses import replace
+
+    from repro.experiments.end_to_end import QUERY_WITH_FILTER
+    from repro.experiments.session_workload import variant_configs
+
+    data = movie_dataset(seed=0)
+
+    def run(config):
+        engine = Qurk(
+            platform=SimulatedMarketplace(data.truth, seed=0), config=config
+        )
+        engine.register_table(data.actors)
+        engine.register_table(data.scenes)
+        engine.define(data.task_dsl)
+        try:
+            return engine.execute(QUERY_WITH_FILTER), engine.ledger
+        except BudgetExceededError:
+            return None, engine.ledger
+
+    for name, config in variant_configs():
+        free, ledger = run(config)
+        cost = ledger.total_cost
+        capped, _ = run(replace(config, max_budget=cost))
+        assert capped is not None, name
+        assert (capped.rows, capped.hit_count, capped.total_cost) == (
+            free.rows,
+            free.hit_count,
+            free.total_cost,
+        ), name
+        below = cost - ledger.pricing.cost(1)
+        aborted, short_ledger = run(replace(config, max_budget=below))
+        assert aborted is None, name
+        assert short_ledger.total_cost <= below + 1e-9, name
+
+
 def test_define_rejects_select():
     _, engine = celebrity_engine()
     with pytest.raises(PlanError):

@@ -158,23 +158,48 @@ TASK sameBand(f1, f2) TYPE EquiJoin:
 """
 
 
-@pytest.mark.parametrize("interface", [JoinInterface.SIMPLE, JoinInterface.SMART])
-def test_join_matches_refs_containing_the_pair_separator(interface):
-    """Join question ids read ``task:join:left|right``; a left ref that
-    itself contains ``|`` must still decode to the pair that was posted."""
+_BAND_REFS = (
+    [f"img://band|{i}" for i in range(4)],
+    [f"img://photo/{i}" for i in range(4)],
+    [(i, i) for i in range(4)],
+)
+_COLLIDING_REFS = (["a|b", "a"], ["c", "b|c"], [(1, 1)])
+"""Left refs, right refs, and the true ``(left, right)`` index pairs;
+``("a|b", "c")`` and ``("a", "b|c")`` read ``a|b|c`` joined naively."""
+
+
+@pytest.mark.parametrize(
+    "interface, refs",
+    [
+        pytest.param(JoinInterface.SIMPLE, _BAND_REFS, id="JoinInterface.SIMPLE"),
+        pytest.param(JoinInterface.SMART, _BAND_REFS, id="JoinInterface.SMART"),
+        pytest.param(
+            JoinInterface.SIMPLE, _COLLIDING_REFS, id="JoinInterface.SIMPLE-colliding"
+        ),
+        pytest.param(
+            JoinInterface.SMART, _COLLIDING_REFS, id="JoinInterface.SMART-colliding"
+        ),
+    ],
+)
+def test_join_matches_refs_containing_the_pair_separator(interface, refs):
+    """Join question ids read ``task:join:left|right``; refs that
+    themselves contain ``|`` must still decode to the pair that was posted,
+    and two pairs must never share a question id."""
     from repro import Qurk, SimulatedMarketplace
     from repro.crowd import GroundTruth
     from repro.relational.table import Table
     from repro.relational.schema import Schema
 
+    left_refs, right_refs, matches = refs
     bands = Table("bands", Schema.of("name text", "img url"))
     photos = Table("photos", Schema.of("id text", "img url"))
     truth = GroundTruth()
-    for i in range(4):
-        bands.insert({"name": f"band-{i}", "img": f"img://band|{i}"})
-        photos.insert({"id": str(i), "img": f"img://photo/{i}"})
+    for i, ref in enumerate(left_refs):
+        bands.insert({"name": f"band-{i}", "img": ref})
+    for j, ref in enumerate(right_refs):
+        photos.insert({"id": str(j), "img": ref})
     truth.add_join_task(
-        "sameBand", {(f"img://band|{i}", f"img://photo/{i}") for i in range(4)}
+        "sameBand", {(left_refs[i], right_refs[j]) for i, j in matches}
     )
     engine = Qurk(
         platform=SimulatedMarketplace(truth, seed=3),
@@ -187,5 +212,5 @@ def test_join_matches_refs_containing_the_pair_separator(interface):
         "SELECT b.name, p.id FROM bands b JOIN photos p ON sameBand(b.img, p.img)"
     )
     assert sorted((row["b.name"], row["p.id"]) for row in result.rows) == [
-        (f"band-{i}", str(i)) for i in range(4)
+        (f"band-{i}", str(j)) for i, j in matches
     ]

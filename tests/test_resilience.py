@@ -37,13 +37,12 @@ from repro.errors import (
 from repro.experiments.end_to_end import QUERY_NO_FILTER, QUERY_WITH_FILTER
 from repro.experiments.harness import BlockingPlatform
 from repro.hits.hit import FilterPayload, FilterQuestion
-from repro.hits.manager import TaskManager, collect_pending
+from repro.hits.manager import BlockingAdapter, TaskManager, collect_pending
 from repro.hits.resilience import (
     CircuitBreaker,
     ResilienceState,
     RetryPolicy,
     build_resilience,
-    marketplace_faults_active,
 )
 from repro.joins.batching import JoinInterface
 from repro.util.toggles import RESILIENCE
@@ -138,22 +137,26 @@ def test_fault_plan_activity_properties():
     assert FaultPlan(abandonment_rate=0.1).disrupts_dispatch
 
 
-def test_marketplace_faults_active_unwraps_facades():
+def test_every_platform_exposes_its_fault_plan():
+    """The resilience gate reads ``platform.faults`` one level deep: the
+    marketplace, a session client and the blocking adapter each expose
+    the same plan, and a clean marketplace none. A zero-rate plan does
+    not arm the default gate."""
     from repro.crowd.marketplace import MarketplaceClient
 
-    items, market = make_market(faults=FaultPlan(abandonment_rate=0.2))
-    assert marketplace_faults_active(market)
-    assert marketplace_faults_active(MarketplaceClient(market, client_id="c0"))
-
-    class Wrapper:
-        def __init__(self, inner):
-            self.inner = inner
-
-    assert marketplace_faults_active(Wrapper(market))
+    plan = FaultPlan(abandonment_rate=0.2)
+    items, market = make_market(faults=plan)
+    platforms = [
+        market,
+        MarketplaceClient(market, client_id="c0"),
+        TaskManager(BlockingPlatform(market)).platform,
+    ]
+    assert [platform.faults for platform in platforms] == [plan] * 3
+    assert isinstance(platforms[2], BlockingAdapter)
     _, clean = make_market()
-    assert not marketplace_faults_active(clean)
+    assert TaskManager(BlockingPlatform(clean)).platform.faults is None
     _, zero = make_market(faults=FaultPlan())
-    assert not marketplace_faults_active(zero)
+    assert build_resilience(ExecutionConfig(), zero) is None
 
 
 def test_build_resilience_requires_toggle_and_active_faults():
@@ -169,6 +172,8 @@ def test_build_resilience_requires_toggle_and_active_faults():
         on = build_resilience(ExecutionConfig(resilience=True), faulted)
         assert on is not None
     assert build_resilience(ExecutionConfig(resilience=False), faulted) is None
+    # An explicit True arms the layer over a clean platform too.
+    assert build_resilience(ExecutionConfig(resilience=True), clean) is not None
     # Config knobs flow into the policy.
     state = build_resilience(
         ExecutionConfig(retry_deadline=3600.0, max_reposts=4, backoff_base=60.0,
@@ -584,9 +589,9 @@ class GroupLoggingPlatform(BlockingPlatform):
         return super().post_hit_group(hits, group_id=group_id)
 
 
-def movie_facade(facade, platform, data):
+def movie_facade(facade, platform, data, **config):
     """``facade`` (``Qurk`` or ``EngineSession``) running the optimized
-    Table 5 plan on the movie dataset."""
+    Table 5 plan on the movie dataset; ``config`` adds config fields."""
     built = facade(
         platform=platform,
         config=ExecutionConfig(
@@ -598,6 +603,7 @@ def movie_facade(facade, platform, data):
             sort_method="rate",
             compare_group_size=5,
             rate_batch_size=5,
+            **config,
         ),
     )
     built.register_table(data.actors)
@@ -627,6 +633,57 @@ def test_blocking_platform_repost_recovery_pin():
     assert "aborted" not in summary
     reposts = [gid for gid in platform.group_ids if ".repost" in gid]
     assert len(reposts) == summary["reposts"]
+
+
+class FirstPostFails(BlockingPlatform):
+    """A post-and-wait platform, carrying no fault plan, whose first post
+    fails transiently (as a real platform's API call may)."""
+
+    def __init__(self, inner: SimulatedMarketplace) -> None:
+        super().__init__(inner)
+        self.posts = 0
+
+    def post_hit_group(self, hits, group_id=None):
+        self.posts += 1
+        if self.posts == 1:
+            raise TransientMarketplaceError("simulated API hiccup")
+        return super().post_hit_group(hits, group_id=group_id)
+
+
+def run_movie_query(facade, platform, data, **config):
+    """The optimized movie query through ``Qurk`` or a one-query
+    ``EngineSession``: its result, or the error the facade reports."""
+    built = movie_facade(facade, platform, data, **config)
+    if facade is Qurk:
+        try:
+            return built.execute(QUERY_WITH_FILTER)
+        except QurkError as exc:
+            return exc
+    handle = built.submit(QUERY_WITH_FILTER)
+    built.run()
+    return handle.result if handle.error is None else handle.error
+
+
+@pytest.mark.parametrize("facade", [Qurk, EngineSession])
+def test_explicit_resilience_retries_any_platform(facade):
+    """``resilience=True`` arms the retry layer on a platform with no
+    fault plan: the failed first post is retried once and the query
+    returns its fault-free rows. The default stays strict there."""
+    data = movie_dataset(seed=0)
+    clean = run_movie_query(
+        facade, SimulatedMarketplace(data.truth, seed=0), data
+    )
+    assert (len(clean.rows), clean.hit_count) == (46, 78)
+
+    flaky = FirstPostFails(SimulatedMarketplace(data.truth, seed=0))
+    result = run_movie_query(facade, flaky, data, resilience=True)
+    assert result.rows == clean.rows
+    assert result.hit_count == 78
+    assert result.degradation_summary["transient_retries"] == 1
+
+    strict = FirstPostFails(SimulatedMarketplace(data.truth, seed=0))
+    error = run_movie_query(facade, strict, data)
+    assert isinstance(error, TransientMarketplaceError)
 
 
 # ---------------------------------------------------------------------------

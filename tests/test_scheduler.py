@@ -31,6 +31,7 @@ from pathlib import Path
 import pytest
 
 import repro.core
+import repro.hits
 from repro.core.context import ExecutionConfig
 from repro.core.engine import Qurk
 from repro.core.plan import ScanNode
@@ -314,6 +315,9 @@ def harvest_truth(items) -> GroundTruth:
 
 
 def test_harvest_next_returns_virtual_time_order():
+    """Tickets harvested earliest-finish first (the order
+    ``collect_pending`` uses) leave nothing outstanding and the clock at
+    the makespan."""
     items = [f"img://item/{i}" for i in range(30)]
     market = SimulatedMarketplace(harvest_truth(items), seed=3)
     manager = TaskManager(market)
@@ -326,12 +330,9 @@ def test_harvest_next_returns_virtual_time_order():
     assert market.outstanding_count == 3
     assert market.stats.peak_outstanding_groups == 3
 
-    harvested = []
-    while True:
-        ticket = market.harvest_next()
-        if ticket is None:
-            break
-        harvested.append(ticket)
+    harvested = sorted(tickets.values(), key=lambda t: t.finish_time)
+    for ticket in harvested:
+        market.harvest(ticket)
     finishes = [t.finish_time for t in harvested]
     assert finishes == sorted(finishes)
     assert market.outstanding_count == 0
@@ -482,22 +483,23 @@ def test_budget_abort_point_matches_blocking():
         )
 
     _, full_cost, _ = spend(blocking=True, max_budget=None)
-    # Pre-flight projects units*assignments per group; actual charges are
-    # per completed assignment of the *batched* HITs, so caps between one
-    # projection and projection+actuals land between groups.
+    # Pre-flight prices every requested assignment of the HITs a group
+    # builds; actual charges are per completed assignment, so a cap of the
+    # full cost completes and caps below it land between groups.
     outcomes = []
-    for cap in (full_cost * 0.5, full_cost * 1.5, full_cost * 2.1, full_cost * 6.0):
+    for cap in (full_cost * 0.5, full_cost * 0.8, full_cost * 1.0, full_cost * 6.0):
         overlapping_run = spend(blocking=False, max_budget=cap)
         blocking_run = spend(blocking=True, max_budget=cap)
         assert overlapping_run == blocking_run, (cap, overlapping_run, blocking_run)
         outcomes.append(overlapping_run[0])
     assert outcomes[0] == "aborted"
     assert outcomes[-1] == "completed"
+    assert outcomes[2] == "completed"  # a budget of exactly the cost
     # At least one cap aborted with money already spent: the abort
     # happened mid-overlap, after earlier groups had posted.
     assert any(
         status == "aborted" and cost > 0 for status, cost, _ in
-        [spend(False, full_cost * f) for f in (1.5, 2.1, 2.7)]
+        [spend(False, full_cost * f) for f in (0.4, 0.6, 0.9)]
     )
 
 
@@ -548,13 +550,21 @@ _MANAGER_POSTS = {"run_units", "begin_units", "begin_hits"}
 _POSTING_PATH = {"QueryContext.post"}
 
 
-class _ManagerPosts(ast.NodeVisitor):
-    """Every ``*.run_units/begin_units/begin_hits(...)`` call in a module,
-    with the dotted name of the class/function it sits in."""
+def _manager_post(call: ast.Call) -> str | None:
+    func = call.func
+    if isinstance(func, ast.Attribute) and func.attr in _MANAGER_POSTS:
+        return "post"
+    return None
 
-    def __init__(self) -> None:
+
+class _ScopedCalls(ast.NodeVisitor):
+    """Every call ``kind_of`` names a kind in a module, as ``(kind, dotted
+    name of the class/function it sits in, line)``."""
+
+    def __init__(self, kind_of) -> None:
+        self.kind_of = kind_of
         self.scope: list[str] = []
-        self.calls: list[tuple[str, int]] = []
+        self.calls: list[tuple[str, str, int]] = []
 
     def _enter(self, node) -> None:
         self.scope.append(node.name)
@@ -564,10 +574,26 @@ class _ManagerPosts(ast.NodeVisitor):
     visit_ClassDef = visit_FunctionDef = visit_AsyncFunctionDef = _enter
 
     def visit_Call(self, node: ast.Call) -> None:
-        func = node.func
-        if isinstance(func, ast.Attribute) and func.attr in _MANAGER_POSTS:
-            self.calls.append((".".join(self.scope), node.lineno))
+        kind = self.kind_of(node)
+        if kind is not None:
+            self.calls.append((kind, ".".join(self.scope), node.lineno))
         self.generic_visit(node)
+
+
+def scoped_call_offenders(packages, kind_of, allowed) -> list[str]:
+    """``file:line (scope)`` of every call ``kind_of`` flags in the
+    packages' modules whose ``(kind, scope)`` is not ``allowed``."""
+    offenders = []
+    for package in packages:
+        for path in sorted(Path(package.__file__).parent.glob("*.py")):
+            visitor = _ScopedCalls(kind_of)
+            visitor.visit(ast.parse(path.read_text(), filename=str(path)))
+            offenders += [
+                f"{path.name}:{line} ({scope})"
+                for kind, scope, line in visitor.calls
+                if (kind, scope) not in allowed
+            ]
+    return offenders
 
 
 def test_engine_posts_only_through_query_context():
@@ -575,13 +601,34 @@ def test_engine_posts_only_through_query_context():
     pre-flights ``max_budget``, applies ``strict_hits``, and books the
     group with the scheduler. A direct Task Manager post anywhere else in
     ``repro.core`` would skip all three."""
-    offenders = []
-    for path in sorted(Path(repro.core.__file__).parent.glob("*.py")):
-        visitor = _ManagerPosts()
-        visitor.visit(ast.parse(path.read_text(), filename=str(path)))
-        offenders += [
-            f"{path.name}:{line} ({scope})"
-            for scope, line in visitor.calls
-            if scope not in _POSTING_PATH
-        ]
-    assert offenders == []
+    allowed = {("post", scope) for scope in _POSTING_PATH}
+    assert scoped_call_offenders([repro.core], _manager_post, allowed) == []
+
+
+def _platform_call(call: ast.Call) -> str | None:
+    func = call.func
+    if isinstance(func, ast.Attribute) and func.attr == "post_hit_group":
+        return "post_and_wait"
+    if (
+        isinstance(func, ast.Name)
+        and func.id == "hasattr"
+        and len(call.args) == 2
+        and isinstance(call.args[1], ast.Constant)
+        and call.args[1].value in {"submit_hit_group", "harvest"}
+    ):
+        return "probe"
+    return None
+
+
+def test_engine_has_one_platform_boundary():
+    """Every HIT group reaches the platform as a ticket: in ``repro.core``
+    and ``repro.hits`` only the Task Manager's ``BlockingAdapter`` calls
+    ``post_hit_group``, and nothing but ``ticket_platform`` (which reads
+    the declared ``overlaps``) probes what a platform can do."""
+    allowed = {
+        ("post_and_wait", "BlockingAdapter.submit_hit_group"),
+        ("probe", "ticket_platform"),
+    }
+    assert scoped_call_offenders(
+        [repro.core, repro.hits], _platform_call, allowed
+    ) == []

@@ -1,5 +1,7 @@
 """Tests for the crowd-sort execution layer."""
 
+import itertools
+
 import pytest
 
 from repro.core.context import ExecutionConfig
@@ -153,30 +155,52 @@ def test_execute_sort_singleton_groups_cost_nothing():
     assert ctx.manager.ledger.total_hits == 0  # nothing to compare
 
 
-@pytest.mark.parametrize("method", ["compare", "hybrid"])
-def test_pair_sorts_accept_refs_containing_the_pair_separator(method):
+_SQUARE_REFS = [([f"img://sq|{i}" for i in range(6)], range(6))]
+_COLLIDING_REFS = [
+    (("a", "a|b", "b|c", "c"), latents) for latents in itertools.permutations(range(4))
+]
+"""``(refs, latent ranks)`` cases; in every latent order of the colliding
+refs, the pairs ``("a|b", "c")`` and ``("a", "b|c")`` read ``a|b|c``
+joined naively."""
+
+
+@pytest.mark.parametrize(
+    "method, cases",
+    [
+        pytest.param("compare", _SQUARE_REFS, id="compare"),
+        pytest.param("hybrid", _SQUARE_REFS, id="hybrid"),
+        pytest.param("compare", _COLLIDING_REFS, id="compare-colliding"),
+        pytest.param("hybrid", _COLLIDING_REFS, id="hybrid-colliding"),
+    ],
+)
+def test_pair_sorts_accept_refs_containing_the_pair_separator(method, cases):
     """Comparison question ids read ``task:cmp:a|b``; refs that contain
-    ``|`` themselves must still decode to the compared pair."""
+    ``|`` themselves must still decode to the compared pair, and two pairs
+    must never share a question id."""
     from repro import Qurk, SimulatedMarketplace
     from repro.crowd import GroundTruth
     from repro.datasets.squares import SORT_TASK, TASK_DSL
     from repro.relational.table import Table
 
-    table = Table("squares", Schema.of("label text", "img url"))
-    truth = GroundTruth()
-    latents = {}
-    for i in range(6):
-        ref = f"img://sq|{i}"
-        table.insert({"label": f"sq-{i}", "img": ref})
-        latents[ref] = float(i)
-    truth.add_rank_task(SORT_TASK, latents, comparison_ambiguity=0.1, rating_ambiguity=0.5)
-    engine = Qurk(
-        platform=SimulatedMarketplace(truth, seed=3),
-        config=ExecutionConfig(sort_method=method),
-    )
-    engine.register_table(table)
-    engine.define(TASK_DSL)
-    result = engine.execute(
-        "SELECT squares.label FROM squares ORDER BY squareSorter(img)"
-    )
-    assert result.column("squares.label") == [f"sq-{i}" for i in range(6)]
+    for refs, latents in cases:
+        table = Table("squares", Schema.of("label text", "img url"))
+        truth = GroundTruth()
+        for ref, latent in zip(refs, latents):
+            table.insert({"label": f"sq-{latent}", "img": ref})
+        truth.add_rank_task(
+            SORT_TASK,
+            {ref: float(latent) for ref, latent in zip(refs, latents)},
+            comparison_ambiguity=0.1,
+            rating_ambiguity=0.5,
+        )
+        engine = Qurk(
+            platform=SimulatedMarketplace(truth, seed=3),
+            config=ExecutionConfig(sort_method=method),
+        )
+        engine.register_table(table)
+        engine.define(TASK_DSL)
+        result = engine.execute(
+            "SELECT squares.label FROM squares ORDER BY squareSorter(img)"
+        )
+        expected = [f"sq-{i}" for i in range(len(refs))]
+        assert result.column("squares.label") == expected, latents

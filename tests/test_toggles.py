@@ -305,7 +305,7 @@ def test_vector_requested_without_numpy_degrades_to_scalar(monkeypatch):
 
 def test_resilience_config_overrides_toggle():
     """ExecutionConfig.resilience beats the toggle in both directions (on a
-    faulted marketplace, the only place the layer arms at all)."""
+    faulted marketplace, where the default also arms the layer)."""
     from repro.core.context import ExecutionConfig
     from repro.crowd import FaultPlan
 

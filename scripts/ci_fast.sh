@@ -4,7 +4,7 @@
 #
 #   scripts/ci_fast.sh            # from the repo root
 #
-# Eight stages, all minutes-not-hours:
+# Nine stages, all minutes-not-hours:
 #   1. `pytest -m "not slow"` over tests/ — every correctness, contract,
 #      determinism, and durability test (the `slow` marker only exists on
 #      long benchmark measurements, so nothing tier-1 is skipped);
@@ -44,7 +44,13 @@
 #        scale (many rounds, large exclusion sets, repeated generative
 #        templates), which the 1x vector golden trace cannot. Skipped with a
 #        notice when numpy ([vector] extra) is not installed; the other two
-#        need no numpy and always run.
+#        need no numpy and always run;
+#   9. stage 1 again with numpy and scipy hidden (~25s): a throwaway
+#      directory first on PYTHONPATH holds `numpy` and `scipy` packages that
+#      raise ModuleNotFoundError, so the engine's no-extras paths (the
+#      scalar fallback of REPRO_VECTOR, the tests that skip without an
+#      extra) run for real even where both are installed. Any failure or
+#      error fails the stage.
 #
 # The heavyweight lane stays `scripts/profile_hotpath.py --check` plus
 # `pytest benchmarks -q`.
@@ -87,3 +93,11 @@ if python -c "from repro.util.toggles import VECTOR; raise SystemExit(not VECTOR
 else
     echo "stage 8 t5_vector skipped: numpy ([vector] extra) not installed"
 fi
+no_extras="$(mktemp -d)"
+trap 'rm -rf "$no_extras"' EXIT
+for package in numpy scipy; do
+    mkdir "$no_extras/$package"
+    echo "raise ModuleNotFoundError(\"No module named '$package'\", name='$package')" \
+        > "$no_extras/$package/__init__.py"
+done
+PYTHONPATH="$no_extras:$PYTHONPATH" python -m pytest tests -q -m "not slow"

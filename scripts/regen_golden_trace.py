@@ -1,4 +1,4 @@
-"""Regenerate the golden determinism trace.
+"""Regenerate the golden determinism trace (or the pinned paper artifacts).
 
 Only run this when a PR *intentionally* changes the RNG stream (see
 README.md, "Performance & determinism contract"). The golden is written
@@ -9,12 +9,18 @@ Usage::
 
     PYTHONPATH=src python scripts/regen_golden_trace.py            # scalar golden
     PYTHONPATH=src python scripts/regen_golden_trace.py --vector   # vector golden
+    PYTHONPATH=src python scripts/regen_golden_trace.py --paper    # paper artifacts
 
 ``--vector`` regenerates the *second* determinism domain's golden
 (``tests/golden/determinism_trace_vector.json``), captured with the
 ``REPRO_VECTOR`` numpy kernel forced on. It requires numpy (the
 ``[vector]`` extra) and never touches the scalar golden — the two domains
 break independently.
+
+``--paper`` re-pins ``tests/golden/paper_artifacts.json``: the seed-0
+table of every experiment-registry entry that has a runner, as text lines
+(``tests/test_paper_artifacts.py`` compares them). It requires scipy (the
+``[stats]`` extra) for EXP-S33's regression.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ from test_determinism_trace import (  # noqa: E402
     VECTOR_GOLDEN_PATH,
     collect_trace,
 )
+from test_paper_artifacts import PAPER_GOLDEN_PATH, render_artifacts  # noqa: E402
 
 
 def require_lint_clean() -> None:
@@ -65,13 +72,36 @@ def require_lint_clean() -> None:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
+    which = parser.add_mutually_exclusive_group()
+    which.add_argument(
         "--vector",
         action="store_true",
         help="regenerate the REPRO_VECTOR domain's golden instead of the scalar one",
     )
+    which.add_argument(
+        "--paper",
+        action="store_true",
+        help="re-pin the paper artifacts' rendered seed-0 tables",
+    )
     options = parser.parse_args()
     require_lint_clean()
+    if options.paper:
+        try:
+            import scipy  # noqa: F401
+        except ImportError:
+            print(
+                "scipy is not installed; the paper artifacts can only be "
+                "re-pinned with the [stats] extra present",
+                file=sys.stderr,
+            )
+            raise SystemExit(1)
+        artifacts = render_artifacts()
+        PAPER_GOLDEN_PATH.write_text(
+            json.dumps(artifacts, indent=1, ensure_ascii=False) + "\n",
+            encoding="utf-8",
+        )
+        print(f"wrote {PAPER_GOLDEN_PATH}: {len(artifacts)} artifacts")
+        return
     if options.vector:
         from repro.util.toggles import VECTOR
 

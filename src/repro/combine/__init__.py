@@ -19,6 +19,11 @@ _COMBINERS = {
 }
 
 
+def combiner_names() -> tuple[str, ...]:
+    """The TASK-DSL combiner names :func:`get_combiner` accepts, sorted."""
+    return tuple(sorted(_COMBINERS))
+
+
 def get_combiner(name: str, **kwargs) -> Combiner:
     """Instantiate a combiner by its TASK-DSL name."""
     try:
@@ -36,6 +41,7 @@ __all__ = [
     "MajorityVote",
     "QualityAdjust",
     "combine_corpus",
+    "combiner_names",
     "dawid_skene",
     "get_combiner",
     "get_normalizer",

@@ -13,7 +13,7 @@ import numbers
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
-from repro.combine import get_combiner
+from repro.combine import combiner_names, get_combiner
 from repro.combine.adaptive import AdaptivePolicy
 from repro.combine.base import Combiner
 from repro.errors import BudgetExceededError, PlanError
@@ -206,6 +206,17 @@ class ExecutionConfig:
             value = getattr(self, name)
             if value is not None and not isinstance(value, bool):
                 raise PlanError(f"{name} must be None, True or False, got {value!r}")
+        if self.combiner is not None and self.combiner not in combiner_names():
+            raise PlanError(
+                f"combiner must be None or one of {list(combiner_names())}, "
+                f"got {self.combiner!r}"
+            )
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
+            raise PlanError(f"seed must be an integer, got {self.seed!r}")
+        if self.adaptive is not None and not isinstance(self.adaptive, AdaptivePolicy):
+            raise PlanError(
+                f"adaptive must be None or an AdaptivePolicy, got {self.adaptive!r}"
+            )
         for name, minimum in _MINIMUMS.items():
             value = getattr(self, name)
             # ``not >=`` also rejects NaN.

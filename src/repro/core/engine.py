@@ -17,13 +17,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
+from repro.combine import combiner_names
 from repro.core.adaptive import SelectivityBook, build_state
 from repro.core.context import ExecutionConfig, OperatorStats, QueryContext
 from repro.core.explain import plan_task_labels, render_explain
 from repro.core.optimizer import optimize
 from repro.core.plan import PlanNode
 from repro.core.planner import build_plan
-from repro.errors import PlanError
+from repro.errors import PlanError, TaskError
 from repro.hits.cache import TaskCache
 from repro.hits.manager import CrowdPlatform, PostAndWaitPlatform, TaskManager
 from repro.hits.pricing import CostLedger
@@ -35,7 +36,7 @@ from repro.relational.catalog import Catalog
 from repro.relational.rows import Row
 from repro.relational.table import Table
 from repro.sorting.topk import pick_extreme_order
-from repro.tasks.base import task_from_definition
+from repro.tasks.base import Task, task_from_definition
 from repro.tasks.registry import ROLE_RANK, task_role
 from repro.util.toggles import STORE, refresh_all
 
@@ -118,10 +119,29 @@ def register_task_definitions(
             raise PlanError(
                 "define() accepts TASK definitions; execute queries separately"
             )
-        task = task_from_definition(statement)
-        catalog.register_task(task, replace=replace)
-        names.append(task.name)
+        names.append(_register_definition(catalog, statement, replace).name)
     return names
+
+
+def _register_definition(
+    catalog: Catalog, definition: TaskDefinition, replace: bool
+) -> Task:
+    """Build one parsed TASK definition and register it in ``catalog``.
+
+    A combiner name :func:`~repro.combine.get_combiner` does not know, at
+    task or field level, raises :class:`TaskError` here rather than after
+    the crowd has been paid.
+    """
+    task = task_from_definition(definition)
+    known = combiner_names()
+    for name in task.combiners():
+        if name not in known:
+            raise TaskError(
+                f"task {task.name!r} names unknown combiner {name!r}; "
+                f"known combiners: {list(known)}"
+            )
+    catalog.register_task(task, replace=replace)
+    return task
 
 
 def parse_single_select(query: str | SelectQuery, catalog: Catalog) -> SelectQuery:
@@ -137,7 +157,7 @@ def parse_single_select(query: str | SelectQuery, catalog: Catalog) -> SelectQue
     queries = [s for s in statements if isinstance(s, SelectQuery)]
     for statement in statements:
         if isinstance(statement, TaskDefinition):
-            catalog.register_task(task_from_definition(statement), replace=True)
+            _register_definition(catalog, statement, replace=True)
     if len(queries) != 1:
         raise PlanError(f"expected exactly one SELECT, found {len(queries)}")
     return queries[0]

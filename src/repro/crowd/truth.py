@@ -59,7 +59,10 @@ class FeatureTruth:
 
     def answer_distribution(self, item: str, combined: bool) -> dict[object, float]:
         """The careful-worker label distribution for one item."""
-        truth = self.values[item]
+        try:
+            truth = self.values[item]
+        except KeyError as exc:
+            raise MarketplaceError(f"no feature value for item {item!r}") from exc
         table = self.confusion_combined if combined else self.confusion
         if truth in table:
             return dict(table[truth])

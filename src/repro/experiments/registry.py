@@ -3,12 +3,14 @@
 The per-experiment index in executable form (the generated EXPERIMENTS.md
 is its rendered counterpart). Each entry names the paper artifact, the
 function regenerating it, and the benchmark file that wraps it.
+``tests/golden/paper_artifacts.json`` pins every runner's seed-0 table
+(:func:`render_experiment`).
 """
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass
-from typing import Callable
 
 
 @dataclass(frozen=True)
@@ -17,7 +19,9 @@ class ExperimentEntry:
 
     experiment_id: str
     artifact: str
-    runner: str
+    runner: str | None
+    """Dotted path of the function regenerating the artifact; ``None``
+    while the artifact is reproduced only by its benchmark."""
     bench: str
 
 
@@ -99,7 +103,7 @@ EXPERIMENTS: list[ExperimentEntry] = [
     ),
     ExperimentEntry(
         "EXP-ABL", "§6 extensions: adaptive votes, batch tuner, budget",
-        "repro.experiments (ablation helpers in benchmarks)",
+        None,
         "benchmarks/bench_ablation_extensions.py",
     ),
 ]
@@ -113,3 +117,17 @@ def describe_experiments() -> str:
             f"  {entry.experiment_id:<10} {entry.artifact:<48} -> {entry.bench}"
         )
     return "\n".join(lines)
+
+
+def render_experiment(entry: ExperimentEntry, seed: int = 0) -> str:
+    """Run ``entry``'s runner and render its table.
+
+    Runners that also return a fit or raw series (EXP-S33, EXP-F7) return
+    a tuple whose first element is the table.
+    """
+    if entry.runner is None:
+        raise ValueError(f"{entry.experiment_id} has no runner")
+    module, _, name = entry.runner.rpartition(".")
+    result = getattr(importlib.import_module(module), name)(seed=seed)
+    table = result[0] if isinstance(result, tuple) else result
+    return table.format()

@@ -3,14 +3,16 @@
 The paper fits accuracy against the number of tasks each worker completed
 and finds a *positive* slope with R² = 0.028 (p < .05): volume explains
 almost none of the accuracy variance, so heavy workers are not sloppier.
+
+The fit and its t-test are scipy's, imported only when a fit runs, so
+``import repro`` loads the standard library alone; scipy comes with the
+``[stats]`` extra.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
-
-from scipy import stats
+from typing import Mapping
 
 from repro.errors import QurkError
 
@@ -38,7 +40,9 @@ def accuracy_regression(
     """Fit accuracy ~ tasks_completed over per-worker statistics.
 
     ``worker_stats`` maps worker id to (tasks completed, accuracy), the
-    output of :func:`repro.metrics.agreement.worker_accuracies`.
+    output of :func:`repro.metrics.agreement.worker_accuracies`. Needs
+    scipy (the ``[stats]`` extra); without it this raises
+    :class:`~repro.errors.QurkError`.
     """
     points = list(worker_stats.values())
     if len(points) < 3:
@@ -47,6 +51,12 @@ def accuracy_regression(
     y = [float(accuracy) for _, accuracy in points]
     if len(set(x)) < 2:
         raise QurkError("all workers completed the same number of tasks")
+    try:
+        from scipy import stats
+    except ImportError as exc:
+        raise QurkError(
+            "the accuracy regression needs scipy: pip install 'repro-qurk[stats]'"
+        ) from exc
     fit = stats.linregress(x, y)
     return RegressionResult(
         slope=float(fit.slope),
@@ -54,20 +64,4 @@ def accuracy_regression(
         r_squared=float(fit.rvalue) ** 2,
         p_value=float(fit.pvalue),
         n=len(points),
-    )
-
-
-def linear_fit(x: Sequence[float], y: Sequence[float]) -> RegressionResult:
-    """OLS fit of two raw vectors (general-purpose helper)."""
-    if len(x) != len(y):
-        raise QurkError("x and y must have the same length")
-    if len(x) < 3:
-        raise QurkError("need at least three points")
-    fit = stats.linregress(list(x), list(y))
-    return RegressionResult(
-        slope=float(fit.slope),
-        intercept=float(fit.intercept),
-        r_squared=float(fit.rvalue) ** 2,
-        p_value=float(fit.pvalue),
-        n=len(x),
     )

@@ -54,6 +54,10 @@ class Task:
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name!r}, params={list(self.params)})"
 
+    def combiners(self) -> tuple[str, ...]:
+        """Every combiner name the task declares."""
+        return (self.combiner,)
+
     def unit_effort_seconds(self) -> float:
         """Estimated seconds of worker effort for one unbatched unit.
 

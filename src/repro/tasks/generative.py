@@ -70,6 +70,10 @@ class GenerativeTask(Task):
         self.prompt = prompt
         self.fields = fields
 
+    def combiners(self) -> tuple[str, ...]:
+        """The task-level combiner and every field's."""
+        return (self.combiner, *(field.combiner for field in self.fields))
+
     @property
     def single_field(self) -> GenerativeField:
         """The sole field of a single-field task (feature-extraction style)."""

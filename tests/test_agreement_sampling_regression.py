@@ -12,7 +12,7 @@ from repro.metrics.agreement import (
     vote_count_table,
     worker_accuracies,
 )
-from repro.metrics.regression import accuracy_regression, linear_fit
+from repro.metrics.regression import accuracy_regression
 from repro.metrics.sampling import estimate_on_samples
 
 
@@ -117,6 +117,7 @@ def test_estimate_on_samples_skips_failures():
 
 def test_accuracy_regression_shape():
     """Volume explains little accuracy variance — the §3.3.3 result."""
+    pytest.importorskip("scipy")
     from repro.util.rng import RandomSource
 
     rng = RandomSource(5)
@@ -137,12 +138,3 @@ def test_accuracy_regression_validation():
     with pytest.raises(QurkError):
         accuracy_regression({"w1": (3, 0.5), "w2": (3, 0.6), "w3": (3, 0.7)})
 
-
-def test_linear_fit():
-    fit = linear_fit([1, 2, 3, 4], [2, 4, 6, 8])
-    assert fit.slope == pytest.approx(2.0)
-    assert fit.r_squared == pytest.approx(1.0)
-    with pytest.raises(QurkError):
-        linear_fit([1, 2], [1, 2])
-    with pytest.raises(QurkError):
-        linear_fit([1, 2, 3], [1, 2])

@@ -11,9 +11,9 @@ from repro.datasets import (
     movie_dataset,
     squares_dataset,
 )
-from repro.errors import BudgetExceededError, PlanError
+from repro.errors import BudgetExceededError, MarketplaceError, PlanError, TaskError
 from repro.metrics import kendall_tau_from_orders
-from repro.util.toggles import RESILIENCE
+from repro.util.toggles import RESILIENCE, VECTOR
 
 
 def make_squares_engine(n=15, seed=7, faults=None, **config):
@@ -185,6 +185,23 @@ def test_join_then_sort_grouped_by_name():
     names = result.column("a.name")
     assert names == sorted(names)  # grouped by actor
     assert len(result) > 20
+
+
+@pytest.mark.parametrize("vector", [False, True], ids=["scalar", "vector"])
+def test_feature_oracle_names_an_unknown_item(vector):
+    """``numInScene`` has truth for scenes only. Asking it about actors
+    used to escape the oracle as a bare ``KeyError`` in both dispatch
+    domains."""
+    if vector and not VECTOR.available():
+        pytest.skip("numpy not installed; vector dispatch domain inactive")
+    data = movie_dataset(seed=0)
+    engine = Qurk(platform=SimulatedMarketplace(data.truth, seed=0))
+    engine.register_table(data.actors)
+    engine.define(data.task_dsl)
+    with VECTOR.forced(vector), pytest.raises(
+        MarketplaceError, match="no feature value for item 'img://actor/"
+    ):
+        engine.execute("SELECT a.name FROM actors a WHERE numInScene(a.img) = 1")
 
 
 GENERATIVE_SELECT = (
@@ -388,6 +405,36 @@ def test_define_rejects_select():
     _, engine = celebrity_engine()
     with pytest.raises(PlanError):
         engine.define("SELECT c.name FROM celeb c")
+
+
+UNKNOWN_COMBINER_DSL = {
+    "task": (
+        "TASK isFemale(field) TYPE Filter:\n"
+        "    Prompt: \"<img src='%s'>\", tuple[field]\n"
+        "    Combiner: Nope\n"
+    ),
+    "field": (
+        "TASK isFemale(field) TYPE Generative:\n"
+        "    Prompt: \"<img src='%s'>\", tuple[field]\n"
+        "    Fields: { answer: { Response: Text(\"Answer\"), Combiner: Nope } }\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", ["define", "query text"])
+@pytest.mark.parametrize("level", sorted(UNKNOWN_COMBINER_DSL))
+def test_unknown_combiner_rejected_before_any_hit(level, entry):
+    """A combiner typo used to surface as a raw ``KeyError`` at execute
+    time, after the crowd had been paid for every HIT before it."""
+    _, engine = celebrity_engine()
+    dsl = UNKNOWN_COMBINER_DSL[level]
+    with pytest.raises(TaskError, match="'isFemale'.*'Nope'.*'MajorityVote'"):
+        if entry == "define":
+            engine.define(dsl)
+        else:
+            engine.execute(dsl + "SELECT c.name FROM celeb c WHERE isFemale(c)")
+    assert not engine.catalog.has_task("isFemale")
+    assert engine.ledger.total_cost == 0
 
 
 def test_execute_rejects_multiple_selects():

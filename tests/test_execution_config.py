@@ -42,6 +42,12 @@ from repro.joins.batching import JoinInterface
         ("limit_sort_tournament", None),
         ("adapt", "0"),
         ("resilience", "off"),
+        ("combiner", "Nope"),
+        ("seed", None),
+        ("seed", "x"),
+        ("seed", 1.5),
+        ("seed", True),
+        ("adaptive", "yes"),
     ],
 )
 def test_bad_value_rejected_at_construction(field, value):

@@ -2,7 +2,6 @@
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats as scipy_stats
 
 import pytest
 
@@ -29,6 +28,7 @@ paired_vectors = st.integers(min_value=3, max_value=30).flatmap(
 @given(paired_vectors)
 @settings(max_examples=60, deadline=None)
 def test_tau_matches_scipy(pair):
+    scipy_stats = pytest.importorskip("scipy.stats")
     x, y = pair
     if len(set(x)) < 2 or len(set(y)) < 2:
         return  # degenerate, rejected by our implementation

@@ -1,4 +1,4 @@
-"""Regenerate the golden determinism trace (or the pinned paper artifacts).
+"""Regenerate the golden determinism trace (or another determinism pin).
 
 Only run this when a PR *intentionally* changes the RNG stream (see
 README.md, "Performance & determinism contract"). The golden is written
@@ -10,6 +10,7 @@ Usage::
     PYTHONPATH=src python scripts/regen_golden_trace.py            # scalar golden
     PYTHONPATH=src python scripts/regen_golden_trace.py --vector   # vector golden
     PYTHONPATH=src python scripts/regen_golden_trace.py --paper    # paper artifacts
+    PYTHONPATH=src python scripts/regen_golden_trace.py --unoptimized  # baseline digest
 
 ``--vector`` regenerates the *second* determinism domain's golden
 (``tests/golden/determinism_trace_vector.json``), captured with the
@@ -21,12 +22,19 @@ break independently.
 table of every experiment-registry entry that has a runner, as text lines
 (``tests/test_paper_artifacts.py`` compares them). It requires scipy (the
 ``[stats]`` extra) for EXP-S33's regression.
+
+``--unoptimized`` re-pins ``UNOPTIMIZED_TRACE_SHA256`` in
+``tests/test_determinism_trace.py``: the sha256 of the seed-0 trace of the
+paper's baseline plan (Simple join + Compare sort), whose 1,123 HITs run
+the scalar dispatch loop's exclusion picks and single-pair answers. The
+constant is rewritten in place.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -38,8 +46,12 @@ from test_determinism_trace import (  # noqa: E402
     GOLDEN_PATH,
     VECTOR_GOLDEN_PATH,
     collect_trace,
+    unoptimized_trace_digest,
 )
 from test_paper_artifacts import PAPER_GOLDEN_PATH, render_artifacts  # noqa: E402
+
+TRACE_TEST_PATH = REPO_ROOT / "tests" / "test_determinism_trace.py"
+_UNOPTIMIZED_PIN = re.compile(r'^UNOPTIMIZED_TRACE_SHA256 = "[0-9a-f]{64}"$', re.M)
 
 
 def require_lint_clean() -> None:
@@ -83,8 +95,29 @@ def main() -> None:
         action="store_true",
         help="re-pin the paper artifacts' rendered seed-0 tables",
     )
+    which.add_argument(
+        "--unoptimized",
+        action="store_true",
+        help="re-pin the unoptimized plan's trace digest (UNOPTIMIZED_TRACE_SHA256)",
+    )
     options = parser.parse_args()
     require_lint_clean()
+    if options.unoptimized:
+        digest = unoptimized_trace_digest()
+        source, count = _UNOPTIMIZED_PIN.subn(
+            f'UNOPTIMIZED_TRACE_SHA256 = "{digest}"',
+            TRACE_TEST_PATH.read_text(encoding="utf-8"),
+        )
+        if count != 1:
+            print(
+                f"expected one UNOPTIMIZED_TRACE_SHA256 line in {TRACE_TEST_PATH}, "
+                f"found {count}",
+                file=sys.stderr,
+            )
+            raise SystemExit(1)
+        TRACE_TEST_PATH.write_text(source, encoding="utf-8")
+        print(f"pinned UNOPTIMIZED_TRACE_SHA256 = {digest} in {TRACE_TEST_PATH}")
+        return
     if options.paper:
         try:
             import scipy  # noqa: F401

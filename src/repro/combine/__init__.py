@@ -12,6 +12,7 @@ from repro.combine.dawid_skene import DawidSkeneResult, dawid_skene
 from repro.combine.majority import MajorityVote
 from repro.combine.normalize import get_normalizer, register_normalizer
 from repro.combine.quality_adjust import QualityAdjust
+from repro.errors import TaskError
 
 _COMBINERS = {
     "MajorityVote": MajorityVote,
@@ -25,13 +26,15 @@ def combiner_names() -> tuple[str, ...]:
 
 
 def get_combiner(name: str, **kwargs) -> Combiner:
-    """Instantiate a combiner by its TASK-DSL name."""
+    """Instantiate a combiner by its TASK-DSL name; an unknown name raises
+    :class:`~repro.errors.TaskError` naming the known ones."""
     try:
-        return _COMBINERS[name](**kwargs)
-    except KeyError as exc:
-        raise KeyError(
-            f"unknown combiner {name!r}; available: {sorted(_COMBINERS)}"
-        ) from exc
+        combiner = _COMBINERS[name]
+    except KeyError:
+        raise TaskError(
+            f"unknown combiner {name!r}; known combiners: {list(combiner_names())}"
+        ) from None
+    return combiner(**kwargs)
 
 
 __all__ = [

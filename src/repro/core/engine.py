@@ -17,14 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from repro.combine import combiner_names
 from repro.core.adaptive import SelectivityBook, build_state
 from repro.core.context import ExecutionConfig, OperatorStats, QueryContext
 from repro.core.explain import plan_task_labels, render_explain
 from repro.core.optimizer import optimize
 from repro.core.plan import PlanNode
 from repro.core.planner import build_plan
-from repro.errors import PlanError, TaskError
+from repro.errors import PlanError
 from repro.hits.cache import TaskCache
 from repro.hits.manager import CrowdPlatform, PostAndWaitPlatform, TaskManager
 from repro.hits.pricing import CostLedger
@@ -126,20 +125,8 @@ def register_task_definitions(
 def _register_definition(
     catalog: Catalog, definition: TaskDefinition, replace: bool
 ) -> Task:
-    """Build one parsed TASK definition and register it in ``catalog``.
-
-    A combiner name :func:`~repro.combine.get_combiner` does not know, at
-    task or field level, raises :class:`TaskError` here rather than after
-    the crowd has been paid.
-    """
+    """Build one parsed TASK definition and register it in ``catalog``."""
     task = task_from_definition(definition)
-    known = combiner_names()
-    for name in task.combiners():
-        if name not in known:
-            raise TaskError(
-                f"task {task.name!r} names unknown combiner {name!r}; "
-                f"known combiners: {list(known)}"
-            )
     catalog.register_task(task, replace=replace)
     return task
 

@@ -69,11 +69,23 @@ UNKNOWN option."""
 def answer_hit(
     worker: WorkerProfile, hit: HIT, truth: GroundTruth, rng: RandomSource
 ) -> dict[str, object]:
-    """All answers one worker gives to one HIT."""
+    """All answers one worker gives to one HIT.
+
+    A single-payload HIT (every Simple-join pair, most sort HITs) returns
+    its handler's dict; a HIT that merged payloads returns their union.
+    """
+    payloads = hit.payloads
+    if len(payloads) == 1:
+        payload = payloads[0]
+        handler = PAYLOAD_ANSWERERS.lookup(payload.kind)
+        if handler is None:
+            raise _no_behaviour_model(payload)
+        # One payload is one task, so it never spans Generative tasks.
+        return handler(worker, payload, truth, rng, hit.unit_count, False)
     units = hit.unit_count
     combined = hit.combined_generative
     answers: dict[str, object] = {}
-    for payload in hit.payloads:
+    for payload in payloads:
         answers.update(
             answer_payload(worker, payload, truth, rng, units=units, combined=combined)
         )
@@ -123,8 +135,12 @@ def answer_payload(
     """Answers for a single payload (see :func:`answer_hit`)."""
     handler = PAYLOAD_ANSWERERS.lookup(payload.kind)
     if handler is None:
-        raise MarketplaceError(f"no behaviour model for {type(payload).__name__}")
+        raise _no_behaviour_model(payload)
     return handler(worker, payload, truth, rng, units, combined)
+
+
+def _no_behaviour_model(payload: Payload) -> MarketplaceError:
+    return MarketplaceError(f"no behaviour model for {type(payload).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +172,7 @@ def _answer_filter(
     truth: GroundTruth,
     rng: RandomSource,
     units: int,
+    combined: bool,
 ) -> dict[str, object]:
     """Yes/no answers with a symmetric, batch-scaled error rate plus the
     worker's yes-bias. Per-question constants are hoisted and ``chance`` is
@@ -197,6 +214,7 @@ def _answer_join_pairs(
     truth: GroundTruth,
     rng: RandomSource,
     units: int,
+    combined: bool,
 ) -> dict[str, object]:
     """Per-pair match answers with batch-scaled miss and false-alarm rates
     (hoisted, ``chance`` inlined as in :func:`_answer_filter`)."""
@@ -232,6 +250,8 @@ def _answer_join_grid(
     payload: JoinGridPayload,
     truth: GroundTruth,
     rng: RandomSource,
+    units: int,
+    combined: bool,
 ) -> dict[str, object]:
     """SmartBatch grids: misses come from pairs never clicked.
 
@@ -317,6 +337,7 @@ def _answer_compare(
     truth: GroundTruth,
     rng: RandomSource,
     units: int,
+    combined: bool,
 ) -> dict[str, object]:
     """Rank each group by perceived value; emit every pairwise outcome.
 
@@ -359,6 +380,7 @@ def _answer_rate(
     truth: GroundTruth,
     rng: RandomSource,
     units: int,
+    combined: bool,
 ) -> dict[str, object]:
     """Likert points from perceived value plus the worker's bias; spammers
     pick a uniform point."""
@@ -394,6 +416,8 @@ def _answer_pick_best(
     payload: PickBestPayload,
     truth: GroundTruth,
     rng: RandomSource,
+    units: int,
+    combined: bool,
 ) -> dict[str, object]:
     if worker.is_spammer:
         return {payload.qid(): rng.choice(list(payload.items))}
@@ -492,48 +516,11 @@ def _text_answer(
 # ---------------------------------------------------------------------------
 # Builtin payload-kind registrations
 # ---------------------------------------------------------------------------
-# Adapters narrow the uniform (worker, payload, truth, rng, units, combined)
-# signature down to what each generator actually reads.
 
-register_payload_answerer(
-    FilterPayload.kind,
-    lambda worker, payload, truth, rng, units, combined: _answer_filter(
-        worker, payload, truth, rng, units
-    ),
-)
-register_payload_answerer(
-    GenerativePayload.kind,
-    lambda worker, payload, truth, rng, units, combined: _answer_generative(
-        worker, payload, truth, rng, units, combined
-    ),
-)
-register_payload_answerer(
-    ComparePayload.kind,
-    lambda worker, payload, truth, rng, units, combined: _answer_compare(
-        worker, payload, truth, rng, units
-    ),
-)
-register_payload_answerer(
-    RatePayload.kind,
-    lambda worker, payload, truth, rng, units, combined: _answer_rate(
-        worker, payload, truth, rng, units
-    ),
-)
-register_payload_answerer(
-    JoinPairsPayload.kind,
-    lambda worker, payload, truth, rng, units, combined: _answer_join_pairs(
-        worker, payload, truth, rng, units
-    ),
-)
-register_payload_answerer(
-    JoinGridPayload.kind,
-    lambda worker, payload, truth, rng, units, combined: _answer_join_grid(
-        worker, payload, truth, rng
-    ),
-)
-register_payload_answerer(
-    PickBestPayload.kind,
-    lambda worker, payload, truth, rng, units, combined: _answer_pick_best(
-        worker, payload, truth, rng
-    ),
-)
+register_payload_answerer(FilterPayload.kind, _answer_filter)
+register_payload_answerer(GenerativePayload.kind, _answer_generative)
+register_payload_answerer(ComparePayload.kind, _answer_compare)
+register_payload_answerer(RatePayload.kind, _answer_rate)
+register_payload_answerer(JoinPairsPayload.kind, _answer_join_pairs)
+register_payload_answerer(JoinGridPayload.kind, _answer_join_grid)
+register_payload_answerer(PickBestPayload.kind, _answer_pick_best)

@@ -100,15 +100,8 @@ class MarketplaceStats:
     transient_errors: int = 0
     worker_assignment_counts: dict[str, int] = field(default_factory=dict)
 
-    def record_work(self, worker_id: str) -> None:
-        """Count one completed assignment for a worker."""
-        self.assignments_completed += 1
-        self.worker_assignment_counts[worker_id] = (
-            self.worker_assignment_counts.get(worker_id, 0) + 1
-        )
-
     def uncount_work(self, worker_id: str) -> None:
-        """Reverse :meth:`record_work` for an assignment a fault removed."""
+        """Uncount one completed assignment that a fault removed."""
         self.assignments_completed -= 1
         remaining = self.worker_assignment_counts.get(worker_id, 0) - 1
         if remaining > 0:
@@ -457,7 +450,14 @@ class SimulatedMarketplace:
         """
         total = len(pending)
         completed: list[Assignment] = []
-        workers_on_hit: dict[str, set[str]] = {hit.hit_id: set() for hit in hits}
+        # Per HIT: the workers already on it, and the acceptance
+        # probabilities of the workers considered at its effort (shared by
+        # every HIT of the group with that effort).
+        acceptance: dict[float, dict[str, float]] = {}
+        on_hit: dict[str, tuple[set[str], dict[str, float]]] = {
+            hit.hit_id: (set(), acceptance.setdefault(hit.effort_seconds, {}))
+            for hit in hits
+        }
         deadline = post_time + self.latency.deadline_seconds
         latency_config = self.latency.config
         max_refusals = latency_config.max_consecutive_refusals
@@ -475,7 +475,6 @@ class SimulatedMarketplace:
         pick_candidate = self.pool.pick_candidate
         truth = self.truth
         stats = self.stats
-        record_work = stats.record_work
         # One reused child source, re-seeded per assignment with the same
         # derivation rng.child("answers", ...) would use.
         child_rng = RandomSource(0)
@@ -498,16 +497,20 @@ class SimulatedMarketplace:
             hit, sequence = pending[index]
             considerations += 1
             hit_id = hit.hit_id
-            taken_by = workers_on_hit[hit_id]
+            taken_by, accept = on_hit[hit_id]
             worker = pick_candidate(rng, hit.unit_count, taken_by)
             if worker is None:
                 consecutive_refusals += 1
                 refusals += 1
                 continue
+            worker_id = worker.worker_id
+            effort = hit.effort_seconds
+            probability = accept.get(worker_id)
+            if probability is None:
+                probability = worker.acceptance_probability(effort)
+                accept[worker_id] = probability
             # Inlined RandomSource.chance: acceptance probabilities of 0/1
             # must not consume a draw.
-            effort = hit.effort_seconds
-            probability = worker.acceptance_probability(effort)
             if probability <= 0.0:
                 accepted = False
             elif probability >= 1.0:
@@ -521,7 +524,6 @@ class SimulatedMarketplace:
             consecutive_refusals = 0
             pop(index)
             alive -= 1
-            worker_id = worker.worker_id
             taken_by.add(worker_id)
             # Work time: overhead plus a log-normal around effort × speed.
             nominal = effort * worker.speed
@@ -531,21 +533,22 @@ class SimulatedMarketplace:
             reseed(child_seed_from_material(f"{seed_prefix}{hit_id}:{sequence}:{worker_id}"))
             answers = answer_hit(worker, hit, truth, child_rng)
             counter += 1
+            # Positional fields (id, HIT, worker, answers, accept, submit):
+            # half the cost of keywords.
             completed.append(
                 Assignment(
-                    assignment_id=f"asn-{counter:06d}",
-                    hit_id=hit_id,
-                    worker_id=worker_id,
-                    answers=answers,
-                    accept_time=now,
-                    submit_time=now + work,
+                    f"asn-{counter:06d}", hit_id, worker_id, answers, now, now + work
                 )
             )
-            record_work(worker_id)
 
         self._assignment_counter = counter
         stats.considerations += considerations
         stats.refusals += refusals
+        stats.assignments_completed += len(completed)
+        worker_counts = stats.worker_assignment_counts
+        for assignment in completed:
+            worker_id = assignment.worker_id
+            worker_counts[worker_id] = worker_counts.get(worker_id, 0) + 1
         incomplete = {hit.hit_id for hit, _ in pending}
         return completed, now, incomplete
 

@@ -37,6 +37,31 @@ class PoolConfig:
             raise ValueError("pool must have at least 3 workers")
 
 
+EXCLUSION_MARGIN = 1e-13
+"""Per-worker relative margin an exclusion pick's point must keep from the
+cached boundaries around it (see :meth:`WorkerPool.pick_candidate`)."""
+
+
+def _rebuilt_pick(
+    workers: list[WorkerProfile],
+    weights: list[float],
+    drop: list[int],
+    u: float,
+) -> WorkerProfile:
+    """The exclusion pick from sums rebuilt without the ``drop`` positions
+    (sorted ascending, at least one kept): the definition
+    :meth:`WorkerPool.pick_candidate` reproduces from the cached sums."""
+    workers = workers.copy()
+    weights = weights.copy()
+    for position in reversed(drop):
+        del workers[position]
+        del weights[position]
+    cumulative = list(accumulate(weights))
+    index = bisect_right(cumulative, u * float(sum(weights)))
+    last = len(cumulative) - 1
+    return workers[index if index < last else last]
+
+
 class WorkerPool:
     """A fixed population of workers with Zipfian pick-up behaviour."""
 
@@ -143,14 +168,45 @@ class WorkerPool:
     ) -> WorkerProfile | None:
         """Sample the next worker to *consider* an assignment.
 
-        Returns None when every eligible worker is excluded. The caller then
-        applies :meth:`WorkerProfile.acceptance_probability` to decide
-        whether the candidate actually takes the HIT.
+        Returns None, without a draw, when every eligible worker is
+        excluded. The caller then applies
+        :meth:`WorkerProfile.acceptance_probability` to decide whether the
+        candidate actually takes the HIT.
 
-        Consumes exactly one ``random()`` draw. The batch-adjusted weight
-        vector is cached per ``batch_units``; exclusions are rare and
-        small, so most draws are an O(log n) bisect over a cached
-        cumulative array.
+        Consumes exactly one ``random()`` draw ``u`` and returns the worker
+        at ``bisect_right(cumulative, u * total)`` (clamped to the last),
+        where ``cumulative`` and ``total`` are the ``accumulate`` prefix
+        sums and the builtin ``sum`` of the eligible workers'
+        batch-adjusted weights in pool order, ``exclude``d workers removed.
+        The weights and their sums over all non-banned workers are cached
+        per ``batch_units``; without exclusions the pick is one bisect.
+
+        Exclusions are the common case: a HIT's second to fifth assignment
+        excludes the workers already on it. Rather than rebuild the sums,
+        the pick walks the runs of kept positions between the sorted
+        dropped ones and bisects the cached array for ``u * (total -
+        dropped) + before``, where ``dropped`` is the excluded weight and
+        ``before`` the part of it ahead of the run. In exact arithmetic
+        the rebuilt prefix sum at kept position ``p`` is ``cumulative[p] -
+        before``, so the cached boundaries ``cumulative[p - 1]`` and
+        ``cumulative[p]`` stand for the rebuilt ones around the point.
+
+        Rounding moves each side by a bounded amount. With weights
+        positive, ``n`` eligible workers, ``k`` of them excluded and ε =
+        2⁻⁵³, every sum above is within (terms − 1)·ε·total of its exact
+        value (builtin ``sum`` is compensated from Python 3.12 on, which
+        only tightens this). The rebuilt point and each rebuilt boundary
+        then lie within n·ε·total of exact, each cached boundary within
+        n·ε·total and the walked target within (n + 2k + 2)·ε·total, so
+        the rebuilt and the walked comparisons can disagree only inside
+        (4n + 2k + 2)·ε·total of a boundary, to first order in ε. The
+        walked answer is kept when the target clears both neighbouring
+        boundaries by ``EXCLUSION_MARGIN · n · total``, over 100 times
+        that bound for any k ≤ n. Otherwise (a chance of about
+        2·10⁻¹³·n per pick; always for ``u == 0.0``, and for a target past
+        the last kept boundary, which only rounding produces) the pick
+        rebuilds the sums without the excluded workers and bisects them
+        from the same ``u``.
         """
         table = self._candidate_tables.get(batch_units)
         if table is None:
@@ -159,17 +215,36 @@ class WorkerPool:
         if exclude:
             drop = [positions[wid] for wid in exclude if wid in positions]
             if drop:
-                if len(drop) > 1:
-                    drop.sort(reverse=True)
-                workers = workers.copy()
-                weights = weights.copy()
-                for position in drop:
-                    del workers[position]
-                    del weights[position]
-                if not workers:
+                count = len(workers)
+                if len(drop) == count:
                     return None
-                cumulative = list(accumulate(weights))
-                total = float(sum(weights))
+                drop.sort()
+                u = rng.raw.random()
+                dropped = 0.0
+                for position in drop:
+                    dropped += weights[position]
+                point = u * (total - dropped)
+                # Walk the kept runs [start, end) between dropped positions;
+                # ``before`` is the dropped weight ahead of the run.
+                before = 0.0
+                start = 0
+                for end in (*drop, count):
+                    if start < end:
+                        target = point + before
+                        index = bisect_right(cumulative, target, start, end)
+                        if index < end:
+                            margin = EXCLUSION_MARGIN * count * total
+                            lower = cumulative[index - 1] if index else 0.0
+                            if (
+                                target - lower > margin
+                                and cumulative[index] - target > margin
+                            ):
+                                return workers[index]
+                            break
+                    if end < count:
+                        before += weights[end]
+                    start = end + 1
+                return _rebuilt_pick(workers, weights, drop, u)
         if not workers:
             return None
         # Inlined weighted_index_cumulative; pool weights are Zipfian and

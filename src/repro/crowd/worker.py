@@ -60,9 +60,14 @@ class WorkerProfile:
 
         A logistic curve around the worker's personal effort-per-penny
         threshold: HITs far beyond it (compare groups of 20, §4.2.2) are
-        virtually always declined.
+        virtually always declined. Past about 1,420 s over the threshold
+        ``exp`` overflows a double; the probability is then 0.0.
         """
-        return 1.0 / (1.0 + math.exp((effort_seconds - self.effort_threshold) / 2.0))
+        exponent = (effort_seconds - self.effort_threshold) / 2.0
+        try:
+            return 1.0 / (1.0 + math.exp(exponent))
+        except OverflowError:
+            return 0.0
 
 
 def make_reliable(worker_id: str, rng: RandomSource) -> WorkerProfile:

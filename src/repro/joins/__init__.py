@@ -14,7 +14,6 @@ from repro.joins.batching import (
     JoinInterface,
     all_pairs,
     hit_count_estimate,
-    naive_batches,
     smart_grids,
 )
 from repro.joins.feature_filter import (
@@ -43,7 +42,6 @@ __all__ = [
     "filter_candidates",
     "hit_count_estimate",
     "leave_one_out",
-    "naive_batches",
     "smart_grids",
     "unknown_aware_selectivity",
     "unknown_share",

@@ -32,18 +32,6 @@ def all_pairs(
     return [(l, r) for l in left for r in right]
 
 
-def naive_batches(
-    pairs: Sequence[tuple[str, str]], batch_size: int
-) -> list[list[tuple[str, str]]]:
-    """Slice pairs into NaiveBatch HIT loads of ``batch_size``."""
-    if batch_size < 1:
-        raise QurkError("batch size must be positive")
-    return [
-        list(pairs[start : start + batch_size])
-        for start in range(0, len(pairs), batch_size)
-    ]
-
-
 def smart_grids(
     left: Sequence[str],
     right: Sequence[str],

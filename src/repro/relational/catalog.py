@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Iterator
 
-from repro.errors import CatalogError
+from repro.errors import CatalogError, TaskError
 from repro.relational.table import Table
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
@@ -52,7 +52,23 @@ class Catalog:
     # -- tasks ----------------------------------------------------------
 
     def register_task(self, task: "Task", replace: bool = False) -> None:
-        """Register a crowd task template under its name."""
+        """Register a crowd task template under its name.
+
+        Every task enters the engine here, so this is where a combiner name
+        :func:`~repro.combine.get_combiner` does not know, at task or field
+        level, raises :class:`TaskError`: before any HIT is paid for.
+        """
+        # Imported here: repro.combine's own imports (hits, tasks, language)
+        # load this module, so a module-level import would be circular.
+        from repro.combine import combiner_names
+
+        known = combiner_names()
+        for name in task.combiners():
+            if name not in known:
+                raise TaskError(
+                    f"task {task.name!r} names unknown combiner {name!r}; "
+                    f"known combiners: {list(known)}"
+                )
         if task.name in self._tasks and not replace:
             raise CatalogError(f"task {task.name!r} already registered")
         self._tasks[task.name] = task

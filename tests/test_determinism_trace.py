@@ -27,7 +27,7 @@ from repro.core.context import ExecutionConfig
 from repro.core.engine import Qurk
 from repro.crowd import SimulatedMarketplace
 from repro.datasets.movie import movie_dataset
-from repro.experiments.end_to_end import QUERY_WITH_FILTER
+from repro.experiments.end_to_end import QUERY_NO_FILTER, QUERY_WITH_FILTER
 from repro.joins.batching import JoinInterface
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "determinism_trace.json"
@@ -51,14 +51,42 @@ class RecordingPlatform:
         return self.inner.clock_seconds
 
 
+OPTIMIZED_CONFIG = ExecutionConfig(
+    join_interface=JoinInterface.SMART,
+    grid_rows=5,
+    grid_cols=5,
+    use_feature_filters=True,
+    generative_batch_size=5,
+    sort_method="rate",
+    compare_group_size=5,
+    rate_batch_size=5,
+)
+"""The paper's optimized plan: numInScene filter + Smart 5x5 join + Rate."""
+
+UNOPTIMIZED_CONFIG = ExecutionConfig(
+    join_interface=JoinInterface.SIMPLE,
+    use_feature_filters=False,
+    sort_method="compare",
+    compare_group_size=5,
+)
+"""The paper's baseline plan: Simple join + Compare sort, no filter."""
+
+
 def collect_trace(
-    seed: int = 0, through_session: bool = False, faults=None, store=None
+    seed: int = 0,
+    through_session: bool = False,
+    faults=None,
+    store=None,
+    unoptimized: bool = False,
 ) -> dict:
     """Run the fixed-seed join + sort query and trace everything observable.
 
     This is the movie query under the paper's optimized plan (numInScene
     filter + Smart 5x5 join + Rate sort), exercising generative, join-grid,
-    and rating HITs in one pass. With ``through_session`` the same query
+    and rating HITs in one pass. ``unoptimized`` runs the paper's baseline
+    instead (no filter, Simple join, Compare sort): over a thousand
+    single-pair and compare HITs, where four worker picks in five exclude
+    the workers already on the HIT. With ``through_session`` the same query
     runs as a single-query :class:`~repro.core.session.EngineSession`
     instead of a plain engine — the session layer's fidelity contract says
     the trace must be identical. ``faults`` installs a
@@ -70,16 +98,8 @@ def collect_trace(
     data = movie_dataset(seed=seed)
     market = SimulatedMarketplace(data.truth, seed=seed, faults=faults)
     platform = RecordingPlatform(market)
-    config = ExecutionConfig(
-        join_interface=JoinInterface.SMART,
-        grid_rows=5,
-        grid_cols=5,
-        use_feature_filters=True,
-        generative_batch_size=5,
-        sort_method="rate",
-        compare_group_size=5,
-        rate_batch_size=5,
-    )
+    config = UNOPTIMIZED_CONFIG if unoptimized else OPTIMIZED_CONFIG
+    query = QUERY_NO_FILTER if unoptimized else QUERY_WITH_FILTER
     if through_session:
         from repro.core.session import EngineSession
 
@@ -87,7 +107,7 @@ def collect_trace(
         session.register_table(data.actors)
         session.register_table(data.scenes)
         session.define(data.task_dsl)
-        handle = session.submit(QUERY_WITH_FILTER)
+        handle = session.submit(query)
         result = session.run()[handle]
         ledger = handle.ledger
     else:
@@ -95,7 +115,7 @@ def collect_trace(
         engine.register_table(data.actors)
         engine.register_table(data.scenes)
         engine.define(data.task_dsl)
-        result = engine.execute(QUERY_WITH_FILTER)
+        result = engine.execute(query)
         ledger = engine.ledger
     votes = []
     for assignment in platform.completed:
@@ -258,6 +278,27 @@ def test_fast_and_reference_agree_on_other_seeds():
     }
     digest = hashlib.sha256(json.dumps(trace, sort_keys=True).encode()).hexdigest()
     assert digest == SEED_7_TRACE_SHA256
+
+
+UNOPTIMIZED_TRACE_SHA256 = "ce9703312025e1022ca8af5b361a5913c6e2bc4c84bd79390eedf84d71415990"
+"""sha256 of ``json.dumps(collect_trace(seed=0, unoptimized=True),
+sort_keys=True)``, recorded at commit 93683f7, where an exclusion pick still
+rebuilt the weight table. Re-pin on purpose only, with
+``python scripts/regen_golden_trace.py --unoptimized``."""
+
+
+def unoptimized_trace_digest() -> str:
+    """The digest :data:`UNOPTIMIZED_TRACE_SHA256` pins."""
+    trace = collect_trace(seed=0, unoptimized=True)
+    return hashlib.sha256(json.dumps(trace, sort_keys=True).encode()).hexdigest()
+
+
+def test_unoptimized_plan_matches_pinned_digest():
+    """The paper's baseline plan (Simple join + Compare sort) streams
+    single-pair and compare HITs through scalar dispatch, where four
+    worker picks in five exclude the workers already on the HIT: 1,123
+    HITs and 5,615 assignments at seed 0, pinned bit for bit."""
+    assert unoptimized_trace_digest() == UNOPTIMIZED_TRACE_SHA256
 
 
 def test_reseed_matches_fresh_construction():

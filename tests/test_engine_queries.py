@@ -11,7 +11,14 @@ from repro.datasets import (
     movie_dataset,
     squares_dataset,
 )
-from repro.errors import BudgetExceededError, MarketplaceError, PlanError, TaskError
+from repro.errors import (
+    BudgetExceededError,
+    HITUncompletedError,
+    MarketplaceError,
+    PlanError,
+    TaskError,
+)
+from repro.experiments.end_to_end import QUERY_NO_FILTER, QUERY_WITH_FILTER
 from repro.metrics import kendall_tau_from_orders
 from repro.util.toggles import RESILIENCE, VECTOR
 
@@ -202,6 +209,33 @@ def test_feature_oracle_names_an_unknown_item(vector):
         MarketplaceError, match="no feature value for item 'img://actor/"
     ):
         engine.execute("SELECT a.name FROM actors a WHERE numInScene(a.img) = 1")
+
+
+@pytest.mark.parametrize("vector", [False, True], ids=["scalar", "vector"])
+def test_oversized_batch_is_refused_not_overflowed(vector):
+    """A 600-pair Naive batch asks more than 1,420 s beyond every worker's
+    effort threshold, where the acceptance logistic's ``exp`` overflows.
+    That used to escape as a raw ``OverflowError`` in both dispatch
+    domains; now every worker refuses the batch and nothing is paid."""
+    if vector and not VECTOR.available():
+        pytest.skip("numpy not installed; vector dispatch domain inactive")
+    data = movie_dataset(seed=0)
+    engine = Qurk(
+        platform=SimulatedMarketplace(data.truth, seed=0),
+        config=ExecutionConfig(
+            join_interface=JoinInterface.NAIVE,
+            naive_batch_size=600,
+            use_feature_filters=False,
+        ),
+    )
+    engine.register_table(data.actors)
+    engine.register_table(data.scenes)
+    engine.define(data.task_dsl)
+    with VECTOR.forced(vector), pytest.raises(
+        HITUncompletedError, match="refused the batch size"
+    ):
+        engine.execute(QUERY_NO_FILTER)
+    assert engine.ledger.total_cost == 0
 
 
 GENERATIVE_SELECT = (
@@ -435,6 +469,40 @@ def test_unknown_combiner_rejected_before_any_hit(level, entry):
             engine.execute(dsl + "SELECT c.name FROM celeb c WHERE isFemale(c)")
     assert not engine.catalog.has_task("isFemale")
     assert engine.ledger.total_cost == 0
+
+
+def test_unknown_combiner_rejected_on_direct_catalog_registration():
+    """A task put straight into the catalog passes the same combiner check
+    as ``define``. Registered with ``Combiner: Nope``, the movie
+    ``inScene`` task used to run the optimized query until ``get_combiner``
+    raised a bare ``KeyError``, after $5.77 of HITs."""
+    from repro import get_combiner
+    from repro.language.parser import parse_statements
+    from repro.tasks import task_from_definition
+
+    data = movie_dataset(seed=0)
+    engine = Qurk(
+        platform=SimulatedMarketplace(data.truth, seed=0),
+        config=ExecutionConfig(
+            join_interface=JoinInterface.SMART, grid_rows=5, grid_cols=5
+        ),
+    )
+    engine.register_table(data.actors)
+    engine.register_table(data.scenes)
+    engine.define(data.task_dsl)
+    (task,) = [
+        task_from_definition(statement)
+        for statement in parse_statements(data.task_dsl)
+        if statement.name == "inScene"
+    ]
+    task.combiner = "Nope"
+    with pytest.raises(TaskError, match="'inScene'.*'Nope'.*'MajorityVote'"):
+        engine.catalog.register_task(task, replace=True)
+        engine.execute(QUERY_WITH_FILTER)
+    assert engine.catalog.task("inScene").combiner == "MajorityVote"
+    assert engine.ledger.total_cost == 0
+    with pytest.raises(TaskError, match="'Nope'.*known combiners"):
+        get_combiner("Nope")
 
 
 def test_execute_rejects_multiple_selects():

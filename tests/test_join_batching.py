@@ -3,11 +3,11 @@
 import pytest
 
 from repro.errors import QurkError
+from repro.hits.manager import TaskManager
 from repro.joins.batching import (
     JoinInterface,
     all_pairs,
     hit_count_estimate,
-    naive_batches,
     smart_grids,
     smart_grids_for_candidates,
 )
@@ -19,16 +19,10 @@ def test_all_pairs_cross_product():
     assert ("a", "x") in pairs and ("b", "z") in pairs
 
 
-def test_naive_batches_slicing():
-    pairs = all_pairs(["a", "b", "c"], ["x", "y", "z"])
-    batches = naive_batches(pairs, 4)
-    assert [len(b) for b in batches] == [4, 4, 1]
-    assert sum(len(b) for b in batches) == 9
-
-
 def test_naive_batch_validation():
+    """The Naive join batches its pairs through ``merge_units``."""
     with pytest.raises(QurkError):
-        naive_batches([], 0)
+        TaskManager.merge_units([], 0)
 
 
 def test_smart_grids_cover_cross_product():

@@ -1,10 +1,19 @@
 """Tests for worker profiles and the pool."""
 
+import math
+from bisect import bisect_right
+from functools import lru_cache
+from itertools import accumulate
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.crowd.pool import PoolConfig, WorkerPool
 from repro.crowd.worker import make_reliable, make_sloppy, make_spammer
 from repro.util.rng import RandomSource
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=400)
 
 
 def test_pool_config_fractions_must_sum():
@@ -56,6 +65,8 @@ def test_acceptance_probability_monotone():
     easy = worker.acceptance_probability(5.0)
     hard = worker.acceptance_probability(60.0)
     assert easy > 0.9 > 0.1 > hard
+    # Far enough past the threshold, exp overflows: the answer is still 0.
+    assert worker.acceptance_probability(worker.effort_threshold + 1500.0) == 0.0
 
 
 def test_pick_candidate_zipfian_concentration():
@@ -112,3 +123,95 @@ def test_by_id():
     assert pool.by_id(worker.worker_id) is worker
     with pytest.raises(KeyError):
         pool.by_id("nobody")
+
+
+@lru_cache(maxsize=1)
+def _workers():
+    """300 workers of every archetype; a test pool takes a prefix."""
+    return tuple(WorkerPool.build(PoolConfig(size=300), seed=21).workers)
+
+
+class _FixedDraw:
+    """A stand-in stream whose every ``random()`` returns ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+        self.draws = 0
+
+    @property
+    def raw(self):
+        return self
+
+    def random(self):
+        self.draws += 1
+        return self.u
+
+
+def _rebuilt_table(pool, batch_units, exclude):
+    """The eligible workers and their weights with ``exclude`` removed, in
+    pool order: the table an exclusion pick is defined on."""
+    workers, weights = pool._candidate_table(batch_units)[:2]
+    kept = [(w, x) for w, x in zip(workers, weights) if w.worker_id not in exclude]
+    return [w for w, _ in kept], [x for _, x in kept]
+
+
+def _rebuilt_pick(pool, batch_units, exclude, u):
+    """The reference exclusion pick: rebuild the prefix sums and the
+    builtin-``sum`` total without the excluded workers, then bisect."""
+    workers, weights = _rebuilt_table(pool, batch_units, exclude)
+    if not workers:
+        return None
+    index = bisect_right(list(accumulate(weights)), u * float(sum(weights)))
+    return workers[min(index, len(workers) - 1)]
+
+
+@PROPERTY
+@given(st.data())
+def test_exclusion_pick_matches_rebuilt_table(data):
+    """``pick_candidate`` with exclusions bisects the cached table; it must
+    return exactly the worker the rebuilt table gives for the same draw,
+    and draw once unless every worker is excluded. Draws of 0.0, of
+    1 − 2⁻⁵³ and at (or one ulp either side of) a rebuilt boundary land
+    inside the rounding margin, where the pick falls back to the rebuild."""
+    size = data.draw(st.integers(3, 300), label="size")
+    pool = WorkerPool(_workers()[:size], PoolConfig(size=size), seed=0)
+    ids = [worker.worker_id for worker in pool.workers]
+    pool.ban(data.draw(st.lists(st.sampled_from(ids), max_size=3), label="banned"))
+    batch_units = data.draw(st.integers(1, 25), label="batch_units")
+    exclude = set(
+        data.draw(
+            st.one_of(
+                st.lists(st.sampled_from(ids[:12]), max_size=5),  # Zipf head
+                st.lists(st.sampled_from(ids), max_size=8),
+                st.sampled_from(ids).map(lambda keep: [i for i in ids if i != keep]),
+                st.just(ids),
+            ),
+            label="exclude",
+        )
+    )
+    strangers = st.lists(st.sampled_from(["W9999", "nobody"]), max_size=2)
+    exclude |= set(data.draw(strangers, label="not in the pool"))
+    workers, weights = _rebuilt_table(pool, batch_units, exclude)
+    u = data.draw(
+        st.one_of(
+            st.sampled_from([0.0, 1.0 - 2.0**-53]),
+            st.floats(0.0, 1.0, exclude_max=True),
+            st.just(None),
+        ),
+        label="u",
+    )
+    if u is None:
+        # A point on a rebuilt boundary, or one ulp either side of it.
+        if not workers:
+            return
+        cumulative = list(accumulate(weights))
+        boundary = cumulative[data.draw(st.integers(0, len(cumulative) - 1))]
+        u = boundary / float(sum(weights))
+        u = data.draw(
+            st.sampled_from([u, math.nextafter(u, 0.0), math.nextafter(u, 1.0)])
+        )
+        u = min(u, 1.0 - 2.0**-53)
+    stream = _FixedDraw(u)
+    picked = pool.pick_candidate(stream, batch_units, exclude)
+    assert picked is _rebuilt_pick(pool, batch_units, exclude, u)
+    assert stream.draws == (1 if workers else 0)

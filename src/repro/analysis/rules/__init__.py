@@ -19,4 +19,5 @@ from repro.analysis.rules import (  # noqa: F401
     rl009_cache_mutation,
     rl010_swallow,
     rl011_dispatch_ladder,
+    rl013_process_memo,
 )

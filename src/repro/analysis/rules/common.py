@@ -46,7 +46,13 @@ def resolve_call(node: ast.Call, roots: dict[str, str]) -> str | None:
     Unresolvable (method calls on objects, locals shadowing) -> None
     unless the root name is a known import.
     """
-    name = dotted_name(node.func)
+    return resolve_name(node.func, roots)
+
+
+def resolve_name(node: ast.AST, roots: dict[str, str]) -> str | None:
+    """The fully-qualified name a Name/Attribute chain refers to, when its
+    root is a known import (see :func:`resolve_call`), else None."""
+    name = dotted_name(node)
     if name is None:
         return None
     root, _, rest = name.partition(".")

@@ -45,7 +45,9 @@ _MINIMUMS: dict[str, int] = {
     "max_reposts": 0,
 }
 """Smallest accepted value of each count-valued :class:`ExecutionConfig`
-field; construction raises :class:`PlanError` naming the field otherwise."""
+field. Each must be an ``int`` (not a ``bool``, not a float such as 2.5)
+at least this large; construction raises :class:`PlanError` naming the
+field otherwise."""
 
 
 @dataclass(frozen=True)
@@ -219,9 +221,8 @@ class ExecutionConfig:
             )
         for name, minimum in _MINIMUMS.items():
             value = getattr(self, name)
-            # ``not >=`` also rejects NaN.
-            if not isinstance(value, numbers.Real) or not value >= minimum:
-                raise PlanError(f"{name} must be >= {minimum}, got {value!r}")
+            if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+                raise PlanError(f"{name} must be an integer >= {minimum}, got {value!r}")
         if self.max_budget is not None and not (
             isinstance(self.max_budget, numbers.Real) and self.max_budget >= 0
         ):

@@ -26,7 +26,6 @@ Noise models:
 from __future__ import annotations
 
 from dataclasses import replace
-from functools import lru_cache
 
 from repro.crowd.truth import GroundTruth
 from repro.crowd.worker import WorkerProfile
@@ -41,7 +40,6 @@ from repro.hits.hit import (
     Payload,
     PickBestPayload,
     RatePayload,
-    compare_qid,
     filter_qid,
     generative_qid,
     join_qid,
@@ -217,7 +215,9 @@ def _answer_join_pairs(
     combined: bool,
 ) -> dict[str, object]:
     """Per-pair match answers with batch-scaled miss and false-alarm rates
-    (hoisted, ``chance`` inlined as in :func:`_answer_filter`)."""
+    (``chance`` inlined as in :func:`_answer_filter`). Each rate is worked
+    out when a pair first needs it, so a single-pair payload computes only
+    one; computing a rate draws nothing."""
     task_name = payload.task_name
     if worker.is_spammer:
         return {
@@ -227,19 +227,22 @@ def _answer_join_pairs(
     answers: dict[str, object] = {}
     join_match = truth.join_match
     raw_random = rng.raw.random
-    miss = worker.error_rate(worker.join_miss, units)
-    miss_draws = _chance_draws(miss)
-    miss_always = miss >= 1.0
-    false_alarm = worker.error_rate(worker.join_false_alarm, units)
-    fa_draws = _chance_draws(false_alarm)
-    fa_always = false_alarm >= 1.0
+    miss = false_alarm = None
     for pair in payload.pairs:
         left = pair.left
         right = pair.right
         if join_match(task_name, left, right):
+            if miss is None:
+                miss = worker.error_rate(worker.join_miss, units)
+                miss_draws = _chance_draws(miss)
+                miss_always = miss >= 1.0
             missed = raw_random() < miss if miss_draws else miss_always
             answers[join_qid(task_name, left, right)] = not missed
         else:
+            if false_alarm is None:
+                false_alarm = worker.error_rate(worker.join_false_alarm, units)
+                fa_draws = _chance_draws(false_alarm)
+                fa_always = false_alarm >= 1.0
             alarmed = raw_random() < false_alarm if fa_draws else fa_always
             answers[join_qid(task_name, left, right)] = alarmed
     return answers
@@ -315,22 +318,6 @@ def _perceived(
     return truth.latent_value(task_name, item) + rng.gauss(0.0, sigma)
 
 
-@lru_cache(maxsize=8192)
-def _compare_pair_layout(
-    task_name: str, items: tuple[str, ...]
-) -> tuple[tuple[int, int, str], ...]:
-    """(i, j, qid) for every pair of a comparison group.
-
-    Groups repeat across a HIT's assignments (and often across workers'
-    overlapping covering groups), so the pair qid strings are built once.
-    """
-    pairs = []
-    for i in range(len(items)):
-        for j in range(i + 1, len(items)):
-            pairs.append((i, j, compare_qid(task_name, items[i], items[j])))
-    return tuple(pairs)
-
-
 def _answer_compare(
     worker: WorkerProfile,
     payload: ComparePayload,
@@ -345,7 +332,9 @@ def _answer_compare(
     item's reference. Each item costs one draw: a gauss around its latent
     value, or a uniform for random-answer tasks and spammers. Honest
     workers on batched HITs draw one more gauss of fatigue noise per item;
-    spammers never tire.
+    spammers never tire. The pair qids come from the payload's
+    :meth:`~repro.hits.hit.ComparePayload.pair_layouts`, which the HIT's
+    assignments share.
     """
     answers: dict[str, object] = {}
     task_name = payload.task_name
@@ -358,7 +347,7 @@ def _answer_compare(
     batch = worker.batch_factor(units)
     fatigue = batch > 1.0 and not worker.is_spammer
     fatigue_sigma = 0.01 * (batch - 1.0)
-    for group in payload.groups:
+    for group, layout in zip(payload.groups, payload.pair_layouts()):
         items = group.items
         perceived: list[float] = []
         for item in items:
@@ -369,7 +358,7 @@ def _answer_compare(
             if fatigue:
                 value += gauss(0.0, fatigue_sigma)
             perceived.append(value)
-        for i, j, qid in _compare_pair_layout(task_name, items):
+        for i, j, qid in layout:
             answers[qid] = items[i] if perceived[i] >= perceived[j] else items[j]
     return answers
 

@@ -74,7 +74,6 @@ from repro.hits.hit import (
     JoinGridPayload,
     JoinPairsPayload,
     RatePayload,
-    compare_qid,
     filter_qid,
     generative_qid,
     join_qid,
@@ -506,7 +505,7 @@ class _ComparePlan(_KindPlan):
         rank_truth = truth.rank_truth(task)
         random_answers = rank_truth.random_answers
         ambiguity = rank_truth.comparison_ambiguity
-        for group in payload.groups:
+        for group, layout in zip(payload.groups, payload.pair_layouts()):
             base = len(self.items)
             for item in group.items:
                 self.items.append(item)
@@ -516,11 +515,10 @@ class _ComparePlan(_KindPlan):
                 self.ambiguity.append(ambiguity)
                 self.random_flags.append(random_answers)
             items = group.items
-            for i in range(len(items)):
-                for j in range(i + 1, len(items)):
-                    self.pair_qids.append(compare_qid(task, items[i], items[j]))
-                    self.pair_i.append(base + i)
-                    self.pair_j.append(base + j)
+            for i, j, qid in layout:
+                self.pair_qids.append(qid)
+                self.pair_i.append(base + i)
+                self.pair_j.append(base + j)
             self.counts[hit_index] += len(items)
             self.pair_counts[hit_index] += len(items) * (len(items) - 1) // 2
 

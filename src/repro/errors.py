@@ -41,6 +41,15 @@ class PlanError(QurkError):
     """The planner could not translate a parsed query into a plan."""
 
 
+class StoreConfigError(PlanError, ValueError, TypeError):
+    """A persistent-store spec (``store=``, :class:`~repro.hits.store.StoreConfig`)
+    was unusable: a knob out of range, or a spec of the wrong type.
+
+    It is also a ``ValueError`` and a ``TypeError``, the builtins these
+    specs raised before, so code that caught those still catches it.
+    """
+
+
 class ExecutionError(QurkError):
     """An operator failed while executing a plan."""
 

@@ -200,13 +200,18 @@ class CompareGroup:
         if len(set(self.items)) != len(self.items):
             raise TaskError(f"comparison group has duplicate items: {self.items}")
 
+    def pair_layout(self, task_name: str) -> tuple[tuple[int, int, str], ...]:
+        """``(i, j, qid)`` for every pair ``i < j`` of the group's items."""
+        items = self.items
+        return tuple(
+            (i, j, compare_qid(task_name, items[i], items[j]))
+            for i in range(len(items))
+            for j in range(i + 1, len(items))
+        )
+
     def pair_qids(self, task_name: str) -> list[str]:
         """Question ids of every pair in the group."""
-        qids = []
-        for i in range(len(self.items)):
-            for j in range(i + 1, len(self.items)):
-                qids.append(compare_qid(task_name, self.items[i], self.items[j]))
-        return qids
+        return [qid for _, _, qid in self.pair_layout(task_name)]
 
 
 @dataclass(frozen=True)
@@ -223,6 +228,22 @@ class ComparePayload:
     @property
     def unit_count(self) -> int:
         return sum(len(group.items) for group in self.groups)
+
+    def pair_layouts(self) -> tuple[tuple[tuple[int, int, str], ...], ...]:
+        """Each group's :meth:`CompareGroup.pair_layout`, in group order.
+
+        Built on the first call and kept in the instance ``__dict__``, outside
+        the dataclass fields, so ``repr``, ``==`` and ``hash`` (and with them
+        :attr:`HIT.cache_key`) ignore it. Every assignment of a HIT answers
+        the same payload object, so they share one layout, and it goes away
+        with the HIT.
+        """
+        layouts = self.__dict__.get("_pair_layouts")
+        if layouts is None:
+            layouts = self.__dict__["_pair_layouts"] = tuple(
+                group.pair_layout(self.task_name) for group in self.groups
+            )
+        return layouts
 
 
 @dataclass(frozen=True)

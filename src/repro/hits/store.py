@@ -55,6 +55,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import numbers
 import os
 import sqlite3
 import time
@@ -62,6 +63,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence, Union
 
+from repro.errors import StoreConfigError
 from repro.hits.hit import HIT, Assignment
 from repro.relational.expressions import UNKNOWN
 
@@ -211,12 +213,19 @@ class PersistentAnswerStore:
         fingerprint: str | None = None,
         clock: Callable[[], float] = time.time,
     ) -> None:
-        if ttl_seconds is not None and ttl_seconds <= 0:
-            raise ValueError("ttl_seconds must be positive (or None)")
-        if max_rows is not None and max_rows < 1:
-            raise ValueError("max_rows must be >= 1 (or None)")
-        if max_bytes is not None and max_bytes < 1:
-            raise ValueError("max_bytes must be >= 1 (or None)")
+        # ``not x > 0`` and ``not x >= 1`` also reject NaN, with which no
+        # row would ever expire or be evicted.
+        if ttl_seconds is not None and not (
+            isinstance(ttl_seconds, numbers.Real) and ttl_seconds > 0
+        ):
+            raise StoreConfigError(
+                f"ttl_seconds must be None or > 0, got {ttl_seconds!r}"
+            )
+        for name, budget in (("max_rows", max_rows), ("max_bytes", max_bytes)):
+            if budget is not None and not (
+                isinstance(budget, numbers.Real) and budget >= 1
+            ):
+                raise StoreConfigError(f"{name} must be None or >= 1, got {budget!r}")
         self.path = Path(path)
         self.ttl_seconds = ttl_seconds
         self.max_rows = max_rows
@@ -635,7 +644,7 @@ def open_store(spec: StoreSpec, *, clock: Callable[[], float] = time.time) -> Pe
         )
     if isinstance(spec, (str, Path)):
         return PersistentAnswerStore(spec, clock=clock)
-    raise TypeError(
+    raise StoreConfigError(
         f"store must be a PersistentAnswerStore, StoreConfig, or path; "
         f"got {type(spec).__name__}"
     )

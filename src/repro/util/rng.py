@@ -22,24 +22,19 @@ _mt_seed = random.Random.__mro__[1].seed
 """The C-level Mersenne-Twister seed (``_random.Random.seed``)."""
 
 
-def _derive_child_seed(material: str) -> int:
-    digest = hashlib.sha256(material.encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big") & 0x7FFF_FFFF_FFFF_FFFF
-
-
-_cached_child_seed = lru_cache(maxsize=1 << 16)(_derive_child_seed)
-
-
 def child_seed(seed: int, *labels: object) -> int:
     """Derive a stable 63-bit child seed from ``seed`` and a label path.
 
     The derivation hashes the parent seed together with the string forms of
     the labels, so ``child_seed(1, "workers")`` and ``child_seed(1, "latency")``
     are independent, and the mapping is stable across processes (unlike
-    ``hash``, which is salted). Repeated derivations (the same component
-    rebuilt across experiment variants) are memoized.
+    ``hash``, which is salted). Nothing is memoized: a derivation costs a few
+    microseconds, and a table of past ones would grow with every seed a
+    long-lived process ever sees.
     """
-    return _cached_child_seed(":".join([str(seed), *[str(label) for label in labels]]))
+    return child_seed_from_material(
+        ":".join([str(seed), *[str(label) for label in labels]])
+    )
 
 
 def stable_seed(material: str) -> int:
@@ -59,19 +54,25 @@ def child_seed_from_material(material: str) -> int:
     """:func:`child_seed` given the already-joined label material.
 
     Hot loops that derive one child per assignment build the material string
-    directly (an f-string over known labels) and skip both the label join
-    and the memo table — per-assignment labels are unique, so caching them
-    would only churn the cache. The derivation itself is identical.
+    directly (an f-string over known labels) and skip the label join.
+    ``child_seed(seed, *labels)`` is this function of
+    ``":".join(str(x) for x in (seed, *labels))``.
     """
-    return _derive_child_seed(material)
+    digest = hashlib.sha256(material.encode("utf-8")).digest()
+    return int.from_bytes(digest[:8], "big") & 0x7FFF_FFFF_FFFF_FFFF
 
 
+# repro-lint: disable=RL013 -- keyed by pool shape, not by work: at most 256 small tables
 @lru_cache(maxsize=256)
 def _zipf_cumulative(n: int, exponent: float) -> tuple[tuple[float, ...], float]:
     """(cumulative Zipfian weights, builtin-``sum`` total), the two inputs
     :meth:`RandomSource.weighted_index_cumulative` takes (see
     :meth:`RandomSource.weighted_index` for why the total is a separate
     builtin ``sum``).
+
+    The one process-wide memo on the engine path. It is keyed by pool
+    shape ``(n, exponent)``, so it grows with the distinct shapes a process
+    builds (at most 256 tables), not with the queries it runs.
     """
     weights = [1.0 / (i + 1) ** exponent for i in range(n)]
     return tuple(accumulate(weights)), float(sum(weights))

@@ -47,9 +47,10 @@ def rules_of(findings):
 # ---------------------------------------------------------------------------
 
 
-def test_registry_has_the_eleven_rules():
+def test_registry_has_the_twelve_rules():
     rules = load_rules()
-    assert sorted(rules) == [f"RL{n:03d}" for n in range(1, 12)]
+    # RL012 is reserved for the telemetry-feedback rule (ROADMAP item 4).
+    assert sorted(rules) == [f"RL{n:03d}" for n in (*range(1, 12), 13)]
     for rule in rules.values():
         assert rule.title and rule.rationale
 
@@ -460,6 +461,65 @@ def test_rl011_allows_single_class_checks_and_registry():
     )
     assert lint_source(ladder, "src/repro/tasks/registry.py") == []
     assert lint_source(ladder, "tests/test_something.py") == []
+
+
+# ---------------------------------------------------------------------------
+# RL013 — process-wide memos on the engine path
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "snippet",
+    [
+        "from functools import lru_cache\n@lru_cache(maxsize=8192)\ndef f(x):\n    return x\n",
+        "from functools import lru_cache\n@lru_cache\ndef f(x):\n    return x\n",
+        "import functools\n@functools.lru_cache(maxsize=None)\ndef f(x):\n    return x\n",
+        "import functools\n@functools.cache\ndef f(x):\n    return x\n",
+        "from functools import cache as memo\n@memo\ndef f(x):\n    return x\n",
+        # The retired child-seed memo: a call, not a decorator.
+        "from functools import lru_cache\ncached = lru_cache(maxsize=1 << 16)(derive)\n",
+        "import functools\ncached = functools.cache(derive)\n",
+    ],
+    ids=["sized", "bare", "qualified", "cache", "alias", "call", "cache-call"],
+)
+def test_rl013_flags_process_wide_memos(snippet):
+    for path in (ENGINE_PATH, "src/repro/crowd/behavior.py", "src/repro/util/rng.py"):
+        assert rules_of(lint_source(snippet, path)) == ["RL013"], path
+
+
+def test_rl013_scope_and_non_memos():
+    memo = "from functools import lru_cache\n@lru_cache(maxsize=32)\ndef f(x):\n    return x\n"
+    # Outside the engine path (analysis, experiments, other util modules,
+    # tests) a memo is not this rule's business.
+    for path in (
+        SRC_PATH,
+        UTIL_PATH,
+        "src/repro/analysis/rules/rl008_toggle_contract.py",
+        "tests/test_something.py",
+    ):
+        assert lint_source(memo, path) == [], path
+    # Per-instance caching and unrelated names called ``cache`` are fine.
+    per_instance = (
+        "from functools import cached_property\n"
+        "class P:\n"
+        "    @cached_property\n"
+        "    def layout(self):\n"
+        "        return self.cache.lookup(1)\n"
+    )
+    assert lint_source(per_instance, ENGINE_PATH) == []
+
+
+def test_rl013_zipf_table_is_the_one_justified_memo():
+    source = (REPO_ROOT / "src" / "repro" / "util" / "rng.py").read_text()
+    assert lint_source(source, "src/repro/util/rng.py") == []
+    unsuppressed = "\n".join(
+        line for line in source.splitlines() if "disable=RL013" not in line
+    )
+    findings = lint_source(unsuppressed, "src/repro/util/rng.py")
+    assert rules_of(findings) == ["RL013"]
+    # The flagged decorator (1-based line) sits right above the function.
+    decorated = unsuppressed.splitlines()[findings[0].line]
+    assert decorated.startswith("def _zipf_cumulative(")
 
 
 # ---------------------------------------------------------------------------

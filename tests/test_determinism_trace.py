@@ -1,7 +1,7 @@
 """Golden-trace regression: no change may move a single vote.
 
-The hot path (memoized seed derivation, cumulative-weight sampling,
-precomputed pickup rates, lazy HTML, hoisted behaviour loops) is
+The hot path (cumulative-weight sampling, precomputed pickup rates,
+per-payload compare layouts, lazy HTML, hoisted behaviour loops) is
 *stream-preserving*: for a fixed seed, the emitted per-qid vote stream, the
 virtual clock, and the cost-ledger totals are bit-identical to the seed
 implementation. This module enforces that promise against a golden trace

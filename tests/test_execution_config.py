@@ -13,7 +13,7 @@ import math
 
 import pytest
 
-from repro.core.context import ExecutionConfig
+from repro.core.context import _MINIMUMS, ExecutionConfig
 from repro.errors import PlanError
 from repro.joins.batching import JoinInterface
 
@@ -53,6 +53,18 @@ from repro.joins.batching import JoinInterface
 def test_bad_value_rejected_at_construction(field, value):
     with pytest.raises(PlanError, match=field):
         ExecutionConfig(join_interface=JoinInterface.NAIVE, **{field: value})
+    with pytest.raises(PlanError, match=field):
+        ExecutionConfig().with_overrides(**{field: value})
+
+
+@pytest.mark.parametrize("value", [2.5, True], ids=["float", "bool"])
+@pytest.mark.parametrize("field", sorted(_MINIMUMS))
+def test_count_fields_take_integers_only(field, value):
+    """A float count used to raise a raw TypeError mid-query, after HITs
+    were paid for (``grid_rows=2.5``), or run silently rounded
+    (``compare_group_size=2.5`` as groups of 3); ``True`` passed as 1."""
+    with pytest.raises(PlanError, match=f"{field} must be an integer"):
+        ExecutionConfig(**{field: value})
     with pytest.raises(PlanError, match=field):
         ExecutionConfig().with_overrides(**{field: value})
 

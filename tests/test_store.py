@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 import shutil
 import sqlite3
@@ -24,7 +25,7 @@ from repro.core.engine import Qurk
 from repro.core.session import EngineSession
 from repro.crowd import SimulatedMarketplace
 from repro.datasets import animals_dataset
-from repro.errors import PlanError
+from repro.errors import PlanError, QurkError, StoreConfigError
 from repro.hits.cache import TaskCache, payload_cache_key
 from repro.hits.hit import HIT, Assignment, FilterPayload, FilterQuestion
 from repro.hits.manager import TaskManager
@@ -521,6 +522,31 @@ def test_repro_store_off_ignores_configured_store(db_path):
 def test_engine_rejects_cache_and_store_together(db_path):
     with pytest.raises(PlanError):
         animals_engine(store=db_path, cache=TaskCache())
+
+
+@pytest.mark.parametrize("facade", [Qurk, EngineSession])
+@pytest.mark.parametrize(
+    "spec, named",
+    [
+        (lambda path: StoreConfig(path, ttl_seconds=0), "ttl_seconds"),
+        (lambda path: StoreConfig(path, ttl_seconds=math.nan), "ttl_seconds"),
+        (lambda path: StoreConfig(path, max_rows=0), "max_rows"),
+        (lambda path: StoreConfig(path, max_bytes=-1), "max_bytes"),
+        (lambda path: StoreConfig(path, max_bytes="1MB"), "max_bytes"),
+        (lambda path: 42, "store must be"),
+    ],
+    ids=["ttl-zero", "ttl-nan", "rows-zero", "bytes-negative", "bytes-text", "int-spec"],
+)
+def test_bad_store_spec_raises_qurk_error(facade, spec, named, db_path):
+    """Each bad spec used to raise a bare ValueError or TypeError, and a NaN
+    TTL was accepted and never expired a row. The error is still both
+    builtins, so handlers written for those keep working."""
+    data = animals_dataset()
+    with STORE.forced(True), pytest.raises(QurkError, match=named) as raised:
+        facade(platform=SimulatedMarketplace(data.truth, seed=5), store=spec(db_path))
+    assert isinstance(raised.value, StoreConfigError)
+    assert isinstance(raised.value, ValueError) and isinstance(raised.value, TypeError)
+    assert not db_path.exists()
 
 
 def test_session_over_store_shares_and_persists(db_path):

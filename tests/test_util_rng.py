@@ -153,6 +153,8 @@ def test_weighted_index_cumulative_rejects_zero_total():
 
 
 def test_child_seed_memoization_is_transparent():
+    """``child_seed`` (no longer memoized) and ``child_seed_from_material``
+    are the first 63 bits of the sha256 of the joined labels."""
     import hashlib
 
     from repro.util.rng import child_seed_from_material

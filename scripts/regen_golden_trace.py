@@ -11,6 +11,7 @@ Usage::
     PYTHONPATH=src python scripts/regen_golden_trace.py --vector   # vector golden
     PYTHONPATH=src python scripts/regen_golden_trace.py --paper    # paper artifacts
     PYTHONPATH=src python scripts/regen_golden_trace.py --unoptimized  # baseline digest
+    PYTHONPATH=src python scripts/regen_golden_trace.py --examples # example outputs
 
 ``--vector`` regenerates the *second* determinism domain's golden
 (``tests/golden/determinism_trace_vector.json``), captured with the
@@ -28,6 +29,10 @@ table of every experiment-registry entry that has a runner, as text lines
 paper's baseline plan (Simple join + Compare sort), whose 1,123 HITs run
 the scalar dispatch loop's exclusion picks and single-pair answers. The
 constant is rewritten in place.
+
+``--examples`` re-pins ``tests/golden/examples.json``: the stdout lines of
+every ``examples/*.py``, each run in a fresh interpreter with no
+``REPRO_*`` toggle set (``tests/test_examples.py`` compares them).
 """
 
 from __future__ import annotations
@@ -48,6 +53,7 @@ from test_determinism_trace import (  # noqa: E402
     collect_trace,
     unoptimized_trace_digest,
 )
+from test_examples import EXAMPLES_GOLDEN_PATH, render_examples  # noqa: E402
 from test_paper_artifacts import PAPER_GOLDEN_PATH, render_artifacts  # noqa: E402
 
 TRACE_TEST_PATH = REPO_ROOT / "tests" / "test_determinism_trace.py"
@@ -100,6 +106,11 @@ def main() -> None:
         action="store_true",
         help="re-pin the unoptimized plan's trace digest (UNOPTIMIZED_TRACE_SHA256)",
     )
+    which.add_argument(
+        "--examples",
+        action="store_true",
+        help="re-pin the stdout of every examples/*.py",
+    )
     options = parser.parse_args()
     require_lint_clean()
     if options.unoptimized:
@@ -117,6 +128,14 @@ def main() -> None:
             raise SystemExit(1)
         TRACE_TEST_PATH.write_text(source, encoding="utf-8")
         print(f"pinned UNOPTIMIZED_TRACE_SHA256 = {digest} in {TRACE_TEST_PATH}")
+        return
+    if options.examples:
+        outputs = render_examples()
+        EXAMPLES_GOLDEN_PATH.write_text(
+            json.dumps(outputs, indent=1, ensure_ascii=False) + "\n",
+            encoding="utf-8",
+        )
+        print(f"wrote {EXAMPLES_GOLDEN_PATH}: {len(outputs)} examples")
         return
     if options.paper:
         try:

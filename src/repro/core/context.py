@@ -49,6 +49,16 @@ field. Each must be an ``int`` (not a ``bool``, not a float such as 2.5)
 at least this large; construction raises :class:`PlanError` naming the
 field otherwise."""
 
+_REALS = {
+    "max_budget": (True, ">= 0", lambda v: v >= 0),
+    "adaptive_pilot_fraction": (False, "in (0, 1]", lambda v: 0.0 < v <= 1.0),
+    "backoff_base": (False, "> 0", lambda v: v > 0),
+    "degrade_quorum": (False, "in (0, 1]", lambda v: 0.0 < v <= 1.0),
+    "retry_deadline": (True, "> 0", lambda v: v > 0),
+}
+"""Each real-valued field → (may it be None, its range, the check). Bools
+are not real numbers here, and NaN fails every check."""
+
 
 @dataclass(frozen=True)
 class ExecutionConfig:
@@ -223,23 +233,14 @@ class ExecutionConfig:
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
                 raise PlanError(f"{name} must be an integer >= {minimum}, got {value!r}")
-        if self.max_budget is not None and not (
-            isinstance(self.max_budget, numbers.Real) and self.max_budget >= 0
-        ):
-            raise PlanError(
-                f"max_budget must be None or >= 0, got {self.max_budget!r}"
-            )
-        if not 0.0 < self.adaptive_pilot_fraction <= 1.0:
-            raise PlanError("adaptive_pilot_fraction must be in (0, 1]")
-        # ``not x > 0`` also rejects NaN.
-        if not self.backoff_base > 0:
-            raise PlanError(f"backoff_base must be > 0, got {self.backoff_base!r}")
-        if not 0.0 < self.degrade_quorum <= 1.0:
-            raise PlanError("degrade_quorum must be in (0, 1]")
-        if self.retry_deadline is not None and not self.retry_deadline > 0:
-            raise PlanError(
-                f"retry_deadline must be > 0 when set, got {self.retry_deadline!r}"
-            )
+        for name, (optional, rule, holds) in _REALS.items():
+            value = getattr(self, name)
+            if value is None and optional:
+                continue
+            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if not (real and holds(value)):
+                allowed = "None or a real number" if optional else "a real number"
+                raise PlanError(f"{name} must be {allowed} {rule}, got {value!r}")
 
     def with_overrides(self, **kwargs) -> "ExecutionConfig":
         """A copy with some fields replaced (experiment sweeps)."""

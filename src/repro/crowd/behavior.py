@@ -1,10 +1,11 @@
 """Answer generation: how a given worker answers a given HIT.
 
-This is where worker error models meet ground truth. Each payload type has a
-generator; a HIT's answers are the union over its payloads. The HIT-level
-batch size (total atomic units) scales error rates — batching degrades
-honest answers mildly and attracts spammers strongly, which together produce
-the paper's Figure 3 shape.
+This is where the worker answer model (:mod:`repro.crowd.worker`) meets
+ground truth, sampled answer by answer on the scalar ``random.Random``
+stream. Each payload kind has a generator; a HIT's answers are the union
+over its payloads. The HIT-level batch size (total atomic units) scales
+error rates — batching degrades honest answers mildly and attracts
+spammers strongly, which together produce the paper's Figure 3 shape.
 
 Noise models:
 
@@ -12,10 +13,10 @@ Noise models:
   value plus Gaussian noise with σ = worker.compare_noise × task ambiguity,
   then ranks the group by perceived value. Close items under ambiguous
   criteria invert often; crisp tasks (squares) almost never.
-* **Ratings**: Likert point = round(1 + 6 × perceived) + worker bias,
-  clamped to the scale. Perception noise uses the task's rating ambiguity,
-  which exceeds comparison ambiguity (absolute judgements are harder than
-  relative ones — why Rate trails Compare in §4.2).
+* **Ratings**: Likert point = round(1 + (scale − 1) × perceived + worker
+  bias), clamped to the scale. Perception noise uses the task's rating
+  ambiguity, which exceeds comparison ambiguity (absolute judgements are
+  harder than relative ones — why Rate trails Compare in §4.2).
 * **Joins**: miss/false-alarm probabilities, inflated for grid interfaces
   with many cells (SmartBatch misses come from failing to click a pair).
 * **Features**: careful workers draw from the dataset's confusion kernel
@@ -28,40 +29,32 @@ from __future__ import annotations
 from dataclasses import replace
 
 from repro.crowd.truth import GroundTruth
-from repro.crowd.worker import WorkerProfile
+from repro.crowd.worker import (
+    BINARY_LAWS,
+    UNKNOWN_RATE,
+    WorkerProfile,
+    batch_factor,
+    careless_rate,
+    compare_sigma,
+    fatigue_sigma,
+    likert_point,
+    rate_sigma,
+    spam_takes_first,
+    spam_yes_rate,
+)
 from repro.errors import MarketplaceError
 from repro.hits.hit import (
     HIT,
     ComparePayload,
-    FilterPayload,
     GenerativePayload,
-    JoinGridPayload,
-    JoinPairsPayload,
     Payload,
     PickBestPayload,
     RatePayload,
-    filter_qid,
     generative_qid,
-    join_qid,
     rate_qid,
 )
 from repro.tasks.registry import DispatchTable
 from repro.util.rng import RandomSource
-
-GRID_MISS_PER_CELL = 0.025
-"""Extra per-pair miss probability per grid cell beyond a 2×2 grid.
-
-Honest-worker misses grow only mildly with grid area (capped by
-GRID_MISS_CAP); the paper's steep accuracy drop on big batched schemes
-comes mostly from the spammers they attract (§3.3.2), which the pool's
-batch-affinity weighting models."""
-
-GRID_MISS_CAP = 0.20
-"""Ceiling on the extra grid miss probability."""
-
-UNKNOWN_RATE = 0.01
-"""Base probability a careful worker answers UNKNOWN on a feature with an
-UNKNOWN option."""
 
 
 def answer_hit(
@@ -146,14 +139,6 @@ def _no_behaviour_model(payload: Payload) -> MarketplaceError:
 # ---------------------------------------------------------------------------
 
 
-def _spam_binary(worker: WorkerProfile, rng: RandomSource) -> bool:
-    if worker.spam_style == "always_yes":
-        return True
-    if worker.spam_style in ("always_no", "first_option"):
-        return False
-    return rng.chance(0.5)
-
-
 def _chance_draws(probability: float) -> bool:
     """Whether ``RandomSource.chance(probability)`` consumes a draw.
 
@@ -164,138 +149,61 @@ def _chance_draws(probability: float) -> bool:
     return 0.0 < probability < 1.0
 
 
-def _answer_filter(
+def _answer_binary(
     worker: WorkerProfile,
-    payload: FilterPayload,
+    payload: Payload,
     truth: GroundTruth,
     rng: RandomSource,
     units: int,
     combined: bool,
 ) -> dict[str, object]:
-    """Yes/no answers with a symmetric, batch-scaled error rate plus the
-    worker's yes-bias. Per-question constants are hoisted and ``chance`` is
-    inlined against the raw stream (same draws as the wrapper)."""
-    task_name = payload.task_name
-    if worker.is_spammer:
-        return {
-            filter_qid(task_name, question.item): _spam_binary(worker, rng)
-            for question in payload.questions
-        }
-    answers: dict[str, object] = {}
-    filter_answer = truth.filter_answer
-    raw_random = rng.raw.random
-    error = worker.error_rate(worker.filter_error, units)
-    error_draws = _chance_draws(error)
-    error_always = error >= 1.0
-    yes_bias = worker.yes_bias
-    bias_draws = _chance_draws(abs(yes_bias))
-    bias_always = abs(yes_bias) >= 1.0
-    for question in payload.questions:
-        correct = filter_answer(task_name, question.item)
-        flip = raw_random() < error if error_draws else error_always
-        answer = (not correct) if flip else correct
-        # Yes-bias: a biased worker occasionally flips a "no" to "yes"
-        # (or vice versa) beyond their symmetric error rate.
-        if yes_bias > 0 and not answer:
-            if raw_random() < yes_bias if bias_draws else bias_always:
-                answer = True
-        elif yes_bias < 0 and answer:
-            if raw_random() < -yes_bias if bias_draws else bias_always:
-                answer = False
-        answers[f"{task_name}:filter:{question.item}"] = answer
-    return answers
+    """Yes/no answers to a filter, join-pair or join-grid payload, from the
+    model's :class:`~repro.crowd.worker.BinaryLaw` for its kind.
 
-
-def _answer_join_pairs(
-    worker: WorkerProfile,
-    payload: JoinPairsPayload,
-    truth: GroundTruth,
-    rng: RandomSource,
-    units: int,
-    combined: bool,
-) -> dict[str, object]:
-    """Per-pair match answers with batch-scaled miss and false-alarm rates
-    (``chance`` inlined as in :func:`_answer_filter`). Each rate is worked
-    out when a pair first needs it, so a single-pair payload computes only
-    one; computing a rate draws nothing."""
-    task_name = payload.task_name
-    if worker.is_spammer:
-        return {
-            join_qid(task_name, pair.left, pair.right): _spam_binary(worker, rng)
-            for pair in payload.pairs
-        }
-    answers: dict[str, object] = {}
-    join_match = truth.join_match
+    A spammer answers each row at their style's "yes" rate. An honest
+    worker answers each row against the miss or false-alarm rate of its
+    true answer, then, where the law is biased, may flip it with their
+    yes-bias. ``chance`` is inlined against the raw stream (same draws as
+    the wrapper). Each rate is worked out when a row first needs it, so a
+    single-pair payload computes only one; computing a rate draws nothing.
+    """
+    law = BINARY_LAWS[payload.kind]
+    rows = law.rows(payload, truth)
+    extra, spam_rate = law.terms(payload)
     raw_random = rng.raw.random
+    if worker.is_spammer:
+        p_yes = spam_yes_rate(worker, spam_rate)
+        draws = _chance_draws(p_yes)
+        always = p_yes >= 1.0
+        return {qid: raw_random() < p_yes if draws else always for qid, _ in rows}
+    answers: dict[str, object] = {}
     miss = false_alarm = None
-    for pair in payload.pairs:
-        left = pair.left
-        right = pair.right
-        if join_match(task_name, left, right):
+    yes_bias = worker.yes_bias if law.biased else 0.0
+    if yes_bias:
+        bias_draws = _chance_draws(abs(yes_bias))
+        bias_always = abs(yes_bias) >= 1.0
+    for qid, correct in rows:
+        if correct:
             if miss is None:
-                miss = worker.error_rate(worker.join_miss, units)
+                factor = batch_factor(worker.batch_error_growth, units)
+                miss = law.flip(worker, factor, extra, True)
                 miss_draws = _chance_draws(miss)
                 miss_always = miss >= 1.0
-            missed = raw_random() < miss if miss_draws else miss_always
-            answers[join_qid(task_name, left, right)] = not missed
+            flip = raw_random() < miss if miss_draws else miss_always
         else:
             if false_alarm is None:
-                false_alarm = worker.error_rate(worker.join_false_alarm, units)
+                factor = batch_factor(worker.batch_error_growth, units)
+                false_alarm = law.flip(worker, factor, extra, False)
                 fa_draws = _chance_draws(false_alarm)
                 fa_always = false_alarm >= 1.0
-            alarmed = raw_random() < false_alarm if fa_draws else fa_always
-            answers[join_qid(task_name, left, right)] = alarmed
-    return answers
-
-
-def _answer_join_grid(
-    worker: WorkerProfile,
-    payload: JoinGridPayload,
-    truth: GroundTruth,
-    rng: RandomSource,
-    units: int,
-    combined: bool,
-) -> dict[str, object]:
-    """SmartBatch grids: misses come from pairs never clicked.
-
-    Spammers usually tick the "no matches" box (all-no) or click a couple of
-    random cells; honest workers scan the grid with a per-pair miss rate
-    that grows with grid area.
-    """
-    answers: dict[str, object] = {}
-    cells = payload.cell_count
-    if worker.is_spammer:
-        if worker.spam_style == "random":
-            for left in payload.left_items:
-                for right in payload.right_items:
-                    answers[join_qid(payload.task_name, left, right)] = rng.chance(
-                        min(0.5, 2.0 / cells)
-                    )
-        else:
-            for left in payload.left_items:
-                for right in payload.right_items:
-                    answers[join_qid(payload.task_name, left, right)] = (
-                        worker.spam_style == "always_yes"
-                    )
-        return answers
-    extra_miss = min(GRID_MISS_CAP, GRID_MISS_PER_CELL * max(0, cells - 4))
-    task_name = payload.task_name
-    join_match = truth.join_match
-    raw_random = rng.raw.random
-    miss = min(0.9, worker.join_miss + extra_miss)
-    miss_draws = _chance_draws(miss)
-    miss_always = miss >= 1.0
-    false_alarm = worker.join_false_alarm
-    fa_draws = _chance_draws(false_alarm)
-    fa_always = false_alarm >= 1.0
-    for left in payload.left_items:
-        for right in payload.right_items:
-            if join_match(task_name, left, right):
-                missed = raw_random() < miss if miss_draws else miss_always
-                answers[join_qid(task_name, left, right)] = not missed
-            else:
-                alarmed = raw_random() < false_alarm if fa_draws else fa_always
-                answers[join_qid(task_name, left, right)] = alarmed
+            flip = raw_random() < false_alarm if fa_draws else fa_always
+        answer = (not correct) if flip else correct
+        # Yes-bias: a biased worker occasionally turns a "no" into "yes"
+        # (negative bias: a "yes" into "no") beyond their error rate.
+        if yes_bias and (answer if yes_bias < 0 else not answer):
+            if raw_random() < abs(yes_bias) if bias_draws else bias_always:
+                answer = not answer
+        answers[qid] = answer
     return answers
 
 
@@ -314,7 +222,7 @@ def _perceived(
     rank_truth = truth.rank_truth(task_name)
     if rank_truth.random_answers or worker.is_spammer:
         return rng.random()
-    sigma = worker.compare_noise * rank_truth.comparison_ambiguity
+    sigma = compare_sigma(worker, rank_truth.comparison_ambiguity)
     return truth.latent_value(task_name, item) + rng.gauss(0.0, sigma)
 
 
@@ -340,13 +248,12 @@ def _answer_compare(
     task_name = payload.task_name
     rank_truth = truth.rank_truth(task_name)
     random_answers = rank_truth.random_answers or worker.is_spammer
-    sigma = worker.compare_noise * rank_truth.comparison_ambiguity
+    sigma = compare_sigma(worker, rank_truth.comparison_ambiguity)
     latent_value = truth.latent_value
     gauss = rng.raw.gauss
     raw_random = rng.raw.random
-    batch = worker.batch_factor(units)
-    fatigue = batch > 1.0 and not worker.is_spammer
-    fatigue_sigma = 0.01 * (batch - 1.0)
+    fatigue = fatigue_sigma(batch_factor(worker.batch_error_growth, units))
+    fatigued = fatigue > 0.0 and not worker.is_spammer
     for group, layout in zip(payload.groups, payload.pair_layouts()):
         items = group.items
         perceived: list[float] = []
@@ -355,8 +262,8 @@ def _answer_compare(
                 value = raw_random()
             else:
                 value = latent_value(task_name, item) + gauss(0.0, sigma)
-            if fatigue:
-                value += gauss(0.0, fatigue_sigma)
+            if fatigued:
+                value += gauss(0.0, fatigue)
             perceived.append(value)
         for i, j, qid in layout:
             answers[qid] = items[i] if perceived[i] >= perceived[j] else items[j]
@@ -383,20 +290,18 @@ def _answer_rate(
     answers: dict[str, object] = {}
     rank_truth = truth.rank_truth(task_name)
     random_answers = rank_truth.random_answers
-    sigma = worker.rate_noise * rank_truth.rating_ambiguity
+    sigma = rate_sigma(worker, rank_truth.rating_ambiguity)
     latent_value = truth.latent_value
     gauss = rng.raw.gauss
     raw_random = rng.raw.random
     rate_bias = worker.rate_bias
-    span = scale - 1
     for question in payload.questions:
         item = question.item
         if random_answers:
             perceived = raw_random()
         else:
             perceived = latent_value(task_name, item) + gauss(0.0, sigma)
-        point = round(1 + span * perceived + rate_bias)
-        answers[f"{task_name}:rate:{item}"] = max(1, min(scale, point))
+        answers[f"{task_name}:rate:{item}"] = likert_point(perceived, scale, rate_bias)
     return answers
 
 
@@ -459,11 +364,11 @@ def _categorical_answer(
 ) -> object:
     options = list(spec.options)
     if worker.is_spammer:
-        if worker.spam_style == "first_option" and options:
+        if spam_takes_first(worker) and options:
             return options[0]
         return rng.choice(options) if options else "spam"
     feature = truth.feature_truth(task_name, spec.name)
-    careless = worker.error_rate(worker.feature_carelessness, units)
+    careless = careless_rate(worker, batch_factor(worker.batch_error_growth, units))
     if options and rng.chance(careless):
         return rng.choice(options)
     distribution = feature.answer_distribution(item, combined)
@@ -506,10 +411,9 @@ def _text_answer(
 # Builtin payload-kind registrations
 # ---------------------------------------------------------------------------
 
-register_payload_answerer(FilterPayload.kind, _answer_filter)
+for _kind in BINARY_LAWS:
+    register_payload_answerer(_kind, _answer_binary)
 register_payload_answerer(GenerativePayload.kind, _answer_generative)
 register_payload_answerer(ComparePayload.kind, _answer_compare)
 register_payload_answerer(RatePayload.kind, _answer_rate)
-register_payload_answerer(JoinPairsPayload.kind, _answer_join_pairs)
-register_payload_answerer(JoinGridPayload.kind, _answer_join_grid)
 register_payload_answerer(PickBestPayload.kind, _answer_pick_best)

@@ -20,8 +20,10 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 
+from repro.errors import MarketplaceError
 from repro.util.rng import RandomSource
 
 
@@ -69,6 +71,35 @@ class LatencyConfig:
     trial_jitter: float = 0.25
     """Per-posting lognormal jitter on the base rate — MTurk is 'dynamic'
     (§3.3.2); two identical trials complete in different times."""
+
+    def __post_init__(self) -> None:
+        for name, (rule, holds) in _RANGES.items():
+            value = getattr(self, name)
+            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if not (real and math.isfinite(value) and holds(value)):
+                raise MarketplaceError(
+                    f"LatencyConfig.{name} must be {rule}, got {value!r}"
+                )
+
+
+_POSITIVE = ("a finite number > 0", lambda value: value > 0)
+_NON_NEGATIVE = ("a finite number >= 0", lambda value: value >= 0)
+_RANGES = {
+    "base_pickup_rate": _POSITIVE,
+    "attraction_log_scale": _NON_NEGATIVE,
+    "straggler_fraction": ("a finite number in [0, 1)", lambda value: 0 <= value < 1),
+    "straggler_slowdown": _POSITIVE,
+    "work_time_sigma": _NON_NEGATIVE,
+    "work_overhead_seconds": _NON_NEGATIVE,
+    "deadline_hours": _POSITIVE,
+    "max_consecutive_refusals": (
+        "an integer >= 1",
+        lambda value: isinstance(value, numbers.Integral) and value >= 1,
+    ),
+    "trial_jitter": _NON_NEGATIVE,
+}
+"""Each :class:`LatencyConfig` field → (its rule, the check); every field
+must also be a real number, not a bool, and finite."""
 
 
 class LatencyModel:

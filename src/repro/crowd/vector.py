@@ -45,8 +45,9 @@ Per-assignment *records* stay Python objects: ``Assignment`` tuples and
 answer dicts are built once per round from the round's arrays, stats are
 folded in once per group, and the fault overlay runs after dispatch on the
 returned assignment list, so it composes with this kernel unchanged.
-Answer synthesis is vectorized per payload kind where the behaviour model
-allows it; HITs carrying payload kinds without a vector planner (free-text
+Answers are drawn per payload kind from the one worker answer model
+(:mod:`repro.crowd.worker`), whose formulas run on numpy arrays as they do
+on floats; HITs carrying payload kinds without a vector plan (free-text
 generative fields, pick-best, out-of-tree kinds) fall back to the exact
 scalar ``child_seed`` derivation — such assignments carry the *same*
 answers the scalar dispatch loop would produce for the same (hit,
@@ -55,32 +56,35 @@ sequence, worker) triple.
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import islice, repeat
 from typing import Sequence
 
-from repro.crowd.behavior import (
-    GRID_MISS_CAP,
-    GRID_MISS_PER_CELL,
+from repro.crowd.behavior import answer_hit
+from repro.crowd.worker import (
+    BINARY_LAWS,
     UNKNOWN_RATE,
-    answer_hit,
+    WORKER_COLUMNS,
+    batch_factor,
+    careless_rate,
+    compare_sigma,
+    fatigue_sigma,
+    likert_point,
+    rate_sigma,
+    spam_takes_first,
+    spam_yes_rate,
 )
 from repro.errors import MarketplaceError
 from repro.hits.hit import (
     HIT,
     Assignment,
     ComparePayload,
-    FilterPayload,
     GenerativePayload,
-    JoinGridPayload,
-    JoinPairsPayload,
     RatePayload,
-    filter_qid,
     generative_qid,
-    join_qid,
     rate_qid,
 )
 from repro.relational.expressions import UNKNOWN
-from repro.tasks.registry import DispatchTable
 from repro.util.rng import RandomSource, child_seed_from_material
 from repro.util.toggles import VECTOR
 
@@ -99,10 +103,6 @@ MIN_ROUND_TARGET = 16.0
 
 MIN_ROUND_DRAWS = 64
 MAX_ROUND_DRAWS = 1 << 16
-
-_STYLE_CODES = {"random": 0, "always_yes": 1, "always_no": 2, "first_option": 3}
-_STYLE_ALWAYS_YES = 1
-_STYLE_FIRST = 3
 
 
 def dispatch_vector(
@@ -135,7 +135,8 @@ def dispatch_vector(
 
 
 def _pool_worker_arrays(pool, np):
-    """Per-worker parameter arrays over the eligible workers, pool order.
+    """One array per :data:`~repro.crowd.worker.WORKER_COLUMNS` attribute
+    over the eligible workers, pool order.
 
     The eligible list (non-banned workers in pool order) is identical for
     every ``batch_units``, so one set of parameter arrays serves all
@@ -145,29 +146,11 @@ def _pool_worker_arrays(pool, np):
     if arrays is None:
         workers = pool._candidate_table(1)[0]
         arrays = {
-            "workers": workers,
-            "worker_ids": [w.worker_id for w in workers],
-            "speed": np.array([w.speed for w in workers], dtype=float),
-            "is_spammer": np.array([w.is_spammer for w in workers], dtype=bool),
-            "style": np.array(
-                [_STYLE_CODES.get(w.spam_style, 0) for w in workers], dtype=np.int64
-            ),
-            "filter_error": np.array([w.filter_error for w in workers], dtype=float),
-            "join_miss": np.array([w.join_miss for w in workers], dtype=float),
-            "join_false_alarm": np.array(
-                [w.join_false_alarm for w in workers], dtype=float
-            ),
-            "compare_noise": np.array([w.compare_noise for w in workers], dtype=float),
-            "rate_noise": np.array([w.rate_noise for w in workers], dtype=float),
-            "rate_bias": np.array([w.rate_bias for w in workers], dtype=float),
-            "feature_carelessness": np.array(
-                [w.feature_carelessness for w in workers], dtype=float
-            ),
-            "yes_bias": np.array([w.yes_bias for w in workers], dtype=float),
-            "batch_error_growth": np.array(
-                [w.batch_error_growth for w in workers], dtype=float
-            ),
+            name: np.array([getattr(worker, name) for worker in workers])
+            for name in WORKER_COLUMNS
         }
+        arrays["workers"] = workers
+        arrays["worker_ids"] = [worker.worker_id for worker in workers]
         pool.vector_cache["workers"] = arrays
     return arrays
 
@@ -196,39 +179,27 @@ def _pool_class_table(pool, np, batch_units: int, effort_seconds: float):
 
 
 # ---------------------------------------------------------------------------
-# Per-kind answer planners
+# Per-kind answer plans
 # ---------------------------------------------------------------------------
 #
-# A planner accumulates per-question rows for every HIT of the group whose
+# A plan accumulates per-question rows for every HIT of the group whose
 # payloads it can vectorize, then emits batched answers for each round's
 # accepted lanes. HITs with any un-plannable payload fall back to the scalar
 # behaviour models (see _GroupKernel._scalar_answers).
 
-VECTOR_ANSWER_PLANNERS = DispatchTable("vector answer planner")
-"""``payload.kind`` → planner factory (see :class:`_KindPlan`).
-
-Out-of-tree payload kinds may register a planner to join the vectorized
-answer path; unregistered kinds simply use the scalar fallback."""
-
-
-def register_vector_planner(kind: str, factory=None, *, replace: bool = False):
-    """Register the vectorized answer planner for a payload kind."""
-    return VECTOR_ANSWER_PLANNERS.register(kind, factory, replace=replace)
-
 
 class _KindPlan:
-    """Base class: per-group row accumulator + batched emitter for one kind."""
+    """Base class: per-group row accumulator + batched emitter for one kind.
 
-    kind = ""
+    ``add`` appends one tuple per answer row to ``rows``; ``finalize``
+    turns position k of the rows into the array attribute ``COLUMNS[k]``.
+    """
+
+    COLUMNS: tuple[tuple[str, str], ...] = ()
 
     def __init__(self, n_hits: int) -> None:
         self.counts = [0] * n_hits
-        self.starts = None
-        self._count_arr = None
-
-    def probe(self, payload) -> bool:
-        """Whether this payload instance is vectorizable."""
-        return True
+        self.rows: list[tuple] = []
 
     def add(self, payload, truth, hit_index: int) -> None:
         raise NotImplementedError
@@ -237,6 +208,7 @@ class _KindPlan:
         counts = np.asarray(self.counts, dtype=np.int64)
         self._count_arr = counts
         self.starts = np.cumsum(counts) - counts
+        _set_columns(self, np, self.rows, self.COLUMNS)
 
     def expand(self, np, win_hits):
         """(lane_of_row, row) index arrays for a batch of accepted lanes."""
@@ -244,6 +216,13 @@ class _KindPlan:
 
     def emit(self, kernel, lanes) -> None:
         raise NotImplementedError
+
+
+def _set_columns(plan, np, rows, columns) -> None:
+    """Set each ``(name, dtype)`` of ``columns`` on ``plan`` as the array
+    of that position of ``rows``."""
+    for position, (name, dtype) in enumerate(columns):
+        setattr(plan, name, np.array([row[position] for row in rows], dtype=dtype))
 
 
 def _lane_rows(np, starts, counts):
@@ -274,28 +253,31 @@ def _store_rows(lanes, lane_of_row, qids, values) -> None:
 
 
 class _BinaryPlan(_KindPlan):
-    """Shared machinery for yes/no rows (filter and both join shapes).
+    """Yes/no rows (filter and both join shapes), answered by the model's
+    :class:`~repro.crowd.worker.BinaryLaw` for the plan's kind.
 
-    Row data: qid, the true answer, and the per-row flip probabilities the
-    honest model applies; spam styles resolve per lane.
+    Rows are the law's (qid, true answer) pairs; each payload's extra grid
+    miss and spam click rate spread over its rows; worker rates resolve per row.
     """
 
-    def __init__(self, n_hits: int) -> None:
+    COLUMNS = (("qid_arr", "object"), ("truth_arr", "bool"))
+
+    def __init__(self, law, n_hits: int) -> None:
         super().__init__(n_hits)
-        self.qids: list[str] = []
-        self.truths: list[bool] = []
-        self.qid_arr = None
-        self.truth_arr = None
+        self.law = law
+        self.terms: list[tuple] = []  # (row count, extra miss, spam rate)
+
+    def add(self, payload, truth, hit_index: int) -> None:
+        rows = self.law.rows(payload, truth)
+        self.rows += rows
+        self.terms.append((len(rows), *self.law.terms(payload)))
+        self.counts[hit_index] += len(rows)
 
     def finalize(self, np) -> None:
         super().finalize(np)
-        self.qid_arr = np.array(self.qids, dtype=object)
-        self.truth_arr = np.array(self.truths, dtype=bool)
-
-    def _flip_rates(self, kernel, lanes, lane_of_row, rows):
-        """(p_true_flip, p_false_flip) per row: probability the honest model
-        reports the opposite of truth, split by the true value."""
-        raise NotImplementedError
+        counts = [count for count, _, _ in self.terms]
+        self.extra_arr = np.repeat([extra for _, extra, _ in self.terms], counts)
+        self.spam_arr = np.repeat([spam for _, _, spam in self.terms], counts)
 
     def emit(self, kernel, lanes) -> None:
         np = kernel.np
@@ -307,119 +289,38 @@ class _BinaryPlan(_KindPlan):
         u_flip = gen.random(n)
         u_bias = gen.random(n)
         truth = self.truth_arr[rows]
-        p_true_flip, p_false_flip = self._flip_rates(kernel, lanes, lane_of_row, rows)
-        flip = np.where(truth, u_flip < p_true_flip, u_flip < p_false_flip)
-        ans = truth ^ flip
+        workers = lanes.workers(lane_of_row)
+        factor = batch_factor(workers.batch_error_growth, lanes.units[lane_of_row], np)
+        extra = self.extra_arr[rows]
+        ans = truth ^ (u_flip < self.law.flip(workers, factor, extra, truth, np))
         # Yes-bias: beyond the symmetric error, positive bias flips some
-        # "no" answers to "yes" (and vice versa for negative bias).
-        bias = lanes.yes_bias[lane_of_row]
+        # "no" answers to "yes" (and vice versa for negative bias). The
+        # model biases filters only (``law.biased``); biasing join rows too
+        # is this domain's one known deviation (tests/test_vector_answer_laws.py:
+        # +7.1% "match" on pairs, +15.4% on 5x5 grids), held by the vector
+        # golden and perfbench's t5_vector digests until they are re-pinned.
+        bias = workers.yes_bias
         ans = np.where((bias > 0) & ~ans & (u_bias < bias), True, ans)
         ans = np.where((bias < 0) & ans & (u_bias < -bias), False, ans)
         # Spam styles override everything.
-        spam = lanes.is_spammer[lane_of_row]
+        spam = workers.is_spammer
         if spam.any():
-            style = lanes.style[lane_of_row]
-            p_spam_yes = self._spam_random_rate(kernel, lanes, lane_of_row, rows, np)
-            spam_ans = np.where(
-                style == _STYLE_ALWAYS_YES, True, u_flip < p_spam_yes
-            )
-            spam_ans = np.where(style >= 2, False, spam_ans)  # always_no / first
+            spam_ans = u_flip < spam_yes_rate(workers, self.spam_arr[rows], np)
             ans = np.where(spam, spam_ans, ans)
         _store_rows(lanes, lane_of_row, self.qid_arr[rows], ans)
 
-    def _spam_random_rate(self, kernel, lanes, lane_of_row, rows, np):
-        return 0.5
-
-
-class _FilterPlan(_BinaryPlan):
-    kind = FilterPayload.kind
-
-    def add(self, payload, truth, hit_index: int) -> None:
-        task = payload.task_name
-        for question in payload.questions:
-            self.qids.append(filter_qid(task, question.item))
-            self.truths.append(truth.filter_answer(task, question.item))
-        self.counts[hit_index] += len(payload.questions)
-
-    def _flip_rates(self, kernel, lanes, lane_of_row, rows):
-        error = lanes.error_rate(lanes.filter_error)[lane_of_row]
-        return error, error
-
-
-class _JoinPairsPlan(_BinaryPlan):
-    kind = JoinPairsPayload.kind
-
-    def add(self, payload, truth, hit_index: int) -> None:
-        task = payload.task_name
-        for pair in payload.pairs:
-            self.qids.append(join_qid(task, pair.left, pair.right))
-            self.truths.append(truth.join_match(task, pair.left, pair.right))
-        self.counts[hit_index] += len(payload.pairs)
-
-    def _flip_rates(self, kernel, lanes, lane_of_row, rows):
-        miss = lanes.error_rate(lanes.join_miss)[lane_of_row]
-        false_alarm = lanes.error_rate(lanes.join_false_alarm)[lane_of_row]
-        return miss, false_alarm
-
-
-class _JoinGridPlan(_BinaryPlan):
-    kind = JoinGridPayload.kind
-
-    def __init__(self, n_hits: int) -> None:
-        super().__init__(n_hits)
-        self.extra_miss: list[float] = []
-        self.spam_rate: list[float] = []
-        self.extra_arr = None
-        self.spam_arr = None
-
-    def add(self, payload, truth, hit_index: int) -> None:
-        task = payload.task_name
-        cells = payload.cell_count
-        extra = min(GRID_MISS_CAP, GRID_MISS_PER_CELL * max(0, cells - 4))
-        spam_rate = min(0.5, 2.0 / cells)
-        for left in payload.left_items:
-            for right in payload.right_items:
-                self.qids.append(join_qid(task, left, right))
-                self.truths.append(truth.join_match(task, left, right))
-                self.extra_miss.append(extra)
-                self.spam_rate.append(spam_rate)
-        self.counts[hit_index] += cells
-
-    def finalize(self, np) -> None:
-        super().finalize(np)
-        self.extra_arr = np.asarray(self.extra_miss, dtype=float)
-        self.spam_arr = np.asarray(self.spam_rate, dtype=float)
-
-    def _flip_rates(self, kernel, lanes, lane_of_row, rows):
-        np = kernel.np
-        # Grid misses are NOT batch-scaled: miss = min(0.9, join_miss +
-        # extra), false alarms use the raw per-worker rate (see
-        # behavior._answer_join_grid).
-        miss = np.minimum(
-            0.9, lanes.join_miss[lane_of_row] + self.extra_arr[rows]
-        )
-        false_alarm = lanes.join_false_alarm[lane_of_row]
-        return miss, false_alarm
-
-    def _spam_random_rate(self, kernel, lanes, lane_of_row, rows, np):
-        return self.spam_arr[rows]
-
 
 class _RatePlan(_KindPlan):
-    kind = RatePayload.kind
+    """Likert ratings: one perceived value per question, ticked on the
+    scale by the model's Likert point."""
 
-    def __init__(self, n_hits: int) -> None:
-        super().__init__(n_hits)
-        self.qids: list[str] = []
-        self.latents: list[float] = []
-        self.ambiguity: list[float] = []
-        self.random_flags: list[bool] = []
-        self.scales: list[int] = []
-        self.qid_arr = None
-        self.latent_arr = None
-        self.amb_arr = None
-        self.random_arr = None
-        self.scale_arr = None
+    COLUMNS = (
+        ("qid_arr", "object"),
+        ("latent_arr", "float64"),
+        ("amb_arr", "float64"),
+        ("random_arr", "bool"),
+        ("scale_arr", "int64"),
+    )
 
     def add(self, payload, truth, hit_index: int) -> None:
         task = payload.task_name
@@ -428,22 +329,12 @@ class _RatePlan(_KindPlan):
         ambiguity = rank_truth.rating_ambiguity
         scale = payload.scale_points
         for question in payload.questions:
-            self.qids.append(rate_qid(task, question.item))
-            self.latents.append(
-                0.0 if random_answers else truth.latent_value(task, question.item)
+            item = question.item
+            latent = 0.0 if random_answers else truth.latent_value(task, item)
+            self.rows.append(
+                (rate_qid(task, item), latent, ambiguity, random_answers, scale)
             )
-            self.ambiguity.append(ambiguity)
-            self.random_flags.append(random_answers)
-            self.scales.append(scale)
         self.counts[hit_index] += len(payload.questions)
-
-    def finalize(self, np) -> None:
-        super().finalize(np)
-        self.qid_arr = np.array(self.qids, dtype=object)
-        self.latent_arr = np.asarray(self.latents, dtype=float)
-        self.amb_arr = np.asarray(self.ambiguity, dtype=float)
-        self.random_arr = np.asarray(self.random_flags, dtype=bool)
-        self.scale_arr = np.asarray(self.scales, dtype=np.int64)
 
     def emit(self, kernel, lanes) -> None:
         np = kernel.np
@@ -455,16 +346,14 @@ class _RatePlan(_KindPlan):
         noise = gen.standard_normal(n)
         u = gen.random(n)
         scale = self.scale_arr[rows]
-        sigma = lanes.rate_noise[lane_of_row] * self.amb_arr[rows]
+        workers = lanes.workers(lane_of_row)
+        sigma = rate_sigma(workers, self.amb_arr[rows])
         perceived = np.where(
             self.random_arr[rows], u, self.latent_arr[rows] + noise * sigma
         )
-        point = np.rint(
-            1.0 + (scale - 1) * perceived + lanes.rate_bias[lane_of_row]
-        ).astype(np.int64)
-        point = np.clip(point, 1, scale)
+        point = likert_point(perceived, scale, workers.rate_bias, np).astype(np.int64)
         # Spammers click an arbitrary scale point.
-        spam = lanes.is_spammer[lane_of_row]
+        spam = workers.is_spammer
         if spam.any():
             spam_point = np.minimum((u * scale).astype(np.int64) + 1, scale)
             point = np.where(spam, spam_point, point)
@@ -476,29 +365,22 @@ class _ComparePlan(_KindPlan):
     every pairwise winner. Item rows and pair rows are parallel tables; a
     pair row stores absolute item-row indices."""
 
-    kind = ComparePayload.kind
+    COLUMNS = (
+        ("latent_arr", "float64"),
+        ("amb_arr", "float64"),
+        ("random_arr", "bool"),
+        ("item_arr", "object"),
+    )
+    PAIR_COLUMNS = (
+        ("pair_qid_arr", "object"),
+        ("pair_i_arr", "int64"),
+        ("pair_j_arr", "int64"),
+    )
 
     def __init__(self, n_hits: int) -> None:
         super().__init__(n_hits)
-        # item rows (self.counts counts these)
-        self.latents: list[float] = []
-        self.ambiguity: list[float] = []
-        self.random_flags: list[bool] = []
-        self.items: list[str] = []
-        # pair rows
-        self.pair_counts = [0] * len(self.counts)
-        self.pair_qids: list[str] = []
-        self.pair_i: list[int] = []
-        self.pair_j: list[int] = []
-        self.latent_arr = None
-        self.amb_arr = None
-        self.random_arr = None
-        self.item_arr = None
-        self.pair_qid_arr = None
-        self.pair_i_arr = None
-        self.pair_j_arr = None
-        self.pair_start_arr = None
-        self.pair_count_arr = None
+        self.pair_counts = [0] * n_hits
+        self.pairs: list[tuple] = []
 
     def add(self, payload, truth, hit_index: int) -> None:
         task = payload.task_name
@@ -506,31 +388,17 @@ class _ComparePlan(_KindPlan):
         random_answers = rank_truth.random_answers
         ambiguity = rank_truth.comparison_ambiguity
         for group, layout in zip(payload.groups, payload.pair_layouts()):
-            base = len(self.items)
+            base = len(self.rows)
             for item in group.items:
-                self.items.append(item)
-                self.latents.append(
-                    0.0 if random_answers else truth.latent_value(task, item)
-                )
-                self.ambiguity.append(ambiguity)
-                self.random_flags.append(random_answers)
-            items = group.items
-            for i, j, qid in layout:
-                self.pair_qids.append(qid)
-                self.pair_i.append(base + i)
-                self.pair_j.append(base + j)
-            self.counts[hit_index] += len(items)
-            self.pair_counts[hit_index] += len(items) * (len(items) - 1) // 2
+                latent = 0.0 if random_answers else truth.latent_value(task, item)
+                self.rows.append((latent, ambiguity, random_answers, item))
+            self.pairs += [(qid, base + i, base + j) for i, j, qid in layout]
+            self.counts[hit_index] += len(group.items)
+            self.pair_counts[hit_index] += len(layout)
 
     def finalize(self, np) -> None:
         super().finalize(np)
-        self.latent_arr = np.asarray(self.latents, dtype=float)
-        self.amb_arr = np.asarray(self.ambiguity, dtype=float)
-        self.random_arr = np.asarray(self.random_flags, dtype=bool)
-        self.item_arr = np.array(self.items, dtype=object)
-        self.pair_qid_arr = np.array(self.pair_qids, dtype=object)
-        self.pair_i_arr = np.asarray(self.pair_i, dtype=np.int64)
-        self.pair_j_arr = np.asarray(self.pair_j, dtype=np.int64)
+        _set_columns(self, np, self.pairs, self.PAIR_COLUMNS)
         pair_counts = np.asarray(self.pair_counts, dtype=np.int64)
         self.pair_count_arr = pair_counts
         self.pair_start_arr = np.cumsum(pair_counts) - pair_counts
@@ -546,7 +414,8 @@ class _ComparePlan(_KindPlan):
         noise = gen.standard_normal(n)
         fatigue_noise = gen.standard_normal(n)
         u = gen.random(n)
-        sigma = lanes.compare_noise[lane_of_item] * self.amb_arr[item_rows]
+        workers = lanes.workers(lane_of_item)
+        sigma = compare_sigma(workers, self.amb_arr[item_rows])
         perceived = np.where(
             self.random_arr[item_rows],
             u,
@@ -555,9 +424,10 @@ class _ComparePlan(_KindPlan):
         # Batch fatigue: extra noise on large HITs (zero-scaled otherwise),
         # applied on top of random-answer draws too — but never to
         # spammers, whose uniform stands alone (see _answer_compare).
-        fatigue_sigma = np.maximum(0.0, 0.01 * (lanes.batch_factor[lane_of_item] - 1.0))
-        perceived = perceived + fatigue_noise * fatigue_sigma
-        perceived = np.where(lanes.is_spammer[lane_of_item], u, perceived)
+        factor = batch_factor(workers.batch_error_growth, lanes.units[lane_of_item], np)
+        fatigue = fatigue_sigma(factor, np)
+        perceived = perceived + fatigue_noise * fatigue
+        perceived = np.where(workers.is_spammer, u, perceived)
         # Map pair rows to per-lane flat positions in `perceived`.
         item_counts = self._count_arr[win_hits]
         lane_base = np.cumsum(item_counts) - item_counts
@@ -580,28 +450,9 @@ class _ComparePlan(_KindPlan):
 
 class _GenerativePlan(_KindPlan):
     """Categorical (Radio) generative fields; any free-text field in the
-    payload makes the whole HIT fall back to the scalar models."""
-
-    kind = GenerativePayload.kind
-
-    def __init__(self, n_hits: int) -> None:
-        super().__init__(n_hits)
-        self.rows: list[tuple] = []  # (qid, feature truth, item, options)
-        self.qid_arr = None
-        self.template_arr = None
-        # Per-template tables, indexed through template_arr.
-        self.lab_pad = None
-        self.cum_pad = None
-        self.total_arr = None
-        self.n_dist_arr = None
-        self.unknown_idx_arr = None
-        self.opt_pad = None
-        self.n_opt_arr = None
-        self.first_opt_arr = None
-        self.has_unknown_arr = None
-
-    def probe(self, payload) -> bool:
-        return all(spec.is_categorical for spec in payload.fields)
+    payload makes the whole HIT fall back to the scalar models. Rows are
+    (qid, feature truth, item, options) until :meth:`finalize_with_hits`
+    turns them into per-template tables indexed through ``template_arr``."""
 
     def add(self, payload, truth, hit_index: int) -> None:
         task = payload.task_name
@@ -718,61 +569,71 @@ class _GenerativePlan(_KindPlan):
             & (dist_idx != self.unknown_idx_arr[template])
             & (u_unknown < UNKNOWN_RATE)
         )
-        careless = (
-            has_options
-            & (u_careless < lanes.error_rate(lanes.feature_carelessness)[lane_of_row])
-        )
+        workers = lanes.workers(lane_of_row)
+        factor = batch_factor(workers.batch_error_growth, lanes.units[lane_of_row], np)
+        careless = has_options & (u_careless < careless_rate(workers, factor, np))
         ans = np.where(unknown_mask & ~careless, UNKNOWN, ans)
         ans = np.where(careless, option_ans, ans)
         # Spammers: first_option picks the head, every other style answers
         # uniformly (or the "spam" placeholder without options).
-        spam = lanes.is_spammer[lane_of_row]
+        spam = workers.is_spammer
         if spam.any():
-            style = lanes.style[lane_of_row]
             spam_ans = np.where(has_options, option_ans, self.first_opt_arr[template])
             spam_ans = np.where(
-                style == _STYLE_FIRST, self.first_opt_arr[template], spam_ans
+                spam_takes_first(workers), self.first_opt_arr[template], spam_ans
             )
             ans = np.where(spam, spam_ans, ans)
         _store_rows(lanes, lane_of_row, self.qid_arr[rows], ans)
 
 
-register_vector_planner(FilterPayload.kind, _FilterPlan)
-register_vector_planner(JoinPairsPayload.kind, _JoinPairsPlan)
-register_vector_planner(JoinGridPayload.kind, _JoinGridPlan)
-register_vector_planner(RatePayload.kind, _RatePlan)
-register_vector_planner(ComparePayload.kind, _ComparePlan)
-register_vector_planner(GenerativePayload.kind, _GenerativePlan)
+_PLANS = {
+    **{kind: partial(_BinaryPlan, law) for kind, law in BINARY_LAWS.items()},
+    RatePayload.kind: _RatePlan,
+    ComparePayload.kind: _ComparePlan,
+    GenerativePayload.kind: _GenerativePlan,
+}
+"""``payload.kind`` → plan factory; every other kind takes the scalar
+fallback."""
+
+
+def _vectorizable(payload) -> bool:
+    """Whether a payload has a vector plan; a generative payload needs
+    every field categorical."""
+    if payload.kind == GenerativePayload.kind:
+        return all(spec.is_categorical for spec in payload.fields)
+    return payload.kind in _PLANS
+
+
+class _Gathered:
+    """Worker columns gathered at ``index`` (one worker per row), each on
+    its first read, under the attribute names the answer model reads."""
+
+    def __init__(self, columns, index) -> None:
+        self._columns = columns
+        self._index = index
+
+    def __getattr__(self, name):
+        if name not in self._columns:
+            raise AttributeError(name)
+        value = self._columns[name][self._index]
+        setattr(self, name, value)
+        return value
 
 
 class _LaneBatch:
-    """One round's accepted lanes, with per-lane worker parameter views."""
+    """One round's accepted lanes: each lane's HIT, worker and answer dict."""
 
     def __init__(self, kernel, win_hits, widx, dicts) -> None:
-        np = kernel.np
-        workers = kernel.worker_arrays
         self.win_hits = win_hits
         self.dicts = dicts
-        units = kernel.hit_units[win_hits]
-        growth = workers["batch_error_growth"][widx]
-        self.batch_factor = np.where(
-            units <= 1, 1.0, np.minimum(3.0, 1.0 + growth * (units - 1))
-        )
-        self.is_spammer = workers["is_spammer"][widx]
-        self.style = workers["style"][widx]
-        self.filter_error = workers["filter_error"][widx]
-        self.join_miss = workers["join_miss"][widx]
-        self.join_false_alarm = workers["join_false_alarm"][widx]
-        self.compare_noise = workers["compare_noise"][widx]
-        self.rate_noise = workers["rate_noise"][widx]
-        self.rate_bias = workers["rate_bias"][widx]
-        self.feature_carelessness = workers["feature_carelessness"][widx]
-        self.yes_bias = workers["yes_bias"][widx]
-        self._np = np
+        self._widx = widx
+        self.units = kernel.hit_units[win_hits]
+        self._columns = kernel.worker_arrays
+        self._np = kernel.np
 
-    def error_rate(self, base):
-        """WorkerProfile.error_rate, vectorized per lane."""
-        return self._np.minimum(0.95, base * self.batch_factor)
+    def workers(self, lane_of_row) -> _Gathered:
+        """The model's worker view of rows owned by ``lane_of_row``."""
+        return _Gathered(self._columns, self._widx[lane_of_row])
 
 
 class _GroupKernel:
@@ -833,44 +694,28 @@ class _GroupKernel:
         np = self.np
         n_hits = len(self.hits)
         plans: dict[str, _KindPlan] = {}
-        kind_order: list[str] = []
         fallback = np.zeros(n_hits, dtype=bool)
         gen_row_hits: list[int] = []
         for index, hit in enumerate(self.hits):
-            factories = []
-            for payload in hit.payloads:
-                factory = VECTOR_ANSWER_PLANNERS.lookup(payload.kind)
-                if factory is None:
-                    factories = None
-                    break
-                plan = plans.get(payload.kind)
-                probe = plan if plan is not None else factory(0)
-                if not probe.probe(payload):
-                    factories = None
-                    break
-                factories.append((payload, factory))
-            if factories is None:
+            if not all(map(_vectorizable, hit.payloads)):
                 fallback[index] = True
                 continue
-            for payload, factory in factories:
+            for payload in hit.payloads:
                 plan = plans.get(payload.kind)
                 if plan is None:
-                    plan = plans[payload.kind] = factory(n_hits)
-                    kind_order.append(payload.kind)
+                    plan = plans[payload.kind] = _PLANS[payload.kind](n_hits)
                 before = plan.counts[index]
                 plan.add(payload, self.truth, index)
                 if payload.kind == GenerativePayload.kind:
                     gen_row_hits.extend(
                         [index] * (plan.counts[index] - before)
                     )
-        for kind in kind_order:
-            plan = plans[kind]
+        for kind, plan in plans.items():
             if kind == GenerativePayload.kind:
                 plan.finalize_with_hits(np, self.hits, gen_row_hits)
             else:
                 plan.finalize(np)
         self.plans = plans
-        self.kind_order = kind_order
         self.hit_fallback = fallback
 
     # -- main loop ------------------------------------------------------
@@ -1180,8 +1025,8 @@ class _GroupKernel:
         vec = np.flatnonzero(~fallback_lane)
         if vec.size:
             lanes = _LaneBatch(self, win_hits[vec], widx[vec], [dicts[i] for i in vec.tolist()])
-            for kind in self.kind_order:
-                self.plans[kind].emit(self, lanes)
+            for plan in self.plans.values():
+                plan.emit(self, lanes)
         fb = np.flatnonzero(fallback_lane)
         if fb.size:
             self._scalar_answers(fb, win_slots, win_hits, widx, dicts)

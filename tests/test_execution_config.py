@@ -48,6 +48,11 @@ from repro.joins.batching import JoinInterface
         ("seed", 1.5),
         ("seed", True),
         ("adaptive", "yes"),
+        ("adaptive_pilot_fraction", "x"),
+        ("backoff_base", "x"),
+        ("degrade_quorum", None),
+        ("retry_deadline", "5"),
+        ("max_budget", True),
     ],
 )
 def test_bad_value_rejected_at_construction(field, value):

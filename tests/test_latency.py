@@ -1,7 +1,12 @@
 """Tests for the latency model."""
 
+import math
+
+import pytest
+
 from repro.crowd import GroundTruth, SimulatedMarketplace
 from repro.crowd.latency import LatencyConfig, LatencyModel, TimeOfDay
+from repro.errors import MarketplaceError
 from repro.hits.hit import HIT, FilterPayload, FilterQuestion
 from repro.util.rng import RandomSource
 
@@ -79,3 +84,54 @@ def test_trial_rate_factor_varies():
 def test_deadline_seconds():
     model = LatencyModel(LatencyConfig(deadline_hours=2.0))
     assert model.deadline_seconds == 7200.0
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("base_pickup_rate", 0),
+        ("base_pickup_rate", -1),
+        ("base_pickup_rate", math.inf),
+        ("base_pickup_rate", True),
+        ("base_pickup_rate", "fast"),
+        ("attraction_log_scale", -0.1),
+        ("straggler_fraction", 1.0),
+        ("straggler_fraction", -0.01),
+        ("straggler_slowdown", 0.0),
+        ("work_time_sigma", math.nan),
+        ("work_overhead_seconds", -2.0),
+        ("deadline_hours", 0),
+        ("deadline_hours", None),
+        ("max_consecutive_refusals", 0),
+        ("max_consecutive_refusals", 2.5),
+        ("max_consecutive_refusals", True),
+        ("trial_jitter", -math.inf),
+    ],
+)
+def test_bad_latency_config_rejected_at_construction(field, value):
+    """Each of these used to construct silently: ``base_pickup_rate=0``
+    then raised ``ZeroDivisionError`` at the first post, ``-1`` ran a whole
+    query, and ``work_time_sigma=nan`` reported 0.0 s of virtual latency."""
+    with pytest.raises(MarketplaceError, match=field):
+        LatencyConfig(**{field: value})
+
+
+def test_latency_config_rejection_precedes_the_marketplace():
+    with pytest.raises(MarketplaceError, match="base_pickup_rate"):
+        SimulatedMarketplace(
+            GroundTruth(), latency=LatencyModel(LatencyConfig(base_pickup_rate=0))
+        )
+
+
+def test_latency_config_boundaries_accepted():
+    for scale in (1, 4, 64):
+        assert LatencyConfig(deadline_hours=8.0 * scale).deadline_hours == 8.0 * scale
+    config = LatencyConfig(
+        attraction_log_scale=0,
+        straggler_fraction=0,
+        work_time_sigma=0.0,
+        work_overhead_seconds=0,
+        max_consecutive_refusals=1,
+        trial_jitter=0.0,
+    )
+    assert config.max_consecutive_refusals == 1

@@ -4,7 +4,7 @@
 #
 #   scripts/ci_fast.sh            # from the repo root
 #
-# Nine stages, all minutes-not-hours:
+# Ten stages, all minutes-not-hours:
 #   1. `pytest -m "not slow"` over tests/ — every correctness, contract,
 #      determinism, and durability test (the `slow` marker only exists on
 #      long benchmark measurements, so nothing tier-1 is skipped);
@@ -50,7 +50,14 @@
 #      raise ModuleNotFoundError, so the engine's no-extras paths (the
 #      scalar fallback of REPRO_VECTOR, the tests that skip without an
 #      extra) run for real even where both are installed. Any failure or
-#      error fails the stage.
+#      error fails the stage;
+#  10. `check_pins.py` (~2s each) under every CPython from 3.10 to 3.13
+#      that starts here: `python3.X` on PATH, and each 3.X.* that pyenv
+#      lists, run with PYENV_VERSION set (each interpreter once). It checks
+#      the scalar golden trace, the unoptimized plan's digest and the
+#      example outputs, and names the interpreter and the first differing
+#      record on a mismatch. A minor version with no interpreter that
+#      starts gets a notice, not a failure.
 #
 # The heavyweight lane stays `scripts/profile_hotpath.py --check` plus
 # `pytest benchmarks -q`.
@@ -101,3 +108,29 @@ for package in numpy scipy; do
         > "$no_extras/$package/__init__.py"
 done
 PYTHONPATH="$no_extras:$PYTHONPATH" python -m pytest tests -q -m "not slow"
+
+seen_interpreters=" "
+check_pins_with() {
+    # $1: a PYENV_VERSION value, or empty; $2: the interpreter command.
+    if [ -n "$1" ]; then
+        set -- env "PYENV_VERSION=$1" "$2"
+    else
+        set -- "$2"
+    fi
+    executable="$("$@" -c 'import sys; print(sys.executable)' 2>/dev/null)" || return 0
+    case "$seen_interpreters" in *" $executable "*) return 0 ;; esac
+    seen_interpreters="$seen_interpreters$executable "
+    "$@" scripts/check_pins.py
+}
+for minor in 10 11 12 13; do
+    before="$seen_interpreters"
+    check_pins_with "" "python3.$minor"
+    if command -v pyenv >/dev/null 2>&1; then
+        for version in $(pyenv versions --bare 2>/dev/null | grep "^3\.$minor\.[0-9]*$"); do
+            check_pins_with "$version" "python3.$minor"
+        done
+    fi
+    if [ "$before" = "$seen_interpreters" ]; then
+        echo "stage 10: no python3.$minor starts here; its pins were not checked"
+    fi
+done

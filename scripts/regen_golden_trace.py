@@ -25,7 +25,7 @@ table of every experiment-registry entry that has a runner, as text lines
 ``[stats]`` extra) for EXP-S33's regression.
 
 ``--unoptimized`` re-pins ``UNOPTIMIZED_TRACE_SHA256`` in
-``tests/test_determinism_trace.py``: the sha256 of the seed-0 trace of the
+``tests/determinism_pins.py``: the sha256 of the seed-0 trace of the
 paper's baseline plan (Simple join + Compare sort), whose 1,123 HITs run
 the scalar dispatch loop's exclusion picks and single-pair answers. The
 constant is rewritten in place.
@@ -33,6 +33,10 @@ constant is rewritten in place.
 ``--examples`` re-pins ``tests/golden/examples.json``: the stdout lines of
 every ``examples/*.py``, each run in a fresh interpreter with no
 ``REPRO_*`` toggle set (``tests/test_examples.py`` compares them).
+
+``--store`` re-pins ``tests/golden/answer_store.sql``: an ``iterdump`` of
+the answer store a cold run of ``tests/test_store_replay.py``'s join and
+sort writes, which that test must read warm without posting a HIT.
 """
 
 from __future__ import annotations
@@ -47,16 +51,18 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "tests"))
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from test_determinism_trace import (  # noqa: E402
+from determinism_pins import (  # noqa: E402
+    EXAMPLES_GOLDEN_PATH,
     GOLDEN_PATH,
     VECTOR_GOLDEN_PATH,
     collect_trace,
+    render_examples,
     unoptimized_trace_digest,
 )
-from test_examples import EXAMPLES_GOLDEN_PATH, render_examples  # noqa: E402
 from test_paper_artifacts import PAPER_GOLDEN_PATH, render_artifacts  # noqa: E402
+from test_store_replay import GOLDEN_STORE_DUMP, write_golden_store_dump  # noqa: E402
 
-TRACE_TEST_PATH = REPO_ROOT / "tests" / "test_determinism_trace.py"
+PINS_PATH = REPO_ROOT / "tests" / "determinism_pins.py"
 _UNOPTIMIZED_PIN = re.compile(r'^UNOPTIMIZED_TRACE_SHA256 = "[0-9a-f]{64}"$', re.M)
 
 
@@ -111,23 +117,32 @@ def main() -> None:
         action="store_true",
         help="re-pin the stdout of every examples/*.py",
     )
+    which.add_argument(
+        "--store",
+        action="store_true",
+        help="re-pin the committed answer-store dump",
+    )
     options = parser.parse_args()
     require_lint_clean()
+    if options.store:
+        write_golden_store_dump()
+        print(f"wrote {GOLDEN_STORE_DUMP}")
+        return
     if options.unoptimized:
         digest = unoptimized_trace_digest()
         source, count = _UNOPTIMIZED_PIN.subn(
             f'UNOPTIMIZED_TRACE_SHA256 = "{digest}"',
-            TRACE_TEST_PATH.read_text(encoding="utf-8"),
+            PINS_PATH.read_text(encoding="utf-8"),
         )
         if count != 1:
             print(
-                f"expected one UNOPTIMIZED_TRACE_SHA256 line in {TRACE_TEST_PATH}, "
+                f"expected one UNOPTIMIZED_TRACE_SHA256 line in {PINS_PATH}, "
                 f"found {count}",
                 file=sys.stderr,
             )
             raise SystemExit(1)
-        TRACE_TEST_PATH.write_text(source, encoding="utf-8")
-        print(f"pinned UNOPTIMIZED_TRACE_SHA256 = {digest} in {TRACE_TEST_PATH}")
+        PINS_PATH.write_text(source, encoding="utf-8")
+        print(f"pinned UNOPTIMIZED_TRACE_SHA256 = {digest} in {PINS_PATH}")
         return
     if options.examples:
         outputs = render_examples()

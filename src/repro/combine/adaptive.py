@@ -14,7 +14,10 @@ savings at equal accuracy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import ClassVar, Mapping
+
+from repro.errors import ConfigError
+from repro.util.fields import Rule, check_fields, integer
 
 
 @dataclass(frozen=True)
@@ -26,13 +29,19 @@ class AdaptivePolicy:
     max_votes: int = 9
     margin: int = 2
 
+    rules: ClassVar[dict[str, Rule]] = {
+        "initial_votes": integer(1),
+        "step_votes": integer(1),
+        "max_votes": integer(1),
+        "margin": integer(1),
+    }
+
     def __post_init__(self) -> None:
-        if self.initial_votes < 1 or self.step_votes < 1:
-            raise ValueError("vote counts must be positive")
+        check_fields(self, self.rules, ConfigError)
         if self.max_votes < self.initial_votes:
-            raise ValueError("max_votes must be >= initial_votes")
-        if self.margin < 1:
-            raise ValueError("margin must be >= 1")
+            raise ConfigError(
+                f"AdaptivePolicy.max_votes must be >= initial_votes, got {self.max_votes!r}"
+            )
 
 
 def vote_margin(counts: Mapping[object, int]) -> int:

@@ -9,55 +9,31 @@ stats) through one query execution.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, ClassVar
 
 from repro.combine import combiner_names, get_combiner
 from repro.combine.adaptive import AdaptivePolicy
 from repro.combine.base import Combiner
-from repro.errors import BudgetExceededError, PlanError
+from repro.errors import BudgetExceededError, ConfigError
 from repro.hits.manager import BatchOutcome, PendingBatch, TaskManager
+from repro.hits.resilience import RetryPolicy
 from repro.joins.batching import JoinInterface
 from repro.relational.catalog import Catalog
+from repro.util.fields import (
+    INTEGER,
+    Rule,
+    check_fields,
+    choice,
+    flag,
+    instance,
+    integer,
+    real,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.plan import PlanNode
     from repro.core.scheduler import OperatorBinding
-
-_MINIMUMS: dict[str, int] = {
-    "assignments": 1,
-    "filter_batch_size": 1,
-    "generative_batch_size": 1,
-    "naive_batch_size": 1,
-    "grid_rows": 1,
-    "grid_cols": 1,
-    "compare_group_size": 2,
-    "compare_batch_groups": 1,
-    "rate_batch_size": 1,
-    "rate_anchor_count": 0,
-    "hybrid_stride": 1,
-    "hybrid_iterations": 0,
-    "limit_pick_batch_size": 2,
-    "pipeline_chunk_size": 1,
-    "pipeline_queue_chunks": 1,
-    "adaptive_min_pilot": 1,
-    "max_reposts": 0,
-}
-"""Smallest accepted value of each count-valued :class:`ExecutionConfig`
-field. Each must be an ``int`` (not a ``bool``, not a float such as 2.5)
-at least this large; construction raises :class:`PlanError` naming the
-field otherwise."""
-
-_REALS = {
-    "max_budget": (True, ">= 0", lambda v: v >= 0),
-    "adaptive_pilot_fraction": (False, "in (0, 1]", lambda v: 0.0 < v <= 1.0),
-    "backoff_base": (False, "> 0", lambda v: v > 0),
-    "degrade_quorum": (False, "in (0, 1]", lambda v: 0.0 < v <= 1.0),
-    "retry_deadline": (True, "> 0", lambda v: v > 0),
-}
-"""Each real-valued field → (may it be None, its range, the check). Bools
-are not real numbers here, and NaN fails every check."""
 
 
 @dataclass(frozen=True)
@@ -204,47 +180,62 @@ class ExecutionConfig:
     its retries is flagged degraded in ``degradation_summary`` (combiners
     accept whatever k-of-n votes arrived either way)."""
 
+    rules: ClassVar[dict[str, Rule]] = {
+        "assignments": integer(1),
+        "combiner": choice(*combiner_names(), optional=True),
+        "filter_batch_size": integer(1),
+        "generative_batch_size": integer(1),
+        "combine_features": flag(),
+        "join_interface": choice(*JoinInterface),
+        "naive_batch_size": integer(1),
+        "grid_rows": integer(1),
+        "grid_cols": integer(1),
+        "use_feature_filters": flag(),
+        "auto_feature_selection": flag(),
+        "sort_method": choice("compare", "rate", "hybrid"),
+        "compare_group_size": integer(2),
+        "compare_batch_groups": integer(1),
+        "rate_batch_size": integer(1),
+        "rate_anchor_count": integer(0),
+        "hybrid_strategy": choice("random", "confidence", "window"),
+        "hybrid_stride": integer(1),
+        "hybrid_iterations": integer(0),
+        "limit_sort_tournament": flag(),
+        "limit_pick_batch_size": integer(2),
+        "adaptive": instance(AdaptivePolicy, optional=True),
+        "max_budget": real(0, optional=True),
+        "strict_hits": flag(),
+        "seed": integer(),
+        "pipeline_chunk_size": integer(1),
+        "pipeline_queue_chunks": integer(1),
+        "adapt": flag(optional=True),
+        "adaptive_pilot_fraction": real(0, 1, low_open=True),
+        "adaptive_min_pilot": integer(1),
+        "budget_preflight": flag(),
+        "resilience": flag(optional=True),
+        **{
+            name: RetryPolicy.rules[name]
+            for name in ("retry_deadline", "max_reposts", "backoff_base", "degrade_quorum")
+        },
+    }
+    """One :class:`~repro.util.fields.Rule` per field; the retry knobs
+    share :class:`~repro.hits.resilience.RetryPolicy`'s."""
+
     def __post_init__(self) -> None:
-        if self.sort_method not in ("compare", "rate", "hybrid"):
-            raise PlanError(f"unknown sort method {self.sort_method!r}")
-        if self.hybrid_strategy not in ("random", "confidence", "window"):
-            raise PlanError(f"unknown hybrid strategy {self.hybrid_strategy!r}")
-        if not isinstance(self.limit_sort_tournament, bool):
-            raise PlanError(
-                "limit_sort_tournament must be True or False, got "
-                f"{self.limit_sort_tournament!r}"
-            )
-        for name in ("adapt", "resilience"):
-            value = getattr(self, name)
-            if value is not None and not isinstance(value, bool):
-                raise PlanError(f"{name} must be None, True or False, got {value!r}")
-        if self.combiner is not None and self.combiner not in combiner_names():
-            raise PlanError(
-                f"combiner must be None or one of {list(combiner_names())}, "
-                f"got {self.combiner!r}"
-            )
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise PlanError(f"seed must be an integer, got {self.seed!r}")
-        if self.adaptive is not None and not isinstance(self.adaptive, AdaptivePolicy):
-            raise PlanError(
-                f"adaptive must be None or an AdaptivePolicy, got {self.adaptive!r}"
-            )
-        for name, minimum in _MINIMUMS.items():
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-                raise PlanError(f"{name} must be an integer >= {minimum}, got {value!r}")
-        for name, (optional, rule, holds) in _REALS.items():
-            value = getattr(self, name)
-            if value is None and optional:
-                continue
-            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-            if not (real and holds(value)):
-                allowed = "None or a real number" if optional else "a real number"
-                raise PlanError(f"{name} must be {allowed} {rule}, got {value!r}")
+        check_fields(self, self.rules, ConfigError)
 
     def with_overrides(self, **kwargs) -> "ExecutionConfig":
         """A copy with some fields replaced (experiment sweeps)."""
         return replace(self, **kwargs)
+
+
+_MINIMUMS = {
+    name: rule.low
+    for name, rule in ExecutionConfig.rules.items()
+    if rule.kind == INTEGER and rule.low is not None
+}
+"""Smallest accepted value of each count-valued :class:`ExecutionConfig`
+field, read off its rules."""
 
 
 @dataclass

@@ -127,12 +127,13 @@ def _filter_batch_for(node: CrowdPredicateNode, catalog: "Catalog", config: "Exe
 
 def _predicate_cost(
     node: CrowdPredicateNode,
-    rows: float,
+    child_rows: list[float],
     catalog: "Catalog",
     config: "ExecutionConfig",
     book: "SelectivityBook",
     pricing: PricingModel,
 ) -> OperatorCost:
+    rows = child_rows[0] if child_rows else 0.0
     sigma = book.estimate(predicate_key(node.predicate))
     batch = _filter_batch_for(node, catalog, config)
     hits = math.ceil(rows / batch) if rows else 0
@@ -157,11 +158,6 @@ pass-through cost (execution never depends on the forecast for
 correctness), so out-of-tree kinds degrade gracefully until they register
 their own arithmetic.
 """
-
-
-def register_node_cost(kind: str, handler=None, *, replace: bool = False):
-    """Register a cost-model handler for a plan-node kind."""
-    return NODE_COST_MODELS.register(kind, handler, replace=replace)
 
 
 def estimate_plan_cost(
@@ -206,40 +202,6 @@ def _computed_filter_cost_entry(
     return OperatorCost(label=node.label(), rows_in=rows, rows_out=rows * sigma)
 
 
-def _crowd_filter_cost_entry(
-    node: CrowdPredicateNode, child_rows, catalog, config, book, pricing
-) -> OperatorCost:
-    rows = child_rows[0] if child_rows else 0.0
-    return _predicate_cost(node, rows, catalog, config, book, pricing)
-
-
-def _adaptive_filter_cost_entry(
-    node: AdaptiveFilterNode, child_rows, catalog, config, book, pricing
-) -> OperatorCost:
-    rows = child_rows[0] if child_rows else 0.0
-    return _adaptive_chain_cost(node, rows, catalog, config, book, pricing)
-
-
-def _join_cost_entry(
-    node: JoinNode, child_rows, catalog, config, book, pricing
-) -> OperatorCost:
-    return _join_cost(node, child_rows, catalog, config, book, pricing)
-
-
-def _sort_cost_entry(
-    node: SortNode, child_rows, catalog, config, book, pricing
-) -> OperatorCost:
-    rows = child_rows[0] if child_rows else 0.0
-    return _sort_cost(node, rows, config, pricing)
-
-
-def _project_cost_entry(
-    node: ProjectNode, child_rows, catalog, config, book, pricing
-) -> OperatorCost:
-    rows = child_rows[0] if child_rows else 0.0
-    return _project_cost(node, rows, catalog, config, pricing)
-
-
 def _limit_cost_entry(
     node: LimitNode, child_rows, catalog, config, book, pricing
 ) -> OperatorCost:
@@ -249,19 +211,9 @@ def _limit_cost_entry(
     )
 
 
-NODE_COST_MODELS.register(ScanNode.kind, _scan_cost_entry)
-NODE_COST_MODELS.register(ComputedFilterNode.kind, _computed_filter_cost_entry)
-NODE_COST_MODELS.register(CrowdPredicateNode.kind, _crowd_filter_cost_entry)
-NODE_COST_MODELS.register(AdaptiveFilterNode.kind, _adaptive_filter_cost_entry)
-NODE_COST_MODELS.register(JoinNode.kind, _join_cost_entry)
-NODE_COST_MODELS.register(SortNode.kind, _sort_cost_entry)
-NODE_COST_MODELS.register(ProjectNode.kind, _project_cost_entry)
-NODE_COST_MODELS.register(LimitNode.kind, _limit_cost_entry)
-
-
 def _adaptive_chain_cost(
     node: AdaptiveFilterNode,
-    rows: float,
+    child_rows: list[float],
     catalog: "Catalog",
     config: "ExecutionConfig",
     book: "SelectivityBook",
@@ -275,6 +227,7 @@ def _adaptive_chain_cost(
     """
     from repro.core.adaptive import pilot_size
 
+    rows = child_rows[0] if child_rows else 0.0
     members = list(node.members)
     sigmas = {
         id(m): book.estimate(predicate_key(m.predicate)) for m in members
@@ -391,9 +344,14 @@ def _join_cost(
 
 
 def _sort_cost(
-    node: SortNode, rows: float, config: "ExecutionConfig", pricing: PricingModel
+    node: SortNode,
+    child_rows: list[float],
+    catalog: "Catalog",
+    config: "ExecutionConfig",
+    book: "SelectivityBook",
+    pricing: PricingModel,
 ) -> OperatorCost:
-    n = rows
+    rows = n = child_rows[0] if child_rows else 0.0
     if config.sort_method == "rate":
         hits = math.ceil(n / config.rate_batch_size)
     elif config.sort_method == "compare":
@@ -416,11 +374,13 @@ def _sort_cost(
 
 def _project_cost(
     node: ProjectNode,
-    rows: float,
+    child_rows: list[float],
     catalog: "Catalog",
     config: "ExecutionConfig",
+    book: "SelectivityBook",
     pricing: PricingModel,
 ) -> OperatorCost:
+    rows = child_rows[0] if child_rows else 0.0
     crowd = False
     if not node.star:
         crowd = any(
@@ -439,6 +399,16 @@ def _project_cost(
         assignments=assignments,
         dollars=pricing.cost(int(assignments)),
     )
+
+
+NODE_COST_MODELS.register(ScanNode.kind, _scan_cost_entry)
+NODE_COST_MODELS.register(ComputedFilterNode.kind, _computed_filter_cost_entry)
+NODE_COST_MODELS.register(CrowdPredicateNode.kind, _predicate_cost)
+NODE_COST_MODELS.register(AdaptiveFilterNode.kind, _adaptive_chain_cost)
+NODE_COST_MODELS.register(JoinNode.kind, _join_cost)
+NODE_COST_MODELS.register(SortNode.kind, _sort_cost)
+NODE_COST_MODELS.register(ProjectNode.kind, _project_cost)
+NODE_COST_MODELS.register(LimitNode.kind, _limit_cost_entry)
 
 
 def operator_estimates(

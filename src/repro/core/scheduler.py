@@ -265,11 +265,6 @@ bypasses the operator's clock and the in-flight budget count.
 """
 
 
-def register_pipeline_generator(kind: str, handler=None, *, replace: bool = False):
-    """Register a pipelined generator factory for a plan-node kind."""
-    return PIPELINE_GENERATORS.register(kind, handler, replace=replace)
-
-
 class PipelineScheduler:
     """Deterministic event loop over operator tasks and bounded queues."""
 

@@ -44,11 +44,12 @@ module owns the plan and the per-group bookkeeping record.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
+from repro.errors import ConfigError
+from repro.util.fields import Rule, check_fields, real
 
-def _check_rate(name: str, value: float) -> None:
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must be a probability in [0, 1], got {value}")
+_RATE = real(0, 1)
 
 
 @dataclass(frozen=True)
@@ -91,32 +92,23 @@ class FaultPlan:
     :class:`~repro.errors.TransientMarketplaceError` before doing any
     work (the call is safe to retry)."""
 
+    rules: ClassVar[dict[str, Rule]] = {
+        "abandonment_rate": _RATE,
+        "expiration_rate": _RATE,
+        "expiration_lifetime_fraction": real(0, 1, low_open=True),
+        "straggler_rate": _RATE,
+        "straggler_factor": real(1),
+        "spam_rate": _RATE,
+        "transient_error_rate": _RATE,
+    }
+
     def __post_init__(self) -> None:
-        _check_rate("abandonment_rate", self.abandonment_rate)
-        _check_rate("expiration_rate", self.expiration_rate)
-        _check_rate("straggler_rate", self.straggler_rate)
-        _check_rate("spam_rate", self.spam_rate)
-        _check_rate("transient_error_rate", self.transient_error_rate)
-        if not 0.0 < self.expiration_lifetime_fraction <= 1.0:
-            raise ValueError(
-                "expiration_lifetime_fraction must be in (0, 1], got "
-                f"{self.expiration_lifetime_fraction}"
-            )
-        if self.straggler_factor < 1.0:
-            raise ValueError(
-                f"straggler_factor must be >= 1, got {self.straggler_factor}"
-            )
+        check_fields(self, self.rules, ConfigError)
 
     @property
     def active(self) -> bool:
         """Whether any fault rate is non-zero."""
-        return (
-            self.abandonment_rate > 0
-            or self.expiration_rate > 0
-            or self.straggler_rate > 0
-            or self.spam_rate > 0
-            or self.transient_error_rate > 0
-        )
+        return self.disrupts_dispatch or self.transient_error_rate > 0
 
     @property
     def disrupts_dispatch(self) -> bool:

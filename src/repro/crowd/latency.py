@@ -20,10 +20,11 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
 from dataclasses import dataclass
+from typing import ClassVar
 
 from repro.errors import MarketplaceError
+from repro.util.fields import Rule, check_fields, integer, real
 from repro.util.rng import RandomSource
 
 
@@ -72,34 +73,20 @@ class LatencyConfig:
     """Per-posting lognormal jitter on the base rate — MTurk is 'dynamic'
     (§3.3.2); two identical trials complete in different times."""
 
+    rules: ClassVar[dict[str, Rule]] = {
+        "base_pickup_rate": real(0, low_open=True),
+        "attraction_log_scale": real(0),
+        "straggler_fraction": real(0, 1, high_open=True),
+        "straggler_slowdown": real(0, low_open=True),
+        "work_time_sigma": real(0),
+        "work_overhead_seconds": real(0),
+        "deadline_hours": real(0, low_open=True),
+        "max_consecutive_refusals": integer(1),
+        "trial_jitter": real(0),
+    }
+
     def __post_init__(self) -> None:
-        for name, (rule, holds) in _RANGES.items():
-            value = getattr(self, name)
-            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-            if not (real and math.isfinite(value) and holds(value)):
-                raise MarketplaceError(
-                    f"LatencyConfig.{name} must be {rule}, got {value!r}"
-                )
-
-
-_POSITIVE = ("a finite number > 0", lambda value: value > 0)
-_NON_NEGATIVE = ("a finite number >= 0", lambda value: value >= 0)
-_RANGES = {
-    "base_pickup_rate": _POSITIVE,
-    "attraction_log_scale": _NON_NEGATIVE,
-    "straggler_fraction": ("a finite number in [0, 1)", lambda value: 0 <= value < 1),
-    "straggler_slowdown": _POSITIVE,
-    "work_time_sigma": _NON_NEGATIVE,
-    "work_overhead_seconds": _NON_NEGATIVE,
-    "deadline_hours": _POSITIVE,
-    "max_consecutive_refusals": (
-        "an integer >= 1",
-        lambda value: isinstance(value, numbers.Integral) and value >= 1,
-    ),
-    "trial_jitter": _NON_NEGATIVE,
-}
-"""Each :class:`LatencyConfig` field → (its rule, the check); every field
-must also be a real number, not a bool, and finite."""
+        check_fields(self, self.rules, MarketplaceError)
 
 
 class LatencyModel:

@@ -54,8 +54,9 @@ from repro.crowd.faults import FaultPlan, GroupFaultRecord
 from repro.crowd.latency import LatencyConfig, LatencyModel, TimeOfDay
 from repro.crowd.pool import PoolConfig, WorkerPool
 from repro.crowd.truth import GroundTruth
-from repro.errors import MarketplaceError, TransientMarketplaceError
+from repro.errors import ConfigError, MarketplaceError, TransientMarketplaceError
 from repro.hits.hit import HIT, Assignment, HITGroupTicket
+from repro.util.fields import check_value, choice, integer
 from repro.util.rng import RandomSource, child_seed_from_material
 from repro.util.toggles import RESILIENCE, VECTOR
 
@@ -137,12 +138,13 @@ class SimulatedMarketplace:
         latency: LatencyModel | None = None,
         faults: FaultPlan | None = None,
     ) -> None:
+        check_value("SimulatedMarketplace", "seed", seed, integer(), ConfigError)
+        windows = choice(*TimeOfDay, *(window.value for window in TimeOfDay))
+        check_value("SimulatedMarketplace", "time_of_day", time_of_day, windows, ConfigError)
         self.truth = truth
         self.pool = pool or WorkerPool.build(PoolConfig(), seed=seed)
         self.latency = latency or LatencyModel(LatencyConfig())
-        if isinstance(time_of_day, str):
-            time_of_day = TimeOfDay(time_of_day)
-        self.time_of_day = time_of_day
+        self.time_of_day = TimeOfDay(time_of_day)
         self.faults = faults
         self.stats = MarketplaceStats()
         self._rng = RandomSource(seed).child("marketplace")

@@ -12,9 +12,11 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterable, Sequence
+from typing import ClassVar, Iterable, Sequence
 
 from repro.crowd.worker import WorkerProfile, make_reliable, make_sloppy, make_spammer
+from repro.errors import ConfigError
+from repro.util.fields import Rule, check_fields, integer, real
 from repro.util.rng import RandomSource
 
 
@@ -29,12 +31,20 @@ class PoolConfig:
     zipf_exponent: float = 0.9
     spammer_batch_affinity: float = 0.15
 
+    rules: ClassVar[dict[str, Rule]] = {
+        "size": integer(3),
+        "reliable_fraction": real(0, 1),
+        "sloppy_fraction": real(0, 1),
+        "spammer_fraction": real(0, 1),
+        "zipf_exponent": real(0),
+        "spammer_batch_affinity": real(0),
+    }
+
     def __post_init__(self) -> None:
+        check_fields(self, self.rules, ConfigError)
         total = self.reliable_fraction + self.sloppy_fraction + self.spammer_fraction
         if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"archetype fractions must sum to 1, got {total}")
-        if self.size < 3:
-            raise ValueError("pool must have at least 3 workers")
+            raise ConfigError(f"PoolConfig archetype fractions must sum to 1, got {total}")
 
 
 EXCLUSION_MARGIN = 1e-13

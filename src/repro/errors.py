@@ -41,13 +41,15 @@ class PlanError(QurkError):
     """The planner could not translate a parsed query into a plan."""
 
 
-class StoreConfigError(PlanError, ValueError, TypeError):
-    """A persistent-store spec (``store=``, :class:`~repro.hits.store.StoreConfig`)
-    was unusable: a knob out of range, or a spec of the wrong type.
+class ConfigError(PlanError, ValueError, TypeError):
+    """A config field got a value its rule (:mod:`repro.util.fields`)
+    rejects. Also a ``ValueError`` and a ``TypeError``, the builtins these
+    classes raised before, so code that caught those still catches it."""
 
-    It is also a ``ValueError`` and a ``TypeError``, the builtins these
-    specs raised before, so code that caught those still catches it.
-    """
+
+class StoreConfigError(ConfigError):
+    """A persistent-store spec (``store=``, :class:`~repro.hits.store.StoreConfig`)
+    was unusable: a knob out of range, or a spec of the wrong type."""
 
 
 class ExecutionError(QurkError):

@@ -271,7 +271,7 @@ def run_assignments_accuracy(seed: int = 0, n_celebs: int = 30) -> tuple[Experim
         "R²=0.028, positive slope, p<.05)",
         headers=["Workers", "beta", "R^2", "p-value"],
     )
-    table.add_row(fit.n, round(fit.slope, 6), round(fit.r_squared, 4), round(fit.p_value, 4))
+    table.add_row(fit.n, f"{fit.slope:+.1e}", round(fit.r_squared, 4), round(fit.p_value, 4))
     table.note(
         "Work volume explains almost none of the accuracy variance: heavy "
         "workers are not sloppier."

@@ -375,6 +375,20 @@ participates once its kind is registered with the compiler
 model (:func:`repro.crowd.behavior.register_payload_answerer`)."""
 
 
+ASKED_QIDS: dict[str, Callable[..., Iterable[str]]] = {
+    "filter": lambda p: [q.qid(p.task_name) for q in p.questions],
+    "generative": lambda p: [
+        generative_qid(p.task_name, q.item, f.name) for q in p.questions for f in p.fields
+    ],
+    "compare": lambda p: [qid for layout in p.pair_layouts() for _, _, qid in layout],
+    "rate": lambda p: [rate_qid(p.task_name, q.item) for q in p.questions],
+    "join_pairs": lambda p: [join_qid(p.task_name, x.left, x.right) for x in p.pairs],
+    "join_grid": lambda p: p.pair_qids(),
+    "pick_best": lambda p: [p.qid()],
+}
+"""Builtin payload kind → the question ids a payload of that kind asks."""
+
+
 # ---------------------------------------------------------------------------
 # HITs and assignments
 # ---------------------------------------------------------------------------

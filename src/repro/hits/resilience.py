@@ -35,8 +35,11 @@ reposts perturb the golden trace. ``resilience=False`` always disarms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
+from typing import ClassVar
 
+from repro.errors import ConfigError
+from repro.util.fields import Rule, check_fields, integer, real
 from repro.util.toggles import RESILIENCE
 
 
@@ -76,23 +79,34 @@ class RetryPolicy:
     circuit_cooldown_seconds: float = 1800.0
     """Virtual seconds the breaker stays open before allowing a probe."""
 
+    rules: ClassVar[dict[str, Rule]] = {
+        "retry_deadline": real(0, low_open=True, optional=True),
+        "max_reposts": integer(0),
+        "backoff_base": real(0, low_open=True),
+        "backoff_factor": real(1),
+        "price_escalation": real(0),
+        "degrade_quorum": real(0, 1, low_open=True),
+        "circuit_threshold": integer(1),
+        "circuit_cooldown_seconds": real(0),
+    }
+
+    def __post_init__(self) -> None:
+        check_fields(self, self.rules, ConfigError)
+
     def backoff_for(self, attempt: int) -> float:
         """Backoff (virtual seconds) before repost round ``attempt`` (1-based)."""
         return self.backoff_base * (self.backoff_factor ** (attempt - 1))
 
     @classmethod
     def from_config(cls, config) -> "RetryPolicy":
-        """Build a policy from an ``ExecutionConfig``-like object.
+        """Build a policy from an ``ExecutionConfig``: the fields the two
+        share are read off it, the rest keep their defaults.
 
         Duck-typed on attribute names so this module never imports
         :mod:`repro.core` (the dependency points the other way).
         """
-        return cls(
-            retry_deadline=getattr(config, "retry_deadline", None),
-            max_reposts=getattr(config, "max_reposts", 2),
-            backoff_base=getattr(config, "backoff_base", 120.0),
-            degrade_quorum=getattr(config, "degrade_quorum", 0.5),
-        )
+        shared = [f.name for f in fields(cls) if hasattr(config, f.name)]
+        return cls(**{name: getattr(config, name) for name in shared})
 
 
 @dataclass
@@ -128,29 +142,8 @@ class DegradationSummary:
         if label not in self.degraded_operators:
             self.degraded_operators.append(label)
 
-    def any(self) -> bool:
-        """Whether anything at all was retried, reposted, or degraded."""
-        return bool(
-            self.transient_retries
-            or self.reposts
-            or self.reposted_hits
-            or self.recovered_assignments
-            or self.unfilled_assignments
-            or self.degraded_groups
-            or self.circuit_opens
-        )
-
     def as_dict(self) -> dict[str, object]:
-        return {
-            "transient_retries": self.transient_retries,
-            "reposts": self.reposts,
-            "reposted_hits": self.reposted_hits,
-            "recovered_assignments": self.recovered_assignments,
-            "unfilled_assignments": self.unfilled_assignments,
-            "degraded_groups": self.degraded_groups,
-            "degraded_operators": list(self.degraded_operators),
-            "circuit_opens": self.circuit_opens,
-        }
+        return asdict(self)
 
 
 class CircuitBreaker:

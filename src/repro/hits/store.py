@@ -55,17 +55,17 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import numbers
 import os
 import sqlite3
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence, Union
+from typing import Callable, ClassVar, Sequence, Union
 
 from repro.errors import StoreConfigError
-from repro.hits.hit import HIT, Assignment
+from repro.hits.hit import ASKED_QIDS, HIT, Assignment
 from repro.relational.expressions import UNKNOWN
+from repro.util.fields import Rule, check_fields, check_value, instance, integer, real
 
 logger = logging.getLogger(__name__)
 
@@ -104,6 +104,17 @@ class StoreConfig:
     max_rows: int | None = None
     max_bytes: int | None = None
     combiner: str | None = None
+
+    rules: ClassVar[dict[str, Rule]] = {
+        "path": instance(str, Path),
+        "ttl_seconds": real(0, low_open=True, optional=True),
+        "max_rows": integer(1, optional=True),
+        "max_bytes": integer(1, optional=True),
+        "combiner": instance(str, optional=True),
+    }
+
+    def __post_init__(self) -> None:
+        check_fields(self, self.rules, StoreConfigError)
 
 
 _CREATE_SQL = (
@@ -193,6 +204,22 @@ def _decode_assignments(blob: str) -> tuple[Assignment, ...]:
     )
 
 
+def _unasked(hit: HIT, assignments: Sequence[Assignment]) -> str | None:
+    """Why a decoded row cannot answer ``hit``: an answer whose id names a
+    question of one of its tasks that it does not ask. Rows of HITs with
+    an out-of-tree payload kind, whose ids are unknown, always pass."""
+    listings = [ASKED_QIDS.get(payload.kind) for payload in hit.payloads]
+    if None in listings:
+        return None
+    asked = {qid for lists, p in zip(listings, hit.payloads) for qid in lists(p)}
+    tasks = tuple(f"{payload.task_name}:" for payload in hit.payloads)
+    for assignment in assignments:
+        for qid in assignment.answers:
+            if qid not in asked and qid.startswith(tasks):
+                return f"answers {qid!r}, which the HIT does not ask"
+    return None
+
+
 class PersistentAnswerStore:
     """SQLite-backed :class:`~repro.hits.cache.HITCache` (see module docs).
 
@@ -213,19 +240,10 @@ class PersistentAnswerStore:
         fingerprint: str | None = None,
         clock: Callable[[], float] = time.time,
     ) -> None:
-        # ``not x > 0`` and ``not x >= 1`` also reject NaN, with which no
-        # row would ever expire or be evicted.
-        if ttl_seconds is not None and not (
-            isinstance(ttl_seconds, numbers.Real) and ttl_seconds > 0
-        ):
-            raise StoreConfigError(
-                f"ttl_seconds must be None or > 0, got {ttl_seconds!r}"
-            )
-        for name, budget in (("max_rows", max_rows), ("max_bytes", max_bytes)):
-            if budget is not None and not (
-                isinstance(budget, numbers.Real) and budget >= 1
-            ):
-                raise StoreConfigError(f"{name} must be None or >= 1, got {budget!r}")
+        knobs = dict(path=path, ttl_seconds=ttl_seconds, max_rows=max_rows, max_bytes=max_bytes)
+        for name, value in knobs.items():
+            rule = StoreConfig.rules[name]
+            check_value("PersistentAnswerStore", name, value, rule, StoreConfigError)
         self.path = Path(path)
         self.ttl_seconds = ttl_seconds
         self.max_rows = max_rows
@@ -451,11 +469,15 @@ class PersistentAnswerStore:
         try:
             assignments = _decode_assignments(row[0])
         except (ValueError, KeyError, TypeError) as exc:
-            # A structurally valid DB holding an unreadable blob: drop the
-            # row and treat as a miss rather than poisoning the engine.
-            logger.warning(
-                "answer store row %r undecodable (%s); dropping it", key, exc
-            )
+            problem = f"undecodable ({exc})"
+        else:
+            problem = _unasked(hit, assignments)
+        if problem is not None:
+            # A structurally valid DB holding an unreadable blob, or answers
+            # to questions this HIT does not ask (ids written under an older
+            # encoding): drop the row and treat as a miss rather than
+            # poisoning the engine.
+            logger.warning("answer store row %r %s; dropping it", key, problem)
             try:
                 self._conn.execute(
                     "DELETE FROM answers WHERE cache_key = ?", (key,)

@@ -79,7 +79,7 @@ def test_book_record_fraction_and_keys():
 def test_adapt_off_reproduces_pinned_golden_trace():
     """The full Table-5 trace (votes, clock, ledger) with the adaptive
     optimizer forced off must equal the pinned golden byte for byte."""
-    from test_determinism_trace import GOLDEN_PATH, collect_trace
+    from determinism_pins import GOLDEN_PATH, collect_trace
 
     with ADAPT.forced(False):
         trace = collect_trace(seed=0)

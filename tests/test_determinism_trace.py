@@ -19,130 +19,16 @@ from __future__ import annotations
 
 import hashlib
 import json
-from pathlib import Path
 
 import pytest
 
-from repro.core.context import ExecutionConfig
-from repro.core.engine import Qurk
-from repro.crowd import SimulatedMarketplace
-from repro.datasets.movie import movie_dataset
-from repro.experiments.end_to_end import QUERY_NO_FILTER, QUERY_WITH_FILTER
-from repro.joins.batching import JoinInterface
-
-GOLDEN_PATH = Path(__file__).parent / "golden" / "determinism_trace.json"
-VECTOR_GOLDEN_PATH = Path(__file__).parent / "golden" / "determinism_trace_vector.json"
-
-
-class RecordingPlatform:
-    """Delegates to a marketplace while recording every completed assignment."""
-
-    def __init__(self, inner: SimulatedMarketplace) -> None:
-        self.inner = inner
-        self.completed = []
-
-    def post_hit_group(self, hits, group_id=None):
-        assignments = self.inner.post_hit_group(hits, group_id=group_id)
-        self.completed.extend(assignments)
-        return assignments
-
-    @property
-    def clock_seconds(self) -> float:
-        return self.inner.clock_seconds
-
-
-OPTIMIZED_CONFIG = ExecutionConfig(
-    join_interface=JoinInterface.SMART,
-    grid_rows=5,
-    grid_cols=5,
-    use_feature_filters=True,
-    generative_batch_size=5,
-    sort_method="rate",
-    compare_group_size=5,
-    rate_batch_size=5,
+from determinism_pins import (
+    GOLDEN_PATH,
+    UNOPTIMIZED_TRACE_SHA256,
+    VECTOR_GOLDEN_PATH,
+    collect_trace,
+    unoptimized_trace_digest,
 )
-"""The paper's optimized plan: numInScene filter + Smart 5x5 join + Rate."""
-
-UNOPTIMIZED_CONFIG = ExecutionConfig(
-    join_interface=JoinInterface.SIMPLE,
-    use_feature_filters=False,
-    sort_method="compare",
-    compare_group_size=5,
-)
-"""The paper's baseline plan: Simple join + Compare sort, no filter."""
-
-
-def collect_trace(
-    seed: int = 0,
-    through_session: bool = False,
-    faults=None,
-    store=None,
-    unoptimized: bool = False,
-) -> dict:
-    """Run the fixed-seed join + sort query and trace everything observable.
-
-    This is the movie query under the paper's optimized plan (numInScene
-    filter + Smart 5x5 join + Rate sort), exercising generative, join-grid,
-    and rating HITs in one pass. ``unoptimized`` runs the paper's baseline
-    instead (no filter, Simple join, Compare sort): over a thousand
-    single-pair and compare HITs, where four worker picks in five exclude
-    the workers already on the HIT. With ``through_session`` the same query
-    runs as a single-query :class:`~repro.core.session.EngineSession`
-    instead of a plain engine — the session layer's fidelity contract says
-    the trace must be identical. ``faults`` installs a
-    :class:`~repro.crowd.faults.FaultPlan` on the marketplace (a zero-rate
-    plan must leave the trace untouched). ``store`` passes a persistent
-    answer-store spec through to the facade — under ``REPRO_STORE=0`` a
-    configured store must leave the trace untouched too.
-    """
-    data = movie_dataset(seed=seed)
-    market = SimulatedMarketplace(data.truth, seed=seed, faults=faults)
-    platform = RecordingPlatform(market)
-    config = UNOPTIMIZED_CONFIG if unoptimized else OPTIMIZED_CONFIG
-    query = QUERY_NO_FILTER if unoptimized else QUERY_WITH_FILTER
-    if through_session:
-        from repro.core.session import EngineSession
-
-        session = EngineSession(platform=platform, config=config, store=store)
-        session.register_table(data.actors)
-        session.register_table(data.scenes)
-        session.define(data.task_dsl)
-        handle = session.submit(query)
-        result = session.run()[handle]
-        ledger = handle.ledger
-    else:
-        engine = Qurk(platform=platform, config=config, store=store)
-        engine.register_table(data.actors)
-        engine.register_table(data.scenes)
-        engine.define(data.task_dsl)
-        result = engine.execute(query)
-        ledger = engine.ledger
-    votes = []
-    for assignment in platform.completed:
-        for qid, value in assignment.answers.items():
-            votes.append([qid, assignment.worker_id, repr(value)])
-    return {
-        "seed": seed,
-        "result_rows": len(result.rows),
-        "votes": votes,
-        "clock_seconds": market.clock_seconds,
-        "ledger": {
-            "total_hits": ledger.total_hits,
-            "total_assignments": ledger.total_assignments,
-            "total_cost": round(ledger.total_cost, 10),
-        },
-        "stats": {
-            "hits_posted": market.stats.hits_posted,
-            "considerations": market.stats.considerations,
-            "refusals": market.stats.refusals,
-            "assignments_completed": market.stats.assignments_completed,
-        },
-        "assignment_ids": [a.assignment_id for a in platform.completed[-5:]],
-        "submit_times": [
-            platform.completed[i].submit_time
-            for i in (0, len(platform.completed) // 2, -1)
-        ],
-    }
 
 
 def test_fast_path_matches_golden():
@@ -278,19 +164,6 @@ def test_fast_and_reference_agree_on_other_seeds():
     }
     digest = hashlib.sha256(json.dumps(trace, sort_keys=True).encode()).hexdigest()
     assert digest == SEED_7_TRACE_SHA256
-
-
-UNOPTIMIZED_TRACE_SHA256 = "ce9703312025e1022ca8af5b361a5913c6e2bc4c84bd79390eedf84d71415990"
-"""sha256 of ``json.dumps(collect_trace(seed=0, unoptimized=True),
-sort_keys=True)``, recorded at commit 93683f7, where an exclusion pick still
-rebuilt the weight table. Re-pin on purpose only, with
-``python scripts/regen_golden_trace.py --unoptimized``."""
-
-
-def unoptimized_trace_digest() -> str:
-    """The digest :data:`UNOPTIMIZED_TRACE_SHA256` pins."""
-    trace = collect_trace(seed=0, unoptimized=True)
-    return hashlib.sha256(json.dumps(trace, sort_keys=True).encode()).hexdigest()
 
 
 def test_unoptimized_plan_matches_pinned_digest():

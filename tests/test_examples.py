@@ -12,45 +12,10 @@ example's output on purpose.
 from __future__ import annotations
 
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-EXAMPLES_DIR = REPO_ROOT / "examples"
-EXAMPLES_GOLDEN_PATH = Path(__file__).parent / "golden" / "examples.json"
-EXAMPLES = sorted(path.stem for path in EXAMPLES_DIR.glob("*.py"))
-
-
-def run_example(name: str) -> list[str]:
-    """The stdout lines of ``examples/<name>.py``; raises if it fails."""
-    environ = {
-        key: value for key, value in os.environ.items() if not key.startswith("REPRO_")
-    }
-    environ["PYTHONPATH"] = os.pathsep.join(
-        [str(REPO_ROOT / "src"), environ.get("PYTHONPATH", "")]
-    )
-    done = subprocess.run(
-        [sys.executable, str(EXAMPLES_DIR / f"{name}.py")],
-        env=environ,
-        cwd=REPO_ROOT,
-        capture_output=True,
-        text=True,
-        check=False,
-    )
-    if done.returncode != 0:
-        raise RuntimeError(
-            f"examples/{name}.py exited {done.returncode}:\n{done.stderr}"
-        )
-    return done.stdout.splitlines()
-
-
-def render_examples() -> dict[str, list[str]]:
-    """Every example's stdout, as text lines."""
-    return {name: run_example(name) for name in EXAMPLES}
+from determinism_pins import EXAMPLES, EXAMPLES_GOLDEN_PATH, run_example
 
 
 @pytest.fixture(scope="module")

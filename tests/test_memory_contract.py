@@ -29,7 +29,7 @@ from repro.experiments.session_workload import variant_configs
 from repro.hits.hit import HIT, CompareGroup, ComparePayload
 from repro.util.toggles import VECTOR
 
-from tests.test_determinism_trace import UNOPTIMIZED_CONFIG
+from determinism_pins import UNOPTIMIZED_CONFIG
 
 RETAINED_LIMIT = 8 * 1024
 """Bytes two finished queries may leave allocated: interpreter free lists

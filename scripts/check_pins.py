@@ -17,14 +17,11 @@ under every ``python3.X`` it can start.
 
 Usage::
 
-    python scripts/check_pins.py                     # all three pins
-    python scripts/check_pins.py --only scalar       # one pin
-    python scripts/check_pins.py --golden other.json --only scalar
+    python scripts/check_pins.py
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import platform
 import sys
@@ -44,9 +41,6 @@ from determinism_pins import (  # noqa: E402
     run_example,
     unoptimized_trace_digest,
 )
-
-CHECKS = ("scalar", "unoptimized", "examples")
-
 
 def interpreter() -> str:
     """The running interpreter, as a mismatch report names it."""
@@ -81,7 +75,7 @@ def first_difference(pinned: object, actual: object, where: str) -> str | None:
     return None
 
 
-def check_scalar(golden_path: Path) -> str | None:
+def check_scalar(golden_path: Path = GOLDEN_PATH) -> str | None:
     pinned = json.loads(golden_path.read_text(encoding="utf-8"))
     actual = json.loads(json.dumps(collect_trace(seed=0)))
     return first_difference(pinned, actual, "trace")
@@ -108,29 +102,21 @@ def check_examples() -> str | None:
     return None
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--only", choices=CHECKS, action="append", help="run just this check (repeatable)"
-    )
-    parser.add_argument(
-        "--golden", type=Path, default=GOLDEN_PATH, help="the scalar golden to compare with"
-    )
-    options = parser.parse_args(argv)
+def main() -> int:
     checks = {
-        "scalar": lambda: check_scalar(options.golden),
+        "scalar": check_scalar,
         "unoptimized": check_unoptimized,
         "examples": check_examples,
     }
     failed = 0
-    for name in options.only or CHECKS:
-        difference = checks[name]()
+    for name, check in checks.items():
+        difference = check()
         if difference is not None:
             failed += 1
             print(f"pin mismatch under {interpreter()}: {name}: {difference}")
     if failed:
         return 1
-    print(f"pins reproduce under {interpreter()}: {', '.join(options.only or CHECKS)}")
+    print(f"pins reproduce under {interpreter()}: {', '.join(checks)}")
     return 0
 
 

@@ -108,7 +108,13 @@ class FaultPlan:
     @property
     def active(self) -> bool:
         """Whether any fault rate is non-zero."""
-        return self.disrupts_dispatch or self.transient_error_rate > 0
+        return (
+            self.abandonment_rate > 0
+            or self.expiration_rate > 0
+            or self.straggler_rate > 0
+            or self.spam_rate > 0
+            or self.transient_error_rate > 0
+        )
 
     @property
     def disrupts_dispatch(self) -> bool:

@@ -41,7 +41,7 @@ class HITCache(Protocol):
     def store(self, hit: HIT, assignments: Sequence[Assignment]) -> None:
         ...  # pragma: no cover
 
-    def contains_key(self, cache_key: str) -> bool:
+    def contains_key(self, cache_key: str, payloads: Sequence[Payload] = ()) -> bool:
         ...  # pragma: no cover
 
 
@@ -89,17 +89,18 @@ class TaskCache:
         """Record completed assignments for future identical HITs."""
         self._store[hit.cache_key] = tuple(assignments)
 
-    def contains_key(self, cache_key: str) -> bool:
+    def contains_key(self, cache_key: str, payloads: Sequence[Payload] = ()) -> bool:
         """Whether a key is cached, *without* touching hit/miss accounting.
 
         Budget pre-flight peeks at keys it may never look up for real;
         counting those probes would distort the hit-rate stats.
 
-        Contract: ``contains_key(k)`` is true iff an immediately following
-        :meth:`lookup` of a HIT with key ``k`` would hit. Every
-        :class:`HITCache` implementation must preserve this equivalence
-        (the persistent store applies TTL expiry inside both methods for
-        exactly this reason) so that
+        Contract: ``contains_key(k, payloads)`` is true iff an immediately
+        following :meth:`lookup` of the HIT built from ``payloads`` (whose
+        key is ``k``) would hit. Every :class:`HITCache` implementation
+        must preserve this equivalence (the persistent store applies TTL
+        expiry and its replay check inside both methods for exactly this
+        reason) so that
         :meth:`~repro.hits.manager.TaskManager.projected_new_assignments`
         never projects cache savings the real lookup won't deliver.
         """
@@ -170,6 +171,6 @@ class TaskCacheView:
         self.owners.setdefault(hit.cache_key, self.owner)
         self.shared.store(hit, assignments)
 
-    def contains_key(self, cache_key: str) -> bool:
+    def contains_key(self, cache_key: str, payloads: Sequence[Payload] = ()) -> bool:
         """Accounting-free peek (see :meth:`TaskCache.contains_key`)."""
-        return self.shared.contains_key(cache_key)
+        return self.shared.contains_key(cache_key, payloads)

@@ -357,7 +357,7 @@ class TaskManager:
                 merged
                 for merged in batches
                 if not self.cache.contains_key(
-                    payload_cache_key(merged, assignments, cache_round)
+                    payload_cache_key(merged, assignments, cache_round), merged
                 )
             ]
         return len(batches) * assignments

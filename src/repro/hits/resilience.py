@@ -35,7 +35,7 @@ reposts perturb the golden trace. ``resilience=False`` always disarms.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from typing import ClassVar
 
 from repro.errors import ConfigError
@@ -142,8 +142,29 @@ class DegradationSummary:
         if label not in self.degraded_operators:
             self.degraded_operators.append(label)
 
+    def any(self) -> bool:
+        """Whether anything at all was retried, reposted, or degraded."""
+        return bool(
+            self.transient_retries
+            or self.reposts
+            or self.reposted_hits
+            or self.recovered_assignments
+            or self.unfilled_assignments
+            or self.degraded_groups
+            or self.circuit_opens
+        )
+
     def as_dict(self) -> dict[str, object]:
-        return asdict(self)
+        return {
+            "transient_retries": self.transient_retries,
+            "reposts": self.reposts,
+            "reposted_hits": self.reposted_hits,
+            "recovered_assignments": self.recovered_assignments,
+            "unfilled_assignments": self.unfilled_assignments,
+            "degraded_groups": self.degraded_groups,
+            "degraded_operators": list(self.degraded_operators),
+            "circuit_opens": self.circuit_opens,
+        }
 
 
 class CircuitBreaker:

@@ -63,9 +63,9 @@ from pathlib import Path
 from typing import Callable, ClassVar, Sequence, Union
 
 from repro.errors import StoreConfigError
-from repro.hits.hit import ASKED_QIDS, HIT, Assignment
+from repro.hits.hit import ASKED_QIDS, HIT, Assignment, Payload
 from repro.relational.expressions import UNKNOWN
-from repro.util.fields import Rule, check_fields, check_value, instance, integer, real
+from repro.util.fields import Rule, check_fields, instance, integer, real
 
 logger = logging.getLogger(__name__)
 
@@ -106,7 +106,7 @@ class StoreConfig:
     combiner: str | None = None
 
     rules: ClassVar[dict[str, Rule]] = {
-        "path": instance(str, Path),
+        "path": instance(str, os.PathLike),
         "ttl_seconds": real(0, low_open=True, optional=True),
         "max_rows": integer(1, optional=True),
         "max_bytes": integer(1, optional=True),
@@ -204,20 +204,28 @@ def _decode_assignments(blob: str) -> tuple[Assignment, ...]:
     )
 
 
-def _unasked(hit: HIT, assignments: Sequence[Assignment]) -> str | None:
-    """Why a decoded row cannot answer ``hit``: an answer whose id names a
-    question of one of its tasks that it does not ask. Rows of HITs with
-    an out-of-tree payload kind, whose ids are unknown, always pass."""
-    listings = [ASKED_QIDS.get(payload.kind) for payload in hit.payloads]
+def _replayable(
+    blob: str, payloads: Sequence[Payload]
+) -> tuple[tuple[Assignment, ...], str | None]:
+    """A disk row's assignments, and why they cannot answer the HIT built
+    from ``payloads`` (``None`` when they can): the blob does not decode,
+    or an answer's id names a question of one of the HIT's tasks that it
+    does not ask. Rows of HITs with an out-of-tree payload kind, whose ids
+    are unknown, are not checked."""
+    try:
+        assignments = _decode_assignments(blob)
+    except (ValueError, KeyError, TypeError) as exc:
+        return (), f"undecodable ({exc})"
+    listings = [ASKED_QIDS.get(payload.kind) for payload in payloads]
     if None in listings:
-        return None
-    asked = {qid for lists, p in zip(listings, hit.payloads) for qid in lists(p)}
-    tasks = tuple(f"{payload.task_name}:" for payload in hit.payloads)
+        return assignments, None
+    asked = {qid for lists, p in zip(listings, payloads) for qid in lists(p)}
+    tasks = tuple(f"{payload.task_name}:" for payload in payloads)
     for assignment in assignments:
         for qid in assignment.answers:
             if qid not in asked and qid.startswith(tasks):
-                return f"answers {qid!r}, which the HIT does not ask"
-    return None
+                return assignments, f"answers {qid!r}, which the HIT does not ask"
+    return assignments, None
 
 
 class PersistentAnswerStore:
@@ -240,10 +248,7 @@ class PersistentAnswerStore:
         fingerprint: str | None = None,
         clock: Callable[[], float] = time.time,
     ) -> None:
-        knobs = dict(path=path, ttl_seconds=ttl_seconds, max_rows=max_rows, max_bytes=max_bytes)
-        for name, value in knobs.items():
-            rule = StoreConfig.rules[name]
-            check_value("PersistentAnswerStore", name, value, rule, StoreConfigError)
+        StoreConfig(path, ttl_seconds, max_rows, max_bytes)  # checks the knobs
         self.path = Path(path)
         self.ttl_seconds = ttl_seconds
         self.max_rows = max_rows
@@ -466,12 +471,7 @@ class PersistentAnswerStore:
         if row is None:
             self.misses += 1
             return None
-        try:
-            assignments = _decode_assignments(row[0])
-        except (ValueError, KeyError, TypeError) as exc:
-            problem = f"undecodable ({exc})"
-        else:
-            problem = _unasked(hit, assignments)
+        assignments, problem = _replayable(row[0], hit.payloads)
         if problem is not None:
             # A structurally valid DB holding an unreadable blob, or answers
             # to questions this HIT does not ask (ids written under an older
@@ -542,22 +542,25 @@ class PersistentAnswerStore:
             return
         self._enforce_budget()
 
-    def contains_key(self, cache_key: str) -> bool:
+    def contains_key(self, cache_key: str, payloads: Sequence[Payload] = ()) -> bool:
         """Accounting-free peek, TTL-aware.
 
         Contract (relied on by budget pre-flight,
         :meth:`~repro.hits.manager.TaskManager.projected_new_assignments`):
-        ``contains_key(k) is True`` ⇔ an immediately following lookup of a
-        HIT with that key would hit — so pre-flight never projects savings
-        an expired or evicted row can't deliver.
+        ``contains_key(k, payloads) is True`` ⇔ an immediately following
+        lookup of the HIT built from ``payloads`` (key ``k``) would hit —
+        so pre-flight never projects savings an expired, evicted,
+        undecodable or stale row can't deliver. A disk row is checked
+        against ``payloads`` exactly as :meth:`lookup` checks it.
         """
         if self._memory_live(cache_key) is not None:
             return True
         try:
-            return self._fetch_live(cache_key) is not None
+            row = self._fetch_live(cache_key)
         except sqlite3.Error as exc:
             self._degrade(exc)
             return False
+        return row is not None and _replayable(row[0], payloads)[1] is None
 
     # -- TaskCache parity ----------------------------------------------------
 

@@ -16,18 +16,21 @@ check_pins = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(check_pins)
 
 
-def test_altered_golden_names_the_first_differing_vote(tmp_path, capsys):
+def test_altered_golden_names_the_first_differing_vote(tmp_path):
     golden = json.loads(GOLDEN_PATH.read_text())
     for index in (41, 90):
         golden["votes"][index][2] = "altered"
     altered = tmp_path / "golden.json"
     altered.write_text(json.dumps(golden))
 
-    assert check_pins.main(["--only", "scalar", "--golden", str(altered)]) == 1
-    report = capsys.readouterr().out
-    assert report.startswith(f"pin mismatch under CPython {platform.python_version()} (")
-    assert "scalar: trace.votes[41]: pinned [" in report and "'altered'], got [" in report
-    assert "votes[90]" not in report
+    difference = check_pins.check_scalar(altered)
+    assert difference.startswith("trace.votes[41]: pinned [")
+    assert "'altered'], got [" in difference and "votes[90]" not in difference
+    assert check_pins.check_scalar() is None
+
+
+def test_a_report_names_the_interpreter():
+    assert check_pins.interpreter().startswith(f"CPython {platform.python_version()} (")
 
 
 def test_first_difference_walks_records_in_order():

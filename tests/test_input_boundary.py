@@ -218,13 +218,24 @@ def test_marketplace_accepts_a_time_of_day_or_its_value():
 
 
 def test_store_knobs_share_store_config_rules(tmp_path):
-    with pytest.raises(StoreConfigError, match=r"PersistentAnswerStore\.max_rows must be"):
+    with pytest.raises(StoreConfigError, match=r"StoreConfig\.max_rows must be"):
         PersistentAnswerStore(tmp_path / "a.db", max_rows=2.5)
-    with pytest.raises(StoreConfigError, match=r"PersistentAnswerStore\.path must be"):
+    with pytest.raises(StoreConfigError, match=r"StoreConfig\.path must be"):
         PersistentAnswerStore(5)
     with pytest.raises(StoreConfigError, match="store must be a PersistentAnswerStore"):
         open_store(42)
     assert not (tmp_path / "a.db").exists()
+
+
+def test_store_path_may_be_any_path_like(tmp_path):
+    class Where:
+        def __fspath__(self):
+            return str(tmp_path / "b.db")
+
+    store = PersistentAnswerStore(Where())
+    assert store.path == tmp_path / "b.db"
+    store.close()
+    assert StoreConfig(Where()).path.__fspath__() == str(tmp_path / "b.db")
 
 
 def test_bad_store_spec_raises_with_the_store_off(tmp_path):

@@ -21,10 +21,13 @@ import logging
 import sqlite3
 from pathlib import Path
 
+import pytest
+
 from repro.core.context import ExecutionConfig
 from repro.core.engine import Qurk
 from repro.crowd import GroundTruth, SimulatedMarketplace
 from repro.datasets.squares import SORT_TASK, TASK_DSL
+from repro.errors import BudgetExceededError
 from repro.hits.hit import HIT, Assignment, JoinPair, JoinPairsPayload, split_pair
 from repro.hits.store import PersistentAnswerStore
 from repro.joins.batching import JoinInterface
@@ -59,7 +62,9 @@ COLD_ROWS = {
 squares sort by size."""
 
 
-def build_engine(store, seed: int = 3) -> tuple[Qurk, SimulatedMarketplace]:
+def build_engine(
+    store, seed: int = 3, config: ExecutionConfig = CONFIG
+) -> tuple[Qurk, SimulatedMarketplace]:
     """An engine over the band join and the square sort, posting through a
     fresh marketplace."""
     bands = Table("bands", Schema.of("name text", "img url"))
@@ -78,7 +83,7 @@ def build_engine(store, seed: int = 3) -> tuple[Qurk, SimulatedMarketplace]:
         comparison_ambiguity=0.1,
     )
     market = SimulatedMarketplace(truth, seed=seed)
-    engine = Qurk(platform=market, config=CONFIG, store=store)
+    engine = Qurk(platform=market, config=config, store=store)
     for table in (bands, photos, squares):
         engine.register_table(table)
     engine.define(BAND_DSL)
@@ -142,6 +147,29 @@ def test_unescaped_rows_are_asked_again(tmp_path, caplog):
     engine.store.close()
 
 
+def test_budget_preflight_does_not_count_stale_rows_as_paid(tmp_path):
+    """With no budget to spend, a warm run over the intact store replays
+    every HIT; over the rewritten store the pre-flight sees that the stale
+    rows will be asked again and aborts before posting them."""
+    path = tmp_path / "answers.db"
+    engine, _ = build_engine(path)
+    assert run_queries(engine) == COLD_ROWS
+    engine.store.close()
+    broke = CONFIG.with_overrides(max_budget=0.0)
+
+    engine, market = build_engine(path, config=broke)
+    assert run_queries(engine) == COLD_ROWS
+    assert market.stats.hits_posted == 0
+    engine.store.close()
+
+    assert rewrite_to_unescaped_ids(path) > 0
+    engine, market = build_engine(path, config=broke)
+    with pytest.raises(BudgetExceededError):
+        engine.execute(JOIN)
+    assert market.stats.hits_posted == 0
+    engine.store.close()
+
+
 def test_row_answering_another_question_is_a_miss(tmp_path):
     hit = HIT(
         hit_id="h",
@@ -153,6 +181,7 @@ def test_row_answering_another_question_is_a_miss(tmp_path):
     store.store(hit, [Assignment("h:w", "h", "w", {"sameBand:join:a|b|c": True})])
     store.close()
     store = PersistentAnswerStore(path)
+    assert not store.contains_key(hit.cache_key, hit.payloads)
     assert store.lookup(hit) is None
     assert (store.misses, store.persistent_hits, store.row_count()) == (1, 0, 0)
     store.close()

@@ -51,13 +51,15 @@
 #      scalar fallback of REPRO_VECTOR, the tests that skip without an
 #      extra) run for real even where both are installed. Any failure or
 #      error fails the stage;
-#  10. `check_pins.py` (~2s each) under every CPython from 3.10 to 3.13
+#  10. `check_pins.py` (~3-7 s each) under every CPython from 3.10 to 3.13
 #      that starts here: `python3.X` on PATH, and each 3.X.* that pyenv
 #      lists, run with PYENV_VERSION set (each interpreter once). It checks
-#      the scalar golden trace, the unoptimized plan's digest and the
-#      example outputs, and names the interpreter and the first differing
-#      record on a mismatch. A minor version with no interpreter that
-#      starts gets a notice, not a failure.
+#      the scalar golden trace, the unoptimized plan's digest, the example
+#      outputs and the paper artifacts' tables (an artifact whose optional
+#      extra is missing, EXP-S33 without scipy, is skipped with a notice),
+#      and names the interpreter and the first differing record on a
+#      mismatch. A minor version with no interpreter that starts gets a
+#      notice, not a failure.
 #
 # The heavyweight lane stays `scripts/profile_hotpath.py --check` plus
 # `pytest benchmarks -q`.

@@ -54,13 +54,13 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from determinism_pins import (  # noqa: E402
     EXAMPLES_GOLDEN_PATH,
     GOLDEN_PATH,
+    PAPER_GOLDEN_PATH,
     VECTOR_GOLDEN_PATH,
     collect_trace,
+    render_artifacts,
     render_examples,
     unoptimized_trace_digest,
 )
-from test_paper_artifacts import PAPER_GOLDEN_PATH, render_artifacts  # noqa: E402
-from test_store_replay import GOLDEN_STORE_DUMP, write_golden_store_dump  # noqa: E402
 
 PINS_PATH = REPO_ROOT / "tests" / "determinism_pins.py"
 _UNOPTIMIZED_PIN = re.compile(r'^UNOPTIMIZED_TRACE_SHA256 = "[0-9a-f]{64}"$', re.M)
@@ -125,6 +125,9 @@ def main() -> None:
     options = parser.parse_args()
     require_lint_clean()
     if options.store:
+        # The store pin's producer lives with its pytest module.
+        from test_store_replay import GOLDEN_STORE_DUMP, write_golden_store_dump
+
         write_golden_store_dump()
         print(f"wrote {GOLDEN_STORE_DUMP}")
         return

@@ -29,7 +29,6 @@ rewriter.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
@@ -38,7 +37,11 @@ from repro.core.cost_model import (
     estimate_plan_cost,
     predicate_key,
 )
-from repro.core.crowd_calls import evaluate_with_crowd, run_predicate_calls
+from repro.core.crowd_calls import (
+    evaluate_with_crowd,
+    predicate_hits,
+    run_predicate_calls,
+)
 from repro.util.toggles import ADAPT
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -390,10 +393,9 @@ class AdaptiveChainRun:
         estimate_before = self.book.estimate(key)
         subset = [self.rows[i] for i in indices]
         ctx = self.ctx
-        from repro.core.cost_model import _filter_batch_for
-
-        batch = max(1, _filter_batch_for(member, ctx.catalog, ctx.config))
-        predicted_hits = math.ceil(len(subset) / batch)
+        predicted_hits = predicate_hits(
+            member.crowd_calls(), len(subset), ctx.catalog, ctx.config
+        )
 
         stats = ctx.stats_for(member)
         stats.rows_in += len(subset)

@@ -177,11 +177,9 @@ class PreflightReport:
 
     Produced by :func:`plan_preflight` from the adaptive cost model's
     per-operator estimates (:func:`repro.core.cost_model.operator_estimates`).
-    ``projected_cost`` is the full-replication forecast minus
-    ``cached_assignments`` — a hook for callers that already know how much
-    of the plan the task cache will serve for free. The engine and session
-    pass 0 (cache contents are only knowable per-batch, at posting time);
-    the *precise* cache-aware gate remains the per-round pre-flight in
+    ``projected_cost`` is the full-replication forecast. It cannot see the
+    task cache, whose contents are only knowable per batch, at posting
+    time; the cache-aware gate is the per-round pre-flight in
     :meth:`TaskManager.projected_new_assignments`, which is why the
     whole-plan abort is opt-in (``ExecutionConfig.budget_preflight``).
     ``fits_trimmed`` reports whether *any* allocation (down to 1
@@ -191,7 +189,6 @@ class PreflightReport:
 
     budget: float
     projected_cost: float
-    cached_assignments: int = 0
     fits_trimmed: bool = True
 
     @property
@@ -212,7 +209,6 @@ def plan_preflight(
     estimates: list[OperatorEstimate],
     budget: float,
     pricing: PricingModel | None = None,
-    cached_assignments: int = 0,
 ) -> PreflightReport:
     """Forecast a plan's spend against a budget without posting anything.
 
@@ -223,10 +219,9 @@ def plan_preflight(
     before the first HIT group is posted instead of midway through.
     """
     pricing = pricing or PricingModel()
-    full = sum(
+    projected = sum(
         pricing.cost(e.units * e.requested_assignments) for e in estimates
     )
-    projected = max(0.0, full - pricing.cost(cached_assignments))
     try:
         allocate_budget(estimates, budget, pricing)
         fits_trimmed = True
@@ -235,6 +230,5 @@ def plan_preflight(
     return PreflightReport(
         budget=budget,
         projected_cost=projected,
-        cached_assignments=cached_assignments,
         fits_trimmed=fits_trimmed,
     )

@@ -1,30 +1,36 @@
-"""Per-operator cost model for plan scoring (§6, "future work" made real).
+"""Per-operator HIT forecast (§6, "future work" made real).
 
 The paper's optimizer is purely rewrite-based; §6 defers cost- and
-budget-aware planning. This module supplies the missing arithmetic: for
-every plan operator it forecasts
+budget-aware planning. This module forecasts, for every plan operator,
 
-* **cardinalities** — scan sizes come from the catalog, filter outputs
-  from the :class:`~repro.core.adaptive.SelectivityBook`'s online
-  estimates (priors before any observation, observed pass rates after);
-* **HIT counts** — the paper's own batching accounting
-  (:func:`repro.joins.batching.hit_count_estimate`, filter/generative
-  batch sizes, grid shapes) applied to the estimated cardinalities;
-* **dollars** — HITs × assignments × :class:`~repro.hits.pricing.PricingModel`.
+* **cardinalities**: scan sizes come from the catalog, filter outputs from
+  the :class:`~repro.core.adaptive.SelectivityBook`'s online estimates
+  (priors before any observation, observed pass rates after), and a
+  sort's plain-prefix groups from the distinct values the prefix reads in
+  its catalog table;
+* **HIT counts**: each operator's own count function, next to the code
+  that posts (:func:`~repro.core.crowd_calls.predicate_hits`,
+  :func:`~repro.core.join_exec.join_forecast`,
+  :func:`~repro.core.sort_exec.sort_hits`), applied to those
+  cardinalities;
+* **dollars**: HITs × assignments × :class:`~repro.hits.pricing.PricingModel`.
 
-The totals score candidate plans in the adaptive optimizer, feed the
-whole-plan budget pre-flight (:func:`repro.core.budget.plan_preflight`),
-and surface as *predicted vs. actual* HIT counts in EXPLAIN. Everything
-here is an estimate — execution never depends on it for correctness, only
-for ordering and forecasting.
+The totals feed the whole-plan budget pre-flight
+(:func:`repro.core.budget.plan_preflight`) and surface as *predicted vs.
+actual* HIT counts in EXPLAIN. Execution never reads the forecast. Given
+the true cardinalities the counts are exact, except a grouped sort's
+group sizes (split evenly here) and grids over candidates an equality
+feature pruned.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
+from repro.core.crowd_calls import predicate_hits
+from repro.core.join_exec import join_forecast
 from repro.core.plan import (
     AdaptiveFilterNode,
     ComputedFilterNode,
@@ -36,17 +42,14 @@ from repro.core.plan import (
     ScanNode,
     SortNode,
 )
+from repro.core.sort_exec import plain_prefix, sort_hits
 from repro.hits.pricing import PricingModel
-from repro.joins.batching import JoinInterface, hit_count_estimate
-from repro.tasks.registry import ROLE_GENERATIVE, DispatchTable, spec_for_task
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.adaptive import SelectivityBook
+    from repro.core.budget import OperatorEstimate
     from repro.core.context import ExecutionConfig
     from repro.relational.catalog import Catalog
-
-JOIN_MATCH_PRIOR = 0.1
-"""Assumed fraction of candidate pairs that truly join, pre-observation."""
 
 
 @dataclass(frozen=True)
@@ -56,19 +59,9 @@ class OperatorCost:
     label: str
     rows_in: float = 0.0
     rows_out: float = 0.0
-    units: float = 0.0
-    """Atomic crowd questions (tuples, pairs, items) the operator asks."""
-
     hits: float = 0.0
     assignments: float = 0.0
     dollars: float = 0.0
-
-    @property
-    def selectivity(self) -> float:
-        """Estimated pass fraction (1.0 for non-filtering operators)."""
-        if self.rows_in <= 0:
-            return 1.0
-        return self.rows_out / self.rows_in
 
 
 @dataclass
@@ -95,71 +88,6 @@ def predicate_key(predicate: object) -> str:
     return f"pred:{predicate}"
 
 
-def feature_key(name: str) -> str:
-    """The selectivity book's key for a POSSIBLY feature's σ."""
-    return f"feature:{name}"
-
-
-def join_key(task_name: str) -> str:
-    """The selectivity book's key for a join task's match rate."""
-    return f"join:{task_name}"
-
-
-def _filter_batch_for(node: CrowdPredicateNode, catalog: "Catalog", config: "ExecutionConfig") -> int:
-    """The batch size the predicate's crowd calls will post at.
-
-    Filter tasks merge at ``filter_batch_size``; generative-role calls in a
-    WHERE clause batch at ``generative_batch_size``. A predicate mixing
-    both is approximated by the smaller (more HITs — conservative).
-    """
-    batch = config.filter_batch_size
-    assert node.predicate is not None
-    for call in node.predicate.udf_calls():
-        if catalog.has_function(call.name):
-            continue
-        if (
-            catalog.has_task(call.name)
-            and spec_for_task(catalog.task(call.name)).role == ROLE_GENERATIVE
-        ):
-            batch = min(batch, config.generative_batch_size)
-    return batch
-
-
-def _predicate_cost(
-    node: CrowdPredicateNode,
-    child_rows: list[float],
-    catalog: "Catalog",
-    config: "ExecutionConfig",
-    book: "SelectivityBook",
-    pricing: PricingModel,
-) -> OperatorCost:
-    rows = child_rows[0] if child_rows else 0.0
-    sigma = book.estimate(predicate_key(node.predicate))
-    batch = _filter_batch_for(node, catalog, config)
-    hits = math.ceil(rows / batch) if rows else 0
-    assignments = hits * config.assignments
-    return OperatorCost(
-        label=node.label(),
-        rows_in=rows,
-        rows_out=rows * sigma,
-        units=rows,
-        hits=hits,
-        assignments=assignments,
-        dollars=pricing.cost(int(assignments)),
-    )
-
-
-NODE_COST_MODELS = DispatchTable("plan-node cost model")
-"""Cost handlers keyed by ``PlanNode.kind``.
-
-Each handler takes ``(node, child_rows, catalog, config, book, pricing)``
-and returns an :class:`OperatorCost`. Node kinds without a handler get a
-pass-through cost (execution never depends on the forecast for
-correctness), so out-of-tree kinds degrade gracefully until they register
-their own arithmetic.
-"""
-
-
 def estimate_plan_cost(
     plan: PlanNode,
     catalog: "Catalog",
@@ -174,241 +102,119 @@ def estimate_plan_cost(
     def visit(node: PlanNode) -> float:
         """Bottom-up: returns the node's estimated output cardinality."""
         child_rows = [visit(child) for child in node.inputs]
-        rows = child_rows[0] if child_rows else 0.0
-        model = NODE_COST_MODELS.lookup(node.kind)
-        if model is None:
-            cost = OperatorCost(label=node.label(), rows_in=rows, rows_out=rows)
+        forecast = _FORECASTS.get(node.kind)
+        if forecast is None:  # an operator that asks no crowd
+            rows, hits = (child_rows[0] if child_rows else 0.0), 0
         else:
-            cost = model(node, child_rows, catalog, config, book, pricing)
-        estimate.per_node[id(node)] = cost
-        return cost.rows_out
+            rows, hits = forecast(node, child_rows, catalog, config, book)
+        assignments = hits * config.assignments
+        estimate.per_node[id(node)] = OperatorCost(
+            label=node.label(),
+            rows_in=sum(child_rows),
+            rows_out=rows,
+            hits=float(hits),
+            assignments=assignments,
+            dollars=pricing.cost(assignments),
+        )
+        return rows
 
     visit(plan)
     return estimate
 
 
-def _scan_cost_entry(
-    node: ScanNode, child_rows, catalog, config, book, pricing
-) -> OperatorCost:
-    n = float(len(catalog.table(node.table_name)))
-    return OperatorCost(label=node.label(), rows_in=n, rows_out=n)
+def _scan(node: ScanNode, child_rows, catalog, config, book) -> tuple[float, int]:
+    return float(len(catalog.table(node.table_name))), 0
 
 
-def _computed_filter_cost_entry(
-    node: ComputedFilterNode, child_rows, catalog, config, book, pricing
-) -> OperatorCost:
-    rows = child_rows[0] if child_rows else 0.0
-    sigma = book.estimate(predicate_key(node.predicate))
-    return OperatorCost(label=node.label(), rows_in=rows, rows_out=rows * sigma)
+def _computed_filter(node: ComputedFilterNode, child_rows, catalog, config, book):
+    return child_rows[0] * book.estimate(predicate_key(node.predicate)), 0
 
 
-def _limit_cost_entry(
-    node: LimitNode, child_rows, catalog, config, book, pricing
-) -> OperatorCost:
-    rows = child_rows[0] if child_rows else 0.0
-    return OperatorCost(
-        label=node.label(), rows_in=rows, rows_out=min(rows, node.count)
-    )
+def _limit(node: LimitNode, child_rows, catalog, config, book) -> tuple[float, int]:
+    return min(child_rows[0], node.count), 0
 
 
-def _adaptive_chain_cost(
-    node: AdaptiveFilterNode,
-    child_rows: list[float],
-    catalog: "Catalog",
-    config: "ExecutionConfig",
-    book: "SelectivityBook",
-    pricing: PricingModel,
-) -> OperatorCost:
+def _predicate(node: CrowdPredicateNode, child_rows, catalog, config, book):
+    rows = child_rows[0]
+    hits = predicate_hits(node.crowd_calls(), round(rows), catalog, config)
+    return rows * book.estimate(predicate_key(node.predicate)), hits
+
+
+def _adaptive_chain(node: AdaptiveFilterNode, child_rows, catalog, config, book):
     """Pilot + best-order cascade forecast for a fused conjunct chain.
 
     Mirrors the executor's plan: every member samples the pilot rows, then
     the remainder cascades through the members in ascending estimated
-    selectivity — the arithmetic the HIT savings come from.
+    selectivity, the arithmetic the HIT savings come from.
     """
     from repro.core.adaptive import pilot_size
 
-    rows = child_rows[0] if child_rows else 0.0
+    rows = child_rows[0]
     members = list(node.members)
-    sigmas = {
-        id(m): book.estimate(predicate_key(m.predicate)) for m in members
-    }
-    pilot = float(pilot_size(int(rows), len(members), config))
-    hits = 0.0
-    assignments = 0.0
-    for member in members:
-        batch = _filter_batch_for(member, catalog, config)
-        hits += math.ceil(pilot / batch) if pilot else 0
-    ordered = sorted(
-        enumerate(members), key=lambda pair: (sigmas[id(pair[1])], pair[0])
+    sigmas = [book.estimate(predicate_key(m.predicate)) for m in members]
+    pilot = pilot_size(round(rows), len(members), config)
+    hits = sum(
+        predicate_hits(member.crowd_calls(), pilot, catalog, config)
+        for member in members
     )
     flowing = rows - pilot
-    for _, member in ordered:
-        batch = _filter_batch_for(member, catalog, config)
-        hits += math.ceil(flowing / batch) if flowing > 0 else 0
-        flowing *= sigmas[id(member)]
-    assignments = hits * config.assignments
-    out = rows
-    for member in members:
-        out *= sigmas[id(member)]
-    return OperatorCost(
-        label=node.label(),
-        rows_in=rows,
-        rows_out=out,
-        units=rows * len(members),
-        hits=hits,
-        assignments=assignments,
-        dollars=pricing.cost(int(assignments)),
-    )
-
-
-def _possibly_book_name(expr, left_aliases: set[str], catalog: "Catalog") -> str:
-    """The selectivity-book name a POSSIBLY clause is observed under.
-
-    The runtime keys equality features by the *left join side's* crowd
-    call name (``_classify_possibly`` in join_exec), so the forecast must
-    read the same key: the first crowd (non-function) call whose column
-    references are confined to the left side's aliases. Falls back to the
-    first crowd call (unary clauses observe under a different key space
-    and keep their prior here) or the expression text.
-    """
-    crowd_calls = [
-        call for call in expr.udf_calls() if not catalog.has_function(call.name)
-    ]
-    for call in crowd_calls:
-        qualifiers = {
-            ref.split(".", 1)[0] if "." in ref else ref
-            for ref in call.references()
-        }
-        if qualifiers and qualifiers <= left_aliases:
-            return call.name
-    if crowd_calls:
-        return crowd_calls[0].name
-    return str(expr)
-
-
-def _join_cost(
-    node: JoinNode,
-    child_rows: list[float],
-    catalog: "Catalog",
-    config: "ExecutionConfig",
-    book: "SelectivityBook",
-    pricing: PricingModel,
-) -> OperatorCost:
-    left = child_rows[0] if child_rows else 0.0
-    right = child_rows[1] if len(child_rows) > 1 else 0.0
-    hits = 0.0
-
-    # Feature-extraction linear passes (one per side; combining folds all
-    # features of a side into one pass, §3.3.4).
-    sel = 1.0
-    if config.use_feature_filters and node.possibly:
-        passes = 1 if config.combine_features else len(node.possibly)
-        hits += passes * (
-            math.ceil(left / config.generative_batch_size)
-            + math.ceil(right / config.generative_batch_size)
+    for index in sorted(range(len(members)), key=lambda i: (sigmas[i], i)):
+        hits += predicate_hits(
+            members[index].crowd_calls(), round(flowing), catalog, config
         )
-        left_aliases = {
-            n.alias for n in node.inputs[0].walk() if n.kind == ScanNode.kind
-        }
-        for expr in node.possibly:
-            sel *= book.estimate(
-                feature_key(_possibly_book_name(expr, left_aliases, catalog))
+        flowing *= sigmas[index]
+    return rows * math.prod(sigmas), hits
+
+
+def _join(node: JoinNode, child_rows, catalog, config, book) -> tuple[float, int]:
+    left, right = (round(rows) for rows in child_rows)
+    return join_forecast(node, left, right, catalog, config, book)
+
+
+def _sort(node: SortNode, child_rows, catalog, config, book) -> tuple[float, int]:
+    """Rows split evenly over the plain prefix's groups (the distinct
+    values its columns hold in their catalog tables, capped by the rows):
+    one group size, so one covering call for a compare sort."""
+    rows = round(child_rows[0])
+    scans = {n.alias: n.table_name for n in node.walk() if n.kind == ScanNode.kind}
+    columns: dict[str, list[str]] = {}
+    for item in plain_prefix(node, catalog):
+        for ref in item.expr.references():
+            alias, _, name = ref.rpartition(".")
+            table = scans.get(alias) or next(
+                (t for t in scans.values() if name in catalog.table(t).schema), None
             )
-
-    pairs = left * right * sel
-    if pairs:
-        per_pair_hits = hit_count_estimate(
-            int(math.ceil(pairs)),
-            1,
-            config.join_interface,
-            batch_size=config.naive_batch_size,
-            grid_rows=config.grid_rows,
-            grid_cols=config.grid_cols,
-        )
-        hits += per_pair_hits
-    match_rate = (
-        book.estimate(join_key(node.condition.name), prior=JOIN_MATCH_PRIOR)
-        if node.condition is not None
-        else JOIN_MATCH_PRIOR
-    )
-    assignments = hits * config.assignments
-    return OperatorCost(
-        label=node.label(),
-        rows_in=left + right,
-        rows_out=pairs * match_rate,
-        units=pairs,
-        hits=hits,
-        assignments=assignments,
-        dollars=pricing.cost(int(assignments)),
-    )
+            if table is not None:
+                columns.setdefault(table, []).append(name)
+    groups = 1
+    for table, names in columns.items():
+        keys = {tuple(row[name] for name in names) for row in catalog.table(table)}
+        groups *= len(keys)
+    count = min(groups, rows)
+    sizes = [round(rows / count)] * count if count else []
+    return child_rows[0], sort_hits(node, sizes, catalog, config)
 
 
-def _sort_cost(
-    node: SortNode,
-    child_rows: list[float],
-    catalog: "Catalog",
-    config: "ExecutionConfig",
-    book: "SelectivityBook",
-    pricing: PricingModel,
-) -> OperatorCost:
-    rows = n = child_rows[0] if child_rows else 0.0
-    if config.sort_method == "rate":
-        hits = math.ceil(n / config.rate_batch_size)
-    elif config.sort_method == "compare":
-        s = max(2, config.compare_group_size)
-        group_pairs = s * (s - 1) / 2.0
-        hits = math.ceil((n * max(0.0, n - 1) / 2.0) / group_pairs)
-    else:  # hybrid: a rating pass plus the configured comparison budget
-        hits = math.ceil(n / config.rate_batch_size) + config.hybrid_iterations
-    assignments = hits * config.assignments
-    return OperatorCost(
-        label=node.label(),
-        rows_in=rows,
-        rows_out=rows,
-        units=n,
-        hits=hits,
-        assignments=assignments,
-        dollars=pricing.cost(int(assignments)),
-    )
+def _project(node: ProjectNode, child_rows, catalog, config, book) -> tuple[float, int]:
+    rows = child_rows[0]
+    if node.star:
+        return rows, 0
+    calls = [call for item in node.items for call in item.expr.udf_calls()]
+    return rows, predicate_hits(calls, round(rows), catalog, config)
 
 
-def _project_cost(
-    node: ProjectNode,
-    child_rows: list[float],
-    catalog: "Catalog",
-    config: "ExecutionConfig",
-    book: "SelectivityBook",
-    pricing: PricingModel,
-) -> OperatorCost:
-    rows = child_rows[0] if child_rows else 0.0
-    crowd = False
-    if not node.star:
-        crowd = any(
-            not catalog.has_function(call.name)
-            for item in node.items
-            for call in item.expr.udf_calls()
-        )
-    hits = math.ceil(rows / config.generative_batch_size) if crowd else 0
-    assignments = hits * config.assignments
-    return OperatorCost(
-        label=node.label(),
-        rows_in=rows,
-        rows_out=rows,
-        units=rows if crowd else 0.0,
-        hits=hits,
-        assignments=assignments,
-        dollars=pricing.cost(int(assignments)),
-    )
-
-
-NODE_COST_MODELS.register(ScanNode.kind, _scan_cost_entry)
-NODE_COST_MODELS.register(ComputedFilterNode.kind, _computed_filter_cost_entry)
-NODE_COST_MODELS.register(CrowdPredicateNode.kind, _predicate_cost)
-NODE_COST_MODELS.register(AdaptiveFilterNode.kind, _adaptive_chain_cost)
-NODE_COST_MODELS.register(JoinNode.kind, _join_cost)
-NODE_COST_MODELS.register(SortNode.kind, _sort_cost)
-NODE_COST_MODELS.register(ProjectNode.kind, _project_cost)
-NODE_COST_MODELS.register(LimitNode.kind, _limit_cost_entry)
+_FORECASTS: dict[str, Callable] = {
+    ScanNode.kind: _scan,
+    ComputedFilterNode.kind: _computed_filter,
+    CrowdPredicateNode.kind: _predicate,
+    AdaptiveFilterNode.kind: _adaptive_chain,
+    JoinNode.kind: _join,
+    SortNode.kind: _sort,
+    ProjectNode.kind: _project,
+    LimitNode.kind: _limit,
+}
+"""(output rows, HITs) per plan-node kind, from
+``(node, child_rows, catalog, config, book)``."""
 
 
 def operator_estimates(

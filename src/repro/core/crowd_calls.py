@@ -8,6 +8,7 @@ votes back into per-item answers usable during expression evaluation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, Sequence
 
@@ -49,6 +50,8 @@ from repro.tasks.registry import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.context import ExecutionConfig
+    from repro.relational.catalog import Catalog
     from repro.tasks.filter import FilterTask
     from repro.tasks.generative import GenerativeTask
 
@@ -267,6 +270,14 @@ def begin_generative_units(
     return PendingGenerative(tasks, frozen_items, ctx, pending)  # type: ignore[arg-type]
 
 
+def generative_hits(tasks: int, items: int, config: "ExecutionConfig") -> int:
+    """HITs :func:`begin_generative_units` posts for ``tasks`` tasks over
+    the same ``items`` refs: one unit per item when ``combine_features``
+    combines them, else one per task and item."""
+    units = items if config.combine_features else items * tasks
+    return math.ceil(units / config.generative_batch_size) if tasks else 0
+
+
 def run_generative_units(
     task_items: Mapping[str, Sequence[str]],
     ctx: QueryContext,
@@ -479,3 +490,21 @@ def run_predicate_calls(
             if len(corpus):
                 bindings.signals[f"{task_name}.kappa"] = feature_kappa(corpus)
     return bindings
+
+
+def predicate_hits(
+    calls: Sequence[UDFCall], items: int, catalog: "Catalog", config: "ExecutionConfig"
+) -> int:
+    """HITs :func:`run_predicate_calls` posts for ``calls`` over ``items``
+    distinct refs: one filter posting per filter task, and one generative
+    posting for all the generative tasks (first rounds only, under an
+    ``adaptive`` vote policy)."""
+    roles: dict[str, str] = {}
+    for call in calls:
+        if catalog.has_task(call.name) and not catalog.has_function(call.name):
+            roles[call.name] = task_role(catalog.task(call.name))
+    filters = sum(role == ROLE_FILTER for role in roles.values())
+    generative = sum(role == ROLE_GENERATIVE for role in roles.values())
+    return filters * math.ceil(items / config.filter_batch_size) + generative_hits(
+        generative, items, config
+    )

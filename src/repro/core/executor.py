@@ -43,6 +43,7 @@ from repro.core.plan import (
     PlanNode,
     ProjectNode,
     ScanNode,
+    plan_aliases,
 )
 from repro.errors import ExecutionError
 from repro.relational.expressions import UDFCall
@@ -112,11 +113,6 @@ def join_rows(
     left_aliases = plan_aliases(node.inputs[0])
     right_aliases = plan_aliases(node.inputs[1])
     return execute_join(node, left_rows, right_rows, ctx, left_aliases, right_aliases)
-
-
-def plan_aliases(node: PlanNode) -> set[str]:
-    """Every scan alias bound inside a subtree."""
-    return {n.alias for n in node.walk() if n.kind == ScanNode.kind}
 
 
 def project_crowd_calls(node: ProjectNode, ctx: QueryContext) -> list[UDFCall]:

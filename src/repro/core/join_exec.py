@@ -13,6 +13,7 @@ left and right linear scans overlap in virtual time (§2.6).
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from repro.combine.base import combine_corpus
@@ -22,9 +23,10 @@ from repro.core.crowd_calls import (
     begin_generative_units,
     call_item_ref,
     evaluate_arg,
+    generative_hits,
 )
 from repro.hits.manager import collect_pending
-from repro.core.plan import JoinNode
+from repro.core.plan import JoinNode, plan_aliases
 from repro.errors import PlanError
 from repro.hits.hit import (
     JoinGridPayload,
@@ -35,7 +37,13 @@ from repro.hits.hit import (
     split_pair,
 )
 from repro.hits.vote_columns import VoteColumns
-from repro.joins.batching import JoinInterface, all_pairs, smart_grids, smart_grids_for_candidates
+from repro.joins.batching import (
+    JoinInterface,
+    all_pairs,
+    grid_count,
+    smart_grids,
+    smart_grids_for_candidates,
+)
 from repro.joins.feature_filter import (
     confident_feature_values,
     evaluate_features,
@@ -55,11 +63,31 @@ from repro.relational.schema import Schema
 from repro.tasks.registry import ROLE_GENERATIVE, ROLE_JOIN, task_role
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.adaptive import SelectivityBook
+    from repro.core.context import ExecutionConfig
+    from repro.relational.catalog import Catalog
     from repro.tasks.equijoin import EquiJoinTask
     from repro.tasks.generative import GenerativeTask
 
 _EMPTY_ROW = Row(Schema([]), {})
 """The row a substituted unary POSSIBLY predicate evaluates against."""
+
+JOIN_MATCH_PRIOR = 0.1
+"""Assumed fraction of candidate pairs that truly join, pre-observation."""
+
+
+# The selectivity-book keys a join observes under, and its forecast reads:
+# an equality feature's σ, a unary clause's pass rate, the match rate.
+def feature_key(name: str) -> str:
+    return f"feature:{name}"
+
+
+def unary_key(name: str) -> str:
+    return f"unary:{name}"
+
+
+def join_key(task_name: str) -> str:
+    return f"join:{task_name}"
 
 
 class _PossiblyClauses:
@@ -76,17 +104,15 @@ def _classify_possibly(
     node: JoinNode,
     left_aliases: set[str],
     right_aliases: set[str],
-    ctx: QueryContext,
+    catalog: Catalog,
 ) -> _PossiblyClauses:
     clauses = _PossiblyClauses()
     for expr in node.possibly:
         calls = [
-            call
-            for call in expr.udf_calls()
-            if not ctx.catalog.has_function(call.name)
+            call for call in expr.udf_calls() if not catalog.has_function(call.name)
         ]
         for call in calls:
-            task = ctx.catalog.task(call.name)
+            task = catalog.task(call.name)
             if task_role(task) != ROLE_GENERATIVE:
                 raise PlanError(
                     f"POSSIBLY clause task {call.name!r} must be Generative"
@@ -161,7 +187,7 @@ def execute_join(
     features: dict[str, tuple[dict[str, object], dict[str, object]]] = {}
     corpora: dict[str, VoteColumns] = {}
     if ctx.config.use_feature_filters and node.possibly:
-        clauses = _classify_possibly(node, left_aliases, right_aliases, ctx)
+        clauses = _classify_possibly(node, left_aliases, right_aliases, ctx.catalog)
         left_refs, right_refs, features, corpora = _run_feature_extraction(
             node, clauses, left_refs, right_refs, ctx
         )
@@ -208,10 +234,9 @@ def execute_join(
         stats.signals["filter_selectivity"] = len(candidates) / cross
         if ctx.adapt is not None:
             # Feed the observed per-feature selectivity back into the
-            # query's estimate book under the same keys the cost model
-            # reads: later re-plans (and later queries on an engine
-            # sharing the book) see the measured pass rates.
-            from repro.core.cost_model import feature_key
+            # query's estimate book under the keys join_forecast reads:
+            # later queries on an engine sharing the book see the
+            # measured pass rates.
             from repro.joins.selectivity import estimate_selectivity as _est
 
             for key, (left_values, right_values) in features.items():
@@ -308,7 +333,7 @@ def _run_feature_extraction(
             len(kept) / len(refs) if refs else 1.0
         )
         if ctx.adapt is not None and refs:
-            ctx.adapt.book.observe(f"unary:{call.name}", len(refs), len(kept))
+            ctx.adapt.book.observe(unary_key(call.name), len(refs), len(kept))
 
     features: dict[str, tuple[dict[str, object], dict[str, object]]] = {}
     corpora: dict[str, VoteColumns] = {}
@@ -365,6 +390,20 @@ def _evaluate_unary(expr: Expression, call: UDFCall, value: object) -> bool:
     return bool(substitute(expr).evaluate(_EMPTY_ROW, {}))
 
 
+def _grid_shape(
+    left_count: int, right_count: int, config: ExecutionConfig, adaptive: bool
+) -> tuple[int, int]:
+    """The (rows, cols) grid a full cross product posts: the configured
+    one, or its transpose when the adaptive optimizer runs and the
+    transpose needs fewer grids (:func:`grid_count`)."""
+    rows_dim, cols_dim = config.grid_rows, config.grid_cols
+    if adaptive and grid_count(left_count, right_count, cols_dim, rows_dim) < (
+        grid_count(left_count, right_count, rows_dim, cols_dim)
+    ):
+        return cols_dim, rows_dim
+    return rows_dim, cols_dim
+
+
 def _choose_grid_orientation(
     left_count: int,
     right_count: int,
@@ -374,24 +413,15 @@ def _choose_grid_orientation(
     """Cost-based join-side choice for SmartBatch grids (adaptive only).
 
     With an asymmetric r×c grid the HIT count depends on which side of the
-    join rides the rows: ``ceil(|L|/r)·ceil(|R|/c)`` vs the transposed
-    assignment. This is a mid-query re-plan — the side cardinalities used
-    are the *observed* post-filter ref counts, not estimates. With a
-    square grid (the default 5×5) or ``REPRO_ADAPT=0`` the configured
-    orientation is kept, bit-identical to the static plan.
+    join rides the rows (:func:`_grid_shape`). This is a mid-query re-plan:
+    the side cardinalities used are the *observed* post-filter ref counts,
+    not estimates. With a square grid (the default 5×5) or
+    ``REPRO_ADAPT=0`` the configured orientation is kept, bit-identical to
+    the static plan.
     """
-    import math
-
     rows_dim, cols_dim = ctx.config.grid_rows, ctx.config.grid_cols
-    if ctx.adapt is None or rows_dim == cols_dim:
-        return rows_dim, cols_dim
-    default_hits = math.ceil(left_count / rows_dim) * math.ceil(
-        right_count / cols_dim
-    )
-    swapped_hits = math.ceil(left_count / cols_dim) * math.ceil(
-        right_count / rows_dim
-    )
-    if swapped_hits < default_hits:
+    shape = _grid_shape(left_count, right_count, ctx.config, ctx.adapt is not None)
+    if shape != (rows_dim, cols_dim):
         from repro.core.adaptive import ReplanEvent
 
         state = ctx.adapt
@@ -408,14 +438,18 @@ def _choose_grid_orientation(
                 ),
                 rows_in=left_count + right_count,
                 rows_out=left_count + right_count,
-                predicted_hits=default_hits,
-                actual_hits=swapped_hits,
+                predicted_hits=grid_count(left_count, right_count, rows_dim, cols_dim),
+                actual_hits=grid_count(left_count, right_count, *shape),
                 reordered=True,
             )
         )
         stats.signals["grid_swapped"] = 1.0
-        return cols_dim, rows_dim
-    return rows_dim, cols_dim
+    return shape
+
+
+def _pair_batch_size(config: ExecutionConfig) -> int:
+    """Candidate pairs per HIT under the Simple or Naive interface."""
+    return 1 if config.join_interface is JoinInterface.SIMPLE else config.naive_batch_size
 
 
 def _run_join_interface(
@@ -440,9 +474,7 @@ def _run_join_interface(
             [JoinPairsPayload(task.name, (JoinPair(l, r),), question=question)]
             for l, r in candidates
         ]
-        batch_size = (
-            1 if interface is JoinInterface.SIMPLE else ctx.config.naive_batch_size
-        )
+        batch_size = _pair_batch_size(ctx.config)
     else:
         full_cross = len(candidates) == len(left_refs) * len(right_refs)
         if full_cross:
@@ -503,10 +535,72 @@ def _run_join_interface(
                 matches.append(pair)
     matches.sort()
     if ctx.adapt is not None and candidates:
-        from repro.core.cost_model import join_key
-
         ctx.adapt.book.observe(join_key(task.name), len(candidates), len(matches))
     # Reads the counts a majority combiner already took.
     stats.signals["mean_pair_agreement"] = mean_pair_agreement(corpus)
     stats.signals["matches"] = float(len(matches))
     return matches
+
+
+def join_forecast(
+    node: JoinNode,
+    left_count: int,
+    right_count: int,
+    catalog: Catalog,
+    config: ExecutionConfig,
+    book: SelectivityBook,
+) -> tuple[float, int]:
+    """(output rows, HITs) of :func:`execute_join` over ``left_count`` ×
+    ``right_count`` distinct refs, as the adaptive optimizer runs it.
+
+    The feature pass is priced on the sides :func:`_classify_possibly`
+    assigns; each unary clause prunes its side, and each equality feature
+    the pairs, at the pass rate ``book`` holds under the key execution
+    observes it under. The interface's HITs are counted with the
+    executor's own batching, so the count is exact given those rates,
+    except for grids over candidates an equality feature pruned, which
+    :func:`smart_grids_for_candidates` packs per left block (estimated
+    here from each block's expected distinct partners).
+    """
+    if not left_count or not right_count:
+        return 0.0, 0
+    clauses = _PossiblyClauses()
+    hits = 0
+    if config.use_feature_filters and node.possibly:
+        aliases = [plan_aliases(side) for side in node.inputs]
+        try:
+            clauses = _classify_possibly(node, *aliases, catalog)
+        except PlanError:
+            pass  # execution raises it, before the join posts anything
+        side_tasks: dict[str, set[str]] = {"left": set(), "right": set()}
+        for _, left_call, right_call in clauses.equality:
+            side_tasks["left"].add(left_call.name)
+            side_tasks["right"].add(right_call.name)
+        for _, side, call in clauses.unary:
+            side_tasks[side].add(call.name)
+        hits += generative_hits(len(side_tasks["left"]), left_count, config)
+        hits += generative_hits(len(side_tasks["right"]), right_count, config)
+        rates = {"left": 1.0, "right": 1.0}
+        for _, side, call in clauses.unary:
+            rates[side] *= book.estimate(unary_key(call.name))
+        left_count = round(left_count * rates["left"])
+        right_count = round(right_count * rates["right"])
+    sigma = 1.0
+    for key, _, _ in clauses.equality:
+        sigma *= book.estimate(feature_key(key))
+    candidates = round(left_count * right_count * sigma)
+    if not candidates:
+        return 0.0, hits
+    if config.join_interface is not JoinInterface.SMART:
+        hits += math.ceil(candidates / _pair_batch_size(config))
+    elif clauses.equality:
+        block_partners = right_count * (1 - (1 - sigma) ** config.grid_rows)
+        hits += grid_count(
+            left_count, math.ceil(block_partners), config.grid_rows, config.grid_cols
+        )
+    else:
+        shape = _grid_shape(left_count, right_count, config, adaptive=True)
+        hits += grid_count(left_count, right_count, *shape)
+    assert node.condition is not None
+    match_rate = book.estimate(join_key(node.condition.name), prior=JOIN_MATCH_PRIOR)
+    return candidates * match_rate, hits

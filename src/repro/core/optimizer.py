@@ -38,8 +38,8 @@ from repro.core.plan import (
     CrowdPredicateNode,
     JoinNode,
     PlanNode,
-    ScanNode,
     SortNode,
+    plan_aliases,
 )
 from repro.relational.expressions import Expression
 
@@ -101,11 +101,6 @@ def _rewrite_inputs(node: PlanNode, adapt: "AdaptiveState") -> PlanNode:
     return node
 
 
-def _aliases_in(node: PlanNode) -> set[str]:
-    """The table aliases visible in a subtree's output."""
-    return {n.alias for n in node.walk() if n.kind == ScanNode.kind}
-
-
 def _references_only(predicate: Expression, aliases: set[str]) -> bool:
     """Whether every column the predicate touches belongs to ``aliases``.
 
@@ -128,10 +123,10 @@ def _sink_into_join(
     """Try to move a filter below the matching side of a join."""
     left, right = join.inputs
     wrapper = type(filter_node)
-    if _references_only(predicate, _aliases_in(left)):
+    if _references_only(predicate, plan_aliases(left)):
         join.inputs = (wrapper(predicate=predicate, inputs=(left,)), right)
         return join, True
-    if _references_only(predicate, _aliases_in(right)):
+    if _references_only(predicate, plan_aliases(right)):
         join.inputs = (left, wrapper(predicate=predicate, inputs=(right,)))
         return join, True
     return filter_node, False

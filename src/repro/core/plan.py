@@ -28,11 +28,11 @@ from repro.relational.schema import Column, ColumnType, Schema
 class PlanNode:
     """Base class; children in ``inputs``.
 
-    Every node carries a string ``kind`` — its registry key. The scheduler,
-    cost model, and optimizer dispatch on ``node.kind`` through
-    :class:`~repro.tasks.registry.DispatchTable`\\ s instead of switching on
+    Every node carries a string ``kind`` — its registry key. The scheduler
+    dispatches on ``node.kind`` through a
+    :class:`~repro.tasks.registry.DispatchTable` instead of switching on
     node classes, so out-of-tree node kinds can register handlers without
-    engine edits.
+    engine edits; the optimizer and the cost model compare kinds too.
     """
 
     kind: ClassVar[str] = ""
@@ -194,6 +194,11 @@ class LimitNode(PlanNode):
 
     def label(self) -> str:
         return f"Limit({self.count})"
+
+
+def plan_aliases(node: PlanNode) -> set[str]:
+    """Every scan alias bound inside a subtree."""
+    return {n.alias for n in node.walk() if n.kind == ScanNode.kind}
 
 
 def plan_tree_lines(node: PlanNode, indent: int = 0) -> list[str]:

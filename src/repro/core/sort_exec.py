@@ -18,9 +18,10 @@ repair loop.
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from repro.core.context import QueryContext
+from repro.core.context import ExecutionConfig, QueryContext
 from repro.core.crowd_calls import call_item_ref, evaluate_arg
 from repro.core.plan import SortNode
 from repro.errors import PlanError
@@ -39,7 +40,7 @@ from repro.language.ast import OrderItem
 from repro.metrics.agreement import comparison_kappa
 from repro.relational.expressions import UDFCall
 from repro.relational.rows import Row
-from repro.sorting.groups import covering_groups
+from repro.sorting.groups import covering_groups, minimum_group_count
 from repro.sorting.head_to_head import head_to_head_order, pair_winners_from_votes
 from repro.sorting.hybrid import (
     ConfidenceStrategy,
@@ -54,6 +55,7 @@ from repro.tasks.registry import ROLE_RANK, task_role
 from repro.util.rng import RandomSource
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.relational.catalog import Catalog
     from repro.tasks.rank import RankTask
 
 
@@ -63,26 +65,18 @@ def execute_sort(node: SortNode, rows: Sequence[Row], ctx: QueryContext) -> list
     stats.rows_in = len(rows)
     env = ctx.catalog.functions()
 
-    plain_items: list[OrderItem] = []
+    plain_items = plain_prefix(node, ctx.catalog)
     crowd_item: OrderItem | None = None
-    for item in node.order_items:
-        calls = [
-            call for call in item.expr.udf_calls() if not ctx.catalog.has_function(call.name)
-        ]
-        if not calls:
-            if crowd_item is not None:
-                raise PlanError(
-                    "plain ORDER BY expressions must precede the Rank UDF"
-                )
-            plain_items.append(item)
-        else:
-            if crowd_item is not None:
-                raise PlanError("at most one Rank UDF per ORDER BY is supported")
-            if not isinstance(item.expr, UDFCall):
-                raise PlanError(
-                    f"crowd ORDER BY item must be a bare Rank call, got {item.expr}"
-                )
-            crowd_item = item
+    for item in node.order_items[len(plain_items) :]:
+        if not _asks_crowd(item, ctx.catalog):
+            raise PlanError("plain ORDER BY expressions must precede the Rank UDF")
+        if crowd_item is not None:
+            raise PlanError("at most one Rank UDF per ORDER BY is supported")
+        if not isinstance(item.expr, UDFCall):
+            raise PlanError(
+                f"crowd ORDER BY item must be a bare Rank call, got {item.expr}"
+            )
+        crowd_item = item
 
     working = list(rows)
     if crowd_item is None:
@@ -118,7 +112,7 @@ def execute_sort(node: SortNode, rows: Sequence[Row], ctx: QueryContext) -> list
     if (
         not plain_items
         and len(group_order) == 1
-        and _limit_tournament_applies(node, ctx)
+        and _limit_tournament_applies(node, ctx.config)
     ):
         ref_map = {}
         for row in groups[group_order[0]]:
@@ -172,6 +166,72 @@ def execute_sort(node: SortNode, rows: Sequence[Row], ctx: QueryContext) -> list
     return ordered_rows
 
 
+def _asks_crowd(item: OrderItem, catalog: Catalog) -> bool:
+    return any(not catalog.has_function(call.name) for call in item.expr.udf_calls())
+
+
+def plain_prefix(node: SortNode, catalog: Catalog) -> list[OrderItem]:
+    """The leading ORDER BY items that ask no crowd: the key
+    :func:`execute_sort` groups rows by before crowd-sorting each group."""
+    for index, item in enumerate(node.order_items):
+        if _asks_crowd(item, catalog):
+            return list(node.order_items[:index])
+    return list(node.order_items)
+
+
+def sort_hits(
+    node: SortNode, group_sizes: Sequence[int], catalog: Catalog, config: ExecutionConfig
+) -> int:
+    """HITs :func:`execute_sort` posts for plain-prefix groups of
+    ``group_sizes`` distinct items each.
+
+    Calls what execution posts with, on placeholder items of each size:
+    the rating batch, :func:`covering_groups` (once per distinct size, up
+    to :data:`EXACT_COVER_LIMIT` items), the hybrid's iterations, and
+    :func:`tournament_top_k` under a LIMIT hint. Those counts depend only
+    on the size, the configuration and the seed, never on the items or
+    the votes.
+    """
+    plain = plain_prefix(node, catalog)
+    if len(plain) == len(node.order_items):
+        return 0
+    n = group_sizes[0] if len(group_sizes) == 1 else 0
+    k = node.limit_hint or 0
+    if not plain and _limit_tournament_applies(node, config) and 1 <= k < n:
+        items = [str(index) for index in range(n)]
+        batch_size = min(config.limit_pick_batch_size, n)
+        return tournament_top_k(items, lambda batch: batch[0], k, batch_size)[1]
+    per_size = {n: _group_sort_hits(n, config) for n in sorted(set(group_sizes))}
+    return sum(per_size[n] for n in group_sizes)
+
+
+EXACT_COVER_LIMIT = 256
+"""The largest group whose comparison HITs :func:`sort_hits` counts with
+:func:`covering_groups` itself. The greedy cover's time grows with the cube
+of the items (about 0.3 s at 200, 9 s at 800), and a forecast's rows may
+overstate the real ones many times over, so a larger group is priced at
+the paper's C(n, 2)/C(S, 2) lower bound, 10% under the greedy cover's
+count at 200 to 800 items."""
+
+
+def _group_sort_hits(n: int, config: ExecutionConfig) -> int:
+    """HITs one group of ``n`` distinct items posts (see :func:`sort_hits`)."""
+    if n < 2:
+        return 0
+    if config.sort_method == "compare":
+        size = min(config.compare_group_size, n)
+        if n > EXACT_COVER_LIMIT:
+            groups = math.ceil(minimum_group_count(n, size))
+        else:
+            items = [str(index) for index in range(n)]
+            groups = len(covering_groups(items, size, config.seed))
+        return math.ceil(groups / config.compare_batch_groups)
+    rate_hits = math.ceil(n / config.rate_batch_size)
+    if config.sort_method == "rate":
+        return rate_hits
+    return rate_hits + config.hybrid_iterations
+
+
 def _plain_key(row: Row, items: Sequence[OrderItem], env: Mapping) -> tuple:
     key = []
     for item in items:
@@ -209,7 +269,7 @@ class _Reversible:
 # ---------------------------------------------------------------------------
 
 
-def _limit_tournament_applies(node: SortNode, ctx: QueryContext) -> bool:
+def _limit_tournament_applies(node: SortNode, config: ExecutionConfig) -> bool:
     """Whether this sort may satisfy its LIMIT hint with tournaments.
 
     Requires the planner's hint, the Compare method (Rate is already O(N)
@@ -218,8 +278,8 @@ def _limit_tournament_applies(node: SortNode, ctx: QueryContext) -> bool:
     """
     return (
         node.limit_hint is not None
-        and ctx.config.sort_method == "compare"
-        and ctx.config.limit_sort_tournament
+        and config.sort_method == "compare"
+        and config.limit_sort_tournament
     )
 
 

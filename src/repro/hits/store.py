@@ -84,9 +84,11 @@ upgrades where replaying old raw answers would be misleading."""
 def combiner_fingerprint(combiner: str | None = None) -> str:
     """Stable fingerprint of the combiner configuration answers were
     recorded under. Rows only match lookups made under the same
-    fingerprint, so flipping ``ExecutionConfig.combiner`` (or bumping
+    fingerprint, so another ``StoreConfig.combiner`` label (or a bump of
     :data:`COMBINER_SEMANTICS_VERSION`) isolates old answers instead of
-    silently reusing them."""
+    silently reusing them. ``ExecutionConfig.combiner`` does not feed it,
+    and need not: rows hold raw assignments, and the query's own combiner
+    runs over them after replay."""
     body = f"v{COMBINER_SEMANTICS_VERSION}|combiner={combiner or 'default'}"
     return hashlib.sha256(body.encode("utf-8")).hexdigest()[:16]
 

@@ -154,10 +154,10 @@ class TaskExecutorRegistry:
 class DispatchTable:
     """A string-keyed handler table with deterministic registration.
 
-    The generic half of the registry: plan-node generators and cost
-    models, payload effort models, payload renderers, payload mergers, and
-    crowd behaviour models are each one of these, keyed by the ``kind`` tag
-    on plan nodes and HIT payloads. ``register`` doubles as a decorator factory when called
+    The generic half of the registry: plan-node generators, payload
+    effort models, payload renderers, payload mergers, and crowd behaviour
+    models are each one of these, keyed by the ``kind`` tag on plan nodes
+    and HIT payloads. ``register`` doubles as a decorator factory when called
     without a handler.
     """
 

@@ -1,9 +1,10 @@
 """The determinism pins' producers, importable without pytest.
 
-The scalar golden trace, the unoptimized plan's trace digest and the
-example outputs are each pinned by a tier-1 test
-(``tests/test_determinism_trace.py``, ``tests/test_examples.py``). The
-functions that produce them live here so that
+The scalar golden trace, the unoptimized plan's trace digest, the example
+outputs and the paper artifacts' tables are each pinned by a tier-1 test
+(``tests/test_determinism_trace.py``, ``tests/test_examples.py``,
+``tests/test_paper_artifacts.py``). The functions that produce them live
+here so that
 ``scripts/regen_golden_trace.py`` re-pins from the same code and
 ``scripts/check_pins.py`` can check the pins on any interpreter, with or
 without pytest installed.
@@ -23,6 +24,7 @@ from repro.core.engine import Qurk
 from repro.crowd import SimulatedMarketplace
 from repro.datasets.movie import movie_dataset
 from repro.experiments.end_to_end import QUERY_NO_FILTER, QUERY_WITH_FILTER
+from repro.experiments.registry import EXPERIMENTS, render_experiment
 from repro.joins.batching import JoinInterface
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -31,6 +33,10 @@ VECTOR_GOLDEN_PATH = Path(__file__).parent / "golden" / "determinism_trace_vecto
 EXAMPLES_DIR = REPO_ROOT / "examples"
 EXAMPLES_GOLDEN_PATH = Path(__file__).parent / "golden" / "examples.json"
 EXAMPLES = sorted(path.stem for path in EXAMPLES_DIR.glob("*.py"))
+PAPER_GOLDEN_PATH = Path(__file__).parent / "golden" / "paper_artifacts.json"
+RUNNABLE = [entry for entry in EXPERIMENTS if entry.runner is not None]
+REQUIRES = {"EXP-S33": "scipy"}
+"""Artifacts that need an optional extra: the §3.3.3 fit is scipy's."""
 
 
 class RecordingPlatform:
@@ -184,3 +190,11 @@ def run_example(name: str) -> list[str]:
 def render_examples() -> dict[str, list[str]]:
     """Every example's stdout, as text lines."""
     return {name: run_example(name) for name in EXAMPLES}
+
+
+def render_artifacts() -> dict[str, list[str]]:
+    """Every runnable artifact's seed-0 table, as text lines."""
+    return {
+        entry.experiment_id: render_experiment(entry, seed=0).splitlines()
+        for entry in RUNNABLE
+    }

@@ -8,7 +8,7 @@ import json
 import platform
 from pathlib import Path
 
-from determinism_pins import GOLDEN_PATH
+from determinism_pins import GOLDEN_PATH, PAPER_GOLDEN_PATH
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "check_pins.py"
 _spec = importlib.util.spec_from_file_location("check_pins", SCRIPT)
@@ -27,6 +27,18 @@ def test_altered_golden_names_the_first_differing_vote(tmp_path):
     assert difference.startswith("trace.votes[41]: pinned [")
     assert "'altered'], got [" in difference and "votes[90]" not in difference
     assert check_pins.check_scalar() is None
+
+
+def test_altered_paper_golden_names_the_first_differing_line(tmp_path):
+    golden = json.loads(PAPER_GOLDEN_PATH.read_text())
+    want = golden["EXP-T1"][2]
+    golden["EXP-T1"][2] = "altered"
+    altered = tmp_path / "paper.json"
+    altered.write_text(json.dumps(golden))
+
+    assert check_pins.check_paper(altered) == (
+        f"paper EXP-T1 line 3: pinned 'altered', got {want!r}"
+    )
 
 
 def test_a_report_names_the_interpreter():

@@ -397,17 +397,23 @@ def test_budget_enforcement(case):
 
 def test_budget_of_exactly_the_cost_completes():
     """The per-post pre-flight prices the HITs each posting builds, so a
-    budget equal to a query's unbudgeted cost completes it unchanged, and
-    one assignment's price less aborts before the post that would
-    overspend."""
+    budget equal to a query's unbudgeted cost completes it unchanged (the
+    whole-plan forecast, armed with ``budget_preflight``, must not abort
+    it either), and one assignment's price less aborts before the post
+    that would overspend. Runs every Table-5 join variant with its own
+    query and the four session variants."""
     from dataclasses import replace
 
-    from repro.experiments.end_to_end import QUERY_WITH_FILTER
+    from repro.experiments.end_to_end import (
+        JOIN_VARIANTS,
+        QUERY_NO_FILTER,
+        QUERY_WITH_FILTER,
+    )
     from repro.experiments.session_workload import variant_configs
 
     data = movie_dataset(seed=0)
 
-    def run(config):
+    def run(config, query):
         engine = Qurk(
             platform=SimulatedMarketplace(data.truth, seed=0), config=config
         )
@@ -415,14 +421,23 @@ def test_budget_of_exactly_the_cost_completes():
         engine.register_table(data.scenes)
         engine.define(data.task_dsl)
         try:
-            return engine.execute(QUERY_WITH_FILTER), engine.ledger
+            return engine.execute(query), engine.ledger
         except BudgetExceededError:
             return None, engine.ledger
 
-    for name, config in variant_configs():
-        free, ledger = run(config)
+    plans = [
+        (
+            variant.label,
+            variant.config(),
+            QUERY_WITH_FILTER if variant.use_filter else QUERY_NO_FILTER,
+        )
+        for variant in JOIN_VARIANTS
+    ]
+    plans += [(name, config, QUERY_WITH_FILTER) for name, config in variant_configs()]
+    for name, config, query in plans:
+        free, ledger = run(config, query)
         cost = ledger.total_cost
-        capped, _ = run(replace(config, max_budget=cost))
+        capped, _ = run(replace(config, max_budget=cost, budget_preflight=True), query)
         assert capped is not None, name
         assert (capped.rows, capped.hit_count, capped.total_cost) == (
             free.rows,
@@ -430,7 +445,7 @@ def test_budget_of_exactly_the_cost_completes():
             free.total_cost,
         ), name
         below = cost - ledger.pricing.cost(1)
-        aborted, short_ledger = run(replace(config, max_budget=below))
+        aborted, short_ledger = run(replace(config, max_budget=below), query)
         assert aborted is None, name
         assert short_ledger.total_cost <= below + 1e-9, name
 

@@ -11,24 +11,11 @@ numbers on purpose.
 from __future__ import annotations
 
 import json
-from pathlib import Path
 
 import pytest
 
-from repro.experiments.registry import EXPERIMENTS, render_experiment
-
-PAPER_GOLDEN_PATH = Path(__file__).parent / "golden" / "paper_artifacts.json"
-RUNNABLE = [entry for entry in EXPERIMENTS if entry.runner is not None]
-REQUIRES = {"EXP-S33": "scipy"}
-"""Artifacts that need an optional extra: the §3.3.3 fit is scipy's."""
-
-
-def render_artifacts() -> dict[str, list[str]]:
-    """Every runnable artifact's seed-0 table, as text lines."""
-    return {
-        entry.experiment_id: render_experiment(entry, seed=0).splitlines()
-        for entry in RUNNABLE
-    }
+from determinism_pins import PAPER_GOLDEN_PATH, REQUIRES, RUNNABLE
+from repro.experiments.registry import render_experiment
 
 
 @pytest.fixture(scope="module")

@@ -170,6 +170,24 @@ def test_budget_preflight_does_not_count_stale_rows_as_paid(tmp_path):
     engine.store.close()
 
 
+def test_warm_replay_combines_with_the_query_combiner(tmp_path):
+    """Rows hold raw assignments, so the query's own combiner runs over
+    them after replay: a warm QualityAdjust run over answers stored under
+    MajorityVote posts nothing and returns a cold QualityAdjust run's rows."""
+
+    def join(path, combiner):
+        engine, market = build_engine(path, config=CONFIG.with_overrides(combiner=combiner))
+        rows = sorted(tuple(row.as_dict().values()) for row in engine.execute(JOIN).rows)
+        engine.store.close()
+        return rows, market.stats.hits_posted
+
+    path = tmp_path / "answers.db"
+    assert join(path, "MajorityVote")[1] > 0
+    cold_rows, cold_hits = join(tmp_path / "cold.db", "QualityAdjust")
+    assert cold_hits > 0
+    assert join(path, "QualityAdjust") == (cold_rows, 0)
+
+
 def test_row_answering_another_question_is_a_miss(tmp_path):
     hit = HIT(
         hit_id="h",

@@ -19,8 +19,9 @@ The totals feed the whole-plan budget pre-flight
 (:func:`repro.core.budget.plan_preflight`) and surface as *predicted vs.
 actual* HIT counts in EXPLAIN. Execution never reads the forecast. Given
 the true cardinalities the counts are exact, except a grouped sort's
-group sizes (split evenly here) and grids over candidates an equality
-feature pruned.
+group sizes (split evenly here), grids over candidates an equality
+feature pruned, and crowd predicates and select lists above a join
+(counted per row; execution asks once per distinct ref).
 """
 
 from __future__ import annotations

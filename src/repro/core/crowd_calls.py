@@ -493,18 +493,20 @@ def run_predicate_calls(
 
 
 def predicate_hits(
-    calls: Sequence[UDFCall], items: int, catalog: "Catalog", config: "ExecutionConfig"
+    calls: Sequence[UDFCall], rows: int, catalog: "Catalog", config: "ExecutionConfig"
 ) -> int:
-    """HITs :func:`run_predicate_calls` posts for ``calls`` over ``items``
-    distinct refs: one filter posting per filter task, and one generative
-    posting for all the generative tasks (first rounds only, under an
-    ``adaptive`` vote policy)."""
+    """HITs :func:`run_predicate_calls` posts for ``calls`` over ``rows``
+    rows: one filter posting per filter task, and one generative posting
+    for all the generative tasks (first rounds only, under an ``adaptive``
+    vote policy). Execution asks once per distinct ref, so the count is
+    exact when no two rows share a ref and an over-count above a join,
+    where they do."""
     roles: dict[str, str] = {}
     for call in calls:
         if catalog.has_task(call.name) and not catalog.has_function(call.name):
             roles[call.name] = task_role(catalog.task(call.name))
     filters = sum(role == ROLE_FILTER for role in roles.values())
     generative = sum(role == ROLE_GENERATIVE for role in roles.values())
-    return filters * math.ceil(items / config.filter_batch_size) + generative_hits(
-        generative, items, config
+    return filters * math.ceil(rows / config.filter_batch_size) + generative_hits(
+        generative, rows, config
     )

@@ -21,7 +21,6 @@ from repro.core.context import QueryContext
 from repro.core.crowd_calls import (
     adaptive_single_question_votes,
     begin_generative_units,
-    call_item_ref,
     evaluate_arg,
     generative_hits,
 )
@@ -56,7 +55,6 @@ from repro.relational.expressions import (
     Expression,
     Literal,
     UDFCall,
-    feature_equal,
 )
 from repro.relational.rows import Row
 from repro.relational.schema import Schema

@@ -22,7 +22,7 @@ import math
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from repro.core.context import ExecutionConfig, QueryContext
-from repro.core.crowd_calls import call_item_ref, evaluate_arg
+from repro.core.crowd_calls import call_item_ref
 from repro.core.plan import SortNode
 from repro.errors import PlanError
 from repro.hits.hit import (
@@ -40,7 +40,7 @@ from repro.language.ast import OrderItem
 from repro.metrics.agreement import comparison_kappa
 from repro.relational.expressions import UDFCall
 from repro.relational.rows import Row
-from repro.sorting.groups import covering_groups, minimum_group_count
+from repro.sorting.groups import covering_groups
 from repro.sorting.head_to_head import head_to_head_order, pair_winners_from_votes
 from repro.sorting.hybrid import (
     ConfidenceStrategy,
@@ -186,11 +186,10 @@ def sort_hits(
     ``group_sizes`` distinct items each.
 
     Calls what execution posts with, on placeholder items of each size:
-    the rating batch, :func:`covering_groups` (once per distinct size, up
-    to :data:`EXACT_COVER_LIMIT` items), the hybrid's iterations, and
-    :func:`tournament_top_k` under a LIMIT hint. Those counts depend only
-    on the size, the configuration and the seed, never on the items or
-    the votes.
+    the rating batch, :func:`covering_groups` (once per distinct size),
+    the hybrid's iterations, and :func:`tournament_top_k` under a LIMIT
+    hint. Those counts depend only on the size, the configuration and the
+    seed, never on the items or the votes.
     """
     plain = plain_prefix(node, catalog)
     if len(plain) == len(node.order_items):
@@ -199,19 +198,10 @@ def sort_hits(
     k = node.limit_hint or 0
     if not plain and _limit_tournament_applies(node, config) and 1 <= k < n:
         items = [str(index) for index in range(n)]
-        batch_size = min(config.limit_pick_batch_size, n)
+        batch_size = _pick_batch_size(config, n)
         return tournament_top_k(items, lambda batch: batch[0], k, batch_size)[1]
     per_size = {n: _group_sort_hits(n, config) for n in sorted(set(group_sizes))}
     return sum(per_size[n] for n in group_sizes)
-
-
-EXACT_COVER_LIMIT = 256
-"""The largest group whose comparison HITs :func:`sort_hits` counts with
-:func:`covering_groups` itself. The greedy cover's time grows with the cube
-of the items (about 0.3 s at 200, 9 s at 800), and a forecast's rows may
-overstate the real ones many times over, so a larger group is priced at
-the paper's C(n, 2)/C(S, 2) lower bound, 10% under the greedy cover's
-count at 200 to 800 items."""
 
 
 def _group_sort_hits(n: int, config: ExecutionConfig) -> int:
@@ -219,17 +209,23 @@ def _group_sort_hits(n: int, config: ExecutionConfig) -> int:
     if n < 2:
         return 0
     if config.sort_method == "compare":
-        size = min(config.compare_group_size, n)
-        if n > EXACT_COVER_LIMIT:
-            groups = math.ceil(minimum_group_count(n, size))
-        else:
-            items = [str(index) for index in range(n)]
-            groups = len(covering_groups(items, size, config.seed))
-        return math.ceil(groups / config.compare_batch_groups)
+        items = [str(index) for index in range(n)]
+        groups = covering_groups(items, _compare_group_size(config, n), config.seed)
+        return math.ceil(len(groups) / config.compare_batch_groups)
     rate_hits = math.ceil(n / config.rate_batch_size)
     if config.sort_method == "rate":
         return rate_hits
     return rate_hits + config.hybrid_iterations
+
+
+def _compare_group_size(config: ExecutionConfig, items: int) -> int:
+    """Items per comparison group (and hybrid window) over ``items`` items."""
+    return min(config.compare_group_size, items)
+
+
+def _pick_batch_size(config: ExecutionConfig, items: int) -> int:
+    """Items per best-of-batch HIT in a LIMIT tournament over ``items``."""
+    return min(config.limit_pick_batch_size, items)
 
 
 def _plain_key(row: Row, items: Sequence[OrderItem], env: Mapping) -> tuple:
@@ -341,7 +337,7 @@ def limit_tournament_refs(
     both DESC (``most=True``) and ASC (``most=False``) — so rows emitted
     in this order truncate correctly under the LimitNode above.
     """
-    batch_size = min(ctx.config.limit_pick_batch_size, len(refs))
+    batch_size = _pick_batch_size(ctx.config, len(refs))
 
     def pick(batch: Sequence[str]) -> str:
         payload = pick_best_payload(task, batch, most)
@@ -402,7 +398,7 @@ def begin_compare_sort(
     task: RankTask, refs: Sequence[str], ctx: QueryContext
 ) -> _PendingGroupSort:
     """Post a full comparison sort's HITs without collecting the votes."""
-    group_size = min(ctx.config.compare_group_size, len(refs))
+    group_size = _compare_group_size(ctx.config, len(refs))
     groups = covering_groups(list(refs), group_size, seed=ctx.config.seed)
     item_html = {ref: _item_html(task, ref) for ref in refs}
     units: list[list[Payload]] = [
@@ -495,7 +491,7 @@ def hybrid_sort(
     _, summaries = rate_sort(task, refs, ctx, node)
     strategy = make_strategy(
         ctx.config.hybrid_strategy,
-        window_size=min(ctx.config.compare_group_size, len(refs)),
+        window_size=_compare_group_size(ctx.config, len(refs)),
         stride=ctx.config.hybrid_stride,
         seed=ctx.config.seed,
     )

@@ -56,100 +56,98 @@ def covering_groups(
     return _greedy_cover(unique, group_size, rng)
 
 
-class _ArgmaxView:
-    """Lazy sequence of the items whose score equals ``best``, in item order.
+def _nth_member(members: int, index: int) -> int:
+    """The ``index``-th smallest position set in the bitset ``members``."""
+    base = 0
+    width = members.bit_length()
+    while width > 16:  # halve by population until a short tail remains
+        half = width >> 1
+        low = members & ((1 << half) - 1)
+        below = low.bit_count()
+        if index < below:
+            members, width = low, half
+        else:
+            members, width, base = members >> half, width - half, base + half
+            index -= below
+    for _ in range(index):
+        members &= members - 1
+    return base + (members & -members).bit_length() - 1
+
+
+class _Ties:
+    """The positions in a bitset, lowest first, as a lazy sequence.
 
     ``random.Random.choice(seq)`` consumes one ``_randbelow(len(seq))`` draw
-    and reads ``seq[i]`` once. Exposing the argmax candidates through this
-    view therefore consumes exactly the draws a materialized candidate list
-    would — with the same length and the same i-th element — without
-    allocating the list on every greedy pick. Occurrence lookup rides on
-    C-level ``list.index``.
+    and reads ``seq[i]`` once. Exposing the tied candidates through this
+    view therefore consumes exactly the draws the candidate list in item
+    order would, with the same length and the same i-th element, without
+    building the list on every greedy pick.
     """
 
-    __slots__ = ("scores", "best", "items", "count")
+    __slots__ = ("members", "count")
 
-    def __init__(
-        self, scores: list[int], best: int, items: list[str], count: int
-    ) -> None:
-        self.scores = scores
-        self.best = best
-        self.items = items
-        self.count = count
+    def __init__(self, members: int) -> None:
+        self.members = members
+        self.count = members.bit_count()
 
     def __len__(self) -> int:
         return self.count
 
-    def __getitem__(self, index: int) -> str:
-        scores = self.scores
-        best = self.best
-        position = scores.index(best)
-        for _ in range(index):
-            position = scores.index(best, position + 1)
-        return self.items[position]
+    def __getitem__(self, index: int) -> int:
+        return _nth_member(self.members, index)
 
 
 def _greedy_cover(
     unique: list[str], group_size: int, rng: RandomSource
 ) -> list[tuple[str, ...]]:
-    """The greedy covering of :func:`covering_groups`, on incremental gains.
+    """The greedy covering of :func:`covering_groups`, on bitsets.
 
-    Bookkeeping that keeps each pick cheap:
-
-    * "is this pair uncovered?" is an integer-set membership instead of a
-      sorted string-tuple allocation per probe;
-    * per-pick gains are maintained incrementally in an int array (adding a
-      member bumps the gain of its uncovered partners) instead of being
-      recomputed member-by-member for every item; group members sit at a
-      large negative sentinel so they can never tie a real candidate, and
-      the argmax/count/select steps all run as C-level list primitives;
-    * candidate argmax sets are exposed lazily via :class:`_ArgmaxView`
-      instead of materialized per pick.
+    Item ``i`` is bit ``i``. Each item keeps the bitset of partners it has
+    no covered pair with, and items sit in buckets by that count (their
+    degree), so the seed pick reads the top non-empty bucket. While a group
+    grows, each candidate's gain (members it has an uncovered pair with)
+    is a binary counter held as bit planes, one bitset per bit: adding a
+    member adds its partner bitset with carries, and the tied best
+    candidates are the non-members kept by narrowing to each plane from
+    the highest that any of them has set. Every step is a whole-bitset
+    integer operation instead of a loop over items.
     """
     n = len(unique)
-    index_of = {item: i for i, item in enumerate(unique)}
-    partners: list[set[int]] = [
-        set(range(i)) | set(range(i + 1, n)) for i in range(n)
-    ]
-    degree = [n - 1] * n
-    uncovered_count = n * (n - 1) // 2
-    # Members get this sentinel in the gain array; at most group_size
-    # increments can land on it afterwards, so it stays below zero while
-    # every real candidate's gain is >= 0.
-    member_sentinel = -(n + group_size + 1)
+    everyone = (1 << n) - 1
+    uncovered = [everyone ^ (1 << i) for i in range(n)]
+    by_degree = [0] * n
+    by_degree[n - 1] = everyone
+    top = n - 1
+    uncovered_ends = n * (n - 1)  # two per uncovered pair
+    planes_count = (group_size - 1).bit_length()
 
     groups: list[tuple[str, ...]] = []
-    while uncovered_count:
-        # Seed pick: argmax over degree (every item is a candidate).
-        best = max(degree)
-        first = rng.choice(_ArgmaxView(degree, best, unique, degree.count(best)))
-        first_id = index_of[first]
-        group = [first]
-        group_ids = [first_id]
-        # gain[i] = number of current members whose pair with i is uncovered.
-        gain = [0] * n
-        for p in partners[first_id]:
-            gain[p] = 1
-        gain[first_id] = member_sentinel
-        while len(group) < group_size:
-            best = max(gain)
-            chosen = rng.choice(_ArgmaxView(gain, best, unique, gain.count(best)))
-            chosen_id = index_of[chosen]
-            group.append(chosen)
-            group_ids.append(chosen_id)
-            for p in partners[chosen_id]:
-                gain[p] += 1
-            gain[chosen_id] = member_sentinel
-        for i in range(len(group_ids)):
-            a = group_ids[i]
-            pa = partners[a]
-            for j in range(i + 1, len(group_ids)):
-                b = group_ids[j]
-                if b in pa:
-                    pa.discard(b)
-                    partners[b].discard(a)
-                    uncovered_count -= 1
-                    degree[a] -= 1
-                    degree[b] -= 1
-        groups.append(tuple(group))
+    while uncovered_ends:
+        while not by_degree[top]:
+            top -= 1
+        first = rng.choice(_Ties(by_degree[top]))
+        group_ids = [first]
+        members = 1 << first
+        planes = [uncovered[first]] + [0] * (planes_count - 1)
+        while len(group_ids) < group_size:
+            ties = everyone ^ members
+            for plane in reversed(planes):
+                if ties & plane:
+                    ties &= plane
+            chosen = rng.choice(_Ties(ties))
+            group_ids.append(chosen)
+            members |= 1 << chosen
+            carry = uncovered[chosen]
+            for level in range(planes_count):
+                planes[level], carry = planes[level] ^ carry, planes[level] & carry
+        for member in group_ids:
+            fresh = uncovered[member] & members
+            if fresh:
+                degree = uncovered[member].bit_count()
+                covered = fresh.bit_count()
+                uncovered[member] ^= fresh
+                by_degree[degree] ^= 1 << member
+                by_degree[degree - covered] |= 1 << member
+                uncovered_ends -= covered
+        groups.append(tuple(unique[i] for i in group_ids))
     return groups

@@ -141,6 +141,3 @@ def test_forecast_covers_each_group_size_once(monkeypatch):
     monkeypatch.setattr(sort_exec, "covering_groups", counting_cover)
     assert sort_hits(sort, [6, 4, 6, 1, 4], engine.catalog, engine.config) > 0
     assert covered == [4, 6]
-    # Past the limit a group is priced at the C(n, 2)/C(S, 2) lower bound.
-    assert sort_hits(sort, [1000], engine.catalog, engine.config) == 1000 * 999 // 20
-    assert covered == [4, 6]

@@ -99,7 +99,8 @@ def textbook_greedy_cover(items, group_size, seed):
 
 
 @pytest.mark.parametrize(
-    "n, group_size, seed", [(6, 3, 0), (12, 4, 1), (20, 5, 2), (31, 5, 7)]
+    "n, group_size, seed",
+    [(6, 3, 0), (12, 4, 1), (20, 5, 2), (31, 5, 7), (45, 4, 3), (70, 9, 5)],
 )
 def test_covering_groups_match_textbook_greedy(n, group_size, seed):
     items = [f"i{k:02d}" for k in range(n)]

@@ -1,6 +1,6 @@
 """PERF — hot-path wall-clock on the scalar path and the vector kernel.
 
-Unlike the paper-artifact benchmarks, this one measures *wall-clock*. The
+Unlike the paper artifacts' checks, this one measures *wall-clock*. The
 scalar macro leg runs the Table 5 end-to-end movie query (the unoptimized
 Simple-join + Compare-sort plan and the optimized Filter + Smart 5x5 +
 Rate plan) at 16x dataset scale; it is the budget the 256x vector leg must

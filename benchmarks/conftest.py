@@ -1,35 +1,19 @@
 """Benchmark harness conventions.
 
-Each benchmark regenerates one paper artifact (table or figure), prints the
-reproduced rows/series, and asserts the paper's *qualitative* shape — who
-wins, by roughly what factor, where crossovers fall. Absolute numbers come
-from the simulated marketplace and are not expected to match the authors'
-2011 MTurk testbed.
-
-Experiments run once per benchmark (``rounds=1``): the interesting metric is
-the artifact itself, not the wall-clock of the simulation.
-
-Per-bench wall-clock timings are still recorded: every benchmark test's
-duration is written to ``BENCH_timings.json`` (next to the benchmarks) at
-session end, so perf regressions across PRs are visible without rerunning
-pytest-benchmark's statistics machinery.
+Each benchmark here measures the reproduction itself and records its
+numbers in a ``BENCH_*.json`` beside it; the paper's tables are pinned and
+shape-checked in tier-1 (``tests/test_paper_artifacts.py``). Bench files do
+not match pytest's ``test_*.py`` pattern, so name them:
+``python -m pytest benchmarks/bench_*.py -q``.
 """
 
 from __future__ import annotations
-
-import json
-import time
-from pathlib import Path
-
-TIMINGS_PATH = Path(__file__).parent / "BENCH_timings.json"
-
-_timings: dict[str, float] = {}
 
 
 def pytest_configure(config):
     # Registered here (the only place the marker is used) so plain
     # `pytest` keeps running everything while `-m "not slow"` can deselect
-    # the >30s artifacts locally — including under --strict-markers.
+    # the >30s benchmarks locally — including under --strict-markers.
     config.addinivalue_line(
         "markers",
         "slow: benchmark measurement taking >30s wall; deselect locally "
@@ -40,36 +24,3 @@ def pytest_configure(config):
 def run_once(benchmark, fn, *args, **kwargs):
     """Run an experiment exactly once under pytest-benchmark timing."""
     return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)
-
-
-def pytest_runtest_setup(item):
-    item._bench_wall_start = time.perf_counter()
-
-
-def pytest_runtest_teardown(item):
-    start = getattr(item, "_bench_wall_start", None)
-    if start is not None:
-        _timings[item.nodeid] = round(time.perf_counter() - start, 4)
-
-
-def pytest_sessionfinish(session):
-    if not _timings:
-        return
-    # Merge into the existing record so a partial run (one bench file)
-    # refreshes its own entries without clobbering the rest.
-    merged: dict[str, float] = {}
-    if TIMINGS_PATH.exists():
-        try:
-            merged = json.loads(TIMINGS_PATH.read_text()).get("timings", {})
-        except (ValueError, AttributeError):
-            merged = {}
-    merged.update(_timings)
-    TIMINGS_PATH.write_text(
-        json.dumps(
-            {
-                "unit": "seconds_wall_clock_per_test",
-                "timings": dict(sorted(merged.items())),
-            },
-            indent=1,
-        )
-    )

@@ -9,11 +9,13 @@ committed:
 * the stdout of every ``examples/*.py`` (``tests/golden/examples.json``),
   each run in a fresh copy of this interpreter;
 * every paper artifact's seed-0 table (``tests/golden/paper_artifacts.json``),
+  and then its shape (the artifact's check in ``tests/paper_checks.py``),
   skipping with a notice an artifact whose optional extra is missing
   (``REQUIRES``: EXP-S33 needs scipy).
 
 On a mismatch it prints the interpreter and the first record that differs
-(a vote, a counter, an example's or a table's line) and exits 1. It
+(a vote, a counter, an example's or a table's line), or the artifact and
+the source line of the assertion its check failed, and exits 1. It
 imports only the standard library and the engine, so it runs on any
 supported CPython, with or without pytest, numpy or scipy;
 ``scripts/ci_fast.sh`` runs it under every ``python3.X`` it can start.
@@ -29,6 +31,7 @@ import importlib.util
 import json
 import platform
 import sys
+import traceback
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -42,13 +45,17 @@ from determinism_pins import (  # noqa: E402
     GOLDEN_PATH,
     PAPER_GOLDEN_PATH,
     REQUIRES,
-    RUNNABLE,
     UNOPTIMIZED_TRACE_SHA256,
     collect_trace,
     run_example,
     unoptimized_trace_digest,
 )
-from repro.experiments.registry import render_experiment  # noqa: E402
+from paper_checks import CHECKS  # noqa: E402
+from repro.experiments.registry import (  # noqa: E402
+    EXPERIMENTS,
+    render_experiment,
+    run_experiment,
+)
 
 def interpreter() -> str:
     """The running interpreter, as a mismatch report names it."""
@@ -117,21 +124,28 @@ def check_examples() -> str | None:
     return None
 
 
-def check_paper(golden_path: Path = PAPER_GOLDEN_PATH) -> str | None:
+def check_paper(golden_path: Path = PAPER_GOLDEN_PATH, checks=CHECKS) -> str | None:
     pinned = json.loads(golden_path.read_text(encoding="utf-8"))
-    ids = sorted(entry.experiment_id for entry in RUNNABLE)
-    if sorted(pinned) != ids:
-        return f"paper artifacts {ids}, pinned {sorted(pinned)}"
-    for entry in RUNNABLE:
+    ids = sorted(entry.experiment_id for entry in EXPERIMENTS)
+    if sorted(pinned) != ids or sorted(checks) != ids:
+        return f"paper artifacts {ids}, pinned {sorted(pinned)}, checked {sorted(checks)}"
+    for entry in EXPERIMENTS:
         name = entry.experiment_id
         module = REQUIRES.get(name)
         if module is not None and importlib.util.find_spec(module) is None:
             print(f"paper {name} not checked: it needs {module}, which is not installed")
             continue
-        lines = render_experiment(entry, seed=0).splitlines()
+        result = run_experiment(entry, seed=0)
+        lines = render_experiment(result).splitlines()
         found = first_line_difference(pinned[name], lines, f"paper {name}")
         if found is not None:
             return found
+        try:
+            checks[name](result)
+        except AssertionError as error:
+            frame = traceback.extract_tb(error.__traceback__)[-1]
+            where = f"{Path(frame.filename).name}:{frame.lineno}: {frame.line}"
+            return f"paper {name} check failed at {where}"
     return None
 
 

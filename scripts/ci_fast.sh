@@ -1,13 +1,14 @@
 #!/usr/bin/env sh
-# Fast CI lane: the full test suite minus the >30s benchmark artifacts,
+# Fast CI lane: the full test suite minus the >30s benchmark measurements,
 # plus the persistent-store warm-path smoke guard.
 #
 #   scripts/ci_fast.sh            # from the repo root
 #
 # Ten stages, all minutes-not-hours:
 #   1. `pytest -m "not slow"` over tests/ — every correctness, contract,
-#      determinism, and durability test (the `slow` marker only exists on
-#      long benchmark measurements, so nothing tier-1 is skipped);
+#      determinism, and durability test, and every paper artifact's pin
+#      and shape check (the `slow` marker only exists on long benchmark
+#      measurements, so nothing tier-1 is skipped);
 #   2. `python -m repro.analysis src tests` — the determinism & contract
 #      linter (docs/LINT.md): fails on any non-baselined finding and on
 #      stale baseline entries (shrink-only);
@@ -51,18 +52,19 @@
 #      scalar fallback of REPRO_VECTOR, the tests that skip without an
 #      extra) run for real even where both are installed. Any failure or
 #      error fails the stage;
-#  10. `check_pins.py` (~3-7 s each) under every CPython from 3.10 to 3.13
+#  10. `check_pins.py` (~5-8 s each) under every CPython from 3.10 to 3.13
 #      that starts here: `python3.X` on PATH, and each 3.X.* that pyenv
 #      lists, run with PYENV_VERSION set (each interpreter once). It checks
 #      the scalar golden trace, the unoptimized plan's digest, the example
-#      outputs and the paper artifacts' tables (an artifact whose optional
-#      extra is missing, EXP-S33 without scipy, is skipped with a notice),
-#      and names the interpreter and the first differing record on a
-#      mismatch. A minor version with no interpreter that starts gets a
-#      notice, not a failure.
+#      outputs and all 16 paper artifacts' tables, each then shape-checked
+#      (`tests/paper_checks.py`; EXP-S33 is skipped with a notice without
+#      scipy). A mismatch names the interpreter and the first differing
+#      record, or the artifact and its failed assertion. A minor version
+#      with no interpreter that starts gets a notice, not a failure.
 #
-# The heavyweight lane stays `scripts/profile_hotpath.py --check` plus
-# `pytest benchmarks -q`.
+# The heavyweight lane stays `scripts/profile_hotpath.py --check` plus the
+# measurement benchmarks, named by file: `pytest benchmarks/bench_*.py -q`
+# (bench files do not match pytest's default `test_*.py` pattern).
 
 set -e
 

@@ -1,136 +1,53 @@
-"""Regenerate EXPERIMENTS.md by running every reproduction experiment.
+"""Render EXPERIMENTS.md from the experiment registry and the pinned tables.
 
-Runs each table/figure experiment once (fixed seeds), renders the measured
-rows next to the paper's reported values, and writes EXPERIMENTS.md.
+One section per paper artifact: the paper's claim, the reproduction's
+verdict (holds, holds in shape, or deviates) and the seed-0 table pinned
+in ``tests/golden/paper_artifacts.json``. No experiment runs here; re-pin
+the tables with ``scripts/regen_golden_trace.py --paper``, then render.
 
-Run:  python scripts/generate_experiments_md.py
+Run:  PYTHONPATH=src python scripts/generate_experiments_md.py
 """
 
 from __future__ import annotations
 
-import io
-import time
+import json
 from pathlib import Path
 
-from repro.experiments.ablations import run_ablation_table
-from repro.experiments.end_to_end import run_table5
-from repro.experiments.feature_experiments import (
-    run_cost_summary,
-    run_table2,
-    run_table3,
-    run_table4,
-)
-from repro.experiments.join_experiments import (
-    run_assignments_accuracy,
-    run_fig3,
-    run_fig4,
-    run_table1,
-)
-from repro.experiments.sort_experiments import (
-    run_animal_hybrid,
-    run_compare_batching,
-    run_fig6,
-    run_fig7,
-    run_rate_batching,
-    run_rate_granularity,
-)
+from repro.experiments.registry import DEVIATES, EXPERIMENTS
 
-PAPER_NOTES = {
-    "EXP-T1": "Paper: all three implementations near-ideal unbatched "
-    "(19-20 of 20 TPs, 376-380 of 380 TNs).",
-    "EXP-F3": "Paper: batching costs a few TPs under MV (Smart 3x3 worst), "
-    "QA recovers them; TN unaffected; single-worker TP 78% (Simple) vs "
-    "53% (Smart 3x3).",
-    "EXP-F4": "Paper: Simple slowest (~1-2h, trial #2 worse), batched "
-    "variants well under 1h; last 50% of the wait is the last 5% of tasks.",
-    "EXP-S33": "Paper: R²=0.028, slightly positive slope, p<.05 — volume "
-    "explains almost none of the accuracy variance. (Our simulated pool has "
-    "accuracy truly independent of volume, so the slope is ~0 and p is "
-    "large; the R²-tiny/no-negative-effect conclusion is what carries.)",
-    "EXP-T2": "Paper Table 2: errors 1/3/5/5, saved 592/623/633/646, cost "
-    "$27.52/$25.05/$33.15/$32.18. Our filters are somewhat more selective "
-    "(cheaper joins), same ordering: combined < isolated on both errors "
-    "and cost.",
-    "EXP-T3": "Paper Table 3: omitting gender $45.30 (1 err) > hair $34.35 "
-    "(0 err) > skin $31.28 (1 err): gender is the workhorse filter, hair "
-    "causes the errors.",
-    "EXP-T4": "Paper Table 4: gender kappa .85-.94; hair .26-.45; skin "
-    ".73/.95 combined vs .45/.47 isolated; 25% samples track full kappa.",
-    "EXP-COST": "Paper §3.4: $67.50 naive → $27 filtered → $2.70 "
-    "filtered+batch-10.",
-    "EXP-S422a": "Paper: tau=1.0 at S=5 and S=10 (S=10 ~3x slower); S=20 "
-    "never completes.",
-    "EXP-S422b": "Paper: rate tau ~0.78 (std 0.058), insensitive to batch "
-    "size 1-10.",
-    "EXP-S422c": "Paper: tau ~0.798 (std 0.042) across dataset sizes 20-50.",
-    "EXP-F6": "Paper Figure 6: kappa and tau both decline Q1→Q5; Q4 "
-    "(Saturn) still above Q5 (random); 10-item samples estimate both.",
-    "EXP-F7": "Paper Figure 7: Compare tau=1.0 at 78 HITs; Rate tau~0.78 at "
-    "8 HITs; Window-6 hybrid >0.95 within 30 HITs, converges in half of "
-    "Compare's budget; Window 5 plateaus; Random lags. (Our greedy covering "
-    "design emits ~96 compare groups vs the paper's 78 lower bound.)",
-    "EXP-S424": "Paper §4.2.4: animal-size hybrid improves tau .76 → .90 "
-    "within 20 iterations.",
-    "EXP-T5": "Paper Table 5: Filter 43; Filter+Simple 628, +Naive 160, "
-    "+Smart3x3 108, +Smart5x5 66; NoFilter Simple 1055, Naive 211, "
-    "Smart5x5 43; Compare 61 vs Rate 11; totals 1116 → 77 (14.5x).",
-}
+REPO_ROOT = Path(__file__).resolve().parent.parent
+PAPER_GOLDEN_PATH = REPO_ROOT / "tests" / "golden" / "paper_artifacts.json"
+
+HEADER = """\
+# EXPERIMENTS — paper vs measured
+
+Every table and figure of *Human-powered Sorts and Joins* (VLDB 2011),
+regenerated against the simulated marketplace at seed 0. The simulator is
+calibrated to the paper's aggregate statistics, so the claims reproduced
+are the *shapes*: who wins, by what factor, where the crossovers fall.
+"""
+
+
+def render(pinned: dict[str, list[str]]) -> str:
+    """EXPERIMENTS.md's text: each artifact's claim, verdict and table."""
+    sections = [HEADER]
+    for entry in EXPERIMENTS:
+        verdict = f"**Verdict: {entry.verdict}**"
+        if entry.verdict == DEVIATES:
+            verdict += ' (README.md, "Where the reproduction departs from the paper")'
+        table = "\n".join(pinned[entry.experiment_id])
+        sections.append(
+            f"## {entry.experiment_id} — {entry.artifact}\n\n"
+            f"Paper: {entry.claim}\n\n{verdict}\n\n```\n{table}\n```\n"
+        )
+    return "\n".join(sections)
 
 
 def main() -> None:
-    out = io.StringIO()
-    out.write("# EXPERIMENTS — paper vs measured\n\n")
-    out.write(
-        "Every table and figure of *Human-powered Sorts and Joins* "
-        "(VLDB 2011), regenerated against the simulated marketplace "
-        "(seeds fixed; regenerate with "
-        "`python scripts/generate_experiments_md.py`, or run the "
-        "corresponding benchmark under `benchmarks/`).\n\n"
-        "Absolute numbers come from a simulator calibrated to the paper's "
-        "aggregate statistics; the claims being reproduced are the "
-        "*shapes*: who wins, by what factor, where the crossovers fall. "
-        "See docs/ARCHITECTURE.md for the substitution rationale.\n\n"
-    )
-
-    runners = [
-        ("EXP-T1", lambda: run_table1(seed=0)),
-        ("EXP-F3", lambda: run_fig3(seed=0)),
-        ("EXP-F4", lambda: run_fig4(seed=0)),
-        ("EXP-S33", lambda: run_assignments_accuracy(seed=0)[0]),
-        ("EXP-T2", lambda: run_table2(seed=0)),
-        ("EXP-T3", lambda: run_table3(seed=0)),
-        ("EXP-T4", lambda: run_table4(seed=0)),
-        ("EXP-COST", lambda: run_cost_summary(seed=0)),
-        ("EXP-S422a", lambda: run_compare_batching(seed=0)),
-        ("EXP-S422b", lambda: run_rate_batching(seed=0)),
-        ("EXP-S422c", lambda: run_rate_granularity(seed=0)),
-        ("EXP-F6", lambda: run_fig6(seed=0)),
-        ("EXP-F7", lambda: run_fig7(seed=0)[0]),
-        ("EXP-S424", lambda: run_animal_hybrid(seed=0)),
-        ("EXP-T5", lambda: run_table5(seed=0)),
-    ]
-    for experiment_id, runner in runners:
-        start = time.time()
-        table = runner()
-        elapsed = time.time() - start
-        print(f"{experiment_id}: {elapsed:.1f}s")
-        out.write(f"## {experiment_id} — {table.title}\n\n")
-        out.write(f"{PAPER_NOTES[experiment_id]}\n\n")
-        out.write("```\n")
-        out.write(table.format())
-        out.write("\n```\n\n")
-
-    out.write("## EXP-ABL — §6 extensions, measured\n\n")
-    out.write(
-        "Adaptive assignment counts, QA-driven worker banning, and TurKit-"
-        "style cached reruns (the batch tuner and budget allocator are "
-        "additionally exercised in `benchmarks/bench_ablation_extensions.py`):\n\n"
-    )
-    out.write("```\n")
-    out.write(run_ablation_table(seed=0).format())
-    out.write("\n```\n")
-    Path("EXPERIMENTS.md").write_text(out.getvalue())
-    print("wrote EXPERIMENTS.md")
+    pinned = json.loads(PAPER_GOLDEN_PATH.read_text(encoding="utf-8"))
+    path = REPO_ROOT / "EXPERIMENTS.md"
+    path.write_text(render(pinned), encoding="utf-8")
+    print(f"wrote {path}")
 
 
 if __name__ == "__main__":

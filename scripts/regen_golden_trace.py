@@ -20,9 +20,10 @@ Usage::
 break independently.
 
 ``--paper`` re-pins ``tests/golden/paper_artifacts.json``: the seed-0
-table of every experiment-registry entry that has a runner, as text lines
-(``tests/test_paper_artifacts.py`` compares them). It requires scipy (the
-``[stats]`` extra) for EXP-S33's regression.
+table of every experiment-registry entry, as text lines
+(``tests/test_paper_artifacts.py`` compares them, then applies each
+artifact's shape check, which a re-pin must still pass). It requires
+scipy (the ``[stats]`` extra) for EXP-S33's regression.
 
 ``--unoptimized`` re-pins ``UNOPTIMIZED_TRACE_SHA256`` in
 ``tests/determinism_pins.py``: the sha256 of the seed-0 trace of the

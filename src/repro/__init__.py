@@ -18,9 +18,9 @@ Quick start::
 
 See docs/ARCHITECTURE.md for the system inventory (and the pipelined
 executor's design), docs/API.md for the facade and configuration
-reference, and EXPERIMENTS.md — regenerated by
-``scripts/generate_experiments_md.py`` — for the paper artifacts the
-benchmark harness reproduces.
+reference, and :mod:`repro.experiments.registry` for the paper artifacts
+the reproduction regenerates (``scripts/generate_experiments_md.py``
+renders their claims, verdicts and pinned tables as EXPERIMENTS.md).
 """
 
 from repro.combine import MajorityVote, QualityAdjust, dawid_skene, get_combiner

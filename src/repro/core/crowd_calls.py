@@ -172,6 +172,7 @@ def run_filter_call(
         columns, outcome = adaptive_single_question_votes(
             units,
             [filter_qid(task.name, p[0].questions[0].item) for p in units],  # type: ignore[attr-defined]
+            ctx.config.filter_batch_size,
             ctx,
             label,
         )
@@ -342,6 +343,7 @@ def _combine_generative(
 def adaptive_single_question_votes(
     units: Sequence[Sequence[Payload]],
     qids: Sequence[str],
+    batch_size: int,
     ctx: QueryContext,
     label: str,
 ) -> tuple[VoteColumns, BatchOutcome]:
@@ -349,7 +351,8 @@ def adaptive_single_question_votes(
 
     Posts an initial small number of assignments, then re-posts only the
     still-contested questions in increments until the margin rule is
-    satisfied or the per-question budget runs out. Returns the votes on
+    satisfied or the per-question budget runs out. Every round packs
+    ``batch_size`` units per HIT, the caller's interface. Returns the votes on
     ``qids`` (in that order; a question may have none) and every round's
     merged outcome. Each round posts under its own
     :attr:`~repro.hits.hit.HIT.cache_round`, so a top-up asks the crowd
@@ -366,7 +369,7 @@ def adaptive_single_question_votes(
         round_units = [unit for unit, _ in pending]
         outcome = ctx.post(
             round_units,
-            ctx.config.filter_batch_size,
+            batch_size,
             round_votes,
             label,
             cache_round=cache_round,

@@ -506,7 +506,7 @@ def _run_join_interface(
             for unit in units
         ]
         columns, outcome = adaptive_single_question_votes(
-            units, qids, ctx, "join:pairs"
+            units, qids, batch_size, ctx, "join:pairs"
         )
     else:
         outcome = ctx.post(

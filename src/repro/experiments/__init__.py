@@ -2,11 +2,10 @@
 
 Each ``run_*`` function executes the corresponding experiment against the
 simulated marketplace and returns an :class:`~repro.experiments.harness.
-ExperimentTable` whose rows mirror the paper's table/figure series. The
-benchmarks under ``benchmarks/`` print these and assert the qualitative
-shape (who wins, by roughly what factor, where crossovers fall).
+ExperimentTable` whose rows mirror the paper's table/figure series.
 
-See :mod:`repro.experiments.registry` for the artifact → function index.
+See :mod:`repro.experiments.registry` for the artifact index: each
+artifact's runner, the paper's claim and the reproduction's verdict.
 """
 
 from repro.experiments.harness import ExperimentTable

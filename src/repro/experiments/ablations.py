@@ -76,9 +76,6 @@ def run_adaptive_ablation(seed: int = 0, n_celebs: int = 12) -> AdaptiveAblation
     adaptive_assignments, adaptive_correct = run(
         ExecutionConfig(
             join_interface=JoinInterface.SIMPLE,
-            # One question per HIT so the comparison isolates adaptiveness
-            # from batching.
-            filter_batch_size=1,
             adaptive=AdaptivePolicy(
                 initial_votes=3, step_votes=2, max_votes=9, margin=2
             ),

@@ -11,6 +11,9 @@ from repro.language.parser import parse_statements
 from repro.relational.catalog import Catalog
 from repro.tasks import task_from_definition
 
+# Explain a failing paper check (plain asserts in a helper module) in full.
+pytest.register_assert_rewrite("paper_checks")
+
 
 @pytest.fixture
 def binary_filter_truth() -> GroundTruth:

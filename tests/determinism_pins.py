@@ -24,7 +24,7 @@ from repro.core.engine import Qurk
 from repro.crowd import SimulatedMarketplace
 from repro.datasets.movie import movie_dataset
 from repro.experiments.end_to_end import QUERY_NO_FILTER, QUERY_WITH_FILTER
-from repro.experiments.registry import EXPERIMENTS, render_experiment
+from repro.experiments.registry import EXPERIMENTS, render_experiment, run_experiment
 from repro.joins.batching import JoinInterface
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -34,7 +34,6 @@ EXAMPLES_DIR = REPO_ROOT / "examples"
 EXAMPLES_GOLDEN_PATH = Path(__file__).parent / "golden" / "examples.json"
 EXAMPLES = sorted(path.stem for path in EXAMPLES_DIR.glob("*.py"))
 PAPER_GOLDEN_PATH = Path(__file__).parent / "golden" / "paper_artifacts.json"
-RUNNABLE = [entry for entry in EXPERIMENTS if entry.runner is not None]
 REQUIRES = {"EXP-S33": "scipy"}
 """Artifacts that need an optional extra: the §3.3.3 fit is scipy's."""
 
@@ -193,8 +192,8 @@ def render_examples() -> dict[str, list[str]]:
 
 
 def render_artifacts() -> dict[str, list[str]]:
-    """Every runnable artifact's seed-0 table, as text lines."""
+    """Every artifact's seed-0 table, as text lines."""
     return {
-        entry.experiment_id: render_experiment(entry, seed=0).splitlines()
-        for entry in RUNNABLE
+        entry.experiment_id: render_experiment(run_experiment(entry, seed=0)).splitlines()
+        for entry in EXPERIMENTS
     }

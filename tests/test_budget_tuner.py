@@ -137,6 +137,20 @@ def test_plan_preflight_reports_without_raising():
     assert report.as_signals()["fits"] == 1.0
 
 
+def test_budget_allocator_respects_cap():
+    """§6's whole-plan allocation keeps a three-operator plan under $15."""
+    plan = allocate_budget(
+        [
+            OperatorEstimate("feature-pass", units=120, requested_assignments=5),
+            OperatorEstimate("join", units=300, requested_assignments=5),
+            OperatorEstimate("sort", units=80, requested_assignments=5),
+        ],
+        budget=15.0,
+    )
+    assert plan.total_cost <= 15.0
+    assert all(a.assignments >= 1 for a in plan.allocations)
+
+
 def test_unknown_operator_lookup():
     plan = allocate_budget(estimates(), budget=50.0)
     with pytest.raises(KeyError):
@@ -222,21 +236,19 @@ def test_tuner_invalid_bounds():
         BatchTuner(min_batch=5, max_batch=2).tune(refusal_wall_probe(3))
 
 
-def test_tuner_against_simulated_marketplace(simple_rank_truth):
-    """End-to-end: the tuner discovers the compare-group refusal wall."""
+def compare_group_probe(truth, task, refs, seed_step):
+    """A probe posting one compare group of the first ``group_size`` refs."""
     from repro.crowd import SimulatedMarketplace
     from repro.hits import TaskManager
     from repro.hits.hit import CompareGroup, ComparePayload
 
-    truth = simple_rank_truth
-
     def probe(group_size: int) -> ProbeResult:
-        market = SimulatedMarketplace(truth, seed=group_size)
+        market = SimulatedMarketplace(truth, seed=group_size * seed_step)
         manager = TaskManager(market)
-        items = tuple(f"img://item/{i}" for i in range(min(group_size, 10)))
+        items = tuple(refs[:group_size])
         if len(items) < 2:
             return ProbeResult(group_size, completed=True)
-        payload = ComparePayload("sizeRank", (CompareGroup(items),))
+        payload = ComparePayload(task, (CompareGroup(items),))
         outcome = manager.run_units([[payload]], assignments=3, label="probe", strict=False)
         return ProbeResult(
             group_size,
@@ -244,6 +256,28 @@ def test_tuner_against_simulated_marketplace(simple_rank_truth):
             latency_seconds=outcome.elapsed_seconds,
         )
 
+    return probe
+
+
+def test_tuner_against_simulated_marketplace(simple_rank_truth):
+    """End-to-end: the tuner discovers the compare-group refusal wall."""
+    refs = [f"img://item/{i}" for i in range(10)]
+    probe = compare_group_probe(simple_rank_truth, "sizeRank", refs, seed_step=1)
     tuner = BatchTuner(min_batch=2, max_batch=10, latency_ceiling_seconds=1e9)
     best = tuner.tune(probe)
     assert 2 <= best <= 10
+
+
+def test_batch_tuner_finds_the_wall():
+    """§6's tuner finds the largest compare group below the refusal wall."""
+    from repro.crowd import GroundTruth
+
+    truth = GroundTruth()
+    refs = [f"i{k}" for k in range(24)]
+    truth.add_rank_task(
+        "rank", {ref: float(k) for k, ref in enumerate(refs)}, comparison_ambiguity=0.2
+    )
+    tuner = BatchTuner(min_batch=2, max_batch=24, latency_ceiling_seconds=1e9)
+    best = tuner.tune(compare_group_probe(truth, "rank", refs, seed_step=7))
+    # The paper saw group size 10 work and 20 refused: the wall is between.
+    assert 5 <= best < 20

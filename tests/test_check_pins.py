@@ -1,5 +1,5 @@
 """``scripts/check_pins.py`` reports the interpreter and the first record
-that differs from a pin."""
+that differs from a pin, or the paper check that fails."""
 
 from __future__ import annotations
 
@@ -9,6 +9,7 @@ import platform
 from pathlib import Path
 
 from determinism_pins import GOLDEN_PATH, PAPER_GOLDEN_PATH
+from paper_checks import CHECKS
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "check_pins.py"
 _spec = importlib.util.spec_from_file_location("check_pins", SCRIPT)
@@ -38,6 +39,18 @@ def test_altered_paper_golden_names_the_first_differing_line(tmp_path):
 
     assert check_pins.check_paper(altered) == (
         f"paper EXP-T1 line 3: pinned 'altered', got {want!r}"
+    )
+
+
+def test_a_failing_check_names_the_artifact_and_its_assertion():
+    def refuse(table):
+        assert table.cell("IDEAL", "TruePos (MV)") == 21
+
+    line = refuse.__code__.co_firstlineno + 1
+    difference = check_pins.check_paper(checks={**CHECKS, "EXP-T1": refuse})
+    assert difference == (
+        f"paper EXP-T1 check failed at test_check_pins.py:{line}: "
+        'assert table.cell("IDEAL", "TruePos (MV)") == 21'
     )
 
 

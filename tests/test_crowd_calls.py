@@ -156,14 +156,14 @@ def test_adaptive_collection_spends_fewer_assignments(binary_filter_truth):
         binary_filter_truth,
         FILTER_DSL,
         seed=7,
-        config=ExecutionConfig(adaptive=policy, filter_batch_size=1),
+        config=ExecutionConfig(adaptive=policy),
     )
     units = [
         [FilterPayload("isEven", (FilterQuestion(f"img://item/{i}"),))]
         for i in range(10)
     ]
     qids = [f"isEven:filter:img://item/{i}" for i in range(10)]
-    votes, outcome = adaptive_single_question_votes(units, qids, ctx, "adaptive")
+    votes, outcome = adaptive_single_question_votes(units, qids, 1, ctx, "adaptive")
     counts = [sum(votes.tally()[qid].values()) for qid in qids]
     assert all(3 <= count <= 9 for count in counts)
     # Most questions settle with the initial three votes.
@@ -180,7 +180,7 @@ def test_adaptive_top_ups_do_not_replay_cached_rounds(binary_filter_truth):
         binary_filter_truth,
         FILTER_DSL,
         seed=7,
-        config=ExecutionConfig(adaptive=policy, filter_batch_size=1),
+        config=ExecutionConfig(adaptive=policy),
     )
     ctx.manager.cache = TaskCache()
     units = [
@@ -188,7 +188,7 @@ def test_adaptive_top_ups_do_not_replay_cached_rounds(binary_filter_truth):
         for i in range(20)
     ]
     qids = [f"isEven:filter:img://item/{i}" for i in range(20)]
-    votes, outcome = adaptive_single_question_votes(units, qids, ctx, "adaptive")
+    votes, outcome = adaptive_single_question_votes(units, qids, 1, ctx, "adaptive")
     assert len(votes.value) == outcome.assignment_count
     assert len(votes.value) == ctx.manager.ledger.total_assignments
     assert len(votes.value) > len(qids)  # top-up rounds ran

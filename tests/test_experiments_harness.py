@@ -3,6 +3,7 @@
 import pytest
 
 from repro.experiments import EXPERIMENTS, ExperimentTable, describe_experiments
+from repro.experiments.registry import VERDICTS
 from repro.experiments.harness import (
     binary_confusion,
     combine_both_ways,
@@ -72,8 +73,10 @@ def test_registry_covers_all_paper_artifacts():
         "EXP-F6", "EXP-F7", "EXP-S424", "EXP-T5", "EXP-ABL",
     }
     assert expected <= ids
+    assert {entry.verdict for entry in EXPERIMENTS} <= set(VERDICTS)
     text = describe_experiments()
-    assert "EXP-T5" in text and "bench_table5_end_to_end.py" in text
+    assert "EXP-T5" in text and "Table 5: end-to-end HIT counts" in text
+    assert "EXP-S33" in text and "deviates" in text
 
 
 def test_run_table1_smoke_small():

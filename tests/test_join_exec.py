@@ -97,6 +97,31 @@ def test_unary_possibly_prunes_side():
     assert ctx.manager.ledger.hits_for("join:pairs") < 43
 
 
+@pytest.mark.parametrize(
+    ("interface", "first_round"),
+    [(JoinInterface.SIMPLE, [1] * 100), (JoinInterface.NAIVE, [10] * 10)],
+    ids=["simple", "naive-10"],
+)
+def test_adaptive_votes_keep_the_join_interface(interface, first_round, monkeypatch):
+    """Adaptive rounds post the interface's pairs per HIT, not the filter batch."""
+    from repro.combine.adaptive import AdaptivePolicy
+
+    _, ctx = celebrity_context(
+        join_interface=interface, naive_batch_size=10, adaptive=AdaptivePolicy()
+    )
+    submit, rounds = ctx.manager.platform.submit_hit_group, []
+
+    def recording_submit(hits, *args, **kwargs):
+        rounds.append([hit.unit_count for hit in hits])
+        return submit(hits, *args, **kwargs)
+
+    monkeypatch.setattr(ctx.manager.platform, "submit_hit_group", recording_submit)
+    run_query(ctx, JOIN)
+    assert rounds[0] == first_round and len(rounds) > 1  # top-ups ran
+    if interface is JoinInterface.SIMPLE:
+        assert {count for posted in rounds for count in posted} == {1}
+
+
 def test_possibly_ignored_when_disabled():
     query = JOIN + " AND POSSIBLY gender(c.img) = gender(p.img)"
     data, ctx = celebrity_context(
@@ -117,6 +142,33 @@ def test_join_signals_collected():
     assert "candidate_pairs" in signals
     assert "filter_selectivity" in signals
     assert signals["filter_selectivity"] < 1.0
+
+
+def test_auto_feature_selection_drops_hair_color():
+    """§3.2's rejection tests on examples/celebrity_join.py's POSSIBLY join
+    (30 celebrities, seed 1, Smart 3x3) drop hair color as ambiguous and
+    keep gender and skin (Table 3), logging the drop as a re-plan."""
+    import runpy
+
+    from determinism_pins import EXAMPLES_DIR
+
+    example = runpy.run_path(str(EXAMPLES_DIR / "celebrity_join.py"))
+    config = ExecutionConfig(
+        join_interface=JoinInterface.SMART,
+        grid_rows=3,
+        grid_cols=3,
+        auto_feature_selection=True,
+    )
+    result = example["run"]("auto feature selection", example["FILTERED_JOIN"], config)
+    [signals] = [
+        stats.signals for stats in result.node_stats.values()
+        if "features_kept" in stats.signals
+    ]
+    assert (signals["features_kept"], signals["features_dropped"]) == (2.0, 1.0)
+    events = result.adaptive_summary["events"]
+    [drop] = [event for event in events if "(feature-drop)" in event]
+    assert "hairColor: ambiguous" in drop
+    assert (len(result.rows), result.hit_count) == (20, 92)
 
 
 def test_empty_side_returns_no_rows():

@@ -110,11 +110,10 @@ def movie_dataset(seed: int = 0, scale: int = 1) -> MovieDataset:
     scenes = Table("scenes", Schema.of("id integer", "img url"))
     truth = GroundTruth()
 
-    actor_refs = []
-    for i in range(ACTOR_COUNT):
-        ref = f"img://actor/{i}"
-        actors.insert({"name": f"actor-{i}", "img": ref})
-        actor_refs.append(ref)
+    actor_refs = [f"img://actor/{i}" for i in range(ACTOR_COUNT)]
+    actors.extend(
+        {"name": f"actor-{i}", "img": ref} for i, ref in enumerate(actor_refs)
+    )
 
     # Assign people counts: 117·scale single-person scenes, the rest 0/2/3.
     scene_refs = [f"img://scene/{i:03d}" for i in range(scene_count)]
@@ -129,8 +128,9 @@ def movie_dataset(seed: int = 0, scale: int = 1) -> MovieDataset:
     shuffled = rng.shuffled(scene_refs)
     num_in_scene = {ref: num_in_scene[scene_refs[i]] for i, ref in enumerate(shuffled)}
     scene_refs = shuffled
-    for index, ref in enumerate(sorted(scene_refs)):
-        scenes.insert({"id": index, "img": ref})
+    scenes.extend(
+        {"id": index, "img": ref} for index, ref in enumerate(sorted(scene_refs))
+    )
 
     # Among single-person scenes, assign the skewed actor matches.
     singles = [ref for ref in scene_refs if num_in_scene[ref] == 1]

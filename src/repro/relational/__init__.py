@@ -13,7 +13,6 @@ from repro.relational.expressions import (
     ColumnRef,
     Comparison,
     Expression,
-    FieldAccess,
     Literal,
     Not,
     Or,
@@ -32,7 +31,6 @@ __all__ = [
     "ColumnType",
     "Comparison",
     "Expression",
-    "FieldAccess",
     "Literal",
     "Not",
     "Or",

@@ -167,32 +167,6 @@ class UDFCall(Expression):
         return f"{self.name}({args}){suffix}"
 
 
-@dataclass(frozen=True)
-class FieldAccess(Expression):
-    """Access a named field of a mapping-valued expression."""
-
-    base: Expression
-    field: str
-
-    def evaluate(self, row: Row, env: Environment | None = None) -> object:
-        value = self.base.evaluate(row, env)
-        if isinstance(value, Mapping):
-            try:
-                return value[self.field]
-            except KeyError as exc:
-                raise ExecutionError(f"no field {self.field!r} in {value!r}") from exc
-        return getattr(value, self.field)
-
-    def udf_calls(self) -> list[UDFCall]:
-        return self.base.udf_calls()
-
-    def references(self) -> set[str]:
-        return self.base.references()
-
-    def __str__(self) -> str:
-        return f"{self.base}.{self.field}"
-
-
 _COMPARATORS: dict[str, Callable[[object, object], bool]] = {
     "=": lambda a, b: feature_equal(a, b),
     "!=": lambda a, b: not feature_equal(a, b),

@@ -2,12 +2,14 @@
 
 Rows are validated where they enter the engine and trusted inside it. The
 public constructor ``Row(schema, mapping)`` checks every value against the
-schema; it is what table ingest (:meth:`Table.insert`, :meth:`Table.from_tsv`)
-and the select-list projection use. The derivations operators apply to
-already-valid rows — :meth:`Row.prefixed`, :meth:`Row.merged`,
-:meth:`Row.extended` and :meth:`Row.project` — cannot produce an invalid row,
-so they reuse or concatenate the source value tuple under the source
-schema's cached derived schema without validating again.
+schema through the schema's compiled :attr:`~Schema.row_check`; the
+select-list projection uses it, and table ingest (:meth:`Table.insert`,
+:meth:`Table.extend`, :meth:`Table.from_tsv`) runs the same check. The
+derivations operators apply to already-valid rows — :meth:`Row.prefixed`,
+:meth:`Row.merged`, :meth:`Row.extended` and :meth:`Row.project` — cannot
+produce an invalid row, so they reuse or concatenate the source value
+tuple under the source schema's cached derived schema without validating
+again.
 """
 
 from __future__ import annotations
@@ -29,16 +31,16 @@ class Row(Mapping[str, object]):
     __slots__ = ("_schema", "_values")
 
     def __init__(self, schema: Schema, values: Mapping[str, object]) -> None:
-        schema.validate(dict(values))
+        self._values = schema.row_check(values)
         self._schema = schema
-        self._values = tuple(values[name] for name in schema.names)
 
     @classmethod
     def _trusted(cls, schema: Schema, values: tuple) -> "Row":
         """A row over ``values`` already known to conform to ``schema``.
 
         The one constructor that skips validation; only derivations of
-        validated rows may call it.
+        validated rows and table ingest, which has just run
+        ``schema.row_check``, may call it.
         """
         row = object.__new__(cls)
         row._schema = schema

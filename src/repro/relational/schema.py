@@ -7,16 +7,25 @@ concatenation for join outputs.
 
 Schemas are immutable, so each one caches the schemas derived from it: an
 operator deriving rows one at a time (alias binding, join output) builds its
-output schema once, and every derived row shares that one object.
+output schema once, and every derived row shares that one object. Beside
+them it caches its compiled row check (:attr:`Schema.row_check`), the one
+validation that ``Row(schema, mapping)``, :meth:`Schema.validate` and table
+ingest share.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Iterator
+from operator import itemgetter
+from typing import Callable, Hashable, Iterable, Iterator, Mapping
 
 from repro.errors import SchemaError
+
+_TYPE_SAMPLES = ("", 0, 0.0, False, None)
+"""One value of each builtin type rows hold. A column admits these types on
+sight when :meth:`ColumnType.accepts` admits the sample; any other value
+type (a ``str`` subclass, a numpy scalar) is asked of ``accepts`` itself."""
 
 
 class ColumnType(enum.Enum):
@@ -77,6 +86,7 @@ class Schema:
         self._names = names
         self._hash: int | None = None
         self._derived: dict[Hashable, Schema] = {}
+        self._row_check: Callable[[Mapping[str, object]], tuple] | None = None
 
     @classmethod
     def of(cls, *specs: str) -> "Schema":
@@ -181,19 +191,65 @@ class Schema:
             ("extended", column), lambda: Schema([*self.columns, column])
         )
 
-    def validate(self, values: dict[str, object]) -> None:
+    @property
+    def row_check(self) -> Callable[[Mapping[str, object]], tuple]:
+        """This schema's row check, compiled on first use.
+
+        It takes a mapping and returns its values as a tuple in column
+        order. It raises :class:`SchemaError` when the mapping misses
+        columns, else when it has unknown ones, else naming the first
+        column, in schema order, whose value its type does not accept.
+        """
+        if self._row_check is None:
+            self._row_check = _compile_row_check(self.columns)
+        return self._row_check
+
+    def validate(self, values: Mapping[str, object]) -> None:
         """Check that ``values`` binds exactly this schema's columns with
         type-conforming values; raises :class:`SchemaError` otherwise."""
-        missing = [name for name in self._names if name not in values]
-        if missing:
-            raise SchemaError(f"row missing columns {missing}")
-        extra = [name for name in values if name not in self._index]
-        if extra:
-            raise SchemaError(f"row has unknown columns {sorted(extra)}")
-        for column in self.columns:
-            value = values[column.name]
-            if not column.type.accepts(value):
-                raise SchemaError(
-                    f"column {column.name!r} expects {column.type.value}, "
-                    f"got {value!r} ({type(value).__name__})"
-                )
+        self.row_check(values)
+
+
+def _compile_row_check(
+    columns: tuple[Column, ...],
+) -> Callable[[Mapping[str, object]], tuple]:
+    """A check of one mapping against ``columns`` (see :attr:`Schema.row_check`).
+
+    The common row costs one key-set comparison, one fetch and one pass of
+    exact-type lookups; :meth:`ColumnType.accepts` is asked only for value
+    types outside a column's builtin set, and to word the errors.
+    """
+    names = tuple(column.name for column in columns)
+    name_set = frozenset(names)
+    exact = tuple(
+        frozenset(type(sample) for sample in _TYPE_SAMPLES if column.type.accepts(sample))
+        for column in columns
+    )
+    if len(names) > 1:
+        fetch = itemgetter(*names)
+    else:  # itemgetter returns a bare value for one name and takes no zero
+
+        def fetch(values):
+            return tuple([values[name] for name in names])
+
+    contains = frozenset.__contains__
+
+    def check(values: Mapping[str, object]) -> tuple:
+        if values.keys() != name_set:
+            missing = [name for name in names if name not in values]
+            if missing:
+                raise SchemaError(f"row missing columns {missing}")
+            extra = [name for name in values if name not in name_set]
+            if extra:
+                raise SchemaError(f"row has unknown columns {sorted(extra)}")
+        row = fetch(values)
+        if not all(map(contains, exact, map(type, row))):
+            for column, allowed, value in zip(columns, exact, row):
+                if type(value) not in allowed and not column.type.accepts(value):
+                    raise SchemaError(
+                        f"column {column.name!r} expects {column.type.value}, "
+                        f"got {value!r} ({type(value).__name__})"
+                    )
+        return row
+
+    return check

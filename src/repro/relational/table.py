@@ -13,7 +13,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import SchemaError
 from repro.relational.rows import Row
-from repro.relational.schema import ColumnType, Schema
+from repro.relational.schema import Column, ColumnType, Schema
 
 
 class Table:
@@ -25,8 +25,7 @@ class Table:
         self.name = name
         self.schema = schema
         self._rows: list[Row] = []
-        for values in rows:
-            self.insert(values)
+        self.extend(rows)
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -44,19 +43,25 @@ class Table:
 
     def insert(self, values: Mapping[str, object] | Row) -> Row:
         """Validate and append a row; returns the stored :class:`Row`."""
-        if isinstance(values, Row):
-            if values.schema != self.schema:
-                values = Row(self.schema, values.as_dict())
-            row = values
-        else:
-            row = Row(self.schema, values)
-        self._rows.append(row)
-        return row
+        self.extend((values,))
+        return self._rows[-1]
 
-    def extend(self, rows: Iterable[Mapping[str, object]]) -> None:
-        """Insert many rows."""
-        for values in rows:
-            self.insert(values)
+    def extend(self, rows: Iterable[Mapping[str, object] | Row]) -> None:
+        """Validate every row, then append them all in order.
+
+        A row that fails the schema's check raises :class:`SchemaError` and
+        leaves the table as it was. A :class:`Row` already over this schema
+        is stored as it is.
+        """
+        schema = self.schema
+        check = schema.row_check
+        trusted = Row._trusted
+        self._rows.extend([
+            values
+            if type(values) is Row and values.schema == schema
+            else trusted(schema, check(values))
+            for values in rows
+        ])
 
     def scan(self) -> Iterator[Row]:
         """Iterate rows in insertion order (the physical scan)."""
@@ -93,15 +98,17 @@ class Table:
     def from_tsv(cls, name: str, text: str, schema: Schema | None = None) -> "Table":
         """Parse a tab-delimited string whose first line is the header.
 
-        When ``schema`` is omitted every column is typed ``any`` and values
-        are kept as strings (with int/float coercion attempted per cell).
+        When ``schema`` is omitted each header cell names one column typed
+        ``any``, and values are kept as strings (with int/float coercion
+        attempted per cell). A cell its column's type cannot parse raises
+        :class:`SchemaError` naming the line, the column and the cell.
         """
         lines = [line for line in text.splitlines() if line.strip()]
         if not lines:
             raise SchemaError("empty TSV input")
         header = lines[0].split("\t")
         if schema is None:
-            schema = Schema.of(*header)
+            schema = Schema(Column(cell) for cell in header)
         elif list(schema.names) != header:
             raise SchemaError(
                 f"TSV header {header} does not match schema {list(schema.names)}"
@@ -116,7 +123,13 @@ class Table:
                 )
             values: dict[str, object] = {}
             for column, cell in zip(schema.columns, cells):
-                values[column.name] = _coerce(cell, column.type)
+                try:
+                    values[column.name] = _coerce(cell, column.type)
+                except ValueError:
+                    raise SchemaError(
+                        f"TSV line {line_number}, column {column.name!r}: "
+                        f"cannot parse {column.type.value} from {cell!r}"
+                    ) from None
             table.insert(values)
         return table
 
@@ -131,7 +144,8 @@ class Table:
 
 
 def _coerce(cell: str, column_type: ColumnType) -> object:
-    """Coerce a TSV cell to the column type (best effort for ``any``)."""
+    """Coerce a TSV cell to the column type (best effort for ``any``);
+    raises ``ValueError`` for a typed cell that does not parse."""
     if cell == "":
         return None
     if column_type is ColumnType.INTEGER:
@@ -144,7 +158,7 @@ def _coerce(cell: str, column_type: ColumnType) -> object:
             return True
         if lowered in ("false", "0", "no"):
             return False
-        raise SchemaError(f"cannot parse boolean from {cell!r}")
+        raise ValueError(cell)
     if column_type in (ColumnType.TEXT, ColumnType.URL):
         return cell
     for caster in (int, float):

@@ -1,7 +1,6 @@
 """Shared utilities: seeded randomness, descriptive statistics, text helpers,
 and plain-text table rendering used by the experiment harness."""
 
-from repro.util.charts import ascii_chart, sparkline
 from repro.util.rng import RandomSource, child_seed, spawn_rng
 from repro.util.stats import (
     Summary,
@@ -16,7 +15,6 @@ from repro.util.text import lowercase_single_space, slugify
 __all__ = [
     "RandomSource",
     "Summary",
-    "ascii_chart",
     "child_seed",
     "format_table",
     "lowercase_single_space",
@@ -24,7 +22,6 @@ __all__ = [
     "percentile",
     "slugify",
     "spawn_rng",
-    "sparkline",
     "stddev",
     "summarize",
 ]

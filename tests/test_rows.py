@@ -47,6 +47,35 @@ def test_validation_on_construction():
         Row(Schema.of("a integer"), {"a": "nope"})
 
 
+def test_row_accepted_as_input_mapping(row):
+    assert Row(Schema.of("name text", "img url"), row) == row
+    assert Row(Schema.of("img url"), row.project(["img"]))["img"] == "img://1"
+    with pytest.raises(SchemaError, match=r"row missing columns \['id'\]"):
+        Row(Schema.of("name text", "img url", "id integer"), row)
+    with pytest.raises(SchemaError, match=r"row has unknown columns \['img'\]"):
+        Row(Schema.of("name text"), row)
+
+
+class _Ref(str):
+    pass
+
+
+@pytest.mark.parametrize("type_name", ["text", "url"])
+def test_str_subclass_accepted_for_text_and_url(type_name):
+    row = Row(Schema.of(f"v {type_name}"), {"v": _Ref("img://1")})
+    assert type(row["v"]) is _Ref
+
+
+def test_row_errors_name_missing_then_unknown_then_bad_column():
+    schema = Schema.of("a integer", "b text")
+    with pytest.raises(SchemaError, match=r"^row missing columns \['b'\]$"):
+        Row(schema, {"a": "x", "z": 1})
+    with pytest.raises(SchemaError, match=r"^row has unknown columns \['z'\]$"):
+        Row(schema, {"a": "x", "b": 1, "z": 1})
+    with pytest.raises(SchemaError, match=r"^column 'a' expects integer, got 'x' \(str\)$"):
+        Row(schema, {"a": "x", "b": 1})
+
+
 def test_hash_and_equality(row):
     same = Row(row.schema, {"name": "ada", "img": "img://1"})
     other = Row(row.schema, {"name": "bob", "img": "img://2"})
